@@ -26,7 +26,6 @@ from .exact import exact_opt, exact_opt_fk_all
 from .fractional import fnfi, fnfi_with_split_repair
 from .heuristics import (
     OverflowedPartition,
-    WeightTable,
     best_fit,
     first_fit,
     lower_bound_fk,

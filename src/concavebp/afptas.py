@@ -29,10 +29,8 @@ from .lp import (
     project_to_main_windows,
 )
 from .structures import (
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     GroupingResult,
-    MainWindowCache,
     SmallSplit,
     Staircase,
     Window,
@@ -41,6 +39,7 @@ from .structures import (
     check_eps,
     enumerate_configurations,
     linear_grouping,
+    main_windows,
     round_size_to_power,
     split_small,
 )
@@ -134,13 +133,8 @@ def _compute_h(
         return k
     sizes, mult = _h_set(inst, grouping)
     _, t_star = round_size_to_power(eps, min(positives))
-    cache = MainWindowCache(eps, t_star + 1, staircase)
     configs = enumerate_configurations(sizes, mult, k, budget)
-    mains: set[Window] = set()
-    for cfg in configs:
-        for p in range(1, staircase.ell + 1):
-            if cfg.n_items <= staircase.ks[p]:
-                mains.add(cache.of(ExtendedConfiguration(cfg, p, staircase.ks[p])))
+    mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase)
     return k * (len(sizes) + 2 * len(mains) + 1)
 
 
@@ -417,12 +411,7 @@ def run_afptas(
         prov.n_windows = len(windows)
 
         configs = enumerate_configurations(sizes, mult, k, config_budget)
-        cache = MainWindowCache(eps, t_max, staircase)
-        w_prime: set[Window] = set()
-        for cfg in configs:
-            for p in range(1, p_delta + 1):
-                if cfg.n_items <= staircase.ks[p]:
-                    w_prime.add(cache.of(ExtendedConfiguration(cfg, p, staircase.ks[p])))
+        w_prime = main_windows(configs, p_delta, eps, t_max, staircase)
         prov.n_main_windows = len(w_prime)
 
         model = LpModel(

@@ -1,7 +1,9 @@
 """Command-line surface: solve, verify, gen, compare.
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible or failed
-verification, 4 solver limit exceeded.
+verification (including an infeasible master program or a numerical failure
+of the LP solver), 4 solver limit exceeded.  ``compare`` reports any of these
+failures in the row's ``error`` field and carries on.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .core import (
     eval_fractional_cost,
     verify_packing,
 )
-from .errors import SolverLimitError
+from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
 from .exact import DEFAULT_LIMIT_N, exact_opt
 from .fractional import fnfi
 from .heuristics import best_fit, first_fit, lower_bound_fk, match_half, next_fit
@@ -45,8 +47,9 @@ EXIT_SOLVER_LIMIT = 4
 
 ALGORITHMS = (
     "nf-inc", "nf-dec", "ff-inc", "ff-dec", "bf-inc", "bf-dec",
-    "nfi", "nfd", "mh", "fnfi", "exact", "afptas",
+    "mh", "fnfi", "exact", "afptas",
 )
+SOLVER_FAILURES = (InfeasibleMasterError, NumericalFailureError)
 
 
 def parse_eps(text: str) -> Fraction:
@@ -68,8 +71,6 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
         "ff-dec": lambda: first_fit(inst, "decreasing"),
         "bf-inc": lambda: best_fit(inst, "increasing"),
         "bf-dec": lambda: best_fit(inst, "decreasing"),
-        "nfi": lambda: next_fit(inst, "increasing"),
-        "nfd": lambda: next_fit(inst, "decreasing"),
         "mh": lambda: match_half(inst),
     }
     if name in simple:
@@ -176,9 +177,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _split_cost_specs(text: str) -> list[str]:
+    """Split a comma-separated list of cost specs.  A token that starts with
+    neither ``fq:`` nor ``table:`` continues the preceding ``table:`` spec,
+    so ``fq:3,table:0,1,2`` is two specs."""
+    specs: list[str] = []
+    for tok in text.split(","):
+        if specs and specs[-1].startswith("table:") and not tok.startswith(("fq:", "table:")):
+            specs[-1] += "," + tok
+        else:
+            specs.append(tok)
+    return specs
+
+
 def _compare_rows(args):
     algs = args.algs.split(",")
-    costs = args.costs.split(",")
+    costs = _split_cost_specs(args.costs)
     for path in args.instances:
         try:
             with open(path) as fh:
@@ -211,7 +225,7 @@ def _compare_rows(args):
                         row["baseline"] = "overflowed-lower-bound"
                     if baseline:
                         row["ratio"] = cost / baseline
-                except (ParseError, ValueError, SolverLimitError) as exc:
+                except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
                     row["error"] = str(exc)
                 yield row
 
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="cost/ratio table over instances x algorithms")
     p.add_argument("--instances", nargs="+", required=True)
     p.add_argument("--algs", required=True, help="comma-separated algorithm names")
-    p.add_argument("--costs", required=True, help="comma-separated cost specs")
+    p.add_argument("--costs", required=True, help="comma-separated fq:/table: cost specs")
     p.add_argument("--eps", help="accuracy for afptas rows")
     p.add_argument("--exact-limit", type=int, default=DEFAULT_LIMIT_N)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -325,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
+    except SOLVER_FAILURES as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

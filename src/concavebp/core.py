@@ -25,8 +25,6 @@ def to_size(value: SizeLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        return Fraction(value)
     return Fraction(value)
 
 

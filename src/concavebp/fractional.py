@@ -3,24 +3,22 @@
 Items are processed from smallest to largest and every bin is filled to a
 total size of exactly 1 (the boundary item is split), so the packing it
 produces costs no more than any other fractional packing, simultaneously for
-every valid concave cost table.  The cost argument accepted by the public
-functions exists only for interface symmetry and is ignored.
+every valid concave cost table.  The packers therefore take no cost table.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CostFunction, FractionalPacking, Instance, Packing
+from .core import FractionalPacking, Instance, Packing
 
 
-def fnfi(inst: Instance, f: CostFunction | None = None) -> FractionalPacking:
+def fnfi(inst: Instance) -> FractionalPacking:
     """Pack items smallest-first, filling each bin to exactly total size 1.
 
     Zero-size items take no space and land in the first bin.  At most two
     split items per bin, at most (bins - 1) split items overall, and bins come
     out sorted by non-increasing fraction count.
     """
-    del f  # packing shape is cost-oblivious
     n = inst.n
     bins: list[list[tuple[int, Fraction]]] = []
     if n == 0:
@@ -61,9 +59,9 @@ def split_items(p: FractionalPacking) -> list[int]:
     return sorted(i for i, c in count.items() if c > 1)
 
 
-def fnfi_with_split_repair(inst: Instance, f: CostFunction | None = None) -> Packing:
+def fnfi_with_split_repair(inst: Instance) -> Packing:
     """Integral packing: fnfi, with every split item moved to its own bin."""
-    frac = fnfi(inst, f)
+    frac = fnfi(inst)
     split = set(split_items(frac))
     bins = [[i for i, _ in b if i not in split] for b in frac.bins]
     bins = [b for b in bins if b]

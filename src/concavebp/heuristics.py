@@ -56,20 +56,6 @@ def weight(p: SizeLike) -> Fraction:
     return Fraction(k + 1, k) * p
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Convenience bundle of pi-sequence terms plus the weight rule."""
-
-    pi_terms: tuple[int, ...]
-
-    @classmethod
-    def build(cls, count: int) -> "WeightTable":
-        return cls(tuple(pi_sequence(count)))
-
-    def weight(self, p: SizeLike) -> Fraction:
-        return weight(p)
-
-
 def _ordered_indices(inst: Instance, order: str) -> list[int]:
     # Stored order is non-increasing; equal sizes keep lowest index first, so
     # reversing treats the lowest index as the larger item.

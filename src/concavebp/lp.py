@@ -56,17 +56,6 @@ class LpModel:
     main_windows: set[Window] = field(default_factory=set)
 
     def __post_init__(self):
-        self.row_size = {v: i for i, v in enumerate(self.sizes)}
-        base = len(self.sizes)
-        self.row_item = {it.index: base + i for i, it in enumerate(self.smalls)}
-        base += len(self.smalls)
-        self.row_wsize: dict[Window, int] = {}
-        self.row_wcount: dict[Window, int] = {}
-        for w in self.windows:
-            self.row_wsize[w] = base
-            self.row_wcount[w] = base + 1
-            base += 2
-        self.num_rows = base
         # zero-cost assignment columns for every usable (item, window) pair;
         # windows too small for any small item carry none by construction
         for si, item in enumerate(self.smalls):
@@ -436,37 +425,3 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
         yc = sum(val for (si, ww), val in sol.y.items() if ww == w)
         assert float(w.w) * xw >= ys - tol, f"window size row {w} violated"
         assert w.kappa * xw >= yc - tol, f"window count row {w} violated"
-
-
-def write_lp_text(model: LpModel, path: str) -> None:
-    """Debug dump in a plain LP interchange format; row and column names
-    encode configuration counts and window identities exactly."""
-    c, A, b, x_cols, y_cols, row_of, windows = model.arrays()
-
-    def col_name(j: int) -> str:
-        if j < len(y_cols):
-            si, w = y_cols[j]
-            return f"y__i{model.smalls[si].index}__w{w.t}_{w.a}"
-        gc = x_cols[j - len(y_cols)]
-        counts = "_".join(str(x) for x in gc.ext.config.counts)
-        return f"x__c{counts}__p{gc.ext.p}__w{gc.window.t}_{gc.window.a}"
-
-    lines = ["Minimize", " obj: " + " + ".join(
-        f"{c[j]!r} {col_name(j)}" for j in range(len(c)) if c[j]
-    ), "Subject To"]
-    names = {idx: key for key, idx in row_of.items()}
-    for r in range(A.shape[0]):
-        kind = names[r]
-        row_name = (
-            f"cover_v_{kind[1]}" if kind[0] == "v"
-            else f"cover_i_{kind[1]}" if kind[0] == "i"
-            else f"{kind[0]}_{kind[1].t}_{kind[1].a}"
-        )
-        terms = " + ".join(
-            f"{A[r, j]!r} {col_name(j)}" for j in range(A.shape[1]) if A[r, j]
-        )
-        if terms:
-            lines.append(f" {row_name}: {terms} >= {b[r]!r}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -20,19 +20,15 @@ class ParseError(ValueError):
     pass
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def instance_digest(inst: Instance) -> str:
-    text = " ".join(_frac_str(s) for s in inst.sizes)
+    text = " ".join(str(s) for s in inst.sizes)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def write_instance(inst: Instance, fh: TextIO) -> None:
     fh.write(f"format: {INSTANCE_FORMAT}\n")
     fh.write(f"n: {inst.n}\n")
-    fh.write("sizes: " + " ".join(_frac_str(s) for s in inst.sizes) + "\n")
+    fh.write("sizes: " + " ".join(str(s) for s in inst.sizes) + "\n")
 
 
 def _read_keyvals(fh: TextIO) -> list[tuple[str, str]]:
@@ -108,7 +104,7 @@ def write_solution(
     fh.write(f"bins: {packing.num_bins}\n")
     for b in packing.bins:
         if fractional:
-            fh.write("bin: " + " ".join(f"{i}={_frac_str(fr)}" for i, fr in b) + "\n")
+            fh.write("bin: " + " ".join(f"{i}={fr}" for i, fr in b) + "\n")
         else:
             fh.write("bin: " + " ".join(str(i) for i in b) + "\n")
 

@@ -42,7 +42,6 @@ def solve_lp(
     A: np.ndarray,
     b: np.ndarray,
     basis: list[Label] | None = None,
-    max_iter: int | None = None,
 ) -> LpResult:
     """Solve min c.x, A x >= b, x >= 0, optionally warm-starting from a basis."""
     A = np.asarray(A, dtype=np.float64)
@@ -53,8 +52,6 @@ def solve_lp(
         return LpResult("optimal", np.zeros(n), 0.0, np.zeros(0), [], 0)
     if np.any(b < 0):
         raise ValueError("right-hand sides must be non-negative")
-    if max_iter is None:
-        max_iter = 200 * (m + n + 1)
 
     # column layout: [structural | surplus | artificial]
     M = np.hstack([A, -np.eye(m), np.eye(m)])
@@ -71,7 +68,7 @@ def solve_lp(
         cost1 = np.zeros(n + 2 * m)
         cost1[n_art_start:] = 1.0
         state.load_basis(list(range(n_art_start, n_art_start + m)))
-        status, it = state.iterate(cost1, allow_artificial=True, max_iter=max_iter)
+        status, it = state.iterate(cost1, allow_artificial=True)
         iterations += it
         if status != "optimal":
             raise NumericalFailureError(f"phase 1 ended with status {status}")
@@ -81,7 +78,7 @@ def solve_lp(
             )
         state.expel_artificials()
 
-    status, it = state.iterate(cost2, allow_artificial=False, max_iter=max_iter)
+    status, it = state.iterate(cost2, allow_artificial=False)
     iterations += it
     if status != "optimal":
         return LpResult(status, np.zeros(n), float("nan"), np.zeros(m), [], iterations)
@@ -172,15 +169,14 @@ class _State:
             # if no candidate exists the row is redundant; the artificial
             # stays basic at level zero, which is harmless
 
-    def iterate(
-        self, cost: np.ndarray, allow_artificial: bool, max_iter: int
-    ) -> tuple[str, int]:
+    def iterate(self, cost: np.ndarray, allow_artificial: bool) -> tuple[str, int]:
+        limit = 200 * (self.m + self.n + 1)
         n_cols = self.M.shape[1] if allow_artificial else self.n + self.m
         M = self.M[:, :n_cols]
         it = 0
         degenerate_run = 0
         while True:
-            if it >= max_iter:
+            if it >= limit:
                 return "iteration-limit", it
             y = cost[self.basis] @ self.binv
             reduced = cost[:n_cols] - y @ M

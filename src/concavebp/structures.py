@@ -33,7 +33,8 @@ class GroupingResult:
 
     @property
     def l_rest(self) -> tuple[int, ...]:
-        return tuple(i for i in self.large if i not in set(self.l1))
+        l1 = set(self.l1)
+        return tuple(i for i in self.large if i not in l1)
 
 
 def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
@@ -195,10 +196,6 @@ class Configuration:
     total_size: Fraction
     n_items: int
 
-    @property
-    def empty(self) -> bool:
-        return self.n_items == 0
-
 
 @dataclass(frozen=True)
 class ExtendedConfiguration:
@@ -227,19 +224,8 @@ def main_window(
     free space left by the configuration.  Count part: the smallest
     breakpoint at least k_p minus the number of large items.
     """
-    return _main_window_values(
-        ext.config.total_size,
-        ext.k_p - ext.config.n_items,
-        eps,
-        t_max,
-        staircase,
-    )
-
-
-def _main_window_values(
-    total_size: Fraction, need: int, eps: Fraction, t_max: int, staircase: Staircase
-) -> Window:
-    free = 1 - total_size
+    free = 1 - ext.config.total_size
+    need = ext.k_p - ext.config.n_items
     t = 0
     val = Fraction(1)
     step = Fraction(eps.denominator, eps.denominator + 1)
@@ -250,26 +236,28 @@ def _main_window_values(
     return Window(t, a, val, staircase.ks[a])
 
 
-class MainWindowCache:
-    """Main windows depend on the configuration only through its total size
-    and residual item budget; caching by that pair collapses the per-config
-    enumeration cost."""
+def main_windows(
+    configs: list[Configuration],
+    p_max: int,
+    eps: Fraction,
+    t_max: int,
+    staircase: Staircase,
+) -> set[Window]:
+    """Main windows of every extension (cfg, p) with 1 <= p <= p_max and
+    cfg.n_items <= k_p.
 
-    def __init__(self, eps: Fraction, t_max: int, staircase: Staircase):
-        self.eps = eps
-        self.t_max = t_max
-        self.staircase = staircase
-        self._cache: dict[tuple[Fraction, int], Window] = {}
-
-    def of(self, ext: ExtendedConfiguration) -> Window:
-        key = (ext.config.total_size, ext.k_p - ext.config.n_items)
-        got = self._cache.get(key)
-        if got is None:
-            got = _main_window_values(
-                key[0], key[1], self.eps, self.t_max, self.staircase
-            )
-            self._cache[key] = got
-        return got
+    A main window depends on the extension only through the configuration's
+    total size and k_p minus its item count, so it is computed once per pair.
+    """
+    by_key: dict[tuple[Fraction, int], Window] = {}
+    for cfg in configs:
+        for p in range(1, p_max + 1):
+            k_p = staircase.ks[p]
+            key = (cfg.total_size, k_p - cfg.n_items)
+            if cfg.n_items <= k_p and key not in by_key:
+                ext = ExtendedConfiguration(cfg, p, k_p)
+                by_key[key] = main_window(ext, eps, t_max, staircase)
+    return set(by_key.values())
 
 
 def enumerate_configurations(

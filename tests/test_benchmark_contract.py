@@ -1,0 +1,46 @@
+"""The names the benchmark in ``perfbench/`` relies on must keep resolving.
+
+The benchmark imports every module in ``run.py``'s ``MODULES`` and its tracer
+rebinds every ``(module, attribute)`` in ``tracer.py``'s ``_TARGETS``, so a
+rename or deletion in the package breaks it.  Both lists are read with
+``ast`` so that no benchmark code runs here.
+"""
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from concavebp import lp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _module_constant(filename: str, name: str):
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in perfbench/{filename}")
+
+
+def test_run_modules_import():
+    modules = _module_constant("run.py", "MODULES")
+    assert modules
+    for name in modules:
+        importlib.import_module(f"concavebp.{name}")
+
+
+def test_tracer_targets_resolve():
+    targets = _module_constant("tracer.py", "_TARGETS")
+    assert targets
+    for module, attr, _span in targets:
+        owner = importlib.import_module(f"concavebp.{module}")
+        assert callable(owner.__dict__.get(attr)), f"concavebp.{module}.{attr}"
+
+
+def test_traced_signatures():
+    assert list(inspect.signature(lp.LpModel.arrays).parameters) == ["self", "window_filter"]
+    assert inspect.signature(lp.column_generation).parameters["pricer"].default is lp.price_all
+    assert list(inspect.signature(lp.solve_lp).parameters)[3] == "basis"

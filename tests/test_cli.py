@@ -6,6 +6,7 @@ import pytest
 
 from concavebp import Instance
 from concavebp.cli import main
+from concavebp.errors import InfeasibleMasterError, NumericalFailureError
 from concavebp.serialize import (
     ParseError,
     instance_digest,
@@ -23,6 +24,13 @@ def _write_instance(tmp_path, name, sizes):
     with open(path, "w") as fh:
         write_instance(inst, fh)
     return path, inst
+
+
+def _break_lp(monkeypatch, error):
+    def failing_solve_lp(*args, **kwargs):
+        raise error("simulated LP failure")
+
+    monkeypatch.setattr("concavebp.lp.solve_lp", failing_solve_lp)
 
 
 class TestSerialization:
@@ -106,7 +114,7 @@ class TestSolve:
             tmp_path, "k4.inst", [Fraction(3, 4)] + [Fraction(1, 16)] * 8
         )
         out = tmp_path / "k4.sol"
-        code = main(["solve", str(path), "--alg", "nfd", "--cost", "fq:4",
+        code = main(["solve", str(path), "--alg", "nf-dec", "--cost", "fq:4",
                      "--out", str(out)])
         assert code == 0
         assert "cost: 8.0" in capsys.readouterr().out
@@ -159,6 +167,24 @@ class TestSolve:
                      "--out", str(out)]) == 0
         assert main(["verify", str(path), str(out)]) == 0
 
+    def test_removed_aliases_rejected(self, tmp_path):
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 3)
+        for alias in ("nfd", "nfi"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", str(path), "--alg", alias, "--cost", "fq:1"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("error", [NumericalFailureError, InfeasibleMasterError])
+    def test_lp_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        _break_lp(monkeypatch, error)
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
+        code = main(["solve", str(path), "--alg", "afptas", "--cost", "fq:3",
+                     "--eps", "1/3", "--out", str(tmp_path / "x.sol")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.splitlines() == ["solver failure: simulated LP failure"]
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestVerify:
     def _solved(self, tmp_path):
@@ -166,7 +192,7 @@ class TestVerify:
             tmp_path, "v.inst", [Fraction(3, 4)] + [Fraction(1, 16)] * 8
         )
         out = tmp_path / "v.sol"
-        main(["solve", str(path), "--alg", "nfd", "--cost", "fq:4", "--out", str(out)])
+        main(["solve", str(path), "--alg", "nf-dec", "--cost", "fq:4", "--out", str(out)])
         return path, out
 
     def test_valid_pair_passes(self, tmp_path):
@@ -208,7 +234,7 @@ class TestCompare:
         p2, _ = _write_instance(tmp_path, "b.inst", [Fraction(1, 2)] * 30)
         out = tmp_path / "report.csv"
         code = main(["compare", "--instances", str(p1), str(p2),
-                     "--algs", "nfd,nfi,mh", "--costs", "fq:1,fq:4",
+                     "--algs", "nf-dec,nf-inc,mh", "--costs", "fq:1,fq:4",
                      "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -222,7 +248,7 @@ class TestCompare:
         # the adversarial fixture pins the nfd aggregate at exactly 8/5
         p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(3, 4)] + [Fraction(1, 16)] * 8)
         out = tmp_path / "r.json"
-        main(["compare", "--instances", str(p1), "--algs", "nfd", "--costs", "fq:4",
+        main(["compare", "--instances", str(p1), "--algs", "nf-dec", "--costs", "fq:4",
               "--format", "json", "--out", str(out)])
         rows = json.loads(out.read_text())
         agg = [r for r in rows if r["instance"] == "(aggregate)"]
@@ -233,7 +259,7 @@ class TestCompare:
         p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 25)
         out = tmp_path / "report.json"
         code = main(["compare", "--instances", str(p1), str(tmp_path / "missing.inst"),
-                     "--algs", "nfi", "--costs", "fq:2", "--format", "json",
+                     "--algs", "nf-inc", "--costs", "fq:2", "--format", "json",
                      "--out", str(out)])
         assert code == 0
         rows = json.loads(out.read_text())
@@ -243,11 +269,34 @@ class TestCompare:
         assert rows[0]["ratio"] >= 1.0
         assert {r["instance"] for r in rows[2:]} == {"(aggregate)"}
 
+    def test_table_spec_with_commas(self, tmp_path):
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2), Fraction(1, 3)] * 3)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(p1), "--algs", "nf-inc,mh",
+                     "--costs", "fq:3,table:0,1,1.6,2.0", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        rows = [r for r in json.loads(out.read_text()) if r["instance"] != "(aggregate)"]
+        assert [r["cost_spec"] for r in rows] == ["fq:3", "table:0,1,1.6,2.0"] * 2
+        assert not any("error" in r for r in rows)
+
+    def test_lp_failure_becomes_row_error(self, tmp_path, monkeypatch):
+        _break_lp(monkeypatch, NumericalFailureError)
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 6)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(p1), "--algs", "afptas,nf-inc",
+                     "--costs", "fq:3", "--eps", "1/3", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert rows[0]["error"] == "simulated LP failure"
+        assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
+
     def test_rows_follow_input_order(self, tmp_path):
         p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)
         p2, _ = _write_instance(tmp_path, "b.inst", [Fraction(1, 3)] * 4)
         out = tmp_path / "r.csv"
-        main(["compare", "--instances", str(p2), str(p1), "--algs", "nfi",
+        main(["compare", "--instances", str(p2), str(p1), "--algs", "nf-inc",
               "--costs", "fq:1", "--out", str(out)])
         lines = out.read_text().strip().splitlines()[1:]
         assert "b.inst" in lines[0] and "a.inst" in lines[1]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from concavebp import (
     Instance,
-    WeightTable,
     best_fit,
     eval_cost,
     exact_opt,
@@ -70,11 +69,6 @@ class TestWeight:
         ws = [weight(p) for p in pts]
         for a, b in zip(ws, ws[1:]):
             assert b >= a
-
-    def test_weight_table_wrapper(self):
-        table = WeightTable.build(4)
-        assert table.pi_terms == (2, 3, 7, 43)
-        assert table.weight(Fraction(3, 5)) == 1
 
 
 class TestFitHeuristics:

@@ -15,7 +15,6 @@ from concavebp.lp import (
     project_to_main_windows,
     solve_master,
     verify_solution_rows,
-    write_lp_text,
 )
 from concavebp.simplex import solve_lp
 from concavebp.structures import (
@@ -342,14 +341,3 @@ class TestExtractBasic:
             fx, fy = basic.fractional_counts()
             assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
             verify_solution_rows(model, basic)
-
-
-def test_lp_text_dump(tmp_path):
-    model = build_model(["1/2"], [2], small_sizes=["1/4"])
-    model.seed_columns()
-    path = tmp_path / "model.lp"
-    write_lp_text(model, str(path))
-    text = path.read_text()
-    assert "Minimize" in text and "Subject To" in text
-    assert "x__c1__p1" in text
-    assert "y__i100__w" in text

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from concavebp.structures import (
     ExtendedConfiguration,
     enumerate_configurations,
     check_eps,
+    main_windows,
     round_size_to_power,
 )
+from conftest import random_concave_cost
 
 
 class TestCheckEps:
@@ -184,6 +187,29 @@ class TestMainWindow:
         w = main_window(ext, Fraction(1, 3), 9, stair)
         assert w.w >= 1 - cfg.total_size
         assert w.w * Fraction(3, 4) < 1 - cfg.total_size  # tightest such power
+
+    def test_main_windows_matches_per_extension_windows(self):
+        for seed in range(12):
+            rng = random.Random(seed)
+            k = rng.choice([3, 4, 5])
+            eps = Fraction(1, k)
+            n = rng.randint(k + 1, 40)
+            stair = build_staircase(random_concave_cost(rng, n), eps, n)
+            sizes = sorted(
+                {Fraction(rng.randint(24, 60), 60) for _ in range(rng.randint(1, 4))},
+                reverse=True,
+            )
+            mult = [rng.randint(1, 4) for _ in sizes]
+            configs = enumerate_configurations(sizes, mult, k)
+            for p_max in (1, stair.ell):
+                for t_max in (0, 2, 7):
+                    expected = {
+                        main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair)
+                        for cfg in configs
+                        for p in range(1, p_max + 1)
+                        if cfg.n_items <= stair.ks[p]
+                    }
+                    assert main_windows(configs, p_max, eps, t_max, stair) == expected
 
 
 class TestEnumerateConfigurations:
