@@ -116,7 +116,8 @@ def _singleton_result(inst: Instance, f: CostFunction, eps: Fraction) -> AfptasR
 def _compute_h(
     inst: Instance,
     eps: Fraction,
-    grouping: GroupingResult,
+    sizes: list[Fraction],
+    mult: list[int],
     staircase: Staircase,
     small: tuple[int, ...],
     budget: int,
@@ -131,7 +132,6 @@ def _compute_h(
     positives = [inst.sizes[i] for i in small if inst.sizes[i] > 0]
     if not positives:
         return k
-    sizes, mult = _h_set(inst, grouping)
     _, t_star = round_size_to_power(eps, min(positives))
     configs = enumerate_configurations(sizes, mult, k, budget)
     mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase)
@@ -149,15 +149,6 @@ def _h_set(inst: Instance, grouping: GroupingResult) -> tuple[list[Fraction], li
 
 
 @dataclass
-class RoundingContext:
-    model: LpModel
-    grouping: GroupingResult
-    inst: Instance
-    f: CostFunction
-    eps: Fraction
-
-
-@dataclass
 class RoundingOutcome:
     bins: list[list[int]]
     config_records: list[dict[str, Any]]
@@ -167,7 +158,9 @@ class RoundingOutcome:
     excess_bins: int
 
 
-def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
+def round_solution(
+    basic: LpSolution, model: LpModel, grouping: GroupingResult, inst: Instance
+) -> RoundingOutcome:
     """Turn a basic solution over canonical windows into feasible bins.
 
     Steps: dedicate bins to fractionally assigned small items; round
@@ -178,10 +171,9 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
     smallest-first, splitting off one special item and the excess; regroup
     specials 1/eps per bin and excess subsets 1/eps subsets per bin.
     """
-    model = ctx.model
-    k = ctx.eps.denominator
+    k = model.eps.denominator
     one_plus = 1.0 + 1.0 / k
-    f = ctx.f
+    f = model.f
 
     x_hat: list[tuple[GeneralizedConfiguration, int]] = []
     for gc in sorted(basic.x, key=model.column_key):
@@ -203,8 +195,8 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
 
     # fill large slots with original items, per rounded size
     queues: dict[Fraction, list[int]] = {v: [] for v in model.sizes}
-    for i in ctx.grouping.l_rest:
-        queues[ctx.grouping.rounded_size[i]].append(i)
+    for i in grouping.l_rest:
+        queues[grouping.rounded_size[i]].append(i)
     for b in bins:
         for v, cnt in zip(model.sizes, b.gc.ext.config.counts):
             take = queues[v][:cnt]
@@ -244,7 +236,7 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
         assert x_w >= 1, f"window {w} has assigned items but no bins"
         assert len(items) <= w.kappa * x_w, "window count row violated after rounding"
         # largest-first round-robin deal
-        order = sorted(items, key=lambda i: (-ctx.inst.sizes[i], i))
+        order = sorted(items, key=lambda i: (-inst.sizes[i], i))
         for pos, item in enumerate(order):
             target_bins[pos % x_w].smalls.append(item)
         for b in target_bins:
@@ -258,16 +250,16 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
             if not b.smalls:
                 continue
             room = Fraction(1) - sum(
-                (ctx.inst.sizes[i] for i in b.larges), Fraction(0)
+                (inst.sizes[i] for i in b.larges), Fraction(0)
             )
             keep: list[int] = []
             special: int | None = None
             excess: list[int] = []
             load = Fraction(0)
-            for i in sorted(b.smalls, key=lambda i: (ctx.inst.sizes[i], i)):
-                if special is None and load + ctx.inst.sizes[i] <= room:
+            for i in sorted(b.smalls, key=lambda i: (inst.sizes[i], i)):
+                if special is None and load + inst.sizes[i] <= room:
                     keep.append(i)
-                    load += ctx.inst.sizes[i]
+                    load += inst.sizes[i]
                 elif special is None:
                     special = i
                 else:
@@ -296,7 +288,7 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
         content = b.larges + b.smalls
         if not content:
             continue
-        total = sum((ctx.inst.sizes[i] for i in content), Fraction(0))
+        total = sum((inst.sizes[i] for i in content), Fraction(0))
         assert total <= 1, "configuration bin exceeds capacity"
         k_p = b.gc.ext.k_p
         f_kp = f.value(k_p)
@@ -311,7 +303,7 @@ def round_solution(basic: LpSolution, ctx: RoundingContext) -> RoundingOutcome:
     n_special_bins = (len(specials) + k - 1) // k
     n_excess_bins = (len(excess_subsets) + k - 1) // k
     for eb in extra_bins:
-        total = sum((ctx.inst.sizes[i] for i in eb), Fraction(0))
+        total = sum((inst.sizes[i] for i in eb), Fraction(0))
         assert total <= 1, "repair bin exceeds capacity"
     out_bins.extend(eb for eb in extra_bins if eb)
     return RoundingOutcome(
@@ -330,7 +322,6 @@ def run_afptas(
     eps: Fraction,
     h_eps: int | None = None,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
-    max_rounds: int | None = None,
 ) -> AfptasResult:
     """Full scheme; returns a feasible packing and a provenance report.
 
@@ -358,10 +349,11 @@ def run_afptas(
 
     staircase = build_staircase(f, eps, n)
     prov.ell = staircase.ell
+    sizes, mult = _h_set(inst, grouping)
 
     if small:
         if h_eps is None:
-            h_eps = _compute_h(inst, eps, grouping, staircase, small, config_budget)
+            h_eps = _compute_h(inst, eps, sizes, mult, staircase, small, config_budget)
         if h_eps < k:
             raise ValueError("h_eps must be at least 1/eps")
         split = split_small(inst, eps, h_eps, small)
@@ -384,7 +376,6 @@ def run_afptas(
         prov.stages.append(StageReport("smallest-tail prepack", len(tail_bins), stage_cost(tail_bins)))
 
     kept = split.kept
-    sizes, mult = _h_set(inst, grouping)
     prov.h_set_size = len(sizes)
     prov.i2_sizes = [str(grouping.rounded_size[i]) for i in grouping.l_rest] + [
         str(inst.sizes[i]) for i in kept
@@ -427,10 +418,10 @@ def run_afptas(
             f=f,
         )
         model.main_windows = set(w_prime)
-        sol, info = column_generation(model, max_rounds)
+        sol, info = column_generation(model)
         prov.lp_skipped = False
         prov.lp_iterations = info.iterations
-        prov.lp_objective = info.objective
+        prov.lp_objective = sol.objective
         prov.lp_max_ratio = info.final_max_ratio
         prov.lp_certified_ratio = info.final_certified_ratio
         prov.lp_columns = len(model.columns)
@@ -447,8 +438,7 @@ def run_afptas(
         prov.fractional_y = fy
         prov.fractional_bound = bound
 
-        rctx = RoundingContext(model, grouping, inst, f, eps)
-        outcome = round_solution(basic, rctx)
+        outcome = round_solution(basic, model, grouping, inst)
         bins_out.extend(outcome.bins)
         prov.config_bins = outcome.config_records
         prov.dedicated_small_bins = outcome.dedicated_small

@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, gen, compare.
 
-Exit codes: 0 success, 2 malformed input, 3 infeasible or failed
-verification (including an infeasible master program or a numerical failure
-of the LP solver), 4 solver limit exceeded.  ``compare`` reports any of these
-failures in the row's ``error`` field and carries on.
+Exit codes: 0 success, 2 malformed or unreadable input, 3 infeasible or
+failed verification (including a claimed cost that does not match, an
+infeasible master program or a numerical failure of the LP solver), 4 solver
+limit exceeded.  ``compare`` reports any of these failures in the row's
+``error`` field and carries on.
 """
 from __future__ import annotations
 
@@ -145,7 +146,7 @@ def cmd_verify(args) -> int:
             where = f" (bin {v.where})" if v.where is not None else ""
             print(f"violation: {v.kind}{where}: {v.detail}")
         return EXIT_VERIFY_FAILED
-    if abs(recomputed - sol["cost"]) > COST_TOL:
+    if not abs(recomputed - sol["cost"]) <= COST_TOL:  # also rejects a claimed NaN
         print(
             f"verification failed: claimed cost {sol['cost']} but recomputed {recomputed}"
         )
@@ -333,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SolverLimitError as exc:

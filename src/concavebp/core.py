@@ -80,12 +80,14 @@ class CostFunction:
 def make_cost_function(values: Sequence[float]) -> CostFunction:
     """Validate and build a CostFunction, rescaling so that f(1) = 1.
 
-    Rejects tables with f(0) != 0, any decrease, a convexity violation, or
-    f(1) = 0 while some later value is positive.
+    Rejects tables with a non-finite value, f(0) != 0, any decrease, a
+    convexity violation, or f(1) = 0 while some later value is positive.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("cost table needs at least f(0) and f(1)")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("cost table values must be finite")
     if vals[0] != 0.0:
         raise ValueError("f(0) must be 0")
     for i in range(len(vals) - 1):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CostFunction
 from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
-from .pricing import PricingContext, PricingOutcome, price_all
+from .pricing import PricingOutcome, price_all
 from .simplex import FEAS_TOL, Label, LpResult, solve_lp
 from .structures import (
     Configuration,
@@ -97,24 +97,16 @@ class LpModel:
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
-        """Dense (c, A, b) plus the active column lists.
+        """Dense (c, A, b) plus the active column lists and windows.
 
-        With a window filter, rows of excluded windows and columns touching
-        them are dropped (the temporary program after projection).
+        Rows, in order: one per size, one per small item, then a (size,
+        count) pair per window.  With a window filter, rows of excluded
+        windows and columns touching them are dropped (the temporary program
+        after projection).
         """
         windows = [w for w in self.windows if window_filter is None or w in window_filter]
-        row_of: dict = {}
-        r = 0
-        for v in self.sizes:
-            row_of[("v", v)] = r
-            r += 1
-        for it in self.smalls:
-            row_of[("i", it.index)] = r
-            r += 1
-        for w in windows:
-            row_of[("ws", w)] = r
-            row_of[("wc", w)] = r + 1
-            r += 2
+        nv, ns = len(self.sizes), len(self.smalls)
+        w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
         x_cols = [
             gc
             for gc in self.columns
@@ -128,39 +120,22 @@ class LpModel:
         # assignment columns first: their indices never move when the column
         # generation appends configuration columns, keeping bases warm-startable
         ncols = len(x_cols) + len(y_cols)
-        A = np.zeros((r, ncols), dtype=np.float64)
+        A = np.zeros((nv + ns + 2 * len(windows), ncols), dtype=np.float64)
         c = np.zeros(ncols, dtype=np.float64)
-        b = np.zeros(r, dtype=np.float64)
-        for v, d in zip(self.sizes, self.demands):
-            b[row_of[("v", v)]] = d
-        for it in self.smalls:
-            b[row_of[("i", it.index)]] = 1.0
+        b = np.zeros(A.shape[0], dtype=np.float64)
+        b[:nv] = self.demands
+        b[nv : nv + ns] = 1.0
         for j, (si, w) in enumerate(y_cols):
-            item = self.smalls[si]
-            A[row_of[("i", item.index)], j] += 1.0
-            A[row_of[("ws", w)], j] -= float(item.size)
-            A[row_of[("wc", w)], j] -= 1.0
+            A[nv + si, j] += 1.0
+            A[w_row[w], j] -= float(self.smalls[si].size)
+            A[w_row[w] + 1, j] -= 1.0
         off = len(y_cols)
         for j, gc in enumerate(x_cols):
             c[off + j] = self.staircase.f_at[gc.ext.p]
-            for v, cnt in zip(self.sizes, gc.ext.config.counts):
-                if cnt:
-                    A[row_of[("v", v)], off + j] += cnt
-            A[row_of[("ws", gc.window)], off + j] += float(gc.window.w)
-            A[row_of[("wc", gc.window)], off + j] += gc.window.kappa
-        return c, A, b, x_cols, y_cols, row_of, windows
-
-    def pricing_context(self) -> PricingContext:
-        return PricingContext(
-            sizes=self.sizes,
-            multiplicities=self.demands,
-            windows=self.windows,
-            staircase=self.staircase,
-            p_max=self.p_max,
-            eps=self.eps,
-            s_min_small=self.s_min_small,
-            t_max=self.t_max,
-        )
+            A[:nv, off + j] = gc.ext.config.counts
+            A[w_row[gc.window], off + j] += float(gc.window.w)
+            A[w_row[gc.window] + 1, off + j] += gc.window.kappa
+        return c, A, b, x_cols, y_cols, windows
 
 
 @dataclass
@@ -172,8 +147,6 @@ class LpSolution:
     beta: dict[int, float]
     gamma: dict[Window, float]
     delta: dict[Window, float]
-    basis: list[Label]
-    iterations: int
 
     def fractional_counts(self) -> tuple[int, int]:
         """(F_X, F_Y): fractional configuration columns, and small items whose
@@ -197,7 +170,7 @@ class LpSolution:
 
 
 def _solution_from_result(
-    model: LpModel, res: LpResult, x_cols, y_cols, row_of, windows
+    model: LpModel, res: LpResult, x_cols, y_cols, windows
 ) -> LpSolution:
     y = {
         (si, w): float(res.x[j])
@@ -207,23 +180,20 @@ def _solution_from_result(
     off = len(y_cols)
     x = {gc: float(res.x[off + j]) for j, gc in enumerate(x_cols) if res.x[off + j] > 0}
     # duals of >= rows in a minimization are non-negative; clamp float dust
-    def dual(r: int) -> float:
-        return max(0.0, float(res.duals[r]))
-
-    alpha = {v: dual(row_of[("v", v)]) for v in model.sizes}
-    beta = {it.index: dual(row_of[("i", it.index)]) for it in model.smalls}
-    gamma = {w: dual(row_of[("ws", w)]) for w in windows}
-    delta = {w: dual(row_of[("wc", w)]) for w in windows}
-    return LpSolution(
-        res.objective, x, y, alpha, beta, gamma, delta, res.basis, res.iterations
-    )
+    duals = [max(0.0, float(d)) for d in res.duals]
+    nv, ns = len(model.sizes), len(model.smalls)
+    alpha = dict(zip(model.sizes, duals[:nv]))
+    beta = {it.index: d for it, d in zip(model.smalls, duals[nv : nv + ns])}
+    gamma = dict(zip(windows, duals[nv + ns :: 2]))
+    delta = dict(zip(windows, duals[nv + ns + 1 :: 2]))
+    return LpSolution(res.objective, x, y, alpha, beta, gamma, delta)
 
 
 def solve_master(
     model: LpModel, warm_basis: list[Label] | None = None
 ) -> tuple[LpSolution, list[Label]]:
     """Solve the current restricted master exactly; returns duals as well."""
-    c, A, b, x_cols, y_cols, row_of, windows = model.arrays()
+    c, A, b, x_cols, y_cols, windows = model.arrays()
     res = solve_lp(c, A, b, basis=warm_basis)
     if res.status == "infeasible":
         raise InfeasibleMasterError("restricted master infeasible; seeding is broken")
@@ -232,7 +202,7 @@ def solve_master(
     resid = np.min(A @ res.x - b) if len(b) else 0.0
     if resid < -FEAS_TOL:
         raise NumericalFailureError(f"master residual {resid:.2e}")
-    return _solution_from_result(model, res, x_cols, y_cols, row_of, windows), res.basis
+    return _solution_from_result(model, res, x_cols, y_cols, windows), res.basis
 
 
 @dataclass
@@ -241,7 +211,6 @@ class ColumnGenerationInfo:
     columns_added: int
     final_max_ratio: float
     final_certified_ratio: float
-    objective: float
 
 
 def column_generation(
@@ -264,21 +233,19 @@ def column_generation(
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2
     one_plus = 1.0 + 1.0 / model.eps.denominator
-    ctx = model.pricing_context()
     basis: list[Label] | None = None
     added_total = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
         sol, basis = solve_master(model, basis)
         assert dual_objective(model, sol) <= sol.objective + 1e-6, "weak duality violated"
-        outcome = pricer(sol.alpha, sol.gamma, sol.delta, ctx, kcc_eps)
+        outcome = pricer(sol.alpha, sol.gamma, sol.delta, model, kcc_eps)
         if outcome.max_certified_ratio <= one_plus:
             info = ColumnGenerationInfo(
                 round_no + 1,
                 added_total,
                 outcome.max_ratio,
                 outcome.max_certified_ratio,
-                sol.objective,
             )
             return sol, info
         added = sum(model.add_column(pc.column) for pc in outcome.violations)
@@ -330,15 +297,7 @@ def project_to_main_windows(
         for si, _ in y_by_window.get(w, []):
             y.pop((si, w), None)
     out = LpSolution(
-        sol.objective,
-        x,
-        y,
-        sol.alpha,
-        sol.beta,
-        sol.gamma,
-        sol.delta,
-        [],
-        sol.iterations,
+        sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta
     )
     return out, w_prime
 
@@ -350,7 +309,7 @@ def extract_basic(
     than ``sol``.  Assignment vectors are then normalized so any component
     at or above 1 becomes exactly 1 (feasibility is preserved: lowering an
     assignment only relaxes the window rows)."""
-    c, A, b, x_cols, y_cols, row_of, windows = model.arrays(window_filter=w_prime)
+    c, A, b, x_cols, y_cols, windows = model.arrays(window_filter=w_prime)
     if A.shape[1] and _is_basic(sol, model, x_cols, y_cols, A):
         basic = sol
     else:
@@ -361,7 +320,7 @@ def extract_basic(
             raise NumericalFailureError(
                 "basic solution worse than projected solution"
             )
-        basic = _solution_from_result(model, res, x_cols, y_cols, row_of, windows)
+        basic = _solution_from_result(model, res, x_cols, y_cols, windows)
     y = dict(basic.y)
     by_item: dict[int, list[tuple[Window, float]]] = {}
     for (si, w), val in y.items():

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,10 +20,12 @@ from .structures import (
     Configuration,
     ExtendedConfiguration,
     GeneralizedConfiguration,
-    Staircase,
     Window,
     main_window,
 )
+
+if TYPE_CHECKING:
+    from .lp import LpModel
 
 
 @dataclass(frozen=True)
@@ -123,25 +126,9 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
 
 
 @dataclass(frozen=True)
-class PricingContext:
-    """Frozen data the pricing sweep needs from the scheme state."""
-
-    sizes: tuple[Fraction, ...]  # distinct rounded large sizes, descending
-    multiplicities: tuple[int, ...]
-    windows: tuple[Window, ...]
-    staircase: Staircase
-    p_max: int  # largest usable staircase index for cost levels
-    eps: Fraction
-    s_min_small: Fraction  # grid-rounded minimum small size (1 when no smalls)
-    t_max: int  # largest window size exponent in the grid
-
-
-@dataclass(frozen=True)
 class PricedColumn:
     column: GeneralizedConfiguration
-    volume: float
     ratio: float  # violation ratio of the found configuration
-    certified_ratio: float  # ratio after absorbing the knapsack FPTAS slack
 
 
 @dataclass(frozen=True)
@@ -155,7 +142,7 @@ def price_all(
     duals_alpha: dict[Fraction, float],
     duals_gamma: dict[Window, float],
     duals_delta: dict[Window, float],
-    ctx: PricingContext,
+    model: LpModel,
     kcc_eps: float,
 ) -> PricingOutcome:
     """Scan every (window, cost level) pair for violated master columns.
@@ -163,49 +150,42 @@ def price_all(
     For each pair, the knapsack FPTAS maximizes the dual volume of a
     configuration under the pair's cardinality cap and capacity bound; a
     column is reported when its dual value strictly exceeds the cost of its
-    level.  ``certified_ratio`` inflates the found volume by 1/(1 - kcc_eps)
+    level.  The certified ratio inflates the found volume by 1/(1 - kcc_eps)
     so that a max below 1 + eps certifies near-feasibility of the scaled
     duals even against configurations the FPTAS missed.
     """
-    alpha = [duals_alpha.get(v, 0.0) for v in ctx.sizes]
-    one_plus = 1.0 + 1.0 / ctx.eps.denominator
+    stair = model.staircase
+    items = tuple(
+        KccItemType(v, duals_alpha.get(v, 0.0), mult)
+        for v, mult in zip(model.sizes, model.demands)
+    )
     slack = 1.0 / (1.0 - kcc_eps)
     cache: dict[tuple[int, Fraction, bool], tuple[tuple[int, ...], float]] = {}
     found: list[PricedColumn] = []
     max_ratio = 0.0
     max_certified = 0.0
-    seen: set[tuple[tuple[int, ...], int, Window]] = set()
 
-    for window in sorted(ctx.windows):
-        if window.a > ctx.p_max:
+    for window in sorted(model.windows):
+        if window.a > model.p_max:
             continue  # count bound exceeds every usable cost level
-        degenerate = window.w < ctx.s_min_small
+        degenerate = window.w < model.s_min_small
         if degenerate:
             capacity, strict = Fraction(1), False
         else:
-            capacity, strict = 1 - window.w / (1 + ctx.eps), True
-        for p in range(max(window.a, 1), ctx.p_max + 1):
-            k_p = ctx.staircase.ks[p]
+            capacity, strict = 1 - window.w / (1 + model.eps), True
+        for p in range(max(window.a, 1), model.p_max + 1):
+            k_p = stair.ks[p]
             if window.a == 0:
                 card = k_p
             else:
-                card = k_p - ctx.staircase.ks[window.a - 1] - 1
+                card = k_p - stair.ks[window.a - 1] - 1
             if card < 0:
                 continue
             key = (card, capacity, strict)
             if key not in cache:
-                kinst = KccInstance(
-                    tuple(
-                        KccItemType(v, a, mult)
-                        for v, a, mult in zip(ctx.sizes, alpha, ctx.multiplicities)
-                    ),
-                    card,
-                    capacity,
-                    strict,
-                )
-                cache[key] = kcc_fptas(kinst, kcc_eps)
+                cache[key] = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
             counts, volume = cache[key]
-            f_kp = ctx.staircase.f_at[p]
+            f_kp = stair.f_at[p]
             lhs = (
                 volume
                 + float(window.w) * duals_gamma.get(window, 0.0)
@@ -217,19 +197,13 @@ def price_all(
                 + window.kappa * duals_delta.get(window, 0.0)
             )
             ratio = lhs / f_kp
-            cratio = certified / f_kp
             max_ratio = max(max_ratio, ratio)
-            max_certified = max(max_certified, cratio)
+            max_certified = max(max_certified, certified / f_kp)
             if ratio > 1.0 + 1e-9:
-                total = sum(c * v for c, v in zip(counts, ctx.sizes))
-                n_items = sum(counts)
-                config = Configuration(counts, total, n_items)
+                total = sum(c * v for c, v in zip(counts, model.sizes))
+                config = Configuration(counts, total, sum(counts))
                 ext = ExtendedConfiguration(config, p, k_p)
-                gen = GeneralizedConfiguration(ext, window)
-                mw = main_window(ext, ctx.eps, ctx.t_max, ctx.staircase)
+                mw = main_window(ext, model.eps, model.t_max, stair)
                 assert mw.dominates(window), "priced column must be valid"
-                dedup = (counts, p, window)
-                if dedup not in seen:
-                    seen.add(dedup)
-                    found.append(PricedColumn(gen, volume, ratio, cratio))
+                found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))
     return PricingOutcome(tuple(found), max_ratio, max_certified)

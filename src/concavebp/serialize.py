@@ -51,7 +51,7 @@ def read_instance(fh: TextIO) -> Instance:
         n = int(fields["n"])
         raw = fields["sizes"].split() if fields["sizes"] else []
         sizes = [Fraction(tok) for tok in raw]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad instance file: {exc}") from exc
     if len(sizes) != n:
         raise ParseError(f"instance declares {n} sizes but lists {len(sizes)}")
@@ -66,10 +66,9 @@ def parse_cost_spec(spec: str, n: int) -> CostFunction:
     concavely flat at their last value."""
     if spec.startswith("fq:"):
         try:
-            q = int(spec[3:])
+            return make_fq(int(spec[3:]), max(n, 1))
         except ValueError as exc:
-            raise ParseError(f"bad cost spec {spec!r}") from exc
-        return make_fq(q, max(n, 1))
+            raise ParseError(f"bad cost spec {spec!r}: {exc}") from exc
     if spec.startswith("table:"):
         try:
             vals = [float(tok) for tok in spec[6:].split(",")]

@@ -10,7 +10,7 @@ from concavebp import (
     run_afptas,
     verify_packing,
 )
-from concavebp.afptas import RoundingContext, round_solution
+from concavebp.afptas import round_solution
 from concavebp.lp import LpModel, LpSolution, SmallItem
 from concavebp.structures import (
     Configuration,
@@ -172,8 +172,6 @@ def _solution(model, columns_with_values, assignments):
         beta={},
         gamma={},
         delta={},
-        basis=[],
-        iterations=0,
     )
 
 
@@ -188,7 +186,7 @@ class TestRoundSolution:
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 3.0)], [(si, mw) for si in range(7)])
-        outcome = round_solution(sol, RoundingContext(model, grouping, inst, f, model.eps))
+        outcome = round_solution(sol, model, grouping, inst)
         # pre-removal loads are 3/2/2 small items; one is removed per bin
         assert sorted(rec["items"] for rec in outcome.config_records) == [2, 2, 3]
         assert outcome.removed_bins == 1
@@ -204,7 +202,7 @@ class TestRoundSolution:
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [])
-        outcome = round_solution(sol, RoundingContext(model, grouping, inst, f, model.eps))
+        outcome = round_solution(sol, model, grouping, inst)
         assert outcome.dedicated_small == 0
         assert len(outcome.bins) == 1 and sorted(outcome.bins[0]) == [0, 1]
 
@@ -217,7 +215,7 @@ class TestRoundSolution:
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(0, mw)])
         sol.y[(1, mw)] = 0.5  # second item fractionally assigned
-        outcome = round_solution(sol, RoundingContext(model, grouping, inst, f, model.eps))
+        outcome = round_solution(sol, model, grouping, inst)
         assert outcome.dedicated_small == 1
         placed = sorted(i for b in outcome.bins for i in b)
         assert placed == [0, 1, 2]
@@ -235,7 +233,7 @@ class TestRoundSolution:
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(si, mw) for si in range(50)])
-        outcome = round_solution(sol, RoundingContext(model, grouping, inst, f, model.eps))
+        outcome = round_solution(sol, model, grouping, inst)
         assert outcome.special_bins == 1
         assert outcome.excess_bins == 1
         assert outcome.removed_bins == 1

@@ -26,6 +26,14 @@ def _write_instance(tmp_path, name, sizes):
     return path, inst
 
 
+def _assert_input_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _break_lp(monkeypatch, error):
     def failing_solve_lp(*args, **kwargs):
         raise error("simulated LP failure")
@@ -174,6 +182,30 @@ class TestSolve:
                 main(["solve", str(path), "--alg", alias, "--cost", "fq:1"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["fq:0", "fq:-2", "table:0,1,nan", "table:0,nan,1"])
+    def test_bad_cost_spec_is_input_error(self, tmp_path, capsys, spec):
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 3)
+        code = main(["solve", str(path), "--alg", "nf-dec", "--cost", spec,
+                     "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+        assert not (tmp_path / "x.sol").exists()
+        out = tmp_path / "r.json"
+        assert main(["compare", "--instances", str(path), "--algs", "nf-dec",
+                     "--costs", spec, "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 1 and rows[0]["error"]
+
+    @pytest.mark.parametrize("kind", ["zero-denominator", "directory"])
+    def test_unreadable_instance_is_input_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "x.inst"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("format: concavebp-instance-v1\nn: 2\nsizes: 1/2 1/0\n")
+        code = main(["solve", str(path), "--alg", "nf-dec", "--cost", "fq:1",
+                     "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+
     @pytest.mark.parametrize("error", [NumericalFailureError, InfeasibleMasterError])
     def test_lp_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         _break_lp(monkeypatch, error)
@@ -217,6 +249,17 @@ class TestVerify:
         out.write_text(out.read_text().replace("cost: 8.0", "cost: 7.0"))
         assert main(["verify", str(path), str(out)]) == 3
         assert "recomputed" in capsys.readouterr().out
+
+    def test_nan_claimed_cost_rejected(self, tmp_path, capsys):
+        path, out = self._solved(tmp_path)
+        out.write_text(out.read_text().replace("cost: 8.0", "cost: nan"))
+        capsys.readouterr()
+        assert main(["verify", str(path), str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "verification failed: claimed cost nan but recomputed 8.0"
+        ]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_digest_mismatch_rejected(self, tmp_path):
         path, out = self._solved(tmp_path)

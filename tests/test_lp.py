@@ -201,6 +201,37 @@ class TestColumnGeneration:
             assert sol.objective >= opt_full - 1e-6
 
 
+    def test_duals_price_every_master_column(self):
+        # reduced costs are computed from each column's meaning, not through
+        # the matrix, so a dual read from the wrong row shows up here
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(12):
+            sizes = sorted(
+                {Fraction(rng.randint(4, 12), 12) for _ in range(rng.randint(1, 3))},
+                reverse=True,
+            )
+            demands = [rng.randint(1, 4) for _ in sizes]
+            smalls = [Fraction(rng.randint(1, 3), 12) for _ in range(rng.randint(0, 5))]
+            model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
+            sol, _ = column_generation(model)
+            assert dual_objective(model, sol) == pytest.approx(sol.objective, abs=1e-7)
+            for gc in model.columns:
+                w = gc.window
+                value = (
+                    sum(n * sol.alpha[v] for n, v in zip(gc.ext.config.counts, model.sizes))
+                    + float(w.w) * sol.gamma[w]
+                    + w.kappa * sol.delta[w]
+                )
+                assert model.staircase.f_at[gc.ext.p] - value >= -1e-7
+            for si, w in model.y_pairs:
+                item = model.smalls[si]
+                value = sol.beta[item.index] - float(item.size) * sol.gamma[w] - sol.delta[w]
+                assert -value >= -1e-7
+            checked += len(model.columns) + len(model.y_pairs)
+        assert checked >= 1000
+
+
 def _solve_full_program(model: LpModel) -> float:
     """Optimum over every valid generalized configuration, built explicitly."""
     probe = LpModel(

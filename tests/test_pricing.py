@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from concavebp import KccInstance, KccItemType, kcc_fptas, make_fq
-from concavebp.pricing import PricingContext, price_all
+from concavebp.lp import LpModel
+from concavebp.pricing import price_all
 from concavebp.structures import (
     build_staircase,
     build_windows,
@@ -114,15 +115,17 @@ class TestPriceAll:
         s_min_small, t_star = round_size_to_power(eps, s_min)
         windows = build_windows(eps, s_min_small, stair)
         p_max = next(p for p, kp in enumerate(stair.ks) if kp >= eps.denominator)
-        return PricingContext(
+        return LpModel(
             sizes=tuple(Fraction(s) for s in sizes),
-            multiplicities=tuple(mults),
+            demands=tuple(mults),
+            smalls=(),
             windows=tuple(windows),
             staircase=stair,
             p_max=p_max,
             eps=eps,
             s_min_small=s_min_small,
             t_max=t_star + 1,
+            f=f,
         )
 
     def test_zero_duals_no_violation(self):
