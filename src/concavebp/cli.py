@@ -1,10 +1,11 @@
 """Command-line surface: solve, verify, gen, compare.
 
-Exit codes: 0 success, 2 malformed or unreadable input, 3 infeasible or
-failed verification (including a claimed cost that does not match, an
-infeasible master program or a numerical failure of the LP solver), 4 solver
-limit exceeded.  ``compare`` reports any of these failures in the row's
-``error`` field and carries on.
+Exit codes: 0 success, 2 malformed or unreadable input (including a
+``--config-budget`` below 1), 3 infeasible or failed verification (including
+a claimed cost that does not match, an infeasible master program or a
+numerical failure of the LP solver), 4 solver limit exceeded.  Every failure
+is reported on stderr; stdout carries results only.  ``compare`` reports any
+of these failures in the row's ``error`` field and carries on.
 """
 from __future__ import annotations
 
@@ -93,6 +94,8 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
 
 
 def cmd_solve(args) -> int:
+    if args.config_budget is not None and args.config_budget < 1:
+        raise ParseError("--config-budget must be at least 1")
     with open(args.instance) as fh:
         inst = read_instance(fh)
     f = parse_cost_spec(args.cost, inst.n)
@@ -104,7 +107,10 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
-        print(f"internal error: solver output failed verification: {verdict.violations[:3]}")
+        print(
+            f"internal error: solver output failed verification: {verdict.violations[:3]}",
+            file=sys.stderr,
+        )
         return EXIT_VERIFY_FAILED
     out_path = args.out or (args.instance + f".{args.alg}.solution")
     with open(out_path, "w") as fh:
@@ -128,7 +134,7 @@ def cmd_verify(args) -> int:
     with open(args.solution) as fh:
         sol = read_solution(fh)
     if sol["digest"] != instance_digest(inst):
-        print("verification failed: instance digest mismatch")
+        print("verification failed: instance digest mismatch", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     spec = args.cost or sol["cost_spec"]
     f = parse_cost_spec(spec, inst.n)
@@ -144,11 +150,12 @@ def cmd_verify(args) -> int:
     if not verdict.ok:
         for v in verdict.violations:
             where = f" (bin {v.where})" if v.where is not None else ""
-            print(f"violation: {v.kind}{where}: {v.detail}")
+            print(f"violation: {v.kind}{where}: {v.detail}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     if not abs(recomputed - sol["cost"]) <= COST_TOL:  # also rejects a claimed NaN
         print(
-            f"verification failed: claimed cost {sol['cost']} but recomputed {recomputed}"
+            f"verification failed: claimed cost {sol['cost']} but recomputed {recomputed}",
+            file=sys.stderr,
         )
         return EXIT_VERIFY_FAILED
     print(f"ok: cost {recomputed}, bins {packing.num_bins}")

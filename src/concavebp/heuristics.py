@@ -5,6 +5,8 @@ single packing can be priced under any concave bin-cost table afterwards.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,13 +68,21 @@ def _ordered_indices(inst: Instance, order: str) -> list[int]:
     raise ValueError(f"unknown order {order!r}")
 
 
+def _integer_sizes(inst: Instance) -> tuple[list[int], int]:
+    """Sizes scaled to exact integers over the common denominator of all
+    sizes, with the bin capacity scaled the same way."""
+    cap = math.lcm(*{s.denominator for s in inst.sizes})
+    return [s.numerator * (cap // s.denominator) for s in inst.sizes], cap
+
+
 def next_fit(inst: Instance, order: str = "increasing") -> Packing:
     """Next-fit: keep a single open bin, close it when an item does not fit."""
+    sizes, cap = _integer_sizes(inst)
     bins: list[list[int]] = []
-    load = Fraction(2)  # force a fresh bin on the first item
+    load = cap + 1  # force a fresh bin on the first item
     for i in _ordered_indices(inst, order):
-        s = inst.sizes[i]
-        if load + s <= 1:
+        s = sizes[i]
+        if load + s <= cap:
             bins[-1].append(i)
             load += s
         else:
@@ -82,38 +92,62 @@ def next_fit(inst: Instance, order: str = "increasing") -> Packing:
 
 
 def first_fit(inst: Instance, order: str = "increasing") -> Packing:
-    """First-fit: place each item in the lowest-indexed bin it fits in."""
+    """First-fit: place each item in the lowest-indexed bin it fits in.
+
+    A max tree over the bins' residual capacities finds that bin in
+    O(log n), so the whole packing takes O(n log n).
+    """
+    sizes, cap = _integer_sizes(inst)
+    leaves = 1 << max(inst.n - 1, 0).bit_length()
+    # residual capacity per bin; -1 marks a bin not opened yet, so that even a
+    # size-0 item only lands in an open bin
+    tree = [-1] * (2 * leaves)
     bins: list[list[int]] = []
-    loads: list[Fraction] = []
     for i in _ordered_indices(inst, order):
-        s = inst.sizes[i]
-        for b, load in enumerate(loads):
-            if load + s <= 1:
-                bins[b].append(i)
-                loads[b] += s
-                break
+        s = sizes[i]
+        if tree[1] >= s:
+            node = 1
+            while node < leaves:
+                node *= 2
+                if tree[node] < s:
+                    node += 1
+            bins[node - leaves].append(i)
+            tree[node] -= s
         else:
+            node = leaves + len(bins)
             bins.append([i])
-            loads.append(s)
+            tree[node] = cap - s
+        node //= 2
+        while node:
+            left, right = tree[2 * node], tree[2 * node + 1]
+            top = left if left > right else right
+            if tree[node] == top:
+                break
+            tree[node] = top
+            node //= 2
     return Packing.from_bins(bins, range(inst.n))
 
 
 def best_fit(inst: Instance, order: str = "increasing") -> Packing:
-    """Best-fit: place each item in a fullest bin that still has room."""
+    """Best-fit: place each item in a fullest bin that still has room; among
+    equally full bins, the lowest-indexed one.
+
+    The open bins are kept sorted by (residual capacity, index), so a bisect
+    finds that bin with O(log n) comparisons.
+    """
+    sizes, cap = _integer_sizes(inst)
     bins: list[list[int]] = []
-    loads: list[Fraction] = []
+    open_: list[tuple[int, int]] = []
     for i in _ordered_indices(inst, order):
-        s = inst.sizes[i]
-        best = -1
-        for b, load in enumerate(loads):
-            if load + s <= 1 and (best < 0 or load > loads[best]):
-                best = b
-        if best < 0:
-            bins.append([i])
-            loads.append(s)
+        s = sizes[i]
+        k = bisect_left(open_, (s, -1))
+        if k < len(open_):
+            residual, b = open_.pop(k)
+            bins[b].append(i)
         else:
-            bins[best].append(i)
-            loads[best] += s
+            residual, b = cap, len(bins)
+            bins.append([i])
+        insort(open_, (residual - s, b))
     return Packing.from_bins(bins, range(inst.n))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from concavebp import Instance
+from concavebp import Instance, Packing
 from concavebp.cli import main
 from concavebp.errors import InfeasibleMasterError, NumericalFailureError
 from concavebp.serialize import (
@@ -217,6 +217,33 @@ class TestSolve:
         assert captured.err.splitlines() == ["solver failure: simulated LP failure"]
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_config_budget_is_input_error(self, tmp_path, capsys, budget):
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
+        code = main(["solve", str(path), "--alg", "afptas", "--cost", "fq:3",
+                     "--eps", "1/3", "--config-budget", budget,
+                     "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+        assert not (tmp_path / "x.sol").exists()
+
+    def test_unverified_solver_output_is_reported_on_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a packer that drops an item must be caught before anything is written
+        monkeypatch.setattr(
+            "concavebp.cli.next_fit",
+            lambda inst, order: Packing.from_bins([[0]], range(inst.n)),
+        )
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 3)
+        code = main(["solve", str(path), "--alg", "nf-dec", "--cost", "fq:1",
+                     "--out", str(tmp_path / "x.sol")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("internal error: solver output failed verification")
+        assert captured.out == ""
+        assert not (tmp_path / "x.sol").exists()
+
 
 class TestVerify:
     def _solved(self, tmp_path):
@@ -241,14 +268,20 @@ class TestVerify:
         rest = [l for l in lines if not l.startswith("bin: ")]
         rest = [l.replace("bins: 2", "bins: 1") for l in rest]
         out.write_text("\n".join(rest + [merged]) + "\n")
+        capsys.readouterr()
         assert main(["verify", str(path), str(out)]) == 3
-        assert "overfull" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "overfull" in captured.err
+        assert captured.out == ""
 
     def test_tampered_cost_rejected(self, tmp_path, capsys):
         path, out = self._solved(tmp_path)
         out.write_text(out.read_text().replace("cost: 8.0", "cost: 7.0"))
+        capsys.readouterr()
         assert main(["verify", str(path), str(out)]) == 3
-        assert "recomputed" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "recomputed" in captured.err
+        assert captured.out == ""
 
     def test_nan_claimed_cost_rejected(self, tmp_path, capsys):
         path, out = self._solved(tmp_path)
@@ -256,15 +289,19 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(path), str(out)]) == 3
         captured = capsys.readouterr()
-        assert captured.out.splitlines() == [
+        assert captured.err.splitlines() == [
             "verification failed: claimed cost nan but recomputed 8.0"
         ]
-        assert "Traceback" not in captured.out + captured.err
+        assert captured.out == ""
 
-    def test_digest_mismatch_rejected(self, tmp_path):
+    def test_digest_mismatch_rejected(self, tmp_path, capsys):
         path, out = self._solved(tmp_path)
         other, _ = _write_instance(tmp_path, "other.inst", [Fraction(1, 2)] * 9)
+        capsys.readouterr()
         assert main(["verify", str(other), str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["verification failed: instance digest mismatch"]
+        assert captured.out == ""
 
     def test_missing_file_is_input_error(self, tmp_path):
         path, out = self._solved(tmp_path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from concavebp import (
     Instance,
+    Packing,
     best_fit,
     eval_cost,
     exact_opt,
@@ -22,8 +23,75 @@ from concavebp import (
     verify_packing,
     weight,
 )
-from concavebp.heuristics import _is_pi_minus_one
+from concavebp.heuristics import _integer_sizes, _is_pi_minus_one, _ordered_indices
 from conftest import brute_force_matching, random_consecutive_packing, random_instance
+
+ORDERS = ("increasing", "decreasing", "given")
+
+
+# Reference oracles: the direct scans over Fraction loads that next_fit,
+# first_fit and best_fit must reproduce bin for bin.
+
+
+def reference_next_fit(inst: Instance, order: str) -> Packing:
+    bins: list[list[int]] = []
+    load = Fraction(2)  # force a fresh bin on the first item
+    for i in _ordered_indices(inst, order):
+        s = inst.sizes[i]
+        if load + s <= 1:
+            bins[-1].append(i)
+            load += s
+        else:
+            bins.append([i])
+            load = s
+    return Packing.from_bins(bins, range(inst.n))
+
+
+def reference_first_fit(inst: Instance, order: str) -> Packing:
+    bins: list[list[int]] = []
+    loads: list[Fraction] = []
+    for i in _ordered_indices(inst, order):
+        s = inst.sizes[i]
+        for b, load in enumerate(loads):
+            if load + s <= 1:
+                bins[b].append(i)
+                loads[b] += s
+                break
+        else:
+            bins.append([i])
+            loads.append(s)
+    return Packing.from_bins(bins, range(inst.n))
+
+
+def reference_best_fit(inst: Instance, order: str) -> Packing:
+    bins: list[list[int]] = []
+    loads: list[Fraction] = []
+    for i in _ordered_indices(inst, order):
+        s = inst.sizes[i]
+        best = -1
+        for b, load in enumerate(loads):
+            if load + s <= 1 and (best < 0 or load > loads[best]):
+                best = b
+        if best < 0:
+            bins.append([i])
+            loads.append(s)
+        else:
+            bins[best].append(i)
+            loads[best] += s
+    return Packing.from_bins(bins, range(inst.n))
+
+
+PACKERS = [
+    (next_fit, reference_next_fit),
+    (first_fit, reference_first_fit),
+    (best_fit, reference_best_fit),
+]
+PACKER_IDS = ["next_fit", "first_fit", "best_fit"]
+
+
+def assert_same_bins(fast, reference, inst: Instance) -> None:
+    for order in ORDERS:
+        assert fast(inst, order) == reference(inst, order), (order, inst.sizes)
 
 
 class TestPiSequence:
@@ -98,7 +166,7 @@ class TestFitHeuristics:
         assert p.num_bins == K
         assert sorted(len(b) for b in p.bins) == [K + 1] * K
 
-    def test_best_fit_tracks_first_fit_here(self):
+    def test_fit_heuristics_pack_feasibly(self):
         rng = random.Random(9)
         for _ in range(20):
             inst = random_instance(rng, max_n=15)
@@ -111,6 +179,75 @@ class TestFitHeuristics:
         inst = Instance.from_values([Fraction(1, 2)])
         with pytest.raises(ValueError):
             next_fit(inst, "sideways")
+
+
+@pytest.mark.parametrize("fast, reference", PACKERS, ids=PACKER_IDS)
+class TestFitMatchesReference:
+    """The integer-load packers place every item in the same bin as the
+    Fraction scans they replaced."""
+
+    def test_seeded_random_instances(self, fast, reference):
+        rng = random.Random(41)
+        for _ in range(150):
+            inst = random_instance(
+                rng, max_n=80, denominators=(6, 7, 12, 16, 1000), allow_zero=True
+            )
+            assert_same_bins(fast, reference, inst)
+
+    @pytest.mark.parametrize("denominators", [(6, 7, 12), (7, 11, 13)])
+    def test_mixed_denominators_in_one_instance(self, fast, reference, denominators):
+        rng = random.Random(42)
+        for _ in range(80):
+            sizes = []
+            for _ in range(rng.randint(1, 60)):
+                d = rng.choice(denominators)
+                sizes.append(Fraction(rng.randint(0, d), d))
+            assert_same_bins(fast, reference, Instance.from_values(sizes))
+
+    def test_edge_sizes(self, fast, reference):
+        for sizes in (
+            [],
+            [0],
+            [0] * 5,
+            [1],
+            [1] * 4,
+            [1, 0, 1, 0, 0],
+            [1, Fraction(1, 2), 0, Fraction(1, 2), 0],
+            [Fraction(1, 3)] * 3 + [0] * 3,
+        ):
+            assert_same_bins(fast, reference, Instance.from_values(sizes))
+
+    def test_many_equal_residuals(self, fast, reference):
+        # four bins left with 2/5 each; the 1/5 items must fill the
+        # lowest-indexed of the equally full bins first
+        inst = Instance.from_values([Fraction(3, 5)] * 4 + [Fraction(1, 5)] * 8)
+        assert_same_bins(fast, reference, inst)
+        if fast is not next_fit:
+            expected = ((0, 4, 5), (1, 6, 7), (2, 8, 9), (3, 10, 11))
+            assert fast(inst, "decreasing").bins == expected
+        rng = random.Random(43)
+        for _ in range(60):
+            big = [Fraction(rng.choice((1, 2, 3)), 4)] * rng.randint(1, 10)
+            small = [Fraction(rng.randint(0, 2), 8)] * rng.randint(0, 36)
+            assert_same_bins(fast, reference, Instance.from_values(big + small))
+
+    def test_coprime_denominators_fill_bins_exactly(self, fast, reference):
+        sizes = [Fraction(1, 7)] * 7 + [Fraction(1, 11)] * 11 + [Fraction(1, 13)] * 13
+        inst = Instance.from_values(sizes)
+        assert _integer_sizes(inst)[1] == 7 * 11 * 13
+        assert_same_bins(fast, reference, inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=40
+    )
+)
+def test_fit_heuristics_match_reference_property(sizes):
+    inst = Instance.from_values(sizes)
+    for fast, reference in PACKERS:
+        assert_same_bins(fast, reference, inst)
 
 
 class TestMatchHalf:
