@@ -1,11 +1,18 @@
 """Command-line surface: solve, verify, gen, compare.
 
 Exit codes: 0 success, 2 malformed or unreadable input (including a
-``--config-budget`` below 1), 3 infeasible or failed verification (including
-a claimed cost that does not match, an infeasible master program or a
-numerical failure of the LP solver), 4 solver limit exceeded.  Every failure
-is reported on stderr; stdout carries results only.  ``compare`` reports any
-of these failures in the row's ``error`` field and carries on.
+``--config-budget`` below 1 and a negative ``--exact-limit``), 3 infeasible
+or failed verification (including a claimed cost that does not match, an
+infeasible master program or a numerical failure of the LP solver), 4 solver
+limit exceeded.  Every failure is reported on stderr; stdout carries results
+only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
+any row; it reports every other failure in the row's ``error`` field and
+carries on, a packing that fails verification against every item of the
+instance included.
+
+``compare`` computes each exact optimum once per (instance, cost spec): the
+``exact`` row and the ratio of every row of that instance and spec share the
+one solve, and the ``exact`` row's ``runtime_s`` is the time of that solve.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +31,6 @@ from .afptas import run_afptas
 from .core import (
     COST_TOL,
     FractionalPacking,
-    Packing,
     eval_cost,
     eval_fractional_cost,
     verify_packing,
@@ -93,9 +100,21 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
     raise ParseError(f"unknown algorithm {name!r}")
 
 
+def _check_exact_limit(limit: int) -> None:
+    if limit < 0:
+        raise ParseError("--exact-limit must be at least 0")
+
+
+def _over_all_items(inst, packing):
+    """The packing declared over every item of the instance, so that
+    verification reports an item the packing left out as missing."""
+    return replace(packing, items=frozenset(range(inst.n)))
+
+
 def cmd_solve(args) -> int:
     if args.config_budget is not None and args.config_budget < 1:
         raise ParseError("--config-budget must be at least 1")
+    _check_exact_limit(args.exact_limit)
     with open(args.instance) as fh:
         inst = read_instance(fh)
     f = parse_cost_spec(args.cost, inst.n)
@@ -105,7 +124,7 @@ def cmd_solve(args) -> int:
         args.alg, inst, f, eps, args.exact_limit, args.config_budget
     )
     elapsed = time.perf_counter() - started
-    verdict = verify_packing(inst, packing)
+    verdict = verify_packing(inst, _over_all_items(inst, packing))
     if not verdict.ok:
         print(
             f"internal error: solver output failed verification: {verdict.violations[:3]}",
@@ -138,13 +157,10 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY_FAILED
     spec = args.cost or sol["cost_spec"]
     f = parse_cost_spec(spec, inst.n)
-    packing = sol["packing"]
-    # re-anchor the declared item set to the full instance to catch gaps
+    packing = _over_all_items(inst, sol["packing"])
     if isinstance(packing, FractionalPacking):
-        packing = FractionalPacking(packing.bins, frozenset(range(inst.n)))
         recomputed = eval_fractional_cost(f, packing)
     else:
-        packing = Packing(packing.bins, frozenset(range(inst.n)))
         recomputed = eval_cost(f, packing)
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
@@ -211,31 +227,53 @@ def _compare_rows(args):
                     yield {"instance": path, "algorithm": alg, "cost_spec": spec,
                            "error": str(exc)}
             continue
+        optima: dict[str, tuple] = {}
         for alg in algs:
             for spec in costs:
                 row = {"instance": path, "algorithm": alg, "cost_spec": spec}
                 try:
-                    f = parse_cost_spec(spec, inst.n)
-                    eps = parse_eps(args.eps) if args.eps else None
-                    started = time.perf_counter()
-                    packing, cost, _ = _run_algorithm(
-                        alg, inst, f, eps, args.exact_limit
-                    )
-                    row["cost"] = cost
-                    row["bins"] = packing.num_bins
-                    row["runtime_s"] = round(time.perf_counter() - started, 6)
-                    baseline = None
-                    if inst.n <= args.exact_limit:
-                        _, baseline = exact_opt(inst, f, args.exact_limit)
-                        row["baseline"] = "exact"
-                    elif spec.startswith("fq:"):
-                        baseline = lower_bound_fk(inst, int(spec[3:]))
-                        row["baseline"] = "overflowed-lower-bound"
-                    if baseline:
-                        row["ratio"] = cost / baseline
+                    _fill_row(row, args, inst, alg, spec, optima)
                 except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
                     row["error"] = str(exc)
                 yield row
+
+
+def _exact_optimum(optima, inst, spec, f, limit):
+    """(packing, cost, seconds) of the exact optimum under ``spec``, solved on
+    the first request and shared by every later row of the same instance."""
+    if spec not in optima:
+        started = time.perf_counter()
+        packing, cost = exact_opt(inst, f, limit)
+        optima[spec] = (packing, cost, time.perf_counter() - started)
+    return optima[spec]
+
+
+def _fill_row(row, args, inst, alg, spec, optima) -> None:
+    """Fill one compare row in place; what it raises becomes the row's error."""
+    f = parse_cost_spec(spec, inst.n)
+    eps = parse_eps(args.eps) if args.eps else None
+    if alg == "exact":
+        packing, cost, seconds = _exact_optimum(optima, inst, spec, f, args.exact_limit)
+    else:
+        started = time.perf_counter()
+        packing, cost, _ = _run_algorithm(alg, inst, f, eps, args.exact_limit)
+        seconds = time.perf_counter() - started
+    verdict = verify_packing(inst, _over_all_items(inst, packing))
+    if not verdict.ok:
+        row["error"] = f"solver output failed verification: {verdict.violations[:3]}"
+        return
+    row["cost"] = cost
+    row["bins"] = packing.num_bins
+    row["runtime_s"] = round(seconds, 6)
+    baseline = None
+    if inst.n <= args.exact_limit:
+        _, baseline, _ = _exact_optimum(optima, inst, spec, f, args.exact_limit)
+        row["baseline"] = "exact"
+    elif spec.startswith("fq:"):
+        baseline = lower_bound_fk(inst, int(spec[3:]))
+        row["baseline"] = "overflowed-lower-bound"
+    if baseline:
+        row["ratio"] = cost / baseline
 
 
 def _aggregate_rows(rows):
@@ -269,6 +307,7 @@ def _aggregate_rows(rows):
 
 
 def cmd_compare(args) -> int:
+    _check_exact_limit(args.exact_limit)
     rows = list(_compare_rows(args))
     rows.extend(_aggregate_rows(rows))
     fields = ["instance", "algorithm", "cost_spec", "cost", "bins", "runtime_s",

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from concavebp import Instance, Packing
+from concavebp import FractionalPacking, Instance, Packing
 from concavebp.cli import main
+from concavebp.exact import exact_opt
+from concavebp.fractional import fnfi
+from concavebp.heuristics import next_fit
 from concavebp.errors import InfeasibleMasterError, NumericalFailureError
 from concavebp.serialize import (
     ParseError,
@@ -245,6 +248,31 @@ class TestSolve:
         assert not (tmp_path / "x.sol").exists()
 
 
+    def test_undeclared_missing_item_is_caught(self, tmp_path, capsys, monkeypatch):
+        # the packing declares only the item it packed; solve must still
+        # check it against every item of the instance
+        monkeypatch.setattr(
+            "concavebp.cli.next_fit", lambda inst, order: Packing.from_bins([[0]])
+        )
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 3)
+        code = main(["solve", str(path), "--alg", "nf-dec", "--cost", "fq:1",
+                     "--out", str(tmp_path / "x.sol")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("internal error: ")
+        assert "missing" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x.sol").exists()
+
+    def test_negative_exact_limit_is_input_error(self, tmp_path, capsys):
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 3)
+        code = main(["solve", str(path), "--alg", "exact", "--cost", "fq:1",
+                     "--exact-limit", "-1", "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+        assert not (tmp_path / "x.sol").exists()
+
+
 class TestVerify:
     def _solved(self, tmp_path):
         path, inst = _write_instance(
@@ -380,3 +408,105 @@ class TestCompare:
               "--costs", "fq:1", "--out", str(out)])
         lines = out.read_text().strip().splitlines()[1:]
         assert "b.inst" in lines[0] and "a.inst" in lines[1]
+
+    def test_negative_exact_limit_is_input_error(self, tmp_path, capsys):
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)
+        code = main(["compare", "--instances", str(p1), "--algs", "nf-inc,exact",
+                     "--costs", "fq:1", "--exact-limit", "-5"])
+        _assert_input_error(capsys, code)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("alg", ["nf-inc", "fnfi"])
+    def test_dropped_item_becomes_row_error(self, tmp_path, monkeypatch, alg):
+        # each packer drops its last bin and declares only what it packed
+        monkeypatch.setattr(
+            "concavebp.cli.next_fit",
+            lambda inst, order: Packing.from_bins(
+                next_fit(inst, order).bins[:-1]
+            ),
+        )
+        monkeypatch.setattr(
+            "concavebp.cli.fnfi",
+            lambda inst: FractionalPacking.from_bins(fnfi(inst).bins[:-1]),
+        )
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(2, 3)] * 3)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(p1), "--algs", f"{alg},mh",
+                     "--costs", "fq:2", "--format", "json", "--out", str(out)])
+        assert code == 0
+        broken, healthy = json.loads(out.read_text())[:2]
+        assert broken["error"].startswith("solver output failed verification")
+        assert "missing" in broken["error"] or "fraction-sum" in broken["error"]
+        assert "cost" not in broken and "ratio" not in broken
+        assert "error" not in healthy and healthy["ratio"] >= 1.0
+
+
+class TestCompareExactOnce:
+    ALGS = "nf-inc,nf-dec,ff-inc,ff-dec,bf-inc,bf-dec,mh,fnfi,exact,afptas"
+
+    def _compare(self, tmp_path, monkeypatch, sizes, costs, *extra):
+        calls = []
+
+        def counting_exact_opt(inst, f, limit_n):
+            calls.append(limit_n)
+            return exact_opt(inst, f, limit_n)
+
+        monkeypatch.setattr("concavebp.cli.exact_opt", counting_exact_opt)
+        path, inst = _write_instance(tmp_path, "a.inst", sizes)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(path), "--algs", self.ALGS,
+                     "--costs", costs, "--eps", "1/3", "--format", "json",
+                     "--out", str(out), *extra])
+        assert code == 0
+        rows = [r for r in json.loads(out.read_text()) if r["instance"] != "(aggregate)"]
+        return inst, rows, calls
+
+    def _sizes(self, n, seed):
+        import random
+
+        rng = random.Random(seed)
+        return [Fraction(rng.randint(1, 60), 100) for _ in range(n)]
+
+    def test_one_solve_per_spec_feeds_every_ratio(self, tmp_path, monkeypatch):
+        inst, rows, calls = self._compare(
+            tmp_path, monkeypatch, self._sizes(9, 5), "fq:1,fq:3,fq:10"
+        )
+        assert len(calls) == 3
+        for row in rows:
+            assert "error" not in row, row
+            f = parse_cost_spec(row["cost_spec"], inst.n)
+            _, optimum = exact_opt(inst, f)
+            assert row["baseline"] == "exact"
+            assert row["ratio"] == row["cost"] / optimum
+            if row["algorithm"] == "exact":
+                assert row["cost"] == optimum
+                assert row["runtime_s"] > 0
+
+    def test_bad_spec_stays_a_row_error(self, tmp_path, monkeypatch):
+        _, rows, calls = self._compare(
+            tmp_path, monkeypatch, self._sizes(6, 6), "fq:0,fq:2"
+        )
+        assert len(calls) == 1
+        for row in rows:
+            if row["cost_spec"] == "fq:0":
+                assert row["error"].startswith("bad cost spec 'fq:0'")
+                assert "cost" not in row
+            else:
+                assert "error" not in row and row["baseline"] == "exact"
+
+    def test_over_the_limit_falls_back(self, tmp_path, monkeypatch):
+        _, rows, _ = self._compare(
+            tmp_path, monkeypatch, self._sizes(8, 7), "fq:2,table:0,1,1.5",
+            "--exact-limit", "5",
+        )
+        for row in rows:
+            if row["algorithm"] == "exact":
+                assert row["error"] == "exact solver limited to 5 items, got 8"
+                assert "cost" not in row
+            elif row["cost_spec"] == "fq:2":
+                assert "error" not in row
+                assert row["baseline"] == "overflowed-lower-bound"
+                assert row["ratio"] >= 1.0 or row["algorithm"] == "fnfi"
+            else:
+                assert "error" not in row
+                assert "baseline" not in row and "ratio" not in row
