@@ -13,6 +13,8 @@ instance included.
 ``compare`` computes each exact optimum once per (instance, cost spec): the
 ``exact`` row and the ratio of every row of that instance and spec share the
 one solve, and the ``exact`` row's ``runtime_s`` is the time of that solve.
+An instance over ``--exact-limit`` or over the exact solver's hard cap gets
+no exact baseline.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .core import (
     verify_packing,
 )
 from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
-from .exact import DEFAULT_LIMIT_N, exact_opt
+from .exact import DEFAULT_LIMIT_N, HARD_LIMIT_N, exact_opt
 from .fractional import fnfi
 from .heuristics import best_fit, first_fit, lower_bound_fk, match_half, next_fit
 from .serialize import (
@@ -111,6 +113,19 @@ def _over_all_items(inst, packing):
     return replace(packing, items=frozenset(range(inst.n)))
 
 
+def _violation_lines(verdict) -> list[str]:
+    """One ``kind (bin i): detail`` line per violation."""
+    lines = []
+    for v in verdict.violations:
+        where = f" (bin {v.where})" if v.where is not None else ""
+        lines.append(f"{v.kind}{where}: {v.detail}")
+    return lines
+
+
+def _verification_failure(verdict) -> str:
+    return "solver output failed verification: " + "; ".join(_violation_lines(verdict)[:3])
+
+
 def cmd_solve(args) -> int:
     if args.config_budget is not None and args.config_budget < 1:
         raise ParseError("--config-budget must be at least 1")
@@ -126,10 +141,7 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     verdict = verify_packing(inst, _over_all_items(inst, packing))
     if not verdict.ok:
-        print(
-            f"internal error: solver output failed verification: {verdict.violations[:3]}",
-            file=sys.stderr,
-        )
+        print(f"internal error: {_verification_failure(verdict)}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     out_path = args.out or (args.instance + f".{args.alg}.solution")
     with open(out_path, "w") as fh:
@@ -164,9 +176,8 @@ def cmd_verify(args) -> int:
         recomputed = eval_cost(f, packing)
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
-        for v in verdict.violations:
-            where = f" (bin {v.where})" if v.where is not None else ""
-            print(f"violation: {v.kind}{where}: {v.detail}", file=sys.stderr)
+        for line in _violation_lines(verdict):
+            print(f"violation: {line}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     if not abs(recomputed - sol["cost"]) <= COST_TOL:  # also rejects a claimed NaN
         print(
@@ -260,13 +271,13 @@ def _fill_row(row, args, inst, alg, spec, optima) -> None:
         seconds = time.perf_counter() - started
     verdict = verify_packing(inst, _over_all_items(inst, packing))
     if not verdict.ok:
-        row["error"] = f"solver output failed verification: {verdict.violations[:3]}"
+        row["error"] = _verification_failure(verdict)
         return
     row["cost"] = cost
     row["bins"] = packing.num_bins
     row["runtime_s"] = round(seconds, 6)
     baseline = None
-    if inst.n <= args.exact_limit:
+    if inst.n <= min(args.exact_limit, HARD_LIMIT_N):
         _, baseline, _ = _exact_optimum(optima, inst, spec, f, args.exact_limit)
         row["baseline"] = "exact"
     elif spec.startswith("fq:"):

@@ -16,7 +16,7 @@ from .core import CostFunction, Instance, Packing, eval_cost
 from .errors import SolverLimitError
 
 DEFAULT_LIMIT_N = 15
-_HARD_LIMIT_N = 22  # memory guard: several arrays of size 2**n
+HARD_LIMIT_N = 22  # memory guard: several arrays of size 2**n
 
 
 class _SubsetSolver:
@@ -120,7 +120,7 @@ def exact_opt_fk_all(
 
 
 def _check_limit(inst: Instance, limit_n: int) -> None:
-    if inst.n > min(limit_n, _HARD_LIMIT_N):
+    if inst.n > min(limit_n, HARD_LIMIT_N):
         raise SolverLimitError(
-            f"exact solver limited to {min(limit_n, _HARD_LIMIT_N)} items, got {inst.n}"
+            f"exact solver limited to {min(limit_n, HARD_LIMIT_N)} items, got {inst.n}"
         )

@@ -125,16 +125,22 @@ class LpModel:
         b = np.zeros(A.shape[0], dtype=np.float64)
         b[:nv] = self.demands
         b[nv : nv + ns] = 1.0
-        for j, (si, w) in enumerate(y_cols):
-            A[nv + si, j] += 1.0
-            A[w_row[w], j] -= float(self.smalls[si].size)
-            A[w_row[w] + 1, j] -= 1.0
-        off = len(y_cols)
-        for j, gc in enumerate(x_cols):
-            c[off + j] = self.staircase.f_at[gc.ext.p]
-            A[:nv, off + j] = gc.ext.config.counts
-            A[w_row[gc.window], off + j] += float(gc.window.w)
-            A[w_row[gc.window] + 1, off + j] += gc.window.kappa
+        # every column touches each of its rows once, so plain assignment
+        # into the zero matrix gives the entries a per-column loop would add
+        ys = np.arange(len(y_cols))
+        si = np.array([si for si, _ in y_cols], dtype=np.intp)
+        y_rows = np.array([w_row[w] for _, w in y_cols], dtype=np.intp)
+        A[nv + si, ys] = 1.0
+        A[y_rows, ys] = -np.array([float(it.size) for it in self.smalls])[si]
+        A[y_rows + 1, ys] = -1.0
+        xs = np.arange(len(y_cols), ncols)
+        x_rows = np.array([w_row[gc.window] for gc in x_cols], dtype=np.intp)
+        c[xs] = [self.staircase.f_at[gc.ext.p] for gc in x_cols]
+        A[:nv, xs] = np.array(
+            [gc.ext.config.counts for gc in x_cols], dtype=np.float64
+        ).reshape(len(x_cols), nv).T
+        A[x_rows, xs] = [float(gc.window.w) for gc in x_cols]
+        A[x_rows + 1, xs] = [gc.window.kappa for gc in x_cols]
         return c, A, b, x_cols, y_cols, windows
 
 

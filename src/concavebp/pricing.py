@@ -3,8 +3,10 @@ and the sweep that scans every (window, cost-level) pair for a violated
 column of the master program.
 
 The FPTAS scales item volumes, then runs a dynamic program over
-(scaled volume, selected count) whose cells store the exact-rational minimum
-total size; capacity is therefore checked exactly, including strict bounds.
+(scaled volume, selected count) whose cells store the exact minimum total
+size, as an integer over the common denominator of the sizes; capacity is
+therefore checked exactly, including strict bounds.  The table is bounded by
+the capacity: no type gets more copies, and no multiset more items, than fit.
 """
 from __future__ import annotations
 
@@ -65,38 +67,44 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
         if it.multiplicity < 1:
             raise ValueError("item multiplicities must be >= 1")
 
-    def fits(total: Fraction) -> bool:
-        return total < inst.capacity if inst.strict else total <= inst.capacity
+    # exact integers: sizes scaled by the common denominator D, and the
+    # largest integer total within the capacity
+    denom = reduce(math.lcm, (it.size.denominator for it in inst.items), 1)
+    size_int = [it.size.numerator * (denom // it.size.denominator) for it in inst.items]
+    cap_num, cap_den = inst.capacity.numerator * denom, inst.capacity.denominator
+    limit = -(-cap_num // cap_den) - 1 if inst.strict else cap_num // cap_den
 
-    # expand copies, dropping anything that cannot appear in any solution
+    # expand copies, dropping anything that cannot appear in any solution: a
+    # type gets at most as many copies as fit in the capacity.  The scaling
+    # step mu stays the one of the uncapped expansion (min(multiplicity,
+    # cardinality) copies per type), which keeps every scaled volume as is
     copies: list[int] = []  # type index per copy
+    uncapped = 0
     for ti, it in enumerate(inst.items):
-        if not fits(it.size):
+        if size_int[ti] > limit:
             continue
-        copies.extend([ti] * min(it.multiplicity, inst.cardinality))
+        uncapped += min(it.multiplicity, inst.cardinality)
+        copies.extend([ti] * min(it.multiplicity, inst.cardinality, limit // size_int[ti]))
     if not copies:
         return empty, 0.0
-    k_eff = min(inst.cardinality, len(copies))
+    k_eff = min(inst.cardinality, uncapped)
     p_max = max(inst.items[ti].volume for ti in copies)
     if p_max <= 0.0:
         return empty, 0.0
     mu = eps * p_max / k_eff
-
-    denom = reduce(math.lcm, (it.size.denominator for it in inst.items), 1)
-    denom = math.lcm(denom, inst.capacity.denominator)
-    cap_int = int(inst.capacity * denom)
-    size_int = [int(it.size * denom) for it in inst.items]
-    inf = cap_int + 1
+    # no feasible multiset holds more than c_max copies
+    c_max = min(k_eff, limit // min(size_int[ti] for ti in copies))
+    inf = limit + 1
     # common denominators from wild inputs can exceed the int64 range; Python
     # integers in an object array keep the arithmetic exact in that case
-    dtype = np.int64 if cap_int < 2**60 else object
+    dtype = np.int64 if limit < 2**60 else object
 
     q_of = [int(inst.items[ti].volume / mu) for ti in copies]
-    q_total = sum(sorted((q_of[j] for j in range(len(copies))), reverse=True)[:k_eff])
+    q_total = sum(sorted(q_of, reverse=True)[:c_max])
     # g[c, q] = minimum total size using exactly c copies and scaled volume q
-    g = np.full((k_eff + 1, q_total + 1), inf, dtype=dtype)
+    g = np.full((c_max + 1, q_total + 1), inf, dtype=dtype)
     g[0, 0] = 0
-    took = np.zeros((len(copies), k_eff + 1, q_total + 1), dtype=bool)
+    took = np.zeros((len(copies), c_max + 1, q_total + 1), dtype=bool)
     for j, ti in enumerate(copies):
         q = q_of[j]
         s = size_int[ti]
@@ -106,7 +114,6 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
         if better.any():
             target[better] = cand[better]
             took[j, 1:, q:] = better
-    limit = cap_int if not inst.strict else cap_int - 1
     feas = g <= limit
     if not feas.any():
         return empty, 0.0
@@ -160,7 +167,11 @@ def price_all(
         for v, mult in zip(model.sizes, model.demands)
     )
     slack = 1.0 / (1.0 - kcc_eps)
-    cache: dict[tuple[int, Fraction, bool], tuple[tuple[int, ...], float]] = {}
+    # oracle results keyed by (capacity, strict), then by cardinality; a
+    # cardinality at or above the total multiplicity caps nothing, so such
+    # pairs share one oracle call
+    total_items = sum(model.demands)
+    cache: dict[tuple[Fraction, bool], dict[int, tuple[tuple[int, ...], float]]] = {}
     found: list[PricedColumn] = []
     max_ratio = 0.0
     max_certified = 0.0
@@ -173,6 +184,9 @@ def price_all(
             capacity, strict = Fraction(1), False
         else:
             capacity, strict = 1 - window.w / (1 + model.eps), True
+        solved = cache.setdefault((capacity, strict), {})
+        gamma_w = float(window.w) * duals_gamma.get(window, 0.0)
+        delta_k = window.kappa * duals_delta.get(window, 0.0)
         for p in range(max(window.a, 1), model.p_max + 1):
             k_p = stair.ks[p]
             if window.a == 0:
@@ -181,21 +195,13 @@ def price_all(
                 card = k_p - stair.ks[window.a - 1] - 1
             if card < 0:
                 continue
-            key = (card, capacity, strict)
-            if key not in cache:
-                cache[key] = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
-            counts, volume = cache[key]
+            card = min(card, total_items)
+            if card not in solved:
+                solved[card] = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
+            counts, volume = solved[card]
             f_kp = stair.f_at[p]
-            lhs = (
-                volume
-                + float(window.w) * duals_gamma.get(window, 0.0)
-                + window.kappa * duals_delta.get(window, 0.0)
-            )
-            certified = (
-                volume * slack
-                + float(window.w) * duals_gamma.get(window, 0.0)
-                + window.kappa * duals_delta.get(window, 0.0)
-            )
+            lhs = volume + gamma_w + delta_k
+            certified = volume * slack + gamma_w + delta_k
             ratio = lhs / f_kp
             max_ratio = max(max_ratio, ratio)
             max_certified = max(max_certified, certified / f_kp)

@@ -151,6 +151,17 @@ class Window:
     w: Fraction
     kappa: int
 
+    def __hash__(self) -> int:
+        # the hash a frozen dataclass computes, kept after the first call:
+        # windows key the master's rows and duals, and hashing the Fraction
+        # size anew on every lookup is costly
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.t, self.a, self.w, self.kappa))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def dominates(self, other: "Window") -> bool:
         return self.w >= other.w and self.kappa >= other.kappa
 

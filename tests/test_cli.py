@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from concavebp import FractionalPacking, Instance, Packing
+from concavebp import FractionalPacking, Instance, Packing, generators
 from concavebp.cli import main
 from concavebp.exact import exact_opt
 from concavebp.fractional import fnfi
@@ -262,6 +262,8 @@ class TestSolve:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("internal error: ")
         assert "missing" in captured.err
+        assert "missing: item 1 in no bin; missing: item 2 in no bin" in captured.err
+        assert "Violation(" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "x.sol").exists()
 
@@ -437,6 +439,14 @@ class TestCompare:
         broken, healthy = json.loads(out.read_text())[:2]
         assert broken["error"].startswith("solver output failed verification")
         assert "missing" in broken["error"] or "fraction-sum" in broken["error"]
+        # the verify-style "kind (bin i): detail" lines, not dataclass reprs
+        expected = {
+            "nf-inc": "failed verification: missing: item 0 in no bin",
+            "fnfi": "failed verification: fraction-sum: item 0 fractions sum to 0, not 1; "
+            "fraction-sum: item 1 fractions sum to 1/2, not 1",
+        }
+        assert expected[alg] in broken["error"]
+        assert "Violation(" not in broken["error"]
         assert "cost" not in broken and "ratio" not in broken
         assert "error" not in healthy and healthy["ratio"] >= 1.0
 
@@ -510,3 +520,26 @@ class TestCompareExactOnce:
             else:
                 assert "error" not in row
                 assert "baseline" not in row and "ratio" not in row
+
+    def test_limit_above_the_solver_cap_falls_back(self, tmp_path, monkeypatch):
+        # --exact-limit 30 lets a 25-item instance past the limit check, but
+        # the exact solver stops at 22 items: fq: rows still take the
+        # overflowed-partition baseline and only the exact row errs
+        inst = generators.generate("uniform_random", {"n": 25}, 3)
+        _, rows, calls = self._compare(
+            tmp_path, monkeypatch, list(inst.sizes), "fq:2,table:0,1,1.5",
+            "--exact-limit", "30",
+        )
+        assert len(rows) == 20
+        for row in rows:
+            if row["algorithm"] == "exact":
+                assert row["error"] == "exact solver limited to 22 items, got 25"
+                assert "cost" not in row
+            elif row["cost_spec"] == "fq:2":
+                assert "error" not in row, row
+                assert row["baseline"] == "overflowed-lower-bound"
+                assert row["ratio"] >= 1.0 or row["algorithm"] == "fnfi"
+            else:
+                assert "error" not in row, row
+                assert "baseline" not in row and "ratio" not in row
+        assert calls == [30, 30]  # one failed solve per spec, from the exact rows

@@ -372,3 +372,71 @@ class TestExtractBasic:
             fx, fy = basic.fractional_counts()
             assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
             verify_solution_rows(model, basic)
+
+
+def _loop_arrays(model: LpModel, window_filter=None):
+    """The master assembled column by column, as before the array build;
+    kept as the reference for LpModel.arrays."""
+    windows = [w for w in model.windows if window_filter is None or w in window_filter]
+    nv, ns = len(model.sizes), len(model.smalls)
+    w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
+    x_cols = [gc for gc in model.columns if window_filter is None or gc.window in window_filter]
+    y_cols = [(si, w) for si, w in model.y_pairs if window_filter is None or w in window_filter]
+    ncols = len(x_cols) + len(y_cols)
+    A = np.zeros((nv + ns + 2 * len(windows), ncols), dtype=np.float64)
+    c = np.zeros(ncols, dtype=np.float64)
+    b = np.zeros(A.shape[0], dtype=np.float64)
+    b[:nv] = model.demands
+    b[nv : nv + ns] = 1.0
+    for j, (si, w) in enumerate(y_cols):
+        A[nv + si, j] += 1.0
+        A[w_row[w], j] -= float(model.smalls[si].size)
+        A[w_row[w] + 1, j] -= 1.0
+    off = len(y_cols)
+    for j, gc in enumerate(x_cols):
+        c[off + j] = model.staircase.f_at[gc.ext.p]
+        A[:nv, off + j] = gc.ext.config.counts
+        A[w_row[gc.window], off + j] += float(gc.window.w)
+        A[w_row[gc.window] + 1, off + j] += gc.window.kappa
+    return c, A, b, x_cols, y_cols, windows
+
+
+class TestArraysMatchColumnLoop:
+    def _assert_same(self, model, window_filter=None):
+        got = model.arrays() if window_filter is None else model.arrays(window_filter)
+        want = _loop_arrays(model, window_filter)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert got[3:] == want[3:]
+
+    def test_seeded_models_with_kept_smalls(self):
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(8):
+            sizes = sorted(
+                {Fraction(rng.randint(5, 12), 12) for _ in range(rng.randint(1, 3))},
+                reverse=True,
+            )
+            demands = [rng.randint(1, 4) for _ in sizes]
+            smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(1, 4))]
+            model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
+            model.seed_columns()
+            self._assert_same(model)
+            sol, _ = column_generation(model)
+            self._assert_same(model)
+            projected, w_prime = project_to_main_windows(sol, model)
+            self._assert_same(model)
+            self._assert_same(model, w_prime)
+            some = {w for w in model.windows if rng.random() < 0.5}
+            self._assert_same(model, some)
+            self._assert_same(model, set())
+            checked += len(model.y_pairs) > 0 and len(model.columns) > len(sizes)
+        assert checked > 0
+
+    def test_without_smalls_or_columns(self):
+        model = build_model(["3/5", "1/2"], [2, 3])
+        self._assert_same(model)
+        model.seed_columns()
+        self._assert_same(model)
+        self._assert_same(model, set(model.main_windows))

@@ -1,12 +1,20 @@
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavebp import KccInstance, KccItemType, kcc_fptas, make_fq
 from concavebp.lp import LpModel
-from concavebp.pricing import price_all
+from concavebp.pricing import PricedColumn, price_all
 from concavebp.structures import (
+    Configuration,
+    ExtendedConfiguration,
+    GeneralizedConfiguration,
     build_staircase,
     build_windows,
     main_window,
@@ -157,3 +165,278 @@ class TestPriceAll:
                 assert mw.dominates(gen.window)
                 assert gen.ext.config.n_items <= gen.ext.k_p
                 assert gen.ext.config.total_size <= 1
+
+
+def _uncapped_kcc_fptas(inst: KccInstance, eps: float):
+    """The oracle before its table was bounded by the capacity: up to
+    min(multiplicity, cardinality) copies per type, cardinality rows, and
+    sizes and capacity scaled by one common denominator that includes the
+    capacity's.  Kept as the reference the bounded oracle must match."""
+    ntypes = len(inst.items)
+    empty = (0,) * ntypes
+    if inst.cardinality <= 0 or ntypes == 0:
+        return empty, 0.0
+
+    def fits(total):
+        return total < inst.capacity if inst.strict else total <= inst.capacity
+
+    copies = []
+    for ti, it in enumerate(inst.items):
+        if not fits(it.size):
+            continue
+        copies.extend([ti] * min(it.multiplicity, inst.cardinality))
+    if not copies:
+        return empty, 0.0
+    k_eff = min(inst.cardinality, len(copies))
+    p_max = max(inst.items[ti].volume for ti in copies)
+    if p_max <= 0.0:
+        return empty, 0.0
+    mu = eps * p_max / k_eff
+
+    denom = reduce(math.lcm, (it.size.denominator for it in inst.items), 1)
+    denom = math.lcm(denom, inst.capacity.denominator)
+    cap_int = int(inst.capacity * denom)
+    size_int = [int(it.size * denom) for it in inst.items]
+    inf = cap_int + 1
+    dtype = np.int64 if cap_int < 2**60 else object
+
+    q_of = [int(inst.items[ti].volume / mu) for ti in copies]
+    q_total = sum(sorted(q_of, reverse=True)[:k_eff])
+    g = np.full((k_eff + 1, q_total + 1), inf, dtype=dtype)
+    g[0, 0] = 0
+    took = np.zeros((len(copies), k_eff + 1, q_total + 1), dtype=bool)
+    for j, ti in enumerate(copies):
+        q = q_of[j]
+        s = size_int[ti]
+        cand = g[:-1, : g.shape[1] - q] + s
+        target = g[1:, q:]
+        better = cand < target
+        if better.any():
+            target[better] = cand[better]
+            took[j, 1:, q:] = better
+    limit = cap_int if not inst.strict else cap_int - 1
+    feas = g <= limit
+    if not feas.any():
+        return empty, 0.0
+    qs = np.nonzero(feas.any(axis=0))[0]
+    best_q = int(qs[-1])
+    best_c = int(np.nonzero(feas[:, best_q])[0][0])
+    counts = [0] * ntypes
+    c, q = best_c, best_q
+    for j in range(len(copies) - 1, -1, -1):
+        if c > 0 and took[j, c, q]:
+            counts[copies[j]] += 1
+            c -= 1
+            q -= q_of[j]
+    volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
+    return tuple(counts), volume
+
+
+def _random_kcc(rng, capacity=None, denominators=(6, 10, 24, 35, 1000)):
+    """Item types with multiplicities often above what fits, zero volumes
+    now and then, volumes close to the sizes (as the master's duals tend to
+    be, which makes the scaled volumes tie often), and a cardinality below,
+    at or above the total."""
+    ntypes = rng.randint(1, 5)
+    items = []
+    for _ in range(ntypes):
+        den = rng.choice(denominators)
+        size = Fraction(rng.randint(1, den), den)
+        volume = rng.choice(
+            [0.0, rng.random() * 5, float(rng.randint(1, 4)), float(size) * (1 + rng.random() / 10)]
+        )
+        items.append(KccItemType(size, volume, rng.randint(1, 9)))
+    total = sum(it.multiplicity for it in items)
+    card = rng.choice([rng.randint(1, total), total, total + rng.randint(1, 5)])
+    if capacity is None:
+        capacity = Fraction(rng.randint(1, 60), rng.choice([12, 35, 60]))
+    return KccInstance(tuple(items), card, capacity, rng.random() < 0.5)
+
+
+class TestBoundedOracleMatchesUncapped:
+    """The bounded oracle returns exactly the multiset the uncapped one
+    returns: same counts and bit-equal volume."""
+
+    @pytest.mark.parametrize("eps", [1 / 3, 1 / 6, 1 / 8])
+    def test_seeded_instances(self, eps):
+        rng = random.Random(61)
+        for _ in range(150):
+            inst = _random_kcc(rng)
+            assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+
+    def test_dual_like_volumes_above_what_fits(self):
+        # the regime where the scaling step matters: more copies than fit,
+        # cardinality above the total, volumes proportional to sizes
+        rng = random.Random(65)
+        for _ in range(60):
+            items = []
+            for _ in range(rng.randint(2, 5)):
+                size = Fraction(rng.randint(5, 45), 100)
+                items.append(KccItemType(size, float(size) * (1 + rng.random() / 20), rng.randint(2, 9)))
+            total = sum(it.multiplicity for it in items)
+            inst = KccInstance(tuple(items), total + rng.randint(0, 3), Fraction(1), rng.random() < 0.5)
+            for eps in (1 / 3, 1 / 8):
+                assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+
+    def test_multiplicity_above_what_fits(self):
+        # 7 copies of 3/10 and 5 of 1/4 offered, at most 3 and 4 fit
+        items = _items(("3/10", 2.5, 7), ("1/4", 2.0, 5), ("1/7", 0.7, 9))
+        for card in (2, 5, 21, 40):
+            for strict in (False, True):
+                inst = KccInstance(items, card, Fraction(1), strict)
+                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+
+    def test_cardinality_below_at_and_above_total(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            base = _random_kcc(rng)
+            total = sum(it.multiplicity for it in base.items)
+            for card in (max(total - 1, 1), total, total + 1, 3 * total):
+                inst = KccInstance(base.items, card, base.capacity, base.strict)
+                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+
+    def test_zero_volumes(self):
+        items = _items(("1/3", 0.0, 4), ("1/5", 0.0, 2))
+        inst = KccInstance(items, 5, Fraction(1))
+        assert kcc_fptas(inst, 1 / 3) == _uncapped_kcc_fptas(inst, 1 / 3) == ((0, 0), 0.0)
+        mixed = KccInstance(_items(("1/3", 0.0, 4), ("1/5", 1.5, 2), ("1/2", 0.0, 1)), 4, Fraction(1))
+        assert kcc_fptas(mixed, 1 / 3) == _uncapped_kcc_fptas(mixed, 1 / 3)
+
+    def test_window_capacities(self):
+        # 1 - (3/4)**(t+1): the strict capacity of window t at eps = 1/3,
+        # whose denominator 4**(t+1) passes 2**60 from t = 29 on
+        rng = random.Random(63)
+        for t in range(41):
+            cap = 1 - Fraction(3, 4) ** (t + 1)
+            for _ in range(3):
+                inst = _random_kcc(rng, capacity=cap)
+                inst = KccInstance(inst.items, inst.cardinality, cap, strict=True)
+                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+
+    def test_common_denominator_beyond_int64(self):
+        # three coprime denominators near 2**21: their LCM exceeds 2**60,
+        # so both oracles run on Python integers
+        primes = (2097143, 2097133, 2097131)
+        assert math.lcm(*primes) > 2**60
+        rng = random.Random(64)
+        for _ in range(12):
+            items = tuple(
+                KccItemType(Fraction(rng.randint(p // 6, p // 2), p), rng.random() * 3, rng.randint(1, 4))
+                for p in primes
+            )
+            for strict in (False, True):
+                inst = KccInstance(items, rng.randint(1, 8), Fraction(1), strict)
+                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+
+
+_size = st.builds(Fraction, st.integers(1, 40), st.sampled_from([8, 12, 40, 45]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    types=st.lists(
+        st.tuples(_size, st.sampled_from([0.0, 0.5, 1.0, 2.25, 3.7, 5.0]), st.integers(1, 8)),
+        min_size=1,
+        max_size=4,
+    ),
+    card=st.integers(0, 30),
+    capacity=st.builds(Fraction, st.integers(1, 50), st.sampled_from([16, 40, 45])),
+    strict=st.booleans(),
+    eps=st.sampled_from([1 / 3, 1 / 6, 1 / 10]),
+)
+def test_bounded_oracle_matches_uncapped_property(types, card, capacity, strict, eps):
+    items = tuple(KccItemType(s, v, m) for s, v, m in types)
+    inst = KccInstance(items, card, capacity, strict)
+    assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+
+
+def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
+    """price_all as a plain sweep: one oracle call per (window, level) pair
+    with its raw cardinality, no cache, and the dual terms added per pair."""
+    stair = model.staircase
+    items = tuple(
+        KccItemType(v, duals_alpha.get(v, 0.0), mult)
+        for v, mult in zip(model.sizes, model.demands)
+    )
+    slack = 1.0 / (1.0 - kcc_eps)
+    found, max_ratio, max_certified = [], 0.0, 0.0
+    for window in sorted(model.windows):
+        if window.a > model.p_max:
+            continue
+        if window.w < model.s_min_small:
+            capacity, strict = Fraction(1), False
+        else:
+            capacity, strict = 1 - window.w / (1 + model.eps), True
+        for p in range(max(window.a, 1), model.p_max + 1):
+            k_p = stair.ks[p]
+            card = k_p if window.a == 0 else k_p - stair.ks[window.a - 1] - 1
+            if card < 0:
+                continue
+            counts, volume = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
+            f_kp = stair.f_at[p]
+            lhs = (
+                volume
+                + float(window.w) * duals_gamma.get(window, 0.0)
+                + window.kappa * duals_delta.get(window, 0.0)
+            )
+            certified = (
+                volume * slack
+                + float(window.w) * duals_gamma.get(window, 0.0)
+                + window.kappa * duals_delta.get(window, 0.0)
+            )
+            ratio = lhs / f_kp
+            max_ratio = max(max_ratio, ratio)
+            max_certified = max(max_certified, certified / f_kp)
+            if ratio > 1.0 + 1e-9:
+                total = sum(c * v for c, v in zip(counts, model.sizes))
+                ext = ExtendedConfiguration(Configuration(counts, total, sum(counts)), p, k_p)
+                found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))
+    return tuple(found), max_ratio, max_certified
+
+
+class TestPriceAllMatchesUncachedSweep:
+    def _model(self, sizes, mults, n, eps=Fraction(1, 3), s_min=Fraction(1, 20)):
+        # the count bound runs up to 1 / s_min, as for kept small items of
+        # size s_min, so the top levels allow more items than there are
+        f = make_fq(3, n)
+        stair = build_staircase(f, eps, n)
+        s_min_small, t_star = round_size_to_power(eps, s_min)
+        p_max = next((p for p, kp in enumerate(stair.ks) if kp >= 1 / s_min), stair.ell)
+        return LpModel(
+            sizes=tuple(Fraction(s) for s in sizes),
+            demands=tuple(mults),
+            smalls=(),
+            windows=tuple(build_windows(eps, s_min_small, stair)),
+            staircase=stair,
+            p_max=p_max,
+            eps=eps,
+            s_min_small=s_min_small,
+            t_max=t_star + 1,
+            f=f,
+        )
+
+    @pytest.mark.parametrize(
+        "sizes, mults, n",
+        [
+            (["5/8", "1/2", "2/5"], [2, 3, 4], 40),
+            (["3/5", "9/20", "7/20", "1/4"], [3, 4, 2, 5], 60),
+            (["1/2"], [2], 30),
+        ],
+    )
+    def test_same_columns_and_ratios(self, sizes, mults, n):
+        ctx = self._model(sizes, mults, n)
+        cards = [ctx.staircase.ks[p] for p in range(1, ctx.p_max + 1)]
+        assert min(cards) < sum(mults) < max(cards)
+        rng = random.Random(42 + n)
+        priced = 0
+        for _ in range(12):
+            alpha = {v: rng.random() * 3 for v in ctx.sizes}
+            gamma = {w: rng.random() for w in ctx.windows if rng.random() < 0.7}
+            delta = {w: rng.random() * 0.4 for w in ctx.windows if rng.random() < 0.7}
+            out = price_all(alpha, gamma, delta, ctx, 1 / 6)
+            found, max_ratio, max_certified = _price_all_uncached(alpha, gamma, delta, ctx, 1 / 6)
+            assert out.violations == found
+            assert out.max_ratio.hex() == max_ratio.hex()
+            assert out.max_certified_ratio.hex() == max_certified.hex()
+            priced += len(found)
+        assert priced > 0

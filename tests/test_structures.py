@@ -15,6 +15,7 @@ from concavebp import (
 from concavebp.structures import (
     Configuration,
     ExtendedConfiguration,
+    Window,
     enumerate_configurations,
     check_eps,
     main_windows,
@@ -153,6 +154,18 @@ class TestWindows:
         windows = build_windows(Fraction(1, 3), Fraction(9, 16), stair)
         assert {w.t for w in windows} == {0, 1, 2, 3}
         assert any(w.w == Fraction(9, 16) for w in windows)
+
+    def test_cached_hash_is_the_dataclass_hash(self):
+        # the same value as the generated frozen-dataclass hash, so sets and
+        # dicts of windows keep their iteration order
+        stair = build_staircase(make_fq(2, 20), Fraction(1, 3), 20)
+        s_min, _ = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
+        for w in build_windows(Fraction(1, 3), s_min, stair):
+            want = hash((w.t, w.a, w.w, w.kappa))
+            assert hash(w) == want and hash(w) == want
+            twin = Window(w.t, w.a, Fraction(w.w.numerator, w.w.denominator), w.kappa)
+            assert twin == w and hash(twin) == want
+            assert repr(twin) == repr(w)
 
 
 class TestMainWindow:
