@@ -21,7 +21,12 @@ from .core import (
     make_fq,
     verify_packing,
 )
-from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
+from .errors import (
+    InfeasibleMasterError,
+    InvariantError,
+    NumericalFailureError,
+    SolverLimitError,
+)
 from .exact import exact_opt, exact_opt_fk_all
 from .fractional import fnfi, fnfi_with_split_repair
 from .heuristics import (

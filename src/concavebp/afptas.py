@@ -19,6 +19,7 @@ from .core import (
     eval_cost,
     verify_packing,
 )
+from .errors import InvariantError
 from .fractional import fnfi_with_split_repair
 from .lp import (
     LpModel,
@@ -129,10 +130,11 @@ def _compute_h(
     threshold itself.
     """
     k = check_eps(eps)
-    positives = [inst.sizes[i] for i in small if inst.sizes[i] > 0]
-    if not positives:
+    sizes_int = inst.int_sizes
+    smallest = min((sizes_int[i] for i in small if sizes_int[i] > 0), default=0)
+    if not smallest:
         return k
-    _, t_star = round_size_to_power(eps, min(positives))
+    _, t_star = round_size_to_power(eps, Fraction(smallest, inst.scale))
     configs = enumerate_configurations(sizes, mult, k, budget)
     mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase)
     return k * (len(sizes) + 2 * len(mains) + 1)
@@ -146,6 +148,39 @@ def _h_set(inst: Instance, grouping: GroupingResult) -> tuple[list[Fraction], li
         by_size[v] = by_size.get(v, 0) + 1
     sizes = sorted(by_size, reverse=True)
     return sizes, [by_size[v] for v in sizes]
+
+
+def _place_large(
+    bin_counts: list[tuple[int, ...]],
+    sizes: tuple[Fraction, ...],
+    grouping: GroupingResult,
+) -> list[list[int]]:
+    """Original large items per bin.
+
+    A bin whose configuration counts ``c`` copies of the j-th rounded size
+    ``sizes[j]`` takes the next ``c`` items rounded to that size, so the
+    originals replace their rounded stand-ins.  Every item must be placed.
+    """
+    position = {v: j for j, v in enumerate(sizes)}
+    queues: list[list[int]] = [[] for _ in sizes]
+    for i in grouping.l_rest:
+        queues[position[grouping.rounded_size[i]]].append(i)
+    heads = [0] * len(sizes)
+    nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    out: list[list[int]] = []
+    for counts in bin_counts:
+        if counts not in nonzero:
+            nonzero[counts] = [(j, c) for j, c in enumerate(counts) if c]
+        larges: list[int] = []
+        for j, c in nonzero[counts]:
+            head = heads[j]
+            larges.extend(queues[j][head : head + c])
+            heads[j] = head + c
+        out.append(larges)
+    leftover = {sizes[j]: q[h:] for j, (q, h) in enumerate(zip(queues, heads)) if h < len(q)}
+    if leftover:
+        raise InvariantError(f"unplaced large items: {leftover}")
+    return out
 
 
 @dataclass
@@ -174,6 +209,7 @@ def round_solution(
     k = model.eps.denominator
     one_plus = 1.0 + 1.0 / k
     f = model.f
+    sizes, scale = inst.int_sizes, inst.scale
 
     x_hat: list[tuple[GeneralizedConfiguration, int]] = []
     for gc in sorted(basic.x, key=model.column_key):
@@ -184,26 +220,14 @@ def round_solution(
     class _Bin:
         __slots__ = ("gc", "larges", "smalls")
 
-        def __init__(self, gc):
+        def __init__(self, gc, larges):
             self.gc = gc
-            self.larges: list[int] = []
+            self.larges: list[int] = larges
             self.smalls: list[int] = []
 
-    bins: list[_Bin] = []
-    for gc, copies in x_hat:
-        bins.extend(_Bin(gc) for _ in range(copies))
-
-    # fill large slots with original items, per rounded size
-    queues: dict[Fraction, list[int]] = {v: [] for v in model.sizes}
-    for i in grouping.l_rest:
-        queues[grouping.rounded_size[i]].append(i)
-    for b in bins:
-        for v, cnt in zip(model.sizes, b.gc.ext.config.counts):
-            take = queues[v][:cnt]
-            del queues[v][:cnt]
-            b.larges.extend(take)
-    leftover = {v: q for v, q in queues.items() if q}
-    assert not leftover, f"unplaced large items: {leftover}"
+    bin_gcs = [gc for gc, copies in x_hat for _ in range(copies)]
+    placed = _place_large([gc.ext.config.counts for gc in bin_gcs], model.sizes, grouping)
+    bins = [_Bin(gc, larges) for gc, larges in zip(bin_gcs, placed)]
 
     # small items: integral window assignment or a dedicated bin
     extra_bins: list[list[int]] = []
@@ -230,17 +254,21 @@ def round_solution(
 
     for w in sorted(assigned):
         items = assigned[w]
-        assert w.w >= model.s_min_small, "small items assigned to a degenerate window"
+        if w.w < model.s_min_small:
+            raise InvariantError("small items assigned to a degenerate window")
         target_bins = by_window.get(w, [])
         x_w = len(target_bins)
-        assert x_w >= 1, f"window {w} has assigned items but no bins"
-        assert len(items) <= w.kappa * x_w, "window count row violated after rounding"
+        if x_w < 1:
+            raise InvariantError(f"window {w} has assigned items but no bins")
+        if len(items) > w.kappa * x_w:
+            raise InvariantError("window count row violated after rounding")
         # largest-first round-robin deal
-        order = sorted(items, key=lambda i: (-inst.sizes[i], i))
+        order = sorted(items, key=lambda i: (-sizes[i], i))
         for pos, item in enumerate(order):
             target_bins[pos % x_w].smalls.append(item)
         for b in target_bins:
-            assert len(b.smalls) <= w.kappa
+            if len(b.smalls) > w.kappa:
+                raise InvariantError(f"window {w} dealt more than kappa items to a bin")
             if b.smalls:
                 removed.append(b.smalls.pop(0))  # largest: first dealt
 
@@ -249,17 +277,15 @@ def round_solution(
         for b in by_window.get(w, []):
             if not b.smalls:
                 continue
-            room = Fraction(1) - sum(
-                (inst.sizes[i] for i in b.larges), Fraction(0)
-            )
+            room = scale - sum(sizes[i] for i in b.larges)
             keep: list[int] = []
             special: int | None = None
             excess: list[int] = []
-            load = Fraction(0)
-            for i in sorted(b.smalls, key=lambda i: (inst.sizes[i], i)):
-                if special is None and load + inst.sizes[i] <= room:
+            load = 0
+            for i in sorted(b.smalls, key=lambda i: (sizes[i], i)):
+                if special is None and load + sizes[i] <= room:
                     keep.append(i)
-                    load += inst.sizes[i]
+                    load += sizes[i]
                 elif special is None:
                     special = i
                 else:
@@ -268,7 +294,8 @@ def round_solution(
             if special is not None:
                 specials.append(special)
             if excess:
-                assert len(excess) * k <= w.kappa + 1e-9 * k, "excess items exceed eps * kappa"
+                if not len(excess) * k <= w.kappa + 1e-9 * k:
+                    raise InvariantError("excess items exceed eps * kappa")
                 excess_subsets.append((w.kappa, excess))
 
     for chunk_src in (removed, specials):
@@ -288,13 +315,12 @@ def round_solution(
         content = b.larges + b.smalls
         if not content:
             continue
-        total = sum((inst.sizes[i] for i in content), Fraction(0))
-        assert total <= 1, "configuration bin exceeds capacity"
+        if sum(sizes[i] for i in content) > scale:
+            raise InvariantError("configuration bin exceeds capacity")
         k_p = b.gc.ext.k_p
         f_kp = f.value(k_p)
-        assert f.value(len(content)) <= one_plus * f_kp + 1e-9, (
-            "bin real cost exceeds (1+eps) * level cost"
-        )
+        if not f.value(len(content)) <= one_plus * f_kp + 1e-9:
+            raise InvariantError("bin real cost exceeds (1+eps) * level cost")
         config_records.append(
             {"k_p": k_p, "f_k_p": f_kp, "items": len(content), "cost": f.value(len(content))}
         )
@@ -303,8 +329,8 @@ def round_solution(
     n_special_bins = (len(specials) + k - 1) // k
     n_excess_bins = (len(excess_subsets) + k - 1) // k
     for eb in extra_bins:
-        total = sum((inst.sizes[i] for i in eb), Fraction(0))
-        assert total <= 1, "repair bin exceeds capacity"
+        if sum(sizes[i] for i in eb) > scale:
+            raise InvariantError("repair bin exceeds capacity")
     out_bins.extend(eb for eb in extra_bins if eb)
     return RoundingOutcome(
         out_bins,
@@ -326,7 +352,9 @@ def run_afptas(
     """Full scheme; returns a feasible packing and a provenance report.
 
     ``h_eps`` overrides the computed tail threshold (it must stay >= 1/eps);
-    useful to exercise the window machinery on small fixtures.
+    useful to exercise the window machinery on small fixtures.  Raises
+    ``InvariantError`` when one of the scheme's invariant checks fails; the
+    checks run under ``python -O`` too.
     """
     eps = Fraction(eps)
     k = check_eps(eps)
@@ -345,7 +373,8 @@ def run_afptas(
     small = tuple(range(n_large, n))
     prov.n_large = n_large
     prov.l1_size = len(grouping.l1)
-    assert 2 * len(grouping.large) * Fraction(1, k**3) >= len(grouping.l1)
+    if 2 * len(grouping.large) * Fraction(1, k**3) < len(grouping.l1):
+        raise InvariantError("largest class exceeds 2 eps^3 of the large items")
 
     staircase = build_staircase(f, eps, n)
     prov.ell = staircase.ell
@@ -428,12 +457,14 @@ def run_afptas(
 
         projected, w_prime_set = project_to_main_windows(sol, model)
         for gc, val in projected.x.items():
-            assert val <= 0 or gc.window in w_prime_set
+            if not (val <= 0 or gc.window in w_prime_set):
+                raise InvariantError(f"projection left mass on window {gc.window}")
         basic = extract_basic(projected, model, w_prime_set)
         prov.lp_basic_objective = basic.objective
         fx, fy = basic.fractional_counts()
         bound = len(sizes) + 2 * len(w_prime_set)
-        assert fx + fy <= bound, f"fractional components {fx}+{fy} exceed {bound}"
+        if fx + fy > bound:
+            raise InvariantError(f"fractional components {fx}+{fy} exceed {bound}")
         prov.fractional_x = fx
         prov.fractional_y = fy
         prov.fractional_bound = bound
@@ -455,7 +486,8 @@ def run_afptas(
 
     packing = Packing.from_bins(bins_out, range(n))
     verdict = verify_packing(inst, packing)
-    assert verdict.ok, f"scheme produced an invalid packing: {verdict.violations[:3]}"
+    if not verdict.ok:
+        raise InvariantError(f"scheme produced an invalid packing: {verdict.violations[:3]}")
     prov.total_bins = packing.num_bins
     prov.total_cost = eval_cost(f, packing)
     return AfptasResult(packing, prov)

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 malformed or unreadable input (including a
 ``--config-budget`` below 1 and a negative ``--exact-limit``), 3 infeasible
 or failed verification (including a claimed cost that does not match, an
-infeasible master program or a numerical failure of the LP solver), 4 solver
-limit exceeded.  Every failure is reported on stderr; stdout carries results
-only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
+infeasible master program, a numerical failure of the LP solver or a broken
+invariant of the scheme), 4 solver limit exceeded.  Every failure is
+reported on stderr; stdout carries results only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
 any row; it reports every other failure in the row's ``error`` field and
 carries on, a packing that fails verification against every item of the
 instance included.
@@ -37,7 +37,12 @@ from .core import (
     eval_fractional_cost,
     verify_packing,
 )
-from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
+from .errors import (
+    InfeasibleMasterError,
+    InvariantError,
+    NumericalFailureError,
+    SolverLimitError,
+)
 from .exact import DEFAULT_LIMIT_N, HARD_LIMIT_N, exact_opt
 from .fractional import fnfi
 from .heuristics import best_fit, first_fit, lower_bound_fk, match_half, next_fit
@@ -60,7 +65,7 @@ ALGORITHMS = (
     "nf-inc", "nf-dec", "ff-inc", "ff-dec", "bf-inc", "bf-dec",
     "mh", "fnfi", "exact", "afptas",
 )
-SOLVER_FAILURES = (InfeasibleMasterError, NumericalFailureError)
+SOLVER_FAILURES = (InfeasibleMasterError, NumericalFailureError, InvariantError)
 
 
 def parse_eps(text: str) -> Fraction:

@@ -1,14 +1,17 @@
 """Core model: instances, cost functions, packings and their verification.
 
 Sizes are exact rationals throughout so that capacity feasibility is
-bit-exact.  Cost values are plain floats and are only ever compared with a
-small tolerance, never accumulated adversarially.
+bit-exact; an instance also carries them as integers over their common
+denominator, so capacity tests need no rational arithmetic.  Cost values are
+plain floats and are only ever compared with a small tolerance, never
+accumulated adversarially.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 SizeLike = Union[Fraction, int, float, str]
@@ -30,17 +33,41 @@ def to_size(value: SizeLike) -> Fraction:
 
 @dataclass(frozen=True)
 class Instance:
-    """Items to pack: exact-rational sizes in [0, 1], sorted non-increasing."""
+    """Items to pack: exact-rational sizes in [0, 1], sorted non-increasing.
+
+    ``scale`` (the LCM of the size denominators) and ``int_sizes`` (each size
+    times ``scale``) are computed on first use and kept; they are not fields,
+    so equality, hashing and repr see the sizes only.
+    """
 
     sizes: tuple[Fraction, ...]
 
     @classmethod
     def from_values(cls, values: Iterable[SizeLike]) -> "Instance":
-        sizes = sorted((to_size(v) for v in values), reverse=True)
-        for s in sizes:
-            if s < 0 or s > 1:
-                raise ValueError(f"item size {s} outside [0, 1]")
-        return cls(tuple(sizes))
+        sizes = [to_size(v) for v in values]
+        scale = math.lcm(*{s.denominator for s in sizes})
+        ints = [s.numerator * (scale // s.denominator) for s in sizes]
+        if ints:
+            # the first size out of range in non-increasing order
+            top = max(ints)
+            bad = top if top > scale else max((v for v in ints if v < 0), default=None)
+            if bad is not None:
+                raise ValueError(f"item size {Fraction(bad, scale)} outside [0, 1]")
+        order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
+        inst = cls(tuple(sizes[i] for i in order))
+        # seed the cached properties with the integers computed above
+        object.__setattr__(inst, "scale", scale)
+        object.__setattr__(inst, "int_sizes", tuple(ints[i] for i in order))
+        return inst
+
+    @cached_property
+    def scale(self) -> int:
+        return math.lcm(*{s.denominator for s in self.sizes})
+
+    @cached_property
+    def int_sizes(self) -> tuple[int, ...]:
+        scale = self.scale
+        return tuple(s.numerator * (scale // s.denominator) for s in self.sizes)
 
     @property
     def n(self) -> int:
@@ -152,7 +179,10 @@ class FractionalPacking:
         bins: Iterable[Iterable[tuple[int, Fraction]]],
         items: Iterable[int] | None = None,
     ) -> "FractionalPacking":
-        norm = tuple(tuple(sorted(((i, Fraction(fr)) for i, fr in b))) for b in bins)
+        norm = tuple(
+            tuple(sorted((i, fr if isinstance(fr, Fraction) else Fraction(fr)) for i, fr in b))
+            for b in bins
+        )
         if items is None:
             covered: set[int] = set()
             for b in norm:
@@ -217,8 +247,9 @@ class Verdict:
 def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
     out: list[Violation] = []
     seen: dict[int, int] = {}
+    sizes, scale = inst.int_sizes, inst.scale
     for b_idx, b in enumerate(p.bins):
-        total = Fraction(0)
+        total = 0
         for i in b:
             if not 0 <= i < inst.n:
                 out.append(Violation("unknown-item", b_idx, f"item {i} not in instance"))
@@ -229,13 +260,15 @@ def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
                 )
             else:
                 seen[i] = b_idx
-            total += inst.sizes[i]
+            total += sizes[i]
             if i not in p.items:
                 out.append(
                     Violation("unexpected-item", b_idx, f"item {i} not in declared set")
                 )
-        if total > 1:
-            out.append(Violation("overfull", b_idx, f"bin total {total} > 1"))
+        if total > scale:
+            out.append(
+                Violation("overfull", b_idx, f"bin total {Fraction(total, scale)} > 1")
+            )
     for i in sorted(p.items):
         if i not in seen:
             out.append(Violation("missing", None, f"item {i} in no bin"))

@@ -11,3 +11,7 @@ class InfeasibleMasterError(RuntimeError):
 
 class NumericalFailureError(RuntimeError):
     """The linear-programming machinery lost numerical reliability."""
+
+
+class InvariantError(RuntimeError):
+    """A solver broke an invariant its result depends on (an internal fault)."""

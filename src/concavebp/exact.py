@@ -7,9 +7,6 @@ over a common denominator of the sizes.
 """
 from __future__ import annotations
 
-import math
-from functools import reduce
-
 import numpy as np
 
 from .core import CostFunction, Instance, Packing, eval_cost
@@ -25,10 +22,10 @@ class _SubsetSolver:
     def __init__(self, inst: Instance):
         n = inst.n
         self.n = n
-        denom = reduce(math.lcm, (s.denominator for s in inst.sizes), 1)
+        denom = inst.scale
         # keep subset sums exact even when the common denominator is enormous
         dtype = np.int64 if denom < 2**58 else object
-        ints = np.array([int(s * denom) for s in inst.sizes], dtype=dtype)
+        ints = np.array(inst.int_sizes, dtype=dtype)
         size = np.zeros(1 << n, dtype=dtype)
         pc = np.zeros(1 << n, dtype=np.int64)
         for b in range(n):

@@ -23,28 +23,27 @@ def fnfi(inst: Instance) -> FractionalPacking:
     bins: list[list[tuple[int, Fraction]]] = []
     if n == 0:
         return FractionalPacking.from_bins(bins, ())
+    # sizes, room and the unplaced part of an item are integers over the
+    # instance's scale; only split parts need a Fraction of their own
+    sizes, scale = inst.int_sizes, inst.scale
+    whole = Fraction(1)
     cur: list[tuple[int, Fraction]] = []
-    room = Fraction(1)
+    room = scale
     for i in range(n - 1, -1, -1):  # non-decreasing size order
-        size = inst.sizes[i]
-        remaining = Fraction(1)  # fraction of item i still unplaced
-        while remaining > 0:
-            take_size = remaining * size
-            if take_size <= room:
-                cur.append((i, remaining))
-                room -= take_size
-                remaining = Fraction(0)
-                if room == 0:
-                    bins.append(cur)
-                    cur = []
-                    room = Fraction(1)
-            else:
-                placed = room / size  # size > 0 here, else take_size == 0 <= room
-                cur.append((i, placed))
-                remaining -= placed
-                bins.append(cur)
-                cur = []
-                room = Fraction(1)
+        size = sizes[i]
+        left = size
+        while left > room:  # size > 0 here, as room > 0
+            cur.append((i, Fraction(room, size)))
+            left -= room
+            bins.append(cur)
+            cur = []
+            room = scale
+        cur.append((i, whole if left == size else Fraction(left, size)))
+        room -= left
+        if room == 0:
+            bins.append(cur)
+            cur = []
+            room = scale
     if cur:
         bins.append(cur)
     return FractionalPacking.from_bins(bins, range(n))

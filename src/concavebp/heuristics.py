@@ -5,7 +5,6 @@ single packing can be priced under any concave bin-cost table afterwards.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,16 +67,9 @@ def _ordered_indices(inst: Instance, order: str) -> list[int]:
     raise ValueError(f"unknown order {order!r}")
 
 
-def _integer_sizes(inst: Instance) -> tuple[list[int], int]:
-    """Sizes scaled to exact integers over the common denominator of all
-    sizes, with the bin capacity scaled the same way."""
-    cap = math.lcm(*{s.denominator for s in inst.sizes})
-    return [s.numerator * (cap // s.denominator) for s in inst.sizes], cap
-
-
 def next_fit(inst: Instance, order: str = "increasing") -> Packing:
     """Next-fit: keep a single open bin, close it when an item does not fit."""
-    sizes, cap = _integer_sizes(inst)
+    sizes, cap = inst.int_sizes, inst.scale
     bins: list[list[int]] = []
     load = cap + 1  # force a fresh bin on the first item
     for i in _ordered_indices(inst, order):
@@ -97,7 +89,7 @@ def first_fit(inst: Instance, order: str = "increasing") -> Packing:
     A max tree over the bins' residual capacities finds that bin in
     O(log n), so the whole packing takes O(n log n).
     """
-    sizes, cap = _integer_sizes(inst)
+    sizes, cap = inst.int_sizes, inst.scale
     leaves = 1 << max(inst.n - 1, 0).bit_length()
     # residual capacity per bin; -1 marks a bin not opened yet, so that even a
     # size-0 item only lands in an open bin
@@ -135,7 +127,7 @@ def best_fit(inst: Instance, order: str = "increasing") -> Packing:
     The open bins are kept sorted by (residual capacity, index), so a bisect
     finds that bin with O(log n) comparisons.
     """
-    sizes, cap = _integer_sizes(inst)
+    sizes, cap = inst.int_sizes, inst.scale
     bins: list[list[int]] = []
     open_: list[tuple[int, int]] = []
     for i in _ordered_indices(inst, order):

@@ -2,8 +2,10 @@
 staircase of the cost table, windows, and bin configurations."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import CostFunction, Instance
 from .errors import SolverLimitError
@@ -45,7 +47,8 @@ def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
     happens.
     """
     k = check_eps(eps)
-    large = tuple(i for i, s in enumerate(inst.sizes) if s >= eps)
+    scale = inst.scale
+    large = tuple(i for i, s in enumerate(inst.int_sizes) if s * k >= scale)  # s >= 1/k
     m = k**3
     if len(large) < m:
         classes = tuple((i,) for i in large)
@@ -91,11 +94,12 @@ def split_small(inst: Instance, eps: Fraction, h_eps: int, small: tuple[int, ...
     k = check_eps(eps)
     if h_eps < k or h_eps != int(h_eps):
         raise ValueError("h_eps must be an integer >= 1/eps")
-    bound = Fraction(1 + h_eps)
-    total = Fraction(0)
+    sizes = inst.int_sizes
+    bound = (1 + h_eps) * inst.scale
+    total = 0
     cut = 0  # number of suffix items taken
     for pos in range(len(small) - 1, -1, -1):
-        total += inst.sizes[small[pos]]
+        total += sizes[small[pos]]
         if total > bound:
             break
         cut += 1
@@ -223,6 +227,28 @@ class GeneralizedConfiguration:
     window: Window
 
 
+@lru_cache(maxsize=64)
+def _powers(k: int, t_max: int) -> tuple[Fraction, ...]:
+    """The window sizes (k/(k+1))**t for t = 0..t_max."""
+    step = Fraction(k, k + 1)
+    out = [Fraction(1)]
+    for _ in range(t_max):
+        out.append(out[-1] * step)
+    return tuple(out)
+
+
+def _size_index(free: Fraction, powers: tuple[Fraction, ...]) -> int:
+    """Largest t with powers[t] >= free; 0 when no power is that large."""
+    lo, hi = 0, len(powers) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if powers[mid] >= free:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def main_window(
     ext: ExtendedConfiguration,
     eps: Fraction,
@@ -235,16 +261,10 @@ def main_window(
     free space left by the configuration.  Count part: the smallest
     breakpoint at least k_p minus the number of large items.
     """
-    free = 1 - ext.config.total_size
-    need = ext.k_p - ext.config.n_items
-    t = 0
-    val = Fraction(1)
-    step = Fraction(eps.denominator, eps.denominator + 1)
-    while t < t_max and val * step >= free:
-        val *= step
-        t += 1
-    a = next(j for j, kj in enumerate(staircase.ks) if kj >= need)
-    return Window(t, a, val, staircase.ks[a])
+    powers = _powers(eps.denominator, t_max)
+    t = _size_index(1 - ext.config.total_size, powers)
+    a = bisect_left(staircase.ks, ext.k_p - ext.config.n_items)
+    return Window(t, a, powers[t], staircase.ks[a])
 
 
 def main_windows(
@@ -257,17 +277,25 @@ def main_windows(
     """Main windows of every extension (cfg, p) with 1 <= p <= p_max and
     cfg.n_items <= k_p.
 
-    A main window depends on the extension only through the configuration's
-    total size and k_p minus its item count, so it is computed once per pair.
+    A main window depends on the extension only through the size index of
+    the configuration's free space and k_p minus its item count: the index is
+    computed once per distinct total size, the window once per pair.
     """
-    by_key: dict[tuple[Fraction, int], Window] = {}
+    powers = _powers(eps.denominator, t_max)
+    ks = staircase.ks
+    t_of: dict[Fraction, int] = {}
+    by_key: dict[tuple[int, int], Window] = {}
     for cfg in configs:
+        if cfg.n_items > ks[p_max]:
+            continue
+        t = t_of.get(cfg.total_size)
+        if t is None:
+            t = t_of[cfg.total_size] = _size_index(1 - cfg.total_size, powers)
         for p in range(1, p_max + 1):
-            k_p = staircase.ks[p]
-            key = (cfg.total_size, k_p - cfg.n_items)
-            if cfg.n_items <= k_p and key not in by_key:
-                ext = ExtendedConfiguration(cfg, p, k_p)
-                by_key[key] = main_window(ext, eps, t_max, staircase)
+            need = ks[p] - cfg.n_items
+            if need >= 0 and (t, need) not in by_key:
+                a = bisect_left(ks, need)
+                by_key[t, need] = Window(t, a, powers[t], ks[a])
     return set(by_key.values())
 
 

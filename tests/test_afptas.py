@@ -1,7 +1,13 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import concavebp
 
 from concavebp import (
     Instance,
@@ -63,6 +69,37 @@ class TestRunBasics:
         assert not p.lp_skipped
         assert p.delta == "3"
         assert verify_packing(inst, res.packing).ok
+
+    def test_invariant_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the scheme's checks must still run
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            import concavebp.afptas as afptas
+            from concavebp import Instance, InvariantError, make_fq
+            from concavebp.core import Verdict, Violation
+
+            if __debug__:
+                sys.exit("not running under -O")
+            afptas.verify_packing = lambda inst, p: Verdict(
+                False, (Violation("overfull", 0, "forced"),)
+            )
+            try:
+                afptas.run_afptas(Instance.from_values(["1/2"] * 6), make_fq(3, 6), Fraction(1, 3))
+            except InvariantError as exc:
+                print(exc)
+            else:
+                sys.exit("run_afptas returned")
+            """
+        )
+        src = str(Path(concavebp.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("scheme produced an invalid packing: (Violation(")
 
     def test_largest_class_goes_to_singletons(self):
         sizes = [Fraction(500 + i, 1400) for i in range(30)]

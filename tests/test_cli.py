@@ -9,6 +9,7 @@ from concavebp.cli import main
 from concavebp.exact import exact_opt
 from concavebp.fractional import fnfi
 from concavebp.heuristics import next_fit
+from concavebp.core import Verdict, Violation
 from concavebp.errors import InfeasibleMasterError, NumericalFailureError
 from concavebp.serialize import (
     ParseError,
@@ -35,6 +36,13 @@ def _assert_input_error(capsys, code):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+def _break_invariant(monkeypatch):
+    monkeypatch.setattr(
+        "concavebp.afptas.verify_packing",
+        lambda inst, p: Verdict(False, (Violation("overfull", 0, "simulated"),)),
+    )
 
 
 def _break_lp(monkeypatch, error):
@@ -220,6 +228,19 @@ class TestSolve:
         assert captured.err.splitlines() == ["solver failure: simulated LP failure"]
         assert "Traceback" not in captured.out + captured.err
 
+    def test_broken_invariant_exit_code(self, tmp_path, capsys, monkeypatch):
+        _break_invariant(monkeypatch)
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
+        code = main(["solve", str(path), "--alg", "afptas", "--cost", "fq:3",
+                     "--eps", "1/3", "--out", str(tmp_path / "x.sol")])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("solver failure: scheme produced an invalid packing")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "x.sol").exists()
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_nonpositive_config_budget_is_input_error(self, tmp_path, capsys, budget):
         path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
@@ -400,6 +421,18 @@ class TestCompare:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[0]["error"] == "simulated LP failure"
+        assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
+
+    def test_broken_invariant_becomes_row_error(self, tmp_path, monkeypatch):
+        _break_invariant(monkeypatch)
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 6)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(p1), "--algs", "afptas,nf-inc",
+                     "--costs", "fq:3", "--eps", "1/3", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert rows[0]["error"].startswith("scheme produced an invalid packing")
         assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
 
     def test_rows_follow_input_order(self, tmp_path):

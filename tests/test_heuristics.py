@@ -23,7 +23,7 @@ from concavebp import (
     verify_packing,
     weight,
 )
-from concavebp.heuristics import _integer_sizes, _is_pi_minus_one, _ordered_indices
+from concavebp.heuristics import _is_pi_minus_one, _ordered_indices
 from conftest import brute_force_matching, random_consecutive_packing, random_instance
 
 ORDERS = ("increasing", "decreasing", "given")
@@ -234,7 +234,7 @@ class TestFitMatchesReference:
     def test_coprime_denominators_fill_bins_exactly(self, fast, reference):
         sizes = [Fraction(1, 7)] * 7 + [Fraction(1, 11)] * 11 + [Fraction(1, 13)] * 13
         inst = Instance.from_values(sizes)
-        assert _integer_sizes(inst)[1] == 7 * 11 * 13
+        assert inst.scale == 7 * 11 * 13
         assert_same_bins(fast, reference, inst)
 
 

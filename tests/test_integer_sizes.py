@@ -1,0 +1,368 @@
+"""Differential tests: the integer-size code paths against the Fraction
+bodies they replaced.
+
+Each reference below is the earlier implementation, changed only so that it
+can be called from here (a new name; the queue fill lifted out of
+``round_solution``): it sums, compares and indexes exact ``Fraction`` sizes.
+The integer versions (sizes scaled by ``Instance.scale``) must return
+exactly the same values, down to the text of a violation.
+"""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from concavebp import (
+    FractionalPacking,
+    Instance,
+    Packing,
+    build_staircase,
+    fnfi,
+    linear_grouping,
+    main_window,
+    split_small,
+)
+from concavebp.afptas import _place_large
+from concavebp.core import Violation, _verify_integral, to_size
+from concavebp.errors import InvariantError
+from concavebp.structures import (
+    Configuration,
+    ExtendedConfiguration,
+    SmallSplit,
+    Window,
+    check_eps,
+    enumerate_configurations,
+    main_windows,
+)
+from conftest import random_concave_cost, random_instance
+
+# three pairwise coprime denominators near 2**21: their LCM exceeds 2**60
+PRIMES = (2097143, 2097133, 2097131)
+
+
+# -- references -----------------------------------------------------------------
+
+
+def reference_from_values(values) -> tuple[Fraction, ...]:
+    sizes = sorted((to_size(v) for v in values), reverse=True)
+    for s in sizes:
+        if s < 0 or s > 1:
+            raise ValueError(f"item size {s} outside [0, 1]")
+    return tuple(sizes)
+
+
+def reference_fnfi(inst: Instance) -> FractionalPacking:
+    n = inst.n
+    bins: list[list[tuple[int, Fraction]]] = []
+    if n == 0:
+        return FractionalPacking.from_bins(bins, ())
+    cur: list[tuple[int, Fraction]] = []
+    room = Fraction(1)
+    for i in range(n - 1, -1, -1):  # non-decreasing size order
+        size = inst.sizes[i]
+        remaining = Fraction(1)  # fraction of item i still unplaced
+        while remaining > 0:
+            take_size = remaining * size
+            if take_size <= room:
+                cur.append((i, remaining))
+                room -= take_size
+                remaining = Fraction(0)
+                if room == 0:
+                    bins.append(cur)
+                    cur = []
+                    room = Fraction(1)
+            else:
+                placed = room / size  # size > 0 here, else take_size == 0 <= room
+                cur.append((i, placed))
+                remaining -= placed
+                bins.append(cur)
+                cur = []
+                room = Fraction(1)
+    if cur:
+        bins.append(cur)
+    return FractionalPacking.from_bins(bins, range(n))
+
+
+def reference_verify_integral(inst: Instance, p: Packing) -> list[Violation]:
+    out: list[Violation] = []
+    seen: dict[int, int] = {}
+    for b_idx, b in enumerate(p.bins):
+        total = Fraction(0)
+        for i in b:
+            if not 0 <= i < inst.n:
+                out.append(Violation("unknown-item", b_idx, f"item {i} not in instance"))
+                continue
+            if i in seen:
+                out.append(
+                    Violation("duplicate", b_idx, f"item {i} also in bin {seen[i]}")
+                )
+            else:
+                seen[i] = b_idx
+            total += inst.sizes[i]
+            if i not in p.items:
+                out.append(
+                    Violation("unexpected-item", b_idx, f"item {i} not in declared set")
+                )
+        if total > 1:
+            out.append(Violation("overfull", b_idx, f"bin total {total} > 1"))
+    for i in sorted(p.items):
+        if i not in seen:
+            out.append(Violation("missing", None, f"item {i} in no bin"))
+    return out
+
+
+def reference_split_small(inst, eps, h_eps, small) -> SmallSplit:
+    k = check_eps(eps)
+    if h_eps < k or h_eps != int(h_eps):
+        raise ValueError("h_eps must be an integer >= 1/eps")
+    bound = Fraction(1 + h_eps)
+    total = Fraction(0)
+    cut = 0  # number of suffix items taken
+    for pos in range(len(small) - 1, -1, -1):
+        total += inst.sizes[small[pos]]
+        if total > bound:
+            break
+        cut += 1
+    tail = small[len(small) - cut :]
+    kept = small[: len(small) - cut]
+    return SmallSplit(kept, tail, h_eps)
+
+
+def reference_main_window(ext, eps, t_max, staircase) -> Window:
+    free = 1 - ext.config.total_size
+    need = ext.k_p - ext.config.n_items
+    t = 0
+    val = Fraction(1)
+    step = Fraction(eps.denominator, eps.denominator + 1)
+    while t < t_max and val * step >= free:
+        val *= step
+        t += 1
+    a = next(j for j, kj in enumerate(staircase.ks) if kj >= need)
+    return Window(t, a, val, staircase.ks[a])
+
+
+def reference_main_windows(configs, p_max, eps, t_max, staircase) -> set[Window]:
+    by_key: dict[tuple[Fraction, int], Window] = {}
+    for cfg in configs:
+        for p in range(1, p_max + 1):
+            k_p = staircase.ks[p]
+            key = (cfg.total_size, k_p - cfg.n_items)
+            if cfg.n_items <= k_p and key not in by_key:
+                ext = ExtendedConfiguration(cfg, p, k_p)
+                by_key[key] = reference_main_window(ext, eps, t_max, staircase)
+    return set(by_key.values())
+
+
+def reference_place_large(bin_counts, sizes, grouping):
+    """The queue fill of round_solution; returns the bins and the leftover."""
+    bins: list[list[int]] = [[] for _ in bin_counts]
+    queues: dict[Fraction, list[int]] = {v: [] for v in sizes}
+    for i in grouping.l_rest:
+        queues[grouping.rounded_size[i]].append(i)
+    for larges, counts in zip(bins, bin_counts):
+        for v, cnt in zip(sizes, counts):
+            take = queues[v][:cnt]
+            del queues[v][:cnt]
+            larges.extend(take)
+    leftover = {v: q for v, q in queues.items() if q}
+    return bins, leftover
+
+
+# -- inputs -----------------------------------------------------------------------
+
+
+def edge_instances() -> list[Instance]:
+    rng = random.Random(21)
+    coprime = [Fraction(rng.randint(1, p // 3), p) for p in PRIMES for _ in range(5)]
+    return [
+        Instance.from_values([]),
+        Instance.from_values([0, 0, 0]),
+        Instance.from_values([1, 1, 0, 1]),
+        Instance.from_values([1, Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 3)]),
+        Instance.from_values([Fraction(3, 5)] * 7 + [0] * 3),
+        Instance.from_values([Fraction(1, 7)] * 7 + [Fraction(1, 11)] * 11),
+        Instance.from_values(coprime),
+        Instance.from_values(coprime + [1, 0, Fraction(1, 2)]),
+    ]
+
+
+def seeded_instances(count: int = 60) -> list[Instance]:
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        out.append(
+            random_instance(rng, max_n=60, denominators=(16, 64, 1000, 997), allow_zero=True)
+        )
+    return out + edge_instances()
+
+
+# -- tests --------------------------------------------------------------------------
+
+
+class TestInstanceScale:
+    def test_from_values_matches_reference(self):
+        rng = random.Random(5)
+        for inst in seeded_instances():
+            values = list(inst.sizes)
+            rng.shuffle(values)
+            built = Instance.from_values(values)
+            assert built.sizes == reference_from_values(values)
+            plain = Instance(built.sizes)  # scale and int_sizes computed lazily
+            assert (built.scale, built.int_sizes) == (plain.scale, plain.int_sizes)
+            assert built.scale == math.lcm(*(s.denominator for s in built.sizes))
+            assert all(v == s * built.scale for v, s in zip(built.int_sizes, built.sizes))
+
+    def test_same_first_error_as_reference(self):
+        cases = [
+            ["1/2", "3/2", "5/4"],
+            ["-1/2", "-1/3", "1/2"],
+            ["-1/3", "7/6", "1/2"],
+            [1.5, "1/4"],
+            ["-0.25", 0],
+            [Fraction(-1, PRIMES[0]), Fraction(PRIMES[1] + 1, PRIMES[1])],
+        ]
+        for values in cases:
+            with pytest.raises(ValueError) as expected:
+                reference_from_values(values)
+            with pytest.raises(ValueError) as got:
+                Instance.from_values(values)
+            assert str(got.value) == str(expected.value)
+
+    def test_cached_values_stay_out_of_equality_hash_and_repr(self):
+        inst = Instance.from_values(["1/2", "1/3", "1/4"])
+        plain = Instance(inst.sizes)
+        assert inst.scale == 12 and inst.int_sizes == (6, 4, 3)
+        assert inst == plain and hash(inst) == hash(plain) and repr(inst) == repr(plain)
+        assert repr(inst) == f"Instance(sizes={inst.sizes!r})"
+
+
+class TestFnfiMatchesReference:
+    def test_seeded_and_edge_instances(self):
+        for inst in seeded_instances():
+            got = fnfi(inst)
+            assert got == reference_fnfi(inst)
+            assert all(type(fr) is Fraction for b in got.bins for _, fr in b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=40))
+def test_fnfi_matches_reference_property(values):
+    inst = Instance.from_values(values)
+    assert fnfi(inst) == reference_fnfi(inst)
+
+
+class TestVerifyIntegralMatchesReference:
+    def test_overfull_bin_text(self):
+        inst = Instance.from_values([Fraction(3, 5), Fraction(3, 5), Fraction(1, PRIMES[0])])
+        p = Packing.from_bins([[0, 1], [2]], range(3))
+        got = _verify_integral(inst, p)
+        assert got == reference_verify_integral(inst, p)
+        assert got == [Violation("overfull", 0, "bin total 6/5 > 1")]
+        q = Packing.from_bins([[0, 2], [1]], range(3))
+        assert _verify_integral(inst, q) == []
+
+    def test_random_packings(self):
+        for seed, inst in enumerate(seeded_instances()):
+            rng = random.Random(1000 + seed)
+            for _ in range(8):
+                n_bins = rng.randint(1, max(1, inst.n))
+                bins: list[list[int]] = [[] for _ in range(n_bins)]
+                for i in range(-1, inst.n + 2):
+                    # unknown items, duplicates and missing items included
+                    for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                        bins[rng.randrange(n_bins)].append(i)
+                declared = {i for i in range(inst.n) if rng.random() < 0.95}
+                p = Packing(tuple(tuple(b) for b in bins), frozenset(declared))
+                assert _verify_integral(inst, p) == reference_verify_integral(inst, p)
+
+
+class TestLinearGroupingLargeItems:
+    def test_large_items_are_the_sizes_at_least_eps(self):
+        edge = Instance.from_values([Fraction(1, 3), Fraction(333, 1000), Fraction(1, 4), Fraction(1, 6)])
+        for inst in seeded_instances() + [edge]:
+            for k in (3, 4, 6):
+                eps = Fraction(1, k)
+                expected = tuple(i for i, s in enumerate(inst.sizes) if s >= eps)
+                assert linear_grouping(inst, eps).large == expected
+
+
+class TestSplitSmallMatchesReference:
+    def test_seeded_and_edge_instances(self):
+        for inst in seeded_instances():
+            for k in (3, 4, 6):
+                eps = Fraction(1, k)
+                small = tuple(i for i, s in enumerate(inst.sizes) if s < eps)
+                for h_eps in (k, k + 1, 2 * k, 7 * k):
+                    got = split_small(inst, eps, h_eps, small)
+                    assert got == reference_split_small(inst, eps, h_eps, small)
+
+
+class TestMainWindowMatchesReference:
+    def test_seeded_configurations(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            k = rng.choice([3, 4, 5])
+            eps = Fraction(1, k)
+            n = rng.randint(k + 1, 60)
+            stair = build_staircase(random_concave_cost(rng, n), eps, n)
+            denom = rng.choice((60, 1000, PRIMES[seed % 3]))
+            sizes = sorted(
+                {Fraction(rng.randint(denom // 5, denom), denom) for _ in range(rng.randint(1, 5))},
+                reverse=True,
+            )
+            mult = [rng.randint(1, 4) for _ in sizes]
+            configs = enumerate_configurations(sizes, mult, k)
+            configs.append(Configuration((0,) * len(sizes), Fraction(1), k))  # no free space
+            for p_max in (1, stair.ell):
+                for t_max in (-1, 0, 2, 7, 30):
+                    for cfg in configs:
+                        for p in range(1, p_max + 1):
+                            if cfg.n_items <= stair.ks[p]:
+                                ext = ExtendedConfiguration(cfg, p, stair.ks[p])
+                                assert main_window(ext, eps, t_max, stair) == (
+                                    reference_main_window(ext, eps, t_max, stair)
+                                )
+                    got = main_windows(configs, p_max, eps, t_max, stair)
+                    expected = reference_main_windows(configs, p_max, eps, t_max, stair)
+                    assert got == expected
+                    assert list(got) == list(expected)  # same iteration order too
+
+
+class TestPlaceLargeMatchesReference:
+    def test_seeded_groupings(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            eps = Fraction(1, 3)
+            n_large = rng.choice((5, 30, 60, 120))
+            sizes = [Fraction(rng.randint(334, 1000), 1000) for _ in range(n_large)]
+            sizes += [Fraction(rng.randint(0, 300), 1000) for _ in range(rng.randint(0, 20))]
+            inst = Instance.from_values(sizes)
+            grouping = linear_grouping(inst, eps)
+            by_size: dict[Fraction, int] = {}
+            for i in grouping.l_rest:
+                v = grouping.rounded_size[i]
+                by_size[v] = by_size.get(v, 0) + 1
+            rounded = tuple(sorted(by_size, reverse=True))
+            # deal the items of each size over random bins; then perturb
+            bin_counts = [[0] * len(rounded) for _ in range(rng.randint(1, 40))]
+            for j, v in enumerate(rounded):
+                for _ in range(by_size[v]):
+                    bin_counts[rng.randrange(len(bin_counts))][j] += 1
+            if seed % 4 == 1:  # a bin asks for more items than remain
+                bin_counts[-1][0] += 2
+            if seed % 4 == 2:  # one item left over
+                c = rng.choice([c for c in bin_counts if any(c)])
+                c[rng.choice([j for j, x in enumerate(c) if x])] -= 1
+            if seed % 4 == 3:  # a bin's items of the smallest size left over
+                bin_counts[rng.randrange(len(bin_counts))][-1] = 0
+            counts = [tuple(c) for c in bin_counts]
+            expected, leftover = reference_place_large(counts, rounded, grouping)
+            if leftover:
+                with pytest.raises(InvariantError) as err:
+                    _place_large(counts, rounded, grouping)
+                assert str(err.value) == f"unplaced large items: {leftover}"
+            else:
+                assert _place_large(counts, rounded, grouping) == expected
