@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     Packing,
     eval_cost,
     verify_packing,
+    violation_lines,
 )
 from .errors import InvariantError
 from .fractional import fnfi_with_split_repair
@@ -117,8 +119,8 @@ def _singleton_result(inst: Instance, f: CostFunction, eps: Fraction) -> AfptasR
 def _compute_h(
     inst: Instance,
     eps: Fraction,
-    sizes: list[Fraction],
-    mult: list[int],
+    sizes: tuple[Fraction, ...],
+    mult: tuple[int, ...],
     staircase: Staircase,
     small: tuple[int, ...],
     budget: int,
@@ -140,32 +142,15 @@ def _compute_h(
     return k * (len(sizes) + 2 * len(mains) + 1)
 
 
-def _h_set(inst: Instance, grouping: GroupingResult) -> tuple[list[Fraction], list[int]]:
-    """Distinct rounded large sizes (descending) with multiplicities."""
-    by_size: dict[Fraction, int] = {}
-    for i in grouping.l_rest:
-        v = grouping.rounded_size[i]
-        by_size[v] = by_size.get(v, 0) + 1
-    sizes = sorted(by_size, reverse=True)
-    return sizes, [by_size[v] for v in sizes]
-
-
-def _place_large(
-    bin_counts: list[tuple[int, ...]],
-    sizes: tuple[Fraction, ...],
-    grouping: GroupingResult,
-) -> list[list[int]]:
+def _place_large(bin_counts: list[tuple[int, ...]], grouping: GroupingResult) -> list[list[int]]:
     """Original large items per bin.
 
-    A bin whose configuration counts ``c`` copies of the j-th rounded size
-    ``sizes[j]`` takes the next ``c`` items rounded to that size, so the
-    originals replace their rounded stand-ins.  Every item must be placed.
+    A bin whose configuration counts ``c`` copies of size type j takes the
+    next ``c`` items of that type, so the originals replace their rounded
+    stand-ins.  Every item must be placed.
     """
-    position = {v: j for j, v in enumerate(sizes)}
-    queues: list[list[int]] = [[] for _ in sizes]
-    for i in grouping.l_rest:
-        queues[position[grouping.rounded_size[i]]].append(i)
-    heads = [0] * len(sizes)
+    bounds = list(accumulate(grouping.demands, initial=len(grouping.l1)))
+    heads, ends = bounds[:-1], bounds[1:]
     nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     out: list[list[int]] = []
     for counts in bin_counts:
@@ -174,10 +159,10 @@ def _place_large(
         larges: list[int] = []
         for j, c in nonzero[counts]:
             head = heads[j]
-            larges.extend(queues[j][head : head + c])
+            larges.extend(range(head, min(head + c, ends[j])))
             heads[j] = head + c
         out.append(larges)
-    leftover = {sizes[j]: q[h:] for j, (q, h) in enumerate(zip(queues, heads)) if h < len(q)}
+    leftover = {v: list(range(h, e)) for v, h, e in zip(grouping.sizes, heads, ends) if h < e}
     if leftover:
         raise InvariantError(f"unplaced large items: {leftover}")
     return out
@@ -212,7 +197,7 @@ def round_solution(
     sizes, scale = inst.int_sizes, inst.scale
 
     x_hat: list[tuple[GeneralizedConfiguration, int]] = []
-    for gc in sorted(basic.x, key=model.column_key):
+    for gc in sorted(basic.x):
         val = basic.x[gc]
         if val > 1e-7:
             x_hat.append((gc, math.ceil(val - 1e-7)))
@@ -226,7 +211,7 @@ def round_solution(
             self.smalls: list[int] = []
 
     bin_gcs = [gc for gc, copies in x_hat for _ in range(copies)]
-    placed = _place_large([gc.ext.config.counts for gc in bin_gcs], model.sizes, grouping)
+    placed = _place_large([gc.ext.config.counts for gc in bin_gcs], grouping)
     bins = [_Bin(gc, larges) for gc, larges in zip(bin_gcs, placed)]
 
     # small items: integral window assignment or a dedicated bin
@@ -378,7 +363,7 @@ def run_afptas(
 
     staircase = build_staircase(f, eps, n)
     prov.ell = staircase.ell
-    sizes, mult = _h_set(inst, grouping)
+    sizes, mult = grouping.sizes, grouping.demands
 
     if small:
         if h_eps is None:
@@ -406,7 +391,7 @@ def run_afptas(
 
     kept = split.kept
     prov.h_set_size = len(sizes)
-    prov.i2_sizes = [str(grouping.rounded_size[i]) for i in grouping.l_rest] + [
+    prov.i2_sizes = [str(v) for v, d in zip(sizes, mult) for _ in range(d)] + [
         str(inst.sizes[i]) for i in kept
     ]
 
@@ -435,8 +420,8 @@ def run_afptas(
         prov.n_main_windows = len(w_prime)
 
         model = LpModel(
-            sizes=tuple(sizes),
-            demands=tuple(mult),
+            sizes=sizes,
+            demands=mult,
             smalls=tuple(SmallItem(i, inst.sizes[i]) for i in kept),
             windows=tuple(windows),
             staircase=staircase,
@@ -487,7 +472,8 @@ def run_afptas(
     packing = Packing.from_bins(bins_out, range(n))
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
-        raise InvariantError(f"scheme produced an invalid packing: {verdict.violations[:3]}")
+        lines = "; ".join(violation_lines(verdict)[:3])
+        raise InvariantError(f"scheme produced an invalid packing: {lines}")
     prov.total_bins = packing.num_bins
     prov.total_cost = eval_cost(f, packing)
     return AfptasResult(packing, prov)

@@ -1,7 +1,8 @@
 """Command-line surface: solve, verify, gen, compare.
 
 Exit codes: 0 success, 2 malformed or unreadable input (including a
-``--config-budget`` below 1 and a negative ``--exact-limit``), 3 infeasible
+``--config-budget`` below 1, a negative ``--exact-limit`` and a cost table
+that ``afptas`` cannot normalize, such as an all-zero one), 3 infeasible
 or failed verification (including a claimed cost that does not match, an
 infeasible master program, a numerical failure of the LP solver or a broken
 invariant of the scheme), 4 solver limit exceeded.  Every failure is
@@ -36,6 +37,7 @@ from .core import (
     eval_cost,
     eval_fractional_cost,
     verify_packing,
+    violation_lines,
 )
 from .errors import (
     InfeasibleMasterError,
@@ -102,7 +104,10 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
         if eps is None:
             raise ParseError("afptas needs --eps")
         kwargs = {} if config_budget is None else {"config_budget": config_budget}
-        result = run_afptas(inst, f, eps, **kwargs)
+        try:
+            result = run_afptas(inst, f, eps, **kwargs)
+        except ValueError as exc:  # input the scheme rejects, e.g. an all-zero table
+            raise ParseError(str(exc)) from exc
         return result.packing, eval_cost(f, result.packing), result.provenance
     raise ParseError(f"unknown algorithm {name!r}")
 
@@ -118,17 +123,8 @@ def _over_all_items(inst, packing):
     return replace(packing, items=frozenset(range(inst.n)))
 
 
-def _violation_lines(verdict) -> list[str]:
-    """One ``kind (bin i): detail`` line per violation."""
-    lines = []
-    for v in verdict.violations:
-        where = f" (bin {v.where})" if v.where is not None else ""
-        lines.append(f"{v.kind}{where}: {v.detail}")
-    return lines
-
-
 def _verification_failure(verdict) -> str:
-    return "solver output failed verification: " + "; ".join(_violation_lines(verdict)[:3])
+    return "solver output failed verification: " + "; ".join(violation_lines(verdict)[:3])
 
 
 def cmd_solve(args) -> int:
@@ -181,7 +177,7 @@ def cmd_verify(args) -> int:
         recomputed = eval_cost(f, packing)
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
-        for line in _violation_lines(verdict):
+        for line in violation_lines(verdict):
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     if not abs(recomputed - sol["cost"]) <= COST_TOL:  # also rejects a claimed NaN

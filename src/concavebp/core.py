@@ -314,6 +314,15 @@ def _verify_fractional(inst: Instance, p: FractionalPacking) -> list[Violation]:
     return out
 
 
+def violation_lines(verdict: Verdict) -> list[str]:
+    """One ``kind (bin i): detail`` line per violation."""
+    lines = []
+    for v in verdict.violations:
+        where = f" (bin {v.where})" if v.where is not None else ""
+        lines.append(f"{v.kind}{where}: {v.detail}")
+    return lines
+
+
 def verify_packing(inst: Instance, p: Union[Packing, FractionalPacking]) -> Verdict:
     """Check every packing invariant with exact arithmetic; report all failures."""
     if isinstance(p, Packing):

@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CostFunction
-from .errors import InfeasibleMasterError, NumericalFailureError, SolverLimitError
+from .errors import (
+    InfeasibleMasterError,
+    InvariantError,
+    NumericalFailureError,
+    SolverLimitError,
+)
 from .pricing import PricingOutcome, price_all
 from .simplex import FEAS_TOL, Label, LpResult, solve_lp
 from .structures import (
@@ -51,7 +56,7 @@ class LpModel:
     f: CostFunction
 
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
-    _column_keys: set = field(default_factory=set)
+    _column_set: set[GeneralizedConfiguration] = field(default_factory=set)
     y_pairs: list[tuple[int, Window]] = field(default_factory=list)
     main_windows: set[Window] = field(default_factory=set)
 
@@ -64,14 +69,10 @@ class LpModel:
                     self.y_pairs.append((si, w))
 
     # -- column handling -------------------------------------------------
-    def column_key(self, gc: GeneralizedConfiguration):
-        return (gc.ext.config.counts, gc.ext.p, gc.window)
-
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
-        key = self.column_key(gc)
-        if key in self._column_keys:
+        if gc in self._column_set:
             return False
-        self._column_keys.add(key)
+        self._column_set.add(gc)
         self.columns.append(gc)
         return True
 
@@ -244,7 +245,8 @@ def column_generation(
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
         sol, basis = solve_master(model, basis)
-        assert dual_objective(model, sol) <= sol.objective + 1e-6, "weak duality violated"
+        if not dual_objective(model, sol) <= sol.objective + 1e-6:
+            raise InvariantError("weak duality violated")
         outcome = pricer(sol.alpha, sol.gamma, sol.delta, model, kcc_eps)
         if outcome.max_certified_ratio <= one_plus:
             info = ColumnGenerationInfo(
@@ -286,11 +288,12 @@ def project_to_main_windows(
     for (si, w), val in sol.y.items():
         if w in b_w and val > 0:
             y_by_window.setdefault(w, []).append((si, val))
-    for gc, val in sorted(sol.x.items(), key=lambda kv: model.column_key(kv[0])):
+    for gc, val in sorted(sol.x.items()):
         if gc.window in w_prime or val <= 0:
             continue
         target_w = main_window(gc.ext, model.eps, model.t_max, model.staircase)
-        assert target_w in w_prime
+        if target_w not in w_prime:
+            raise InvariantError(f"main window {target_w} of a column is not canonical")
         target = GeneralizedConfiguration(gc.ext, target_w)
         model.add_column(target)
         x[target] = x.get(target, 0.0) + val
@@ -370,16 +373,18 @@ def dual_objective(model: LpModel, sol: LpSolution) -> float:
 
 def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> None:
     """Re-check every covering and window row of the full model against a
-    solution dictionary; raises AssertionError on violation."""
+    solution dictionary; raises InvariantError on violation."""
     for v, d in zip(model.sizes, model.demands):
         got = sum(
             gc.ext.config.counts[model.sizes.index(v)] * val
             for gc, val in sol.x.items()
         )
-        assert got >= d - tol, f"size row {v} violated: {got} < {d}"
+        if not got >= d - tol:
+            raise InvariantError(f"size row {v} violated: {got} < {d}")
     for it in model.smalls:
         got = sum(val for (si, _w), val in sol.y.items() if model.smalls[si].index == it.index)
-        assert got >= 1 - tol, f"item row {it.index} violated"
+        if not got >= 1 - tol:
+            raise InvariantError(f"item row {it.index} violated")
     for w in model.windows:
         xw = sum(val for gc, val in sol.x.items() if gc.window == w)
         ys = sum(
@@ -388,5 +393,7 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
             if ww == w
         )
         yc = sum(val for (si, ww), val in sol.y.items() if ww == w)
-        assert float(w.w) * xw >= ys - tol, f"window size row {w} violated"
-        assert w.kappa * xw >= yc - tol, f"window count row {w} violated"
+        if not float(w.w) * xw >= ys - tol:
+            raise InvariantError(f"window size row {w} violated")
+        if not w.kappa * xw >= yc - tol:
+            raise InvariantError(f"window count row {w} violated")

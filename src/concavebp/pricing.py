@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import InvariantError
 from .structures import (
     Configuration,
     ExtendedConfiguration,
@@ -210,6 +211,7 @@ def price_all(
                 config = Configuration(counts, total, sum(counts))
                 ext = ExtendedConfiguration(config, p, k_p)
                 mw = main_window(ext, model.eps, model.t_max, stair)
-                assert mw.dominates(window), "priced column must be valid"
+                if not mw.dominates(window):
+                    raise InvariantError("priced column must be valid")
                 found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))
     return PricingOutcome(tuple(found), max_ratio, max_certified)

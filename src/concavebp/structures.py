@@ -3,7 +3,7 @@ staircase of the cost table, windows, and bin configurations."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,19 +24,22 @@ class GroupingResult:
     """Outcome of size rounding on the large items (indices into the instance).
 
     ``l1`` is the class of largest items, packed one per bin and never
-    rounded.  Every other large item gets ``rounded_size[i] >= size[i]``, the
-    maximum of its class.  ``classes`` lists the groups largest-first.
+    rounded.  Every other large item is rounded up to the maximum of its
+    class; the distinct rounded sizes are the size types, ``sizes``
+    (descending) with ``demands`` items each.  The instance is sorted, so
+    type j is the next ``demands[j]`` item indices after ``l1``.
+    ``classes`` lists the groups largest-first.
     """
 
     large: tuple[int, ...]
     l1: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    rounded_size: dict[int, Fraction]
+    sizes: tuple[Fraction, ...]
+    demands: tuple[int, ...]
 
     @property
     def l_rest(self) -> tuple[int, ...]:
-        l1 = set(self.l1)
-        return tuple(i for i in self.large if i not in l1)
+        return self.large[len(self.l1) :]
 
 
 def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
@@ -44,35 +47,34 @@ def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
     class (except the first) up to its maximum size.
 
     Below 1/eps^3 large items, every item forms its own class and no rounding
-    happens.
+    happens.  The sizes must be non-increasing, as ``Instance.from_values``
+    sorts them.
     """
     k = check_eps(eps)
-    scale = inst.scale
-    large = tuple(i for i, s in enumerate(inst.int_sizes) if s * k >= scale)  # s >= 1/k
+    ints = inst.int_sizes
+    if any(a < b for a, b in zip(ints, ints[1:])):
+        raise ValueError("instance sizes must be non-increasing; use Instance.from_values")
+    large = tuple(i for i, s in enumerate(ints) if s * k >= inst.scale)  # s >= 1/k
     m = k**3
     if len(large) < m:
-        classes = tuple((i,) for i in large)
-        rounded = {i: inst.sizes[i] for i in large}
-        return GroupingResult(large, (), classes, rounded)
-    count = len(large)
-    base, extra = divmod(count, m)
-    # first `extra` classes get the larger size; class sizes are non-increasing
-    classes: list[tuple[int, ...]] = []
-    pos = 0
-    for j in range(m):
-        width = base + (1 if j < extra else 0)
-        classes.append(large[pos : pos + width])
-        pos += width
-    rounded: dict[int, Fraction] = {}
-    for j, cls in enumerate(classes):
-        if j == 0:
-            for i in cls:
-                rounded[i] = inst.sizes[i]
-        else:
-            top = inst.sizes[cls[0]]  # class maximum: items sorted non-increasing
-            for i in cls:
-                rounded[i] = top
-    return GroupingResult(large, classes[0], tuple(classes), rounded)
+        l1, classes = (), tuple((i,) for i in large)
+    else:
+        base, extra = divmod(len(large), m)
+        # first `extra` classes get the larger size; class sizes are non-increasing
+        grouped: list[tuple[int, ...]] = []
+        pos = 0
+        for j in range(m):
+            width = base + (1 if j < extra else 0)
+            grouped.append(large[pos : pos + width])
+            pos += width
+        l1, classes = grouped[0], tuple(grouped)
+    # every class but l1 rounds to its first (largest) item; classes with the
+    # same maximum share a type
+    demand: dict[Fraction, int] = {}
+    for cls in classes[len(l1) > 0 :]:
+        top = inst.sizes[cls[0]]
+        demand[top] = demand.get(top, 0) + len(cls)
+    return GroupingResult(large, l1, classes, tuple(demand), tuple(demand.values()))
 
 
 @dataclass(frozen=True)
@@ -129,42 +131,34 @@ def build_staircase(f: CostFunction, eps: Fraction, n: int) -> Staircase:
     k = check_eps(eps)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= k:
-        ks = list(range(n + 1))
-        return Staircase(tuple(ks), tuple(f.value(q) for q in ks))
-    ks = list(range(k + 1))
+    vals = f.values
+    last = len(vals) - 1  # f(q) = vals[min(q, last)]: flat beyond the table
+    stop = min(n, last)
+    ks = list(range(min(n, k) + 1))
     grow = 1.0 + 1.0 / k
     while ks[-1] < n:
         cur = ks[-1]
-        bound = grow * f.value(cur) + 1e-12
+        bound = grow * vals[min(cur, last)] + 1e-12
         # cur + 1 always qualifies (concavity); extend as far as possible
         t = cur + 1
-        while t < n and f.value(t + 1) <= bound:
+        while t < stop and vals[t + 1] <= bound:
             t += 1
+        if last <= t < n and vals[last] <= bound:
+            t = n  # every later value is vals[last]
         ks.append(t)
-    return Staircase(tuple(ks), tuple(f.value(q) for q in ks))
+    return Staircase(tuple(ks), tuple(vals[min(q, last)] for q in ks))
 
 
 @dataclass(frozen=True, order=True)
 class Window:
     """Reserved room for small items in a bin: a size bound that is a power
-    of 1/(1+eps), and a count bound that is a staircase breakpoint."""
+    of 1/(1+eps), and a count bound that is a staircase breakpoint.  The pair
+    (t, a) fixes the window; equality, order and hash look at it only."""
 
     t: int  # size = (1+eps) ** -t
     a: int  # count bound = staircase ks[a]
-    w: Fraction
-    kappa: int
-
-    def __hash__(self) -> int:
-        # the hash a frozen dataclass computes, kept after the first call:
-        # windows key the master's rows and duals, and hashing the Fraction
-        # size anew on every lookup is costly
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.t, self.a, self.w, self.kappa))
-            object.__setattr__(self, "_hash", h)
-            return h
+    w: Fraction = field(compare=False)
+    kappa: int = field(compare=False)
 
     def dominates(self, other: "Window") -> bool:
         return self.w >= other.w and self.kappa >= other.kappa
@@ -202,27 +196,30 @@ def build_windows(eps: Fraction, s_min_small: Fraction, staircase: Staircase) ->
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Configuration:
     """Multiset of rounded large sizes fitting one bin; counts align with the
-    (descending) size list of the enumeration."""
+    (descending) size list of the enumeration, and fix the other fields."""
 
     counts: tuple[int, ...]
-    total_size: Fraction
-    n_items: int
+    total_size: Fraction = field(compare=False)
+    n_items: int = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExtendedConfiguration:
     """A configuration plus the staircase index p of the cost it will pay."""
 
     config: Configuration
     p: int
-    k_p: int
+    k_p: int = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GeneralizedConfiguration:
+    """A column of the master: equal, ordered and hashed by
+    (counts, p, t, a)."""
+
     ext: ExtendedConfiguration
     window: Window
 

@@ -99,7 +99,23 @@ class TestRunBasics:
             capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("scheme produced an invalid packing: (Violation(")
+        assert done.stdout.startswith(
+            "scheme produced an invalid packing: overfull (bin 0): forced"
+        )
+
+    def test_unsorted_instance_fails_before_any_program(self, monkeypatch):
+        # the size types are index ranges of the sorted instance; an unsorted
+        # one must be refused up front, not end in an invalid packing
+        rng = random.Random(3)
+        sizes = [Fraction(rng.randint(400, 1000), 1000) for _ in range(60)]
+        sizes += [Fraction(rng.randint(1, 200), 1000) for _ in range(240)]
+        rng.shuffle(sizes)
+        called = []
+        for name in ("enumerate_configurations", "column_generation", "fnfi_with_split_repair"):
+            monkeypatch.setattr(f"concavebp.afptas.{name}", lambda *a, **kw: called.append(a))
+        with pytest.raises(ValueError, match="Instance.from_values"):
+            run_afptas(Instance(tuple(sizes)), make_fq(3, 300), Fraction(1, 3))
+        assert called == []
 
     def test_largest_class_goes_to_singletons(self):
         sizes = [Fraction(500 + i, 1400) for i in range(30)]

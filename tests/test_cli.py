@@ -206,6 +206,20 @@ class TestSolve:
         rows = json.loads(out.read_text())
         assert len(rows) == 1 and rows[0]["error"]
 
+    @pytest.mark.parametrize("spec", ["table:0,0,0", "table:0,0"])
+    def test_all_zero_table_is_input_error_for_afptas(self, tmp_path, capsys, spec):
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
+        code = main(["solve", str(path), "--alg", "afptas", "--cost", spec, "--eps", "1/3",
+                     "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+        assert not (tmp_path / "x.sol").exists()
+        out = tmp_path / "r.json"
+        assert main(["compare", "--instances", str(path), "--algs", "afptas",
+                     "--costs", spec, "--eps", "1/3", "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert rows[0]["error"] == "cost table must be normalized (f(1) = 1)"
+
     @pytest.mark.parametrize("kind", ["zero-denominator", "directory"])
     def test_unreadable_instance_is_input_error(self, tmp_path, capsys, kind):
         path = tmp_path / "x.inst"

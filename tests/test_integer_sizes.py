@@ -3,7 +3,9 @@ bodies they replaced.
 
 Each reference below is the earlier implementation, changed only so that it
 can be called from here (a new name; the queue fill lifted out of
-``round_solution``): it sums, compares and indexes exact ``Fraction`` sizes.
+``round_solution``; the per-item rounded sizes and their distinct values,
+which ``linear_grouping`` now hands out as size types): it sums, compares
+and indexes exact ``Fraction`` sizes.
 The integer versions (sizes scaled by ``Instance.scale``) must return
 exactly the same values, down to the text of a violation.
 """
@@ -156,12 +158,34 @@ def reference_main_windows(configs, p_max, eps, t_max, staircase) -> set[Window]
     return set(by_key.values())
 
 
-def reference_place_large(bin_counts, sizes, grouping):
+def reference_rounded_size(inst: Instance, grouping) -> dict[int, Fraction]:
+    """The per-item rounded sizes of the earlier ``linear_grouping``: the
+    first class keeps its sizes once it is ``l1``, every other class takes
+    its maximum."""
+    rounded: dict[int, Fraction] = {}
+    for j, cls in enumerate(grouping.classes):
+        top = max(inst.sizes[i] for i in cls)
+        for i in cls:
+            rounded[i] = inst.sizes[i] if j == 0 and grouping.l1 else top
+    return rounded
+
+
+def reference_h_set(rounded, grouping) -> tuple[list[Fraction], list[int]]:
+    """Distinct rounded large sizes (descending) with multiplicities."""
+    by_size: dict[Fraction, int] = {}
+    for i in grouping.l_rest:
+        v = rounded[i]
+        by_size[v] = by_size.get(v, 0) + 1
+    sizes = sorted(by_size, reverse=True)
+    return sizes, [by_size[v] for v in sizes]
+
+
+def reference_place_large(bin_counts, sizes, rounded, grouping):
     """The queue fill of round_solution; returns the bins and the leftover."""
     bins: list[list[int]] = [[] for _ in bin_counts]
     queues: dict[Fraction, list[int]] = {v: [] for v in sizes}
     for i in grouping.l_rest:
-        queues[grouping.rounded_size[i]].append(i)
+        queues[rounded[i]].append(i)
     for larges, counts in zip(bins, bin_counts):
         for v, cnt in zip(sizes, counts):
             take = queues[v][:cnt]
@@ -331,6 +355,28 @@ class TestMainWindowMatchesReference:
                     assert list(got) == list(expected)  # same iteration order too
 
 
+class TestSizeTypesMatchReference:
+    def test_seeded_instances(self):
+        for inst in seeded_instances():
+            for k in (3, 4):
+                grouping = linear_grouping(inst, Fraction(1, k))
+                rounded = reference_rounded_size(inst, grouping)
+                sizes, demands = reference_h_set(rounded, grouping)
+                assert grouping.sizes == tuple(sizes)
+                assert grouping.demands == tuple(demands)
+                # type j is the next demands[j] indices after l1
+                pos = len(grouping.l1)
+                for v, d in zip(grouping.sizes, grouping.demands):
+                    assert all(rounded[i] == v for i in range(pos, pos + d))
+                    pos += d
+                assert pos == len(grouping.large)
+
+    def test_unsorted_instance_rejected(self):
+        inst = Instance((Fraction(1, 10), Fraction(1, 2)))
+        with pytest.raises(ValueError, match="Instance.from_values"):
+            linear_grouping(inst, Fraction(1, 3))
+
+
 class TestPlaceLargeMatchesReference:
     def test_seeded_groupings(self):
         for seed in range(40):
@@ -341,15 +387,12 @@ class TestPlaceLargeMatchesReference:
             sizes += [Fraction(rng.randint(0, 300), 1000) for _ in range(rng.randint(0, 20))]
             inst = Instance.from_values(sizes)
             grouping = linear_grouping(inst, eps)
-            by_size: dict[Fraction, int] = {}
-            for i in grouping.l_rest:
-                v = grouping.rounded_size[i]
-                by_size[v] = by_size.get(v, 0) + 1
-            rounded = tuple(sorted(by_size, reverse=True))
+            rounded_size = reference_rounded_size(inst, grouping)
+            rounded, demands = reference_h_set(rounded_size, grouping)
             # deal the items of each size over random bins; then perturb
             bin_counts = [[0] * len(rounded) for _ in range(rng.randint(1, 40))]
-            for j, v in enumerate(rounded):
-                for _ in range(by_size[v]):
+            for j, d in enumerate(demands):
+                for _ in range(d):
                     bin_counts[rng.randrange(len(bin_counts))][j] += 1
             if seed % 4 == 1:  # a bin asks for more items than remain
                 bin_counts[-1][0] += 2
@@ -359,10 +402,10 @@ class TestPlaceLargeMatchesReference:
             if seed % 4 == 3:  # a bin's items of the smallest size left over
                 bin_counts[rng.randrange(len(bin_counts))][-1] = 0
             counts = [tuple(c) for c in bin_counts]
-            expected, leftover = reference_place_large(counts, rounded, grouping)
+            expected, leftover = reference_place_large(counts, rounded, rounded_size, grouping)
             if leftover:
                 with pytest.raises(InvariantError) as err:
-                    _place_large(counts, rounded, grouping)
+                    _place_large(counts, grouping)
                 assert str(err.value) == f"unplaced large items: {leftover}"
             else:
-                assert _place_large(counts, rounded, grouping) == expected
+                assert _place_large(counts, grouping) == expected

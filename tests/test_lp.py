@@ -339,7 +339,7 @@ class TestExtractBasic:
         sol, _ = column_generation(model)
         projected, w_prime = project_to_main_windows(sol, model)
         # blur the solution: split mass across two equivalent columns
-        items = sorted(projected.x.items(), key=lambda kv: model.column_key(kv[0]))
+        items = sorted(projected.x.items())
         gc0, v0 = items[0]
         other = next(
             (gc for gc in model.columns if gc != gc0 and gc.window in w_prime),
@@ -440,3 +440,72 @@ class TestArraysMatchColumnLoop:
         model.seed_columns()
         self._assert_same(model)
         self._assert_same(model, set(model.main_windows))
+
+
+def _seeded_masters(seed, count):
+    """Masters after column generation and projection, with kept smalls."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sizes = sorted(
+            {Fraction(rng.randint(5, 12), 12) for _ in range(rng.randint(1, 3))},
+            reverse=True,
+        )
+        demands = [rng.randint(1, 4) for _ in sizes]
+        smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(0, 4))]
+        model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
+        sol, _ = column_generation(model)
+        projected, _ = project_to_main_windows(sol, model)
+        yield model, projected
+
+
+class TestColumnIdentity:
+    @staticmethod
+    def old_key(gc):
+        """The earlier column key: counts, level, then every window field."""
+        w = gc.window
+        return (gc.ext.config.counts, gc.ext.p, (w.t, w.a, w.w, w.kappa))
+
+    def test_sorted_columns_follow_the_old_key(self):
+        seen = 0
+        for model, projected in _seeded_masters(37, 8):
+            cols = model.columns
+            assert sorted(cols) == sorted(cols, key=self.old_key)
+            assert [gc for gc, _ in sorted(projected.x.items())] == sorted(
+                projected.x, key=self.old_key
+            )
+            for a in cols:
+                for b in cols:
+                    assert (a == b) == (self.old_key(a) == self.old_key(b))
+            seen += len(cols)
+        assert seen > 100
+
+    def test_rebuilt_column_is_a_duplicate(self):
+        model, _ = next(_seeded_masters(41, 1))
+        for gc in list(model.columns):
+            cfg, w = gc.ext.config, gc.window
+            twin = GeneralizedConfiguration(
+                ExtendedConfiguration(
+                    Configuration(tuple(cfg.counts), Fraction(cfg.total_size), cfg.n_items),
+                    gc.ext.p,
+                    gc.ext.k_p,
+                ),
+                type(w)(w.t, w.a, Fraction(w.w), w.kappa),
+            )
+            assert twin == gc and hash(twin) == hash(gc)
+            assert not model.add_column(twin)
+
+    def test_weak_duality_violation_raises(self, monkeypatch):
+        from concavebp.errors import InvariantError
+
+        monkeypatch.setattr("concavebp.lp.dual_objective", lambda model, sol: sol.objective + 1.0)
+        model = build_model(["1/2"], [6], q=4)
+        with pytest.raises(InvariantError, match="weak duality violated"):
+            column_generation(model)
+
+    def test_violated_rows_raise(self):
+        from concavebp.errors import InvariantError
+
+        model, projected = next(_seeded_masters(43, 1))
+        projected.x = {}
+        with pytest.raises(InvariantError, match="size row"):
+            verify_solution_rows(model, projected)

@@ -9,6 +9,7 @@ from concavebp import (
     build_windows,
     linear_grouping,
     main_window,
+    make_cost_function,
     make_fq,
     split_small,
 )
@@ -40,7 +41,7 @@ class TestLinearGrouping:
         inst = Instance.from_values([Fraction(1, 2)] * 5 + [Fraction(1, 10)] * 3)
         g = linear_grouping(inst, Fraction(1, 3))
         assert g.l1 == ()
-        assert all(g.rounded_size[i] == inst.sizes[i] for i in g.large)
+        assert g.sizes == (Fraction(1, 2),) and g.demands == (5,)
         assert len(g.classes) == 5
 
     def test_many_large_items_rounds_to_class_maxima(self):
@@ -50,16 +51,17 @@ class TestLinearGrouping:
         assert len(g.classes) == 27
         assert [len(c) for c in g.classes] == [2] * 27
         assert len(g.l1) == 2
-        for cls in g.classes[1:]:
-            top = max(inst.sizes[i] for i in cls)
-            for i in cls:
-                assert g.rounded_size[i] == top
-                assert g.rounded_size[i] >= inst.sizes[i]
+        # distinct sizes: one type per class after the first, at its maximum
+        assert g.sizes == tuple(max(inst.sizes[i] for i in cls) for cls in g.classes[1:])
+        assert g.demands == (2,) * 26
+        for j, cls in enumerate(g.classes[1:]):
+            assert all(g.sizes[j] >= inst.sizes[i] for i in cls)
 
     def test_equal_sizes_round_to_same_value(self):
         inst = Instance.from_values([Fraction(1, 2)] * 54)
         g = linear_grouping(inst, Fraction(1, 3))
-        assert all(g.rounded_size[i] == Fraction(1, 2) for i in g.l_rest)
+        assert g.sizes == (Fraction(1, 2),)
+        assert g.demands == (len(g.l_rest),) == (52,)
 
     def test_class_sizes_non_increasing_and_l1_bound(self):
         for count in (27, 30, 53, 80):
@@ -137,6 +139,45 @@ class TestStaircase:
                     assert f.value(stair.ks[j + 1] + 1) > grow * f.value(stair.ks[j]) + 1e-12
 
 
+def reference_build_staircase(f, eps, n):
+    """The earlier ``build_staircase``: one ``CostFunction.value`` call per
+    table entry."""
+    k = check_eps(eps)
+    if n <= k:
+        ks = list(range(n + 1))
+        return tuple(ks), tuple(f.value(q) for q in ks)
+    ks = list(range(k + 1))
+    grow = 1.0 + 1.0 / k
+    while ks[-1] < n:
+        cur = ks[-1]
+        bound = grow * f.value(cur) + 1e-12
+        t = cur + 1
+        while t < n and f.value(t + 1) <= bound:
+            t += 1
+        ks.append(t)
+    return tuple(ks), tuple(f.value(q) for q in ks)
+
+
+class TestStaircaseMatchesReference:
+    def test_seeded_tables(self):
+        rng = random.Random(5)
+        for seed in range(200):
+            k = rng.choice([3, 4, 5, 7])
+            n = rng.randint(1, 80)
+            kind = seed % 4
+            if kind == 0:  # a full table
+                f = random_concave_cost(rng, n)
+            elif kind == 1:  # shorter than n: flat beyond its end
+                f = random_concave_cost(rng, rng.randint(1, n))
+            elif kind == 2:  # a short table that flattens early
+                vals = random_concave_cost(rng, rng.randint(1, 6)).values
+                f = make_cost_function(list(vals) + [vals[-1]] * rng.randint(0, 4))
+            else:
+                f = make_fq(rng.randint(1, 12), max(n, 1))
+            stair = build_staircase(f, Fraction(1, k), n)
+            assert (stair.ks, stair.f_at) == reference_build_staircase(f, Fraction(1, k), n)
+
+
 class TestWindows:
     def test_near_one_minimum_gives_two_exponents(self):
         stair = build_staircase(make_fq(1, 10), Fraction(1, 3), 10)
@@ -155,17 +196,20 @@ class TestWindows:
         assert {w.t for w in windows} == {0, 1, 2, 3}
         assert any(w.w == Fraction(9, 16) for w in windows)
 
-    def test_cached_hash_is_the_dataclass_hash(self):
-        # the same value as the generated frozen-dataclass hash, so sets and
-        # dicts of windows keep their iteration order
+    def test_identity_is_t_and_a(self):
+        # (t, a) fixes the size and the count bound, so equality, order and
+        # hash look at the two integers only
         stair = build_staircase(make_fq(2, 20), Fraction(1, 3), 20)
         s_min, _ = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
-        for w in build_windows(Fraction(1, 3), s_min, stair):
-            want = hash((w.t, w.a, w.w, w.kappa))
-            assert hash(w) == want and hash(w) == want
+        windows = build_windows(Fraction(1, 3), s_min, stair)
+        for w in windows:
+            assert hash(w) == hash((w.t, w.a))
             twin = Window(w.t, w.a, Fraction(w.w.numerator, w.w.denominator), w.kappa)
-            assert twin == w and hash(twin) == want
+            assert twin == w and hash(twin) == hash(w)
             assert repr(twin) == repr(w)
+        full = lambda w: (w.t, w.a, w.w, w.kappa)
+        assert sorted(windows) == sorted(windows, key=full)
+        assert sorted(windows, reverse=True) == sorted(windows, key=full, reverse=True)
 
 
 class TestMainWindow:
