@@ -239,7 +239,7 @@ def round_solution(
 
     for w in sorted(assigned):
         items = assigned[w]
-        if w.w < model.s_min_small:
+        if w.t >= model.t_max:
             raise InvariantError("small items assigned to a degenerate window")
         target_bins = by_window.get(w, [])
         x_w = len(target_bins)
@@ -401,10 +401,10 @@ def run_afptas(
         if kept:
             s_min = min(inst.sizes[i] for i in kept)
             delta = 1 / s_min
-            s_min_small, t_star = round_size_to_power(eps, s_min)
+            _, t_star = round_size_to_power(eps, s_min)
         else:
             delta = Fraction(k)
-            s_min_small, t_star = Fraction(1), 0
+            t_star = 0
         t_max = t_star + 1
         prov.delta = str(delta)
         p_delta = next(
@@ -412,7 +412,7 @@ def run_afptas(
         )
         prov.p_delta = p_delta
 
-        windows = build_windows(eps, s_min_small, staircase)
+        windows = build_windows(eps, t_max, staircase)
         prov.n_windows = len(windows)
 
         configs = enumerate_configurations(sizes, mult, k, config_budget)
@@ -427,11 +427,10 @@ def run_afptas(
             staircase=staircase,
             p_max=p_delta,
             eps=eps,
-            s_min_small=s_min_small,
             t_max=t_max,
             f=f,
+            main_windows=w_prime,
         )
-        model.main_windows = set(w_prime)
         sol, info = column_generation(model)
         prov.lp_skipped = False
         prov.lp_iterations = info.iterations
@@ -440,14 +439,14 @@ def run_afptas(
         prov.lp_certified_ratio = info.final_certified_ratio
         prov.lp_columns = len(model.columns)
 
-        projected, w_prime_set = project_to_main_windows(sol, model)
+        projected = project_to_main_windows(sol, model)
         for gc, val in projected.x.items():
-            if not (val <= 0 or gc.window in w_prime_set):
+            if not (val <= 0 or gc.window in w_prime):
                 raise InvariantError(f"projection left mass on window {gc.window}")
-        basic = extract_basic(projected, model, w_prime_set)
+        basic = extract_basic(projected, model, w_prime)
         prov.lp_basic_objective = basic.objective
         fx, fy = basic.fractional_counts()
-        bound = len(sizes) + 2 * len(w_prime_set)
+        bound = len(sizes) + 2 * len(w_prime)
         if fx + fy > bound:
             raise InvariantError(f"fractional components {fx}+{fy} exceed {bound}")
         prov.fractional_x = fx

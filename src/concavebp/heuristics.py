@@ -160,7 +160,8 @@ def greedy_half_matching(inst: Instance) -> list[tuple[int, int]]:
     is dropped.  Returns (large index, small index) pairs.
     """
     n = inst.n
-    t = sum(1 for s in inst.sizes if s > Fraction(1, 2))
+    sizes, cap = inst.int_sizes, inst.scale
+    t = sum(1 for s in sizes if 2 * s > cap)
     m0 = list(range(t - (t + 1) // 2, t))
     smalls = list(range(t, n))
     pairs: list[tuple[int, int]] = []
@@ -168,7 +169,7 @@ def greedy_half_matching(inst: Instance) -> list[tuple[int, int]]:
     qj = 0  # head = largest small item (lowest index)
     while qi >= 0 and qj < len(smalls):
         i, j = m0[qi], smalls[qj]
-        if inst.sizes[i] + inst.sizes[j] <= 1:
+        if sizes[i] + sizes[j] <= cap:
             pairs.append((i, j))
             qi -= 1
             qj += 1
@@ -185,7 +186,7 @@ def match_half(inst: Instance) -> Packing:
     matched = {i for pair in pairs for i in pair}
     rest = [s for i, s in enumerate(inst.sizes) if i not in matched]
     rest_index = [i for i in range(n) if i not in matched]
-    sub = Instance.from_values(rest)  # same order: sizes already sorted
+    sub = Instance(tuple(rest))  # positional: rest_index maps its items back
     sub_packing = next_fit(sub, "increasing")
     bins = [list(p) for p in pairs]
     bins += [[rest_index[i] for i in b] for b in sub_packing.bins]
@@ -209,16 +210,17 @@ def overflowed_packing(inst: Instance) -> OverflowedPartition:
 
     The last bin holds whatever remains and may be feasible.
     """
+    sizes, cap = inst.int_sizes, inst.scale
     bins: list[tuple[int, ...]] = []
     cur: list[int] = []
-    load = Fraction(0)
+    load = 0
     for i in range(inst.n - 1, -1, -1):  # non-decreasing size order
         cur.append(i)
-        load += inst.sizes[i]
-        if load > 1:
+        load += sizes[i]
+        if load > cap:
             bins.append(tuple(cur))
             cur = []
-            load = Fraction(0)
+            load = 0
     if cur:
         bins.append(tuple(cur))
     return OverflowedPartition(tuple(bins))

@@ -51,22 +51,23 @@ class LpModel:
     staircase: Staircase
     p_max: int
     eps: Fraction
-    s_min_small: Fraction
-    t_max: int
+    t_max: int  # windows with t < t_max fit every small item, t = t_max none
     f: CostFunction
+    main_windows: set[Window] = field(default_factory=set)  # canonical windows
 
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
     _column_set: set[GeneralizedConfiguration] = field(default_factory=set)
     y_pairs: list[tuple[int, Window]] = field(default_factory=list)
-    main_windows: set[Window] = field(default_factory=set)
+
+    def usable(self, w: Window) -> bool:
+        """Small items fit the window: count bound ks[a] >= 1, and t < t_max."""
+        return w.a >= 1 and w.t < self.t_max
 
     def __post_init__(self):
         # zero-cost assignment columns for every usable (item, window) pair;
         # windows too small for any small item carry none by construction
-        for si, item in enumerate(self.smalls):
-            for w in self.windows:
-                if w.kappa >= 1 and w.w >= self.s_min_small:
-                    self.y_pairs.append((si, w))
+        usable = [w for w in self.windows if self.usable(w)]
+        self.y_pairs.extend((si, w) for si in range(len(self.smalls)) for w in usable)
 
     # -- column handling -------------------------------------------------
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
@@ -83,18 +84,14 @@ class LpModel:
         for j, v in enumerate(self.sizes):
             counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
             ext = ExtendedConfiguration(Configuration(counts, v, 1), 1, self.staircase.ks[1])
-            self.add_column(GeneralizedConfiguration(ext, self._main_window(ext)))
+            mw = main_window(ext, self.eps, self.t_max, self.staircase)
+            self.add_column(GeneralizedConfiguration(ext, mw))
         if self.smalls:
             empty = Configuration(zero, Fraction(0), 0)
             for w in self.windows:
-                if w.kappa >= 1 and w.a <= self.p_max and w.w >= self.s_min_small:
+                if w.a <= self.p_max and self.usable(w):
                     ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
                     self.add_column(GeneralizedConfiguration(ext, w))
-
-    def _main_window(self, ext: ExtendedConfiguration) -> Window:
-        w = main_window(ext, self.eps, self.t_max, self.staircase)
-        self.main_windows.add(w)
-        return w
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
@@ -269,14 +266,12 @@ def column_generation(
     )
 
 
-def project_to_main_windows(
-    sol: LpSolution, model: LpModel
-) -> tuple[LpSolution, set[Window]]:
+def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     """Move every positive column off non-canonical windows onto the main
     window of its extended configuration, transferring assignment mass
     proportionally against a frozen per-window total.  The objective value is
-    unchanged.  Returns the solution and the set of canonical windows."""
-    w_prime = set(model.main_windows)
+    unchanged; the canonical windows are ``model.main_windows``."""
+    w_prime = model.main_windows
     x = dict(sol.x)
     y = dict(sol.y)
     # frozen totals per off-set window
@@ -305,10 +300,7 @@ def project_to_main_windows(
     for w in b_w:
         for si, _ in y_by_window.get(w, []):
             y.pop((si, w), None)
-    out = LpSolution(
-        sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta
-    )
-    return out, w_prime
+    return LpSolution(sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta)
 
 
 def extract_basic(

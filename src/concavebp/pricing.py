@@ -168,11 +168,11 @@ def price_all(
         for v, mult in zip(model.sizes, model.demands)
     )
     slack = 1.0 / (1.0 - kcc_eps)
-    # oracle results keyed by (capacity, strict), then by cardinality; a
-    # cardinality at or above the total multiplicity caps nothing, so such
-    # pairs share one oracle call
+    # oracle results keyed by the window's size index t (it fixes the
+    # capacity bound), then by cardinality; a cardinality at or above the
+    # total multiplicity caps nothing, so such pairs share one oracle call
     total_items = sum(model.demands)
-    cache: dict[tuple[Fraction, bool], dict[int, tuple[tuple[int, ...], float]]] = {}
+    cache: dict[int, dict[int, tuple[tuple[int, ...], float]]] = {}
     found: list[PricedColumn] = []
     max_ratio = 0.0
     max_certified = 0.0
@@ -180,12 +180,11 @@ def price_all(
     for window in sorted(model.windows):
         if window.a > model.p_max:
             continue  # count bound exceeds every usable cost level
-        degenerate = window.w < model.s_min_small
-        if degenerate:
+        if window.t >= model.t_max:  # degenerate: too small for any small item
             capacity, strict = Fraction(1), False
         else:
             capacity, strict = 1 - window.w / (1 + model.eps), True
-        solved = cache.setdefault((capacity, strict), {})
+        solved = cache.setdefault(window.t, {})
         gamma_w = float(window.w) * duals_gamma.get(window, 0.0)
         delta_k = window.kappa * duals_delta.get(window, 0.0)
         for p in range(max(window.a, 1), model.p_max + 1):

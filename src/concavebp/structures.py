@@ -161,12 +161,8 @@ class Window:
     kappa: int = field(compare=False)
 
     def dominates(self, other: "Window") -> bool:
-        return self.w >= other.w and self.kappa >= other.kappa
-
-
-def power_of_one_plus_eps(eps: Fraction, t: int) -> Fraction:
-    k = eps.denominator
-    return Fraction(k**t, (k + 1) ** t)
+        # on one grid, the size falls as t grows and the count grows with a
+        return self.t <= other.t and self.a >= other.a
 
 
 def round_size_to_power(eps: Fraction, s: Fraction) -> tuple[Fraction, int]:
@@ -182,18 +178,17 @@ def round_size_to_power(eps: Fraction, s: Fraction) -> tuple[Fraction, int]:
     return val, t
 
 
-def build_windows(eps: Fraction, s_min_small: Fraction, staircase: Staircase) -> list[Window]:
-    """Full grid of windows for a rounded minimum small size."""
-    check_eps(eps)
-    if s_min_small <= 0:
-        raise ValueError("s_min_small must be positive")
-    _, t_star = round_size_to_power(eps, s_min_small)
-    out = []
-    for t in range(t_star + 2):
-        w = power_of_one_plus_eps(eps, t)
-        for a in range(staircase.ell + 1):
-            out.append(Window(t, a, w, staircase.ks[a]))
-    return out
+def build_windows(eps: Fraction, t_max: int, staircase: Staircase) -> list[Window]:
+    """Full grid of windows, t = 0..t_max and a = 0..ell; t_max is one past
+    the power index of the smallest kept small item (1 when none is kept)."""
+    k = check_eps(eps)
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    return [
+        Window(t, a, w, staircase.ks[a])
+        for t, w in enumerate(_powers(k, t_max))
+        for a in range(staircase.ell + 1)
+    ]
 
 
 @dataclass(frozen=True, order=True)

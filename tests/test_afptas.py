@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import concavebp
 
@@ -27,6 +29,7 @@ from concavebp.structures import (
     linear_grouping,
     main_window,
     round_size_to_power,
+    split_small,
 )
 from conftest import random_concave_cost, random_instance
 
@@ -185,6 +188,31 @@ class TestStructuralInvariants:
         assert checked >= 5
 
 
+@st.composite
+def mixed_instances(draw):
+    """n // 5 sizes from U{400..1000}/1000 and the rest from U{1..200}/1000."""
+    n = draw(st.integers(50, 200))
+    large = draw(st.lists(st.integers(400, 1000), min_size=n // 5, max_size=n // 5))
+    small = draw(st.lists(st.integers(1, 200), min_size=n - n // 5, max_size=n - n // 5))
+    return Instance.from_values([Fraction(v, 1000) for v in large + small])
+
+
+@settings(max_examples=20, deadline=None)
+@given(inst=mixed_instances(), k=st.sampled_from([3, 4]))
+def test_windowed_regime_property(inst, k):
+    # h_eps = 1/eps, the least the scheme accepts, keeps small items out of
+    # the tail so that the windowed program is solved
+    eps = Fraction(1, k)
+    n_large = len(linear_grouping(inst, eps).large)
+    assume(split_small(inst, eps, k, tuple(range(n_large, inst.n))).kept)
+    res = run_afptas(inst, make_fq(3, inst.n), eps, h_eps=k)
+    p = res.provenance
+    assert verify_packing(inst, res.packing).ok
+    assert not p.lp_skipped
+    assert p.fractional_x + p.fractional_y <= p.fractional_bound
+    assert p.lp_certified_ratio <= 1.0 + 1.0 / k
+
+
 def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     """Build instance, model, grouping for hand-driven rounding tests."""
     eps = Fraction(1, 3)
@@ -197,8 +225,8 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     small_items = tuple(
         SmallItem(i, inst.sizes[i]) for i in range(n_large, inst.n)
     )
-    s_min_small, t_star = round_size_to_power(eps, Fraction(small_size))
-    windows = build_windows(eps, s_min_small, stair)
+    _, t_star = round_size_to_power(eps, Fraction(small_size))
+    windows = build_windows(eps, t_star + 1, stair)
     model = LpModel(
         sizes=(Fraction(large_size),),
         demands=(n_large,),
@@ -207,7 +235,6 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
         staircase=stair,
         p_max=stair.ell,
         eps=eps,
-        s_min_small=s_min_small,
         t_max=t_star + 1,
         f=f,
     )

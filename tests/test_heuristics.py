@@ -294,6 +294,18 @@ class TestMatchHalf:
             for b in p.bins:
                 assert sum((inst.sizes[i] for i in b), Fraction(0)) <= 1
 
+    def test_unsorted_instances_verify(self):
+        # an Instance(...) keeps its sizes in the given order; the packing of
+        # the unmatched rest must map back to the right items all the same
+        bad = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(0, 40)
+            inst = Instance(tuple(Fraction(rng.randint(0, 100), 100) for _ in range(n)))
+            if not verify_packing(inst, match_half(inst)).ok:
+                bad.append(seed)
+        assert bad == []
+
     def test_greedy_matching_weight_is_optimal(self):
         # the greedy two-queue matching must reach the brute-force optimum
         from concavebp.heuristics import greedy_half_matching

@@ -4,10 +4,12 @@ bodies they replaced.
 Each reference below is the earlier implementation, changed only so that it
 can be called from here (a new name; the queue fill lifted out of
 ``round_solution``; the per-item rounded sizes and their distinct values,
-which ``linear_grouping`` now hands out as size types): it sums, compares
+which ``linear_grouping`` now hands out as size types; the window tests
+written as functions of the rounded minimum small size): it sums, compares
 and indexes exact ``Fraction`` sizes.
-The integer versions (sizes scaled by ``Instance.scale``) must return
-exactly the same values, down to the text of a violation.
+The integer versions (sizes scaled by ``Instance.scale``, windows decided
+on their integers (t, a)) must return exactly the same values, down to the
+text of a violation.
 """
 import math
 import random
@@ -22,14 +24,18 @@ from concavebp import (
     Instance,
     Packing,
     build_staircase,
+    build_windows,
     fnfi,
     linear_grouping,
     main_window,
+    overflowed_packing,
     split_small,
 )
 from concavebp.afptas import _place_large
 from concavebp.core import Violation, _verify_integral, to_size
 from concavebp.errors import InvariantError
+from concavebp.heuristics import greedy_half_matching
+from concavebp.lp import LpModel
 from concavebp.structures import (
     Configuration,
     ExtendedConfiguration,
@@ -38,6 +44,7 @@ from concavebp.structures import (
     check_eps,
     enumerate_configurations,
     main_windows,
+    round_size_to_power,
 )
 from conftest import random_concave_cost, random_instance
 
@@ -193,6 +200,72 @@ def reference_place_large(bin_counts, sizes, rounded, grouping):
             larges.extend(take)
     leftover = {v: q for v, q in queues.items() if q}
     return bins, leftover
+
+
+def reference_power_of_one_plus_eps(eps: Fraction, t: int) -> Fraction:
+    k = eps.denominator
+    return Fraction(k**t, (k + 1) ** t)
+
+
+def reference_build_windows(eps, s_min_small, staircase) -> list[Window]:
+    """Full grid of windows for a rounded minimum small size."""
+    check_eps(eps)
+    if s_min_small <= 0:
+        raise ValueError("s_min_small must be positive")
+    _, t_star = round_size_to_power(eps, s_min_small)
+    out = []
+    for t in range(t_star + 2):
+        w = reference_power_of_one_plus_eps(eps, t)
+        for a in range(staircase.ell + 1):
+            out.append(Window(t, a, w, staircase.ks[a]))
+    return out
+
+
+def reference_usable(w: Window, s_min_small: Fraction) -> bool:
+    return w.kappa >= 1 and w.w >= s_min_small
+
+
+def reference_degenerate(w: Window, s_min_small: Fraction) -> bool:
+    return w.w < s_min_small
+
+
+def reference_dominates(v: Window, w: Window) -> bool:
+    return v.w >= w.w and v.kappa >= w.kappa
+
+
+def reference_greedy_half_matching(inst: Instance) -> list[tuple[int, int]]:
+    n = inst.n
+    t = sum(1 for s in inst.sizes if s > Fraction(1, 2))
+    m0 = list(range(t - (t + 1) // 2, t))
+    smalls = list(range(t, n))
+    pairs: list[tuple[int, int]] = []
+    qi = len(m0) - 1
+    qj = 0
+    while qi >= 0 and qj < len(smalls):
+        i, j = m0[qi], smalls[qj]
+        if inst.sizes[i] + inst.sizes[j] <= 1:
+            pairs.append((i, j))
+            qi -= 1
+            qj += 1
+        else:
+            qj += 1
+    return pairs
+
+
+def reference_overflowed_bins(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    bins: list[tuple[int, ...]] = []
+    cur: list[int] = []
+    load = Fraction(0)
+    for i in range(inst.n - 1, -1, -1):
+        cur.append(i)
+        load += inst.sizes[i]
+        if load > 1:
+            bins.append(tuple(cur))
+            cur = []
+            load = Fraction(0)
+    if cur:
+        bins.append(tuple(cur))
+    return tuple(bins)
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -409,3 +482,78 @@ class TestPlaceLargeMatchesReference:
                 assert str(err.value) == f"unplaced large items: {leftover}"
             else:
                 assert _place_large(counts, grouping) == expected
+
+
+class TestWindowTestsMatchReference:
+    @staticmethod
+    def full(w: Window):
+        return (w.t, w.a, w.w, w.kappa)
+
+    def test_seeded_grids(self):
+        seen = {"usable": 0, "degenerate": 0, "dominates": 0, "no_kept": 0}
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = rng.choice([3, 4, 5, 7])
+            eps = Fraction(1, k)
+            n = rng.randint(1, 80)
+            f = random_concave_cost(rng, n)
+            stair = build_staircase(f, eps, n)
+            if seed % 4 == 0:  # no kept small item: the run's t_max is 1
+                s_min_small, t_max = Fraction(1), 1
+                seen["no_kept"] += 1
+            else:
+                denom = rng.choice((60, 1000, 997 * 991, PRIMES[seed % 3]))
+                s_min = Fraction(rng.randint(1, denom // k), denom)
+                s_min_small, t_star = round_size_to_power(eps, s_min)
+                t_max = t_star + 1
+            windows = build_windows(eps, t_max, stair)
+            expected = reference_build_windows(eps, s_min_small, stair)
+            assert [self.full(w) for w in windows] == [self.full(w) for w in expected]
+            model = LpModel(
+                sizes=(),
+                demands=(),
+                smalls=(),
+                windows=tuple(windows),
+                staircase=stair,
+                p_max=stair.ell,
+                eps=eps,
+                t_max=t_max,
+                f=f,
+            )
+            for w in windows:
+                assert model.usable(w) == reference_usable(w, s_min_small)
+                assert (w.t >= model.t_max) == reference_degenerate(w, s_min_small)
+                seen["usable"] += model.usable(w)
+                seen["degenerate"] += w.t >= model.t_max
+            # main windows of random extensions and some grid windows, against
+            # every grid window
+            sizes = sorted({Fraction(rng.randint(12, 60), 60) for _ in range(3)}, reverse=True)
+            configs = enumerate_configurations(sizes, [2] * len(sizes), k)
+            mains = {
+                main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair)
+                for cfg in configs
+                for p in range(1, stair.ell + 1)
+                if cfg.n_items <= stair.ks[p]
+            }
+            for v in sorted(mains) + rng.sample(windows, min(30, len(windows))):
+                for w in windows:
+                    assert v.dominates(w) == reference_dominates(v, w)
+                    seen["dominates"] += v.dominates(w)
+        assert all(seen.values()), seen
+
+
+class TestHalfMatchingAndOverflowMatchReference:
+    def test_seeded_instances(self):
+        for seed in range(500):
+            rng = random.Random(seed)
+            denom = (100, 1000, 997, 997 * 991, 7 * 11 * 13)[seed % 5]
+            n = rng.randint(0, 60)
+            sizes = [Fraction(rng.randint(0, denom), denom) for _ in range(n)]
+            if seed % 2:  # mixed denominators in one instance
+                sizes = [
+                    min(Fraction(1), s * Fraction(denom, rng.randint(denom // 2, denom)))
+                    for s in sizes
+                ]
+            inst = Instance.from_values(sizes)
+            assert greedy_half_matching(inst) == reference_greedy_half_matching(inst)
+            assert overflowed_packing(inst).bins == reference_overflowed_bins(inst)

@@ -50,12 +50,19 @@ def build_model(
         delta = Fraction(eps.denominator)
     if delta_cap is not None:
         delta = Fraction(delta_cap)
-    s_min_small, t_star = round_size_to_power(eps, s_min)
+    _, t_star = round_size_to_power(eps, s_min)
     p_max = next(
         (p for p, kp in enumerate(stair.ks) if kp >= delta), stair.ell
     )
-    windows = build_windows(eps, s_min_small, stair)
-    model = LpModel(
+    windows = build_windows(eps, t_star + 1, stair)
+    # the full set of canonical windows, as the pipeline passes it
+    mains = set()
+    for cfg in enumerate_configurations(list(sizes), list(demands), eps.denominator):
+        for p in range(1, p_max + 1):
+            if cfg.n_items <= stair.ks[p]:
+                ext = ExtendedConfiguration(cfg, p, stair.ks[p])
+                mains.add(main_window(ext, eps, t_star + 1, stair))
+    return LpModel(
         sizes=sizes,
         demands=tuple(demands),
         smalls=tuple(SmallItem(100 + i, s) for i, s in enumerate(small)),
@@ -63,17 +70,10 @@ def build_model(
         staircase=stair,
         p_max=p_max,
         eps=eps,
-        s_min_small=s_min_small,
         t_max=t_star + 1,
         f=f,
+        main_windows=mains,
     )
-    # register the full set of canonical windows, as the pipeline does
-    for cfg in enumerate_configurations(list(sizes), list(demands), eps.denominator):
-        for p in range(1, p_max + 1):
-            if cfg.n_items <= stair.ks[p]:
-                ext = ExtendedConfiguration(cfg, p, stair.ks[p])
-                model.main_windows.add(main_window(ext, eps, model.t_max, stair))
-    return model
 
 
 class TestSimplex:
@@ -242,11 +242,10 @@ def _solve_full_program(model: LpModel) -> float:
         staircase=model.staircase,
         p_max=model.p_max,
         eps=model.eps,
-        s_min_small=model.s_min_small,
         t_max=model.t_max,
         f=model.f,
+        main_windows=set(model.main_windows),
     )
-    probe.main_windows = set(model.main_windows)
     configs = enumerate_configurations(
         list(model.sizes), list(model.demands), model.eps.denominator
     )
@@ -273,7 +272,8 @@ class TestProjection:
 
     def test_projection_lands_on_main_windows(self):
         model, sol = self._converged()
-        projected, w_prime = project_to_main_windows(sol, model)
+        projected = project_to_main_windows(sol, model)
+        w_prime = model.main_windows
         for gc, val in projected.x.items():
             if val > 0:
                 assert gc.window in w_prime
@@ -285,8 +285,8 @@ class TestProjection:
 
     def test_identity_when_already_on_main_windows(self):
         model, sol = self._converged()
-        projected, w_prime = project_to_main_windows(sol, model)
-        again, _ = project_to_main_windows(projected, model)
+        projected = project_to_main_windows(sol, model)
+        again = project_to_main_windows(projected, model)
         assert again.x == projected.x
         assert again.y == projected.y
 
@@ -299,7 +299,7 @@ class TestProjection:
         ext3 = ExtendedConfiguration(cfg, 3, stair.ks[3])
         off = next(
             w for w in model.windows
-            if w not in model.main_windows and w.kappa >= 1 and w.w >= model.s_min_small
+            if w not in model.main_windows and model.usable(w)
             and main_window(ext2, model.eps, model.t_max, stair).dominates(w)
         )
         gc2 = GeneralizedConfiguration(ext2, off)
@@ -311,7 +311,7 @@ class TestProjection:
         sol.x = {gc2: 2.0, gc3: 1.0}
         sol.y = {(si, off): 0.9}
         sol.objective = 2.0 * stair.f_at[2] + 1.0 * stair.f_at[3]
-        projected, _ = project_to_main_windows(sol, model)
+        projected = project_to_main_windows(sol, model)
         mw2 = main_window(ext2, model.eps, model.t_max, stair)
         mw3 = main_window(ext3, model.eps, model.t_max, stair)
         assert projected.x[GeneralizedConfiguration(ext2, mw2)] == pytest.approx(2.0)
@@ -330,14 +330,15 @@ class TestExtractBasic:
     def test_already_basic_unchanged(self):
         model = build_model(["1/2"], [6])
         sol, _ = column_generation(model)
-        projected, w_prime = project_to_main_windows(sol, model)
-        basic = extract_basic(projected, model, w_prime)
+        projected = project_to_main_windows(sol, model)
+        basic = extract_basic(projected, model, model.main_windows)
         assert basic.objective <= projected.objective + 1e-9
 
     def test_midpoint_of_two_bases_resolves_to_vertex(self):
         model = build_model(["1/2"], [4], q=4)
         sol, _ = column_generation(model)
-        projected, w_prime = project_to_main_windows(sol, model)
+        projected = project_to_main_windows(sol, model)
+        w_prime = model.main_windows
         # blur the solution: split mass across two equivalent columns
         items = sorted(projected.x.items())
         gc0, v0 = items[0]
@@ -366,7 +367,8 @@ class TestExtractBasic:
             ]
             model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2]))
             sol, _ = column_generation(model)
-            projected, w_prime = project_to_main_windows(sol, model)
+            projected = project_to_main_windows(sol, model)
+            w_prime = model.main_windows
             basic = extract_basic(projected, model, w_prime)
             assert basic.objective <= projected.objective + 1e-6
             fx, fy = basic.fractional_counts()
@@ -425,9 +427,9 @@ class TestArraysMatchColumnLoop:
             self._assert_same(model)
             sol, _ = column_generation(model)
             self._assert_same(model)
-            projected, w_prime = project_to_main_windows(sol, model)
+            project_to_main_windows(sol, model)
             self._assert_same(model)
-            self._assert_same(model, w_prime)
+            self._assert_same(model, model.main_windows)
             some = {w for w in model.windows if rng.random() < 0.5}
             self._assert_same(model, some)
             self._assert_same(model, set())
@@ -454,8 +456,7 @@ def _seeded_masters(seed, count):
         smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(0, 4))]
         model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
         sol, _ = column_generation(model)
-        projected, _ = project_to_main_windows(sol, model)
-        yield model, projected
+        yield model, project_to_main_windows(sol, model)
 
 
 class TestColumnIdentity:

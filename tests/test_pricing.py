@@ -120,8 +120,8 @@ class TestPriceAll:
     def _context(self, sizes, mults, n=12, eps=Fraction(1, 3), s_min=Fraction(1)):
         f = make_fq(2, n)
         stair = build_staircase(f, eps, n)
-        s_min_small, t_star = round_size_to_power(eps, s_min)
-        windows = build_windows(eps, s_min_small, stair)
+        _, t_star = round_size_to_power(eps, s_min)
+        windows = build_windows(eps, t_star + 1, stair)
         p_max = next(p for p, kp in enumerate(stair.ks) if kp >= eps.denominator)
         return LpModel(
             sizes=tuple(Fraction(s) for s in sizes),
@@ -131,7 +131,6 @@ class TestPriceAll:
             staircase=stair,
             p_max=p_max,
             eps=eps,
-            s_min_small=s_min_small,
             t_max=t_star + 1,
             f=f,
         )
@@ -363,7 +362,7 @@ def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
     for window in sorted(model.windows):
         if window.a > model.p_max:
             continue
-        if window.w < model.s_min_small:
+        if window.t >= model.t_max:
             capacity, strict = Fraction(1), False
         else:
             capacity, strict = 1 - window.w / (1 + model.eps), True
@@ -400,17 +399,16 @@ class TestPriceAllMatchesUncachedSweep:
         # size s_min, so the top levels allow more items than there are
         f = make_fq(3, n)
         stair = build_staircase(f, eps, n)
-        s_min_small, t_star = round_size_to_power(eps, s_min)
+        _, t_star = round_size_to_power(eps, s_min)
         p_max = next((p for p, kp in enumerate(stair.ks) if kp >= 1 / s_min), stair.ell)
         return LpModel(
             sizes=tuple(Fraction(s) for s in sizes),
             demands=tuple(mults),
             smalls=(),
-            windows=tuple(build_windows(eps, s_min_small, stair)),
+            windows=tuple(build_windows(eps, t_star + 1, stair)),
             staircase=stair,
             p_max=p_max,
             eps=eps,
-            s_min_small=s_min_small,
             t_max=t_star + 1,
             f=f,
         )

@@ -181,18 +181,19 @@ class TestStaircaseMatchesReference:
 class TestWindows:
     def test_near_one_minimum_gives_two_exponents(self):
         stair = build_staircase(make_fq(1, 10), Fraction(1, 3), 10)
-        windows = build_windows(Fraction(1, 3), Fraction(1), stair)
+        windows = build_windows(Fraction(1, 3), 1, stair)
         assert {w.t for w in windows} == {0, 1}
 
     def test_grid_cardinality(self):
         stair = build_staircase(make_fq(2, 20), Fraction(1, 3), 20)
-        s_min, t_star = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
-        windows = build_windows(Fraction(1, 3), s_min, stair)
+        _, t_star = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
+        windows = build_windows(Fraction(1, 3), t_star + 1, stair)
         assert len(windows) == (stair.ell + 1) * (t_star + 2)
 
     def test_power_grid_example(self):
         stair = build_staircase(make_fq(1, 10), Fraction(1, 3), 10)
-        windows = build_windows(Fraction(1, 3), Fraction(9, 16), stair)
+        _, t_star = round_size_to_power(Fraction(1, 3), Fraction(9, 16))
+        windows = build_windows(Fraction(1, 3), t_star + 1, stair)
         assert {w.t for w in windows} == {0, 1, 2, 3}
         assert any(w.w == Fraction(9, 16) for w in windows)
 
@@ -200,8 +201,8 @@ class TestWindows:
         # (t, a) fixes the size and the count bound, so equality, order and
         # hash look at the two integers only
         stair = build_staircase(make_fq(2, 20), Fraction(1, 3), 20)
-        s_min, _ = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
-        windows = build_windows(Fraction(1, 3), s_min, stair)
+        _, t_star = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
+        windows = build_windows(Fraction(1, 3), t_star + 1, stair)
         for w in windows:
             assert hash(w) == hash((w.t, w.a))
             twin = Window(w.t, w.a, Fraction(w.w.numerator, w.w.denominator), w.kappa)
