@@ -119,7 +119,7 @@ def _singleton_result(inst: Instance, f: CostFunction, eps: Fraction) -> AfptasR
 def _compute_h(
     inst: Instance,
     eps: Fraction,
-    sizes: tuple[Fraction, ...],
+    sizes: tuple[int, ...],
     mult: tuple[int, ...],
     staircase: Staircase,
     small: tuple[int, ...],
@@ -137,8 +137,8 @@ def _compute_h(
     if not smallest:
         return k
     _, t_star = round_size_to_power(eps, Fraction(smallest, inst.scale))
-    configs = enumerate_configurations(sizes, mult, k, budget)
-    mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase)
+    configs = enumerate_configurations(sizes, mult, k, inst.scale, budget)
+    mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase, inst.scale)
     return k * (len(sizes) + 2 * len(mains) + 1)
 
 
@@ -279,7 +279,7 @@ def round_solution(
             if special is not None:
                 specials.append(special)
             if excess:
-                if not len(excess) * k <= w.kappa + 1e-9 * k:
+                if not len(excess) * k <= w.kappa:
                     raise InvariantError("excess items exceed eps * kappa")
                 excess_subsets.append((w.kappa, excess))
 
@@ -345,6 +345,8 @@ def run_afptas(
     k = check_eps(eps)
     if f.value(1) != 1.0:
         raise ValueError("cost table must be normalized (f(1) = 1)")
+    if h_eps is not None and (h_eps < k or h_eps != int(h_eps)):
+        raise ValueError("h_eps must be an integer >= 1/eps")
     n = inst.n
     if n == 0:
         prov = Provenance(0, str(eps), base_case=True)
@@ -358,7 +360,7 @@ def run_afptas(
     small = tuple(range(n_large, n))
     prov.n_large = n_large
     prov.l1_size = len(grouping.l1)
-    if 2 * len(grouping.large) * Fraction(1, k**3) < len(grouping.l1):
+    if 2 * len(grouping.large) < k**3 * len(grouping.l1):
         raise InvariantError("largest class exceeds 2 eps^3 of the large items")
 
     staircase = build_staircase(f, eps, n)
@@ -368,8 +370,6 @@ def run_afptas(
     if small:
         if h_eps is None:
             h_eps = _compute_h(inst, eps, sizes, mult, staircase, small, config_budget)
-        if h_eps < k:
-            raise ValueError("h_eps must be at least 1/eps")
         split = split_small(inst, eps, h_eps, small)
         prov.h_eps = h_eps
     else:
@@ -391,9 +391,9 @@ def run_afptas(
 
     kept = split.kept
     prov.h_set_size = len(sizes)
-    prov.i2_sizes = [str(v) for v, d in zip(sizes, mult) for _ in range(d)] + [
-        str(inst.sizes[i]) for i in kept
-    ]
+    prov.i2_sizes = [
+        str(Fraction(v, inst.scale)) for v, d in zip(sizes, mult) for _ in range(d)
+    ] + [str(inst.sizes[i]) for i in kept]
 
     if not sizes and not kept:
         prov.lp_skipped = True
@@ -415,14 +415,15 @@ def run_afptas(
         windows = build_windows(eps, t_max, staircase)
         prov.n_windows = len(windows)
 
-        configs = enumerate_configurations(sizes, mult, k, config_budget)
-        w_prime = main_windows(configs, p_delta, eps, t_max, staircase)
+        configs = enumerate_configurations(sizes, mult, k, inst.scale, config_budget)
+        w_prime = main_windows(configs, p_delta, eps, t_max, staircase, inst.scale)
         prov.n_main_windows = len(w_prime)
 
         model = LpModel(
             sizes=sizes,
             demands=mult,
-            smalls=tuple(SmallItem(i, inst.sizes[i]) for i in kept),
+            scale=inst.scale,
+            smalls=tuple(SmallItem(i, inst.int_sizes[i]) for i in kept),
             windows=tuple(windows),
             staircase=staircase,
             p_max=p_delta,

@@ -37,15 +37,16 @@ FRACTIONAL_TOL = 1e-6
 @dataclass(frozen=True)
 class SmallItem:
     index: int  # index in the original instance
-    size: Fraction
+    size: int  # over LpModel.scale
 
 
 @dataclass
 class LpModel:
     """Master model state: fixed rows, growable column set."""
 
-    sizes: tuple[Fraction, ...]  # distinct rounded large sizes, descending
+    sizes: tuple[int, ...]  # distinct rounded large sizes, descending
     demands: tuple[int, ...]  # multiplicity per size
+    scale: int  # common denominator of every size, Instance.scale
     smalls: tuple[SmallItem, ...]
     windows: tuple[Window, ...]
     staircase: Staircase
@@ -84,10 +85,10 @@ class LpModel:
         for j, v in enumerate(self.sizes):
             counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
             ext = ExtendedConfiguration(Configuration(counts, v, 1), 1, self.staircase.ks[1])
-            mw = main_window(ext, self.eps, self.t_max, self.staircase)
+            mw = main_window(ext, self.eps, self.t_max, self.staircase, self.scale)
             self.add_column(GeneralizedConfiguration(ext, mw))
         if self.smalls:
-            empty = Configuration(zero, Fraction(0), 0)
+            empty = Configuration(zero, 0, 0)
             for w in self.windows:
                 if w.a <= self.p_max and self.usable(w):
                     ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
@@ -129,7 +130,8 @@ class LpModel:
         si = np.array([si for si, _ in y_cols], dtype=np.intp)
         y_rows = np.array([w_row[w] for _, w in y_cols], dtype=np.intp)
         A[nv + si, ys] = 1.0
-        A[y_rows, ys] = -np.array([float(it.size) for it in self.smalls])[si]
+        # int / int rounds once, exactly as float(Fraction) does
+        A[y_rows, ys] = -np.array([it.size / self.scale for it in self.smalls])[si]
         A[y_rows + 1, ys] = -1.0
         xs = np.arange(len(y_cols), ncols)
         x_rows = np.array([w_row[gc.window] for gc in x_cols], dtype=np.intp)
@@ -147,7 +149,7 @@ class LpSolution:
     objective: float
     x: dict[GeneralizedConfiguration, float]
     y: dict[tuple[int, Window], float]
-    alpha: dict[Fraction, float]
+    alpha: dict[int, float]
     beta: dict[int, float]
     gamma: dict[Window, float]
     delta: dict[Window, float]
@@ -286,7 +288,7 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     for gc, val in sorted(sol.x.items()):
         if gc.window in w_prime or val <= 0:
             continue
-        target_w = main_window(gc.ext, model.eps, model.t_max, model.staircase)
+        target_w = main_window(gc.ext, model.eps, model.t_max, model.staircase, model.scale)
         if target_w not in w_prime:
             raise InvariantError(f"main window {target_w} of a column is not canonical")
         target = GeneralizedConfiguration(gc.ext, target_w)
@@ -380,7 +382,7 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
     for w in model.windows:
         xw = sum(val for gc, val in sol.x.items() if gc.window == w)
         ys = sum(
-            float(model.smalls[si].size) * val
+            model.smalls[si].size / model.scale * val
             for (si, ww), val in sol.y.items()
             if ww == w
         )

@@ -4,16 +4,16 @@ column of the master program.
 
 The FPTAS scales item volumes, then runs a dynamic program over
 (scaled volume, selected count) whose cells store the exact minimum total
-size, as an integer over the common denominator of the sizes; capacity is
-therefore checked exactly, including strict bounds.  The table is bounded by
-the capacity: no type gets more copies, and no multiset more items, than fit.
+size.  Sizes are integers over the scheme's one denominator, Instance.scale;
+a window's bound, total < 1 - w/(1+eps), is the integer limit
+scale - 1 - floor(scale * w/(1+eps)).  The table is bounded by the limit: no
+type gets more copies, and no multiset more items, than fit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,6 +25,7 @@ from .structures import (
     GeneralizedConfiguration,
     Window,
     main_window,
+    scaled_powers,
 )
 
 if TYPE_CHECKING:
@@ -33,20 +34,27 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class KccItemType:
-    size: Fraction
+    size: int
     volume: float
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KccInstance:
-    """Pick a multiset of at most ``cardinality`` items, total size within
-    ``capacity`` (strictly below it when ``strict``), maximizing volume."""
+    """Pick at most ``cardinality`` items, total integer size at most ``limit``,
+    maximizing volume.  The rational form, a Fraction capacity or a ``strict``
+    flag (True: total < capacity), is rescaled by the size denominators' LCM."""
 
     items: tuple[KccItemType, ...]
     cardinality: int
-    capacity: Fraction
-    strict: bool = False
+    limit: int
+
+    def __init__(self, items, cardinality, limit, strict=None):
+        if strict is not None or isinstance(limit, Fraction):
+            d = math.lcm(*(Fraction(it.size).denominator for it in items))
+            items = tuple(replace(it, size=int(it.size * d)) for it in items)
+            limit = math.ceil(limit * d) - 1 if strict else math.floor(limit * d)
+        self.__dict__.update(items=items, cardinality=cardinality, limit=limit)  # frozen
 
 
 def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
@@ -68,24 +76,18 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
         if it.multiplicity < 1:
             raise ValueError("item multiplicities must be >= 1")
 
-    # exact integers: sizes scaled by the common denominator D, and the
-    # largest integer total within the capacity
-    denom = reduce(math.lcm, (it.size.denominator for it in inst.items), 1)
-    size_int = [it.size.numerator * (denom // it.size.denominator) for it in inst.items]
-    cap_num, cap_den = inst.capacity.numerator * denom, inst.capacity.denominator
-    limit = -(-cap_num // cap_den) - 1 if inst.strict else cap_num // cap_den
-
+    limit = inst.limit
     # expand copies, dropping anything that cannot appear in any solution: a
-    # type gets at most as many copies as fit in the capacity.  The scaling
+    # type gets at most as many copies as fit in the limit.  The scaling
     # step mu stays the one of the uncapped expansion (min(multiplicity,
     # cardinality) copies per type), which keeps every scaled volume as is
     copies: list[int] = []  # type index per copy
     uncapped = 0
     for ti, it in enumerate(inst.items):
-        if size_int[ti] > limit:
+        if it.size > limit:
             continue
         uncapped += min(it.multiplicity, inst.cardinality)
-        copies.extend([ti] * min(it.multiplicity, inst.cardinality, limit // size_int[ti]))
+        copies.extend([ti] * min(it.multiplicity, inst.cardinality, limit // it.size))
     if not copies:
         return empty, 0.0
     k_eff = min(inst.cardinality, uncapped)
@@ -94,7 +96,7 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
         return empty, 0.0
     mu = eps * p_max / k_eff
     # no feasible multiset holds more than c_max copies
-    c_max = min(k_eff, limit // min(size_int[ti] for ti in copies))
+    c_max = min(k_eff, limit // min(inst.items[ti].size for ti in copies))
     inf = limit + 1
     # common denominators from wild inputs can exceed the int64 range; Python
     # integers in an object array keep the arithmetic exact in that case
@@ -108,7 +110,7 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
     took = np.zeros((len(copies), c_max + 1, q_total + 1), dtype=bool)
     for j, ti in enumerate(copies):
         q = q_of[j]
-        s = size_int[ti]
+        s = inst.items[ti].size
         cand = g[:-1, : g.shape[1] - q] + s
         target = g[1:, q:]
         better = cand < target
@@ -147,7 +149,7 @@ class PricingOutcome:
 
 
 def price_all(
-    duals_alpha: dict[Fraction, float],
+    duals_alpha: dict[int, float],
     duals_gamma: dict[Window, float],
     duals_delta: dict[Window, float],
     model: LpModel,
@@ -156,7 +158,7 @@ def price_all(
     """Scan every (window, cost level) pair for violated master columns.
 
     For each pair, the knapsack FPTAS maximizes the dual volume of a
-    configuration under the pair's cardinality cap and capacity bound; a
+    configuration under the pair's cardinality cap and size limit; a
     column is reported when its dual value strictly exceeds the cost of its
     level.  The certified ratio inflates the found volume by 1/(1 - kcc_eps)
     so that a max below 1 + eps certifies near-feasibility of the scaled
@@ -169,10 +171,11 @@ def price_all(
     )
     slack = 1.0 / (1.0 - kcc_eps)
     # oracle results keyed by the window's size index t (it fixes the
-    # capacity bound), then by cardinality; a cardinality at or above the
+    # limit), then by cardinality; a cardinality at or above the
     # total multiplicity caps nothing, so such pairs share one oracle call
     total_items = sum(model.demands)
     cache: dict[int, dict[int, tuple[tuple[int, ...], float]]] = {}
+    floors = scaled_powers(model.eps.denominator, model.t_max, model.scale)
     found: list[PricedColumn] = []
     max_ratio = 0.0
     max_certified = 0.0
@@ -181,9 +184,9 @@ def price_all(
         if window.a > model.p_max:
             continue  # count bound exceeds every usable cost level
         if window.t >= model.t_max:  # degenerate: too small for any small item
-            capacity, strict = Fraction(1), False
-        else:
-            capacity, strict = 1 - window.w / (1 + model.eps), True
+            limit = model.scale
+        else:  # total < 1 - w/(1+eps), and w/(1+eps) is the power t + 1
+            limit = model.scale - 1 - floors[window.t + 1]
         solved = cache.setdefault(window.t, {})
         gamma_w = float(window.w) * duals_gamma.get(window, 0.0)
         delta_k = window.kappa * duals_delta.get(window, 0.0)
@@ -197,7 +200,7 @@ def price_all(
                 continue
             card = min(card, total_items)
             if card not in solved:
-                solved[card] = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
+                solved[card] = kcc_fptas(KccInstance(items, card, limit), kcc_eps)
             counts, volume = solved[card]
             f_kp = stair.f_at[p]
             lhs = volume + gamma_w + delta_k
@@ -209,7 +212,7 @@ def price_all(
                 total = sum(c * v for c, v in zip(counts, model.sizes))
                 config = Configuration(counts, total, sum(counts))
                 ext = ExtendedConfiguration(config, p, k_p)
-                mw = main_window(ext, model.eps, model.t_max, stair)
+                mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
                 if not mw.dominates(window):
                     raise InvariantError("priced column must be valid")
                 found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))

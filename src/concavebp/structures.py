@@ -1,11 +1,14 @@
 """Structures for the approximation scheme: size rounding, the breakpoint
-staircase of the cost table, windows, and bin configurations."""
+staircase of the cost table, windows, and bin configurations.  Sizes are
+integers over the scheme's one denominator, ``Instance.scale``."""
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import neg
 
 from .core import CostFunction, Instance
 from .errors import SolverLimitError
@@ -26,15 +29,15 @@ class GroupingResult:
     ``l1`` is the class of largest items, packed one per bin and never
     rounded.  Every other large item is rounded up to the maximum of its
     class; the distinct rounded sizes are the size types, ``sizes``
-    (descending) with ``demands`` items each.  The instance is sorted, so
-    type j is the next ``demands[j]`` item indices after ``l1``.
-    ``classes`` lists the groups largest-first.
+    (descending, integers over ``Instance.scale``) with ``demands`` items
+    each.  The instance is sorted, so type j is the next ``demands[j]`` item
+    indices after ``l1``.  ``classes`` lists the groups largest-first.
     """
 
     large: tuple[int, ...]
     l1: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    sizes: tuple[Fraction, ...]
+    sizes: tuple[int, ...]
     demands: tuple[int, ...]
 
     @property
@@ -70,9 +73,9 @@ def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
         l1, classes = grouped[0], tuple(grouped)
     # every class but l1 rounds to its first (largest) item; classes with the
     # same maximum share a type
-    demand: dict[Fraction, int] = {}
+    demand: dict[int, int] = {}
     for cls in classes[len(l1) > 0 :]:
-        top = inst.sizes[cls[0]]
+        top = ints[cls[0]]
         demand[top] = demand.get(top, 0) + len(cls)
     return GroupingResult(large, l1, classes, tuple(demand), tuple(demand.values()))
 
@@ -197,7 +200,7 @@ class Configuration:
     (descending) size list of the enumeration, and fix the other fields."""
 
     counts: tuple[int, ...]
-    total_size: Fraction = field(compare=False)
+    total_size: int = field(compare=False)  # over Instance.scale
     n_items: int = field(compare=False)
 
 
@@ -222,23 +225,14 @@ class GeneralizedConfiguration:
 @lru_cache(maxsize=64)
 def _powers(k: int, t_max: int) -> tuple[Fraction, ...]:
     """The window sizes (k/(k+1))**t for t = 0..t_max."""
-    step = Fraction(k, k + 1)
-    out = [Fraction(1)]
-    for _ in range(t_max):
-        out.append(out[-1] * step)
-    return tuple(out)
+    return tuple(Fraction(k**t, (k + 1) ** t) for t in range(max(t_max, 0) + 1))
 
 
-def _size_index(free: Fraction, powers: tuple[Fraction, ...]) -> int:
-    """Largest t with powers[t] >= free; 0 when no power is that large."""
-    lo, hi = 0, len(powers) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if powers[mid] >= free:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+@lru_cache(maxsize=64)
+def scaled_powers(k: int, t_max: int, scale: int) -> tuple[int, ...]:
+    """floor(scale * (k/(k+1))**t) for t = 0..t_max.  A window size is at
+    least m/scale, for an integer m, exactly when its entry is at least m."""
+    return tuple(scale * w.numerator // w.denominator for w in _powers(k, t_max))
 
 
 def main_window(
@@ -246,17 +240,20 @@ def main_window(
     eps: Fraction,
     t_max: int,
     staircase: Staircase,
+    scale: int,
 ) -> Window:
     """Canonical window of an extended configuration.
 
     Size part: the smallest grid power of 1/(1+eps) that still covers the
-    free space left by the configuration.  Count part: the smallest
+    free space left by the configuration: the largest t with
+    floor(scale * (k/(k+1))**t) >= scale - total.  Count part: the smallest
     breakpoint at least k_p minus the number of large items.
     """
-    powers = _powers(eps.denominator, t_max)
-    t = _size_index(1 - ext.config.total_size, powers)
+    floors = scaled_powers(eps.denominator, t_max, scale)
+    # floors descend, so their negations ascend
+    t = bisect_right(floors, ext.config.total_size - scale, key=neg) - 1
     a = bisect_left(staircase.ks, ext.k_p - ext.config.n_items)
-    return Window(t, a, powers[t], staircase.ks[a])
+    return Window(t, a, _powers(eps.denominator, t_max)[t], staircase.ks[a])
 
 
 def main_windows(
@@ -265,24 +262,23 @@ def main_windows(
     eps: Fraction,
     t_max: int,
     staircase: Staircase,
+    scale: int,
 ) -> set[Window]:
     """Main windows of every extension (cfg, p) with 1 <= p <= p_max and
     cfg.n_items <= k_p.
 
     A main window depends on the extension only through the size index of
-    the configuration's free space and k_p minus its item count: the index is
-    computed once per distinct total size, the window once per pair.
+    the configuration's free space and k_p minus its item count: the window
+    is built once per pair.
     """
     powers = _powers(eps.denominator, t_max)
+    floors = scaled_powers(eps.denominator, t_max, scale)
     ks = staircase.ks
-    t_of: dict[Fraction, int] = {}
     by_key: dict[tuple[int, int], Window] = {}
     for cfg in configs:
         if cfg.n_items > ks[p_max]:
             continue
-        t = t_of.get(cfg.total_size)
-        if t is None:
-            t = t_of[cfg.total_size] = _size_index(1 - cfg.total_size, powers)
+        t = bisect_right(floors, cfg.total_size - scale, key=neg) - 1  # as in main_window
         for p in range(1, p_max + 1):
             need = ks[p] - cfg.n_items
             if need >= 0 and (t, need) not in by_key:
@@ -292,38 +288,35 @@ def main_windows(
 
 
 def enumerate_configurations(
-    sizes: list[Fraction],
+    sizes: list[int],
     multiplicity: list[int],
     max_items: int,
+    capacity: int,
     budget: int = 200_000,
 ) -> list[Configuration]:
-    """All multisets over the given sizes with total size <= 1 and at most
-    ``max_items`` items, respecting multiplicities.  Sizes must be positive.
+    """All multisets over the given integer sizes with total size at most
+    ``capacity`` and at most ``max_items`` items, respecting multiplicities.
+    Sizes must be positive.
 
     Raises SolverLimitError when the enumeration exceeds ``budget``.
     """
     out: list[Configuration] = []
     counts = [0] * len(sizes)
     # smallest size at or after each position, to cut dead branches early
-    min_suffix: list[Fraction] = [Fraction(2)] * (len(sizes) + 1)
-    for idx in range(len(sizes) - 1, -1, -1):
-        min_suffix[idx] = min(sizes[idx], min_suffix[idx + 1])
+    min_suffix = list(accumulate(reversed(sizes), min))[::-1]
 
-    def rec(idx: int, room: Fraction, left: int) -> None:
+    def rec(idx: int, room: int, left: int) -> None:
         if len(out) > budget:
             raise SolverLimitError("configuration enumeration budget exceeded")
         if idx == len(sizes) or left == 0 or room < min_suffix[idx]:
-            out.append(
-                Configuration(tuple(counts), Fraction(1) - room, max_items - left)
-            )
+            out.append(Configuration(tuple(counts), capacity - room, max_items - left))
             return
         s = sizes[idx]
-        max_take = min(multiplicity[idx], left, int(room / s))
-        saved = counts[idx]
+        max_take = min(multiplicity[idx], left, room // s)
         for take in range(max_take + 1):
             counts[idx] = take
             rec(idx + 1, room - take * s, left - take)
-        counts[idx] = saved
+        counts[idx] = 0
 
-    rec(0, Fraction(1), max_items)
+    rec(0, capacity, max_items)
     return out

@@ -57,6 +57,17 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             run_afptas(inst, make_fq(1, 8), Fraction(1, 3), h_eps=2)
 
+    @pytest.mark.parametrize("h_eps", [2, -5, 3.5])
+    @pytest.mark.parametrize("n,bins", [(3, 3), (6, 3)])
+    def test_h_eps_validated_without_small_items(self, n, bins, h_eps):
+        # too few items for the scheme (n = 3, one per bin), or every item
+        # large (n = 6): a threshold below 1/eps or not an integer is
+        # refused all the same
+        inst = Instance.from_values([Fraction(1, 2)] * n)
+        with pytest.raises(ValueError, match="h_eps must be an integer >= 1/eps"):
+            run_afptas(inst, make_fq(1, n), Fraction(1, 3), h_eps=h_eps)
+        assert run_afptas(inst, make_fq(1, n), Fraction(1, 3), h_eps=3).packing.num_bins == bins
+
     def test_rejects_unnormalized_table(self):
         from concavebp import CostFunction
 
@@ -223,13 +234,14 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     stair = build_staircase(f, eps, max(n, inst.n))
     grouping = linear_grouping(inst, eps)
     small_items = tuple(
-        SmallItem(i, inst.sizes[i]) for i in range(n_large, inst.n)
+        SmallItem(i, inst.int_sizes[i]) for i in range(n_large, inst.n)
     )
     _, t_star = round_size_to_power(eps, Fraction(small_size))
     windows = build_windows(eps, t_star + 1, stair)
     model = LpModel(
-        sizes=(Fraction(large_size),),
+        sizes=(inst.int_sizes[0],),
         demands=(n_large,),
+        scale=inst.scale,
         smalls=small_items,
         windows=tuple(windows),
         staircase=stair,
@@ -260,9 +272,9 @@ class TestRoundSolution:
         inst, f, grouping, model, stair = _rounding_fixture(
             "1/2", 3, "1/10", 7, n=10
         )
-        cfg = Configuration((1,), Fraction(1, 2), 1)
+        cfg = Configuration((1,), inst.int_sizes[0], 1)
         ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair)
+        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 3.0)], [(si, mw) for si in range(7)])
@@ -276,9 +288,9 @@ class TestRoundSolution:
 
     def test_integral_solution_needs_no_dedicated_bins(self):
         inst, f, grouping, model, stair = _rounding_fixture("1/2", 2, "1/10", 0, n=8)
-        cfg = Configuration((2,), Fraction(1), 2)
+        cfg = Configuration((2,), inst.scale, 2)
         ext = ExtendedConfiguration(cfg, 2, stair.ks[2])
-        mw = main_window(ext, model.eps, model.t_max, stair)
+        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [])
@@ -288,9 +300,9 @@ class TestRoundSolution:
 
     def test_fractional_assignment_gets_dedicated_bin(self):
         inst, f, grouping, model, stair = _rounding_fixture("1/2", 1, "1/10", 2, n=8)
-        cfg = Configuration((1,), Fraction(1, 2), 1)
+        cfg = Configuration((1,), inst.int_sizes[0], 1)
         ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair)
+        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(0, mw)])
@@ -306,9 +318,9 @@ class TestRoundSolution:
         inst, f, grouping, model, stair = _rounding_fixture(
             "9/16", 1, "7/625", 50, n=51
         )
-        cfg = Configuration((1,), Fraction(9, 16), 1)
+        cfg = Configuration((1,), inst.int_sizes[0], 1)
         ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair)
+        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
         assert mw.w == Fraction(9, 16)
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)

@@ -9,7 +9,8 @@ written as functions of the rounded minimum small size): it sums, compares
 and indexes exact ``Fraction`` sizes.
 The integer versions (sizes scaled by ``Instance.scale``, windows decided
 on their integers (t, a)) must return exactly the same values, down to the
-text of a violation.
+text of a violation.  Size types, configuration totals, main-window tests
+and the pricing oracle's limit share one denominator, ``Instance.scale``.
 """
 import math
 import random
@@ -45,6 +46,7 @@ from concavebp.structures import (
     enumerate_configurations,
     main_windows,
     round_size_to_power,
+    scaled_powers,
 )
 from conftest import random_concave_cost, random_instance
 
@@ -140,8 +142,8 @@ def reference_split_small(inst, eps, h_eps, small) -> SmallSplit:
     return SmallSplit(kept, tail, h_eps)
 
 
-def reference_main_window(ext, eps, t_max, staircase) -> Window:
-    free = 1 - ext.config.total_size
+def reference_main_window(ext, eps, t_max, staircase, scale) -> Window:
+    free = 1 - Fraction(ext.config.total_size, scale)
     need = ext.k_p - ext.config.n_items
     t = 0
     val = Fraction(1)
@@ -153,16 +155,24 @@ def reference_main_window(ext, eps, t_max, staircase) -> Window:
     return Window(t, a, val, staircase.ks[a])
 
 
-def reference_main_windows(configs, p_max, eps, t_max, staircase) -> set[Window]:
-    by_key: dict[tuple[Fraction, int], Window] = {}
+def reference_main_windows(configs, p_max, eps, t_max, staircase, scale) -> set[Window]:
+    by_key: dict[tuple[int, int], Window] = {}
     for cfg in configs:
         for p in range(1, p_max + 1):
             k_p = staircase.ks[p]
             key = (cfg.total_size, k_p - cfg.n_items)
             if cfg.n_items <= k_p and key not in by_key:
                 ext = ExtendedConfiguration(cfg, p, k_p)
-                by_key[key] = reference_main_window(ext, eps, t_max, staircase)
+                by_key[key] = reference_main_window(ext, eps, t_max, staircase, scale)
     return set(by_key.values())
+
+
+def reference_window_limit(eps: Fraction, w: Fraction, scale: int) -> int:
+    """The pricing oracle's bound for a window of size w: the largest
+    integer total, over ``scale``, strictly below 1 - w/(1+eps)."""
+    capacity = 1 - w / (1 + eps)
+    cap_num, cap_den = capacity.numerator * scale, capacity.denominator
+    return -(-cap_num // cap_den) - 1
 
 
 def reference_rounded_size(inst: Instance, grouping) -> dict[int, Fraction]:
@@ -405,27 +415,67 @@ class TestMainWindowMatchesReference:
             eps = Fraction(1, k)
             n = rng.randint(k + 1, 60)
             stair = build_staircase(random_concave_cost(rng, n), eps, n)
-            denom = rng.choice((60, 1000, PRIMES[seed % 3]))
+            # scale * (k/(k+1))**t is integral up to t = 6 on the first scale
+            scale = rng.choice(((k + 1) ** 6 * 5, 60, 1000, PRIMES[seed % 3]))
             sizes = sorted(
-                {Fraction(rng.randint(denom // 5, denom), denom) for _ in range(rng.randint(1, 5))},
-                reverse=True,
+                {rng.randint(scale // 5, scale) for _ in range(rng.randint(1, 5))}, reverse=True
             )
             mult = [rng.randint(1, 4) for _ in sizes]
-            configs = enumerate_configurations(sizes, mult, k)
-            configs.append(Configuration((0,) * len(sizes), Fraction(1), k))  # no free space
+            configs = enumerate_configurations(sizes, mult, k, scale)
+            configs.append(Configuration((0,) * len(sizes), scale, k))  # no free space
+            # totals at and next to every grid boundary scale - floor(scale * w)
+            for floor_w in scaled_powers(k, 8, scale):
+                for total in (scale - floor_w - 1, scale - floor_w, scale - floor_w + 1):
+                    if 0 <= total <= scale:
+                        configs.append(Configuration((0,) * len(sizes), total, 1))
             for p_max in (1, stair.ell):
                 for t_max in (-1, 0, 2, 7, 30):
                     for cfg in configs:
                         for p in range(1, p_max + 1):
                             if cfg.n_items <= stair.ks[p]:
                                 ext = ExtendedConfiguration(cfg, p, stair.ks[p])
-                                assert main_window(ext, eps, t_max, stair) == (
-                                    reference_main_window(ext, eps, t_max, stair)
+                                assert main_window(ext, eps, t_max, stair, scale) == (
+                                    reference_main_window(ext, eps, t_max, stair, scale)
                                 )
-                    got = main_windows(configs, p_max, eps, t_max, stair)
-                    expected = reference_main_windows(configs, p_max, eps, t_max, stair)
+                    got = main_windows(configs, p_max, eps, t_max, stair, scale)
+                    expected = reference_main_windows(configs, p_max, eps, t_max, stair, scale)
                     assert got == expected
                     assert list(got) == list(expected)  # same iteration order too
+
+    def test_scaled_powers_are_floors(self):
+        for k in (3, 4, 7):
+            for scale in (1, 60, (k + 1) ** 9, 2**40 + 1, PRIMES[0] * PRIMES[1] * PRIMES[2]):
+                floors = scaled_powers(k, 12, scale)
+                for t, floor_w in enumerate(floors):
+                    w = Fraction(k, k + 1) ** t
+                    assert floor_w <= scale * w < floor_w + 1
+
+
+class TestWindowLimitMatchesReference:
+    def test_seeded_scales(self):
+        # limit = scale - 1 - floor(scale * (k/(k+1))**(t+1)) for every
+        # window power t < t_max, on scales where scale * w/(1+eps) is and
+        # is not integral
+        rng = random.Random(17)
+        integral = 0
+        for _ in range(400):
+            k = rng.choice([3, 4, 5, 7])
+            eps = Fraction(1, k)
+            t_max = rng.randint(1, 40)
+            scale = rng.choice(
+                (
+                    rng.randint(1, 2**40 + 1),
+                    (k + 1) ** rng.randint(1, 12) * rng.randint(1, 1000),
+                    rng.choice(PRIMES) * rng.randint(1, 997),
+                    PRIMES[0] * PRIMES[1] * PRIMES[2],
+                )
+            )
+            floors = scaled_powers(k, t_max, scale)
+            for t in range(t_max):
+                w = Fraction(k, k + 1) ** t  # the window size
+                assert scale - 1 - floors[t + 1] == reference_window_limit(eps, w, scale)
+                integral += scale * w / (1 + eps) == floors[t + 1]
+        assert integral > 0
 
 
 class TestSizeTypesMatchReference:
@@ -435,12 +485,12 @@ class TestSizeTypesMatchReference:
                 grouping = linear_grouping(inst, Fraction(1, k))
                 rounded = reference_rounded_size(inst, grouping)
                 sizes, demands = reference_h_set(rounded, grouping)
-                assert grouping.sizes == tuple(sizes)
+                assert grouping.sizes == tuple(int(v * inst.scale) for v in sizes)
                 assert grouping.demands == tuple(demands)
                 # type j is the next demands[j] indices after l1
                 pos = len(grouping.l1)
                 for v, d in zip(grouping.sizes, grouping.demands):
-                    assert all(rounded[i] == v for i in range(pos, pos + d))
+                    assert all(rounded[i] * inst.scale == v for i in range(pos, pos + d))
                     pos += d
                 assert pos == len(grouping.large)
 
@@ -479,6 +529,8 @@ class TestPlaceLargeMatchesReference:
             if leftover:
                 with pytest.raises(InvariantError) as err:
                     _place_large(counts, grouping)
+                # the message names each size type by its integer over the scale
+                leftover = {int(v * inst.scale): q for v, q in leftover.items()}
                 assert str(err.value) == f"unplaced large items: {leftover}"
             else:
                 assert _place_large(counts, grouping) == expected
@@ -512,6 +564,7 @@ class TestWindowTestsMatchReference:
             model = LpModel(
                 sizes=(),
                 demands=(),
+                scale=1,
                 smalls=(),
                 windows=tuple(windows),
                 staircase=stair,
@@ -527,10 +580,10 @@ class TestWindowTestsMatchReference:
                 seen["degenerate"] += w.t >= model.t_max
             # main windows of random extensions and some grid windows, against
             # every grid window
-            sizes = sorted({Fraction(rng.randint(12, 60), 60) for _ in range(3)}, reverse=True)
-            configs = enumerate_configurations(sizes, [2] * len(sizes), k)
+            sizes = sorted({rng.randint(12, 60) for _ in range(3)}, reverse=True)  # over 60
+            configs = enumerate_configurations(sizes, [2] * len(sizes), k, 60)
             mains = {
-                main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair)
+                main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair, 60)
                 for cfg in configs
                 for p in range(1, stair.ell + 1)
                 if cfg.n_items <= stair.ks[p]

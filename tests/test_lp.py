@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ def build_model(
 ):
     sizes = tuple(Fraction(s) for s in sizes)
     small = tuple(Fraction(s) for s in small_sizes)
+    scale = math.lcm(*(s.denominator for s in sizes + small))
+    int_sizes = tuple(int(s * scale) for s in sizes)
     f = make_fq(q, n)
     stair = build_staircase(f, eps, n)
     if small:
@@ -57,15 +60,16 @@ def build_model(
     windows = build_windows(eps, t_star + 1, stair)
     # the full set of canonical windows, as the pipeline passes it
     mains = set()
-    for cfg in enumerate_configurations(list(sizes), list(demands), eps.denominator):
+    for cfg in enumerate_configurations(list(int_sizes), list(demands), eps.denominator, scale):
         for p in range(1, p_max + 1):
             if cfg.n_items <= stair.ks[p]:
                 ext = ExtendedConfiguration(cfg, p, stair.ks[p])
-                mains.add(main_window(ext, eps, t_star + 1, stair))
+                mains.add(main_window(ext, eps, t_star + 1, stair, scale))
     return LpModel(
-        sizes=sizes,
+        sizes=int_sizes,
         demands=tuple(demands),
-        smalls=tuple(SmallItem(100 + i, s) for i, s in enumerate(small)),
+        scale=scale,
+        smalls=tuple(SmallItem(100 + i, int(s * scale)) for i, s in enumerate(small)),
         windows=tuple(windows),
         staircase=stair,
         p_max=p_max,
@@ -133,10 +137,10 @@ class TestSolveMaster:
         # copies of it cover all demand for a total of 4
         model = build_model(["1/2", "1/4"], [2, 4])
         model.seed_columns()
-        mixed = Configuration((1, 2), Fraction(1), 3)
+        mixed = Configuration((1, 2), model.scale, 3)
         ext = ExtendedConfiguration(mixed, 3, model.staircase.ks[3])
         gc = GeneralizedConfiguration(
-            ext, main_window(ext, model.eps, model.t_max, model.staircase)
+            ext, main_window(ext, model.eps, model.t_max, model.staircase, model.scale)
         )
         model.add_column(gc)
         sol, _ = solve_master(model)
@@ -237,6 +241,7 @@ def _solve_full_program(model: LpModel) -> float:
     probe = LpModel(
         sizes=model.sizes,
         demands=model.demands,
+        scale=model.scale,
         smalls=model.smalls,
         windows=model.windows,
         staircase=model.staircase,
@@ -247,14 +252,14 @@ def _solve_full_program(model: LpModel) -> float:
         main_windows=set(model.main_windows),
     )
     configs = enumerate_configurations(
-        list(model.sizes), list(model.demands), model.eps.denominator
+        list(model.sizes), list(model.demands), model.eps.denominator, model.scale
     )
     for cfg in configs:
         for p in range(1, model.p_max + 1):
             if cfg.n_items > model.staircase.ks[p]:
                 continue
             ext = ExtendedConfiguration(cfg, p, model.staircase.ks[p])
-            mw = main_window(ext, model.eps, model.t_max, model.staircase)
+            mw = main_window(ext, model.eps, model.t_max, model.staircase, model.scale)
             for w in model.windows:
                 if mw.dominates(w):
                     probe.add_column(GeneralizedConfiguration(ext, w))
@@ -294,13 +299,13 @@ class TestProjection:
         model = build_model(["1/2"], [4], small_sizes=["1/4"])
         model.seed_columns()
         stair = model.staircase
-        cfg = Configuration((1,), Fraction(1, 2), 1)
+        cfg = Configuration((1,), model.scale // 2, 1)
         ext2 = ExtendedConfiguration(cfg, 2, stair.ks[2])
         ext3 = ExtendedConfiguration(cfg, 3, stair.ks[3])
         off = next(
             w for w in model.windows
             if w not in model.main_windows and model.usable(w)
-            and main_window(ext2, model.eps, model.t_max, stair).dominates(w)
+            and main_window(ext2, model.eps, model.t_max, stair, model.scale).dominates(w)
         )
         gc2 = GeneralizedConfiguration(ext2, off)
         gc3 = GeneralizedConfiguration(ext3, off)
@@ -312,8 +317,8 @@ class TestProjection:
         sol.y = {(si, off): 0.9}
         sol.objective = 2.0 * stair.f_at[2] + 1.0 * stair.f_at[3]
         projected = project_to_main_windows(sol, model)
-        mw2 = main_window(ext2, model.eps, model.t_max, stair)
-        mw3 = main_window(ext3, model.eps, model.t_max, stair)
+        mw2 = main_window(ext2, model.eps, model.t_max, stair, model.scale)
+        mw3 = main_window(ext3, model.eps, model.t_max, stair, model.scale)
         assert projected.x[GeneralizedConfiguration(ext2, mw2)] == pytest.approx(2.0)
         assert projected.x[GeneralizedConfiguration(ext3, mw3)] == pytest.approx(1.0)
         got2 = projected.y.get((si, mw2), 0.0)
@@ -392,7 +397,7 @@ def _loop_arrays(model: LpModel, window_filter=None):
     b[nv : nv + ns] = 1.0
     for j, (si, w) in enumerate(y_cols):
         A[nv + si, j] += 1.0
-        A[w_row[w], j] -= float(model.smalls[si].size)
+        A[w_row[w], j] -= float(Fraction(model.smalls[si].size, model.scale))
         A[w_row[w] + 1, j] -= 1.0
     off = len(y_cols)
     for j, gc in enumerate(x_cols):

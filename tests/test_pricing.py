@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,10 +28,31 @@ def _items(*triples):
     return tuple(KccItemType(Fraction(s), v, m) for s, v, m in triples)
 
 
+class RationalKcc(NamedTuple):
+    """The oracle's earlier input: Fraction sizes, a Fraction capacity and
+    a strict flag."""
+
+    items: tuple
+    cardinality: int
+    capacity: Fraction
+    strict: bool = False
+
+
+def _scaled(items, cardinality, capacity, strict=False, factor=1):
+    """The rational form as integers over the sizes' common denominator
+    (times ``factor``): the limit is the largest integer total within the
+    capacity, strictly below it when ``strict``."""
+    scale = math.lcm(*(it.size.denominator for it in items)) * factor
+    cap = capacity * scale
+    limit = math.ceil(cap) - 1 if strict else math.floor(cap)
+    ints = tuple(KccItemType(int(it.size * scale), it.volume, it.multiplicity) for it in items)
+    return KccInstance(ints, cardinality, limit)
+
+
 class TestKccFptas:
     def test_two_types_cap_two(self):
         inst = KccInstance(
-            _items(("3/5", 5.0, 1), ("3/10", 3.0, 2)), 2, Fraction(1)
+            (KccItemType(6, 5.0, 1), KccItemType(3, 3.0, 2)), 2, 10
         )
         counts, volume = kcc_fptas(inst, 1 / 3)
         assert volume == pytest.approx(8.0)
@@ -38,22 +60,36 @@ class TestKccFptas:
 
     def test_cardinality_one(self):
         inst = KccInstance(
-            _items(("3/5", 5.0, 1), ("3/10", 3.0, 2)), 1, Fraction(1)
+            (KccItemType(6, 5.0, 1), KccItemType(3, 3.0, 2)), 1, 10
         )
         _, volume = kcc_fptas(inst, 1 / 3)
         assert volume == pytest.approx(5.0)
 
     def test_zero_cardinality(self):
-        inst = KccInstance(_items(("1/2", 9.0, 3)), 0, Fraction(1))
+        inst = KccInstance((KccItemType(1, 9.0, 3),), 0, 2)
         assert kcc_fptas(inst, 1 / 3) == ((0,), 0.0)
 
     def test_strict_capacity_excludes_exact_fit(self):
-        inst = KccInstance(_items(("1/2", 4.0, 2)), 2, Fraction(1), strict=True)
+        # two halves fill the bin: the strict bound, a limit one below it,
+        # takes one
+        inst = KccInstance((KccItemType(1, 4.0, 2),), 2, 1)
         counts, volume = kcc_fptas(inst, 1 / 4)
         assert sum(counts) <= 1 and volume == pytest.approx(4.0)
-        loose = KccInstance(_items(("1/2", 4.0, 2)), 2, Fraction(1), strict=False)
+        loose = KccInstance((KccItemType(1, 4.0, 2),), 2, 2)
         counts2, volume2 = kcc_fptas(loose, 1 / 4)
         assert volume2 == pytest.approx(8.0) and counts2 == (2,)
+
+    def test_rational_form_is_rescaled(self):
+        # capacity plus strict flag, as Fractions, becomes the integer limit
+        items = _items(("1/2", 4.0, 2), ("1/3", 1.0, 1))
+        scaled = (KccItemType(3, 4.0, 2), KccItemType(2, 1.0, 1))  # over 6
+        for capacity, strict, limit in (
+            (Fraction(1), True, 5),
+            (Fraction(1), False, 6),
+            (Fraction(5, 8), True, 3),
+        ):
+            assert KccInstance(items, 3, capacity, strict) == KccInstance(scaled, 3, limit)
+        assert KccInstance(items, 3, Fraction(1)).limit == 6  # not strict unless asked
 
     def test_solution_always_feasible(self):
         rng = random.Random(31)
@@ -74,7 +110,7 @@ class TestKccFptas:
             cap = Fraction(rng.randint(1, 40), 40)
             strict = rng.random() < 0.5
             k = rng.randint(0, 6)
-            inst = KccInstance(tuple(items), k, cap, strict)
+            inst = _scaled(items, k, cap, strict, factor=rng.choice([1, 3]))
             counts, volume = kcc_fptas(inst, 1 / 3)
             assert sum(counts) <= k or k == 0 and sum(counts) == 0
             total = sum((c * it.size for c, it in zip(counts, items)), Fraction(0))
@@ -109,11 +145,33 @@ class TestKccFptas:
             cap = Fraction(rng.randint(4, 24), 24)
             strict = rng.random() < 0.3
             card = rng.randint(1, copies)
-            inst = KccInstance(tuple(items), card, cap, strict)
+            inst = _scaled(items, card, cap, strict)
             for eps in (1 / 3, 1 / 5):
                 _, volume = kcc_fptas(inst, eps)
                 best = brute_force_kcc(items, card, cap, strict)
                 assert volume >= (1 - eps) * best - 1e-9
+
+    def test_guarantee_vs_brute_force_beyond_int64(self):
+        # sizes over three coprime denominators near 2**21, whose LCM passes
+        # 2**60: the oracle runs on Python integers (an object-dtype table)
+        primes = (2097143, 2097133, 2097131)
+        rng = random.Random(33)
+        for _ in range(20):
+            items = [
+                KccItemType(Fraction(rng.randint(p // 8, p // 2), p), rng.random() * 5, rng.randint(1, 3))
+                for p in primes
+            ]
+            cap = Fraction(rng.randint(2, 8), 8)
+            strict = rng.random() < 0.5
+            card = rng.randint(1, sum(it.multiplicity for it in items))
+            inst = _scaled(items, card, cap, strict)
+            assert inst.limit >= 2**60
+            best = brute_force_kcc(items, card, cap, strict)
+            for eps in (1 / 3, 1 / 5):
+                counts, volume = kcc_fptas(inst, eps)
+                total = sum((c * it.size for c, it in zip(counts, items)), Fraction(0))
+                assert (total < cap) if strict else (total <= cap)
+                assert (1 - eps) * best - 1e-9 <= volume <= best + 1e-9
 
 
 class TestPriceAll:
@@ -123,9 +181,11 @@ class TestPriceAll:
         _, t_star = round_size_to_power(eps, s_min)
         windows = build_windows(eps, t_star + 1, stair)
         p_max = next(p for p, kp in enumerate(stair.ks) if kp >= eps.denominator)
+        scale = math.lcm(*(Fraction(s).denominator for s in sizes))
         return LpModel(
-            sizes=tuple(Fraction(s) for s in sizes),
+            sizes=tuple(int(Fraction(s) * scale) for s in sizes),
             demands=tuple(mults),
+            scale=scale,
             smalls=(),
             windows=tuple(windows),
             staircase=stair,
@@ -143,7 +203,7 @@ class TestPriceAll:
 
     def test_large_dual_triggers_violation(self):
         ctx = self._context(["1/2"], [3])
-        alpha = {Fraction(1, 2): 5.0}  # exceeds every f(k_p)
+        alpha = {ctx.scale // 2: 5.0}  # exceeds every f(k_p)
         out = price_all(alpha, {}, {}, ctx, 1 / 6)
         assert out.violations
         top = out.violations[0]
@@ -160,13 +220,13 @@ class TestPriceAll:
             out = price_all(alpha, gamma, delta, ctx, 1 / 6)
             for pc in out.violations:
                 gen = pc.column
-                mw = main_window(gen.ext, ctx.eps, ctx.t_max, ctx.staircase)
+                mw = main_window(gen.ext, ctx.eps, ctx.t_max, ctx.staircase, ctx.scale)
                 assert mw.dominates(gen.window)
                 assert gen.ext.config.n_items <= gen.ext.k_p
-                assert gen.ext.config.total_size <= 1
+                assert gen.ext.config.total_size <= ctx.scale
 
 
-def _uncapped_kcc_fptas(inst: KccInstance, eps: float):
+def _uncapped_kcc_fptas(inst: RationalKcc, eps: float):
     """The oracle before its table was bounded by the capacity: up to
     min(multiplicity, cardinality) copies per type, cardinality rows, and
     sizes and capacity scaled by one common denominator that includes the
@@ -249,19 +309,20 @@ def _random_kcc(rng, capacity=None, denominators=(6, 10, 24, 35, 1000)):
     card = rng.choice([rng.randint(1, total), total, total + rng.randint(1, 5)])
     if capacity is None:
         capacity = Fraction(rng.randint(1, 60), rng.choice([12, 35, 60]))
-    return KccInstance(tuple(items), card, capacity, rng.random() < 0.5)
+    return RationalKcc(tuple(items), card, capacity, rng.random() < 0.5)
 
 
 class TestBoundedOracleMatchesUncapped:
-    """The bounded oracle returns exactly the multiset the uncapped one
-    returns: same counts and bit-equal volume."""
+    """The bounded oracle on integer sizes and limit returns exactly the
+    multiset the uncapped one returns on the Fractions: same counts and
+    bit-equal volume."""
 
     @pytest.mark.parametrize("eps", [1 / 3, 1 / 6, 1 / 8])
     def test_seeded_instances(self, eps):
         rng = random.Random(61)
         for _ in range(150):
             inst = _random_kcc(rng)
-            assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+            assert kcc_fptas(_scaled(*inst), eps) == _uncapped_kcc_fptas(inst, eps)
 
     def test_dual_like_volumes_above_what_fits(self):
         # the regime where the scaling step matters: more copies than fit,
@@ -273,17 +334,17 @@ class TestBoundedOracleMatchesUncapped:
                 size = Fraction(rng.randint(5, 45), 100)
                 items.append(KccItemType(size, float(size) * (1 + rng.random() / 20), rng.randint(2, 9)))
             total = sum(it.multiplicity for it in items)
-            inst = KccInstance(tuple(items), total + rng.randint(0, 3), Fraction(1), rng.random() < 0.5)
+            inst = RationalKcc(tuple(items), total + rng.randint(0, 3), Fraction(1), rng.random() < 0.5)
             for eps in (1 / 3, 1 / 8):
-                assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+                assert kcc_fptas(_scaled(*inst), eps) == _uncapped_kcc_fptas(inst, eps)
 
     def test_multiplicity_above_what_fits(self):
         # 7 copies of 3/10 and 5 of 1/4 offered, at most 3 and 4 fit
         items = _items(("3/10", 2.5, 7), ("1/4", 2.0, 5), ("1/7", 0.7, 9))
         for card in (2, 5, 21, 40):
             for strict in (False, True):
-                inst = KccInstance(items, card, Fraction(1), strict)
-                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+                inst = RationalKcc(items, card, Fraction(1), strict)
+                assert kcc_fptas(_scaled(*inst), 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
 
     def test_cardinality_below_at_and_above_total(self):
         rng = random.Random(62)
@@ -291,15 +352,15 @@ class TestBoundedOracleMatchesUncapped:
             base = _random_kcc(rng)
             total = sum(it.multiplicity for it in base.items)
             for card in (max(total - 1, 1), total, total + 1, 3 * total):
-                inst = KccInstance(base.items, card, base.capacity, base.strict)
-                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+                inst = base._replace(cardinality=card)
+                assert kcc_fptas(_scaled(*inst), 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
 
     def test_zero_volumes(self):
         items = _items(("1/3", 0.0, 4), ("1/5", 0.0, 2))
-        inst = KccInstance(items, 5, Fraction(1))
-        assert kcc_fptas(inst, 1 / 3) == _uncapped_kcc_fptas(inst, 1 / 3) == ((0, 0), 0.0)
-        mixed = KccInstance(_items(("1/3", 0.0, 4), ("1/5", 1.5, 2), ("1/2", 0.0, 1)), 4, Fraction(1))
-        assert kcc_fptas(mixed, 1 / 3) == _uncapped_kcc_fptas(mixed, 1 / 3)
+        inst = RationalKcc(items, 5, Fraction(1))
+        assert kcc_fptas(_scaled(*inst), 1 / 3) == _uncapped_kcc_fptas(inst, 1 / 3) == ((0, 0), 0.0)
+        mixed = RationalKcc(_items(("1/3", 0.0, 4), ("1/5", 1.5, 2), ("1/2", 0.0, 1)), 4, Fraction(1))
+        assert kcc_fptas(_scaled(*mixed), 1 / 3) == _uncapped_kcc_fptas(mixed, 1 / 3)
 
     def test_window_capacities(self):
         # 1 - (3/4)**(t+1): the strict capacity of window t at eps = 1/3,
@@ -308,9 +369,8 @@ class TestBoundedOracleMatchesUncapped:
         for t in range(41):
             cap = 1 - Fraction(3, 4) ** (t + 1)
             for _ in range(3):
-                inst = _random_kcc(rng, capacity=cap)
-                inst = KccInstance(inst.items, inst.cardinality, cap, strict=True)
-                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+                inst = _random_kcc(rng, capacity=cap)._replace(strict=True)
+                assert kcc_fptas(_scaled(*inst), 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
 
     def test_common_denominator_beyond_int64(self):
         # three coprime denominators near 2**21: their LCM exceeds 2**60,
@@ -324,8 +384,8 @@ class TestBoundedOracleMatchesUncapped:
                 for p in primes
             )
             for strict in (False, True):
-                inst = KccInstance(items, rng.randint(1, 8), Fraction(1), strict)
-                assert kcc_fptas(inst, 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
+                inst = RationalKcc(items, rng.randint(1, 8), Fraction(1), strict)
+                assert kcc_fptas(_scaled(*inst), 1 / 6) == _uncapped_kcc_fptas(inst, 1 / 6)
 
 
 _size = st.builds(Fraction, st.integers(1, 40), st.sampled_from([8, 12, 40, 45]))
@@ -345,16 +405,17 @@ _size = st.builds(Fraction, st.integers(1, 40), st.sampled_from([8, 12, 40, 45])
 )
 def test_bounded_oracle_matches_uncapped_property(types, card, capacity, strict, eps):
     items = tuple(KccItemType(s, v, m) for s, v, m in types)
-    inst = KccInstance(items, card, capacity, strict)
-    assert kcc_fptas(inst, eps) == _uncapped_kcc_fptas(inst, eps)
+    inst = RationalKcc(items, card, capacity, strict)
+    assert kcc_fptas(_scaled(*inst), eps) == _uncapped_kcc_fptas(inst, eps)
 
 
 def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
     """price_all as a plain sweep: one oracle call per (window, level) pair
-    with its raw cardinality, no cache, and the dual terms added per pair."""
+    with its raw cardinality, no cache, the dual terms added per pair, and
+    the oracle given Fraction sizes with each window's Fraction capacity."""
     stair = model.staircase
     items = tuple(
-        KccItemType(v, duals_alpha.get(v, 0.0), mult)
+        KccItemType(Fraction(v, model.scale), duals_alpha.get(v, 0.0), mult)
         for v, mult in zip(model.sizes, model.demands)
     )
     slack = 1.0 / (1.0 - kcc_eps)
@@ -401,9 +462,11 @@ class TestPriceAllMatchesUncachedSweep:
         stair = build_staircase(f, eps, n)
         _, t_star = round_size_to_power(eps, s_min)
         p_max = next((p for p, kp in enumerate(stair.ks) if kp >= 1 / s_min), stair.ell)
+        scale = math.lcm(*(Fraction(s).denominator for s in sizes))
         return LpModel(
-            sizes=tuple(Fraction(s) for s in sizes),
+            sizes=tuple(int(Fraction(s) * scale) for s in sizes),
             demands=tuple(mults),
+            scale=scale,
             smalls=(),
             windows=tuple(build_windows(eps, t_star + 1, stair)),
             staircase=stair,

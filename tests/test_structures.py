@@ -41,7 +41,7 @@ class TestLinearGrouping:
         inst = Instance.from_values([Fraction(1, 2)] * 5 + [Fraction(1, 10)] * 3)
         g = linear_grouping(inst, Fraction(1, 3))
         assert g.l1 == ()
-        assert g.sizes == (Fraction(1, 2),) and g.demands == (5,)
+        assert g.sizes == (inst.scale // 2,) and g.demands == (5,)
         assert len(g.classes) == 5
 
     def test_many_large_items_rounds_to_class_maxima(self):
@@ -52,15 +52,15 @@ class TestLinearGrouping:
         assert [len(c) for c in g.classes] == [2] * 27
         assert len(g.l1) == 2
         # distinct sizes: one type per class after the first, at its maximum
-        assert g.sizes == tuple(max(inst.sizes[i] for i in cls) for cls in g.classes[1:])
+        assert g.sizes == tuple(max(inst.int_sizes[i] for i in cls) for cls in g.classes[1:])
         assert g.demands == (2,) * 26
         for j, cls in enumerate(g.classes[1:]):
-            assert all(g.sizes[j] >= inst.sizes[i] for i in cls)
+            assert all(g.sizes[j] >= inst.int_sizes[i] for i in cls)
 
     def test_equal_sizes_round_to_same_value(self):
         inst = Instance.from_values([Fraction(1, 2)] * 54)
         g = linear_grouping(inst, Fraction(1, 3))
-        assert g.sizes == (Fraction(1, 2),)
+        assert g.sizes == (inst.scale // 2,)
         assert g.demands == (len(g.l_rest),) == (52,)
 
     def test_class_sizes_non_increasing_and_l1_bound(self):
@@ -219,32 +219,33 @@ class TestMainWindow:
 
     def test_empty_configuration(self):
         stair = self._stair()
-        empty = Configuration((), Fraction(0), 0)
+        empty = Configuration((), 0, 0)
         ext = ExtendedConfiguration(empty, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 5, stair)
+        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
         assert w.w == 1 and w.kappa == stair.ks[3]
 
     def test_full_configuration_gets_smallest_power(self):
         stair = self._stair()
-        full = Configuration((2,), Fraction(1), 2)
+        full = Configuration((2,), 64, 2)
         ext = ExtendedConfiguration(full, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 5, stair)
+        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
         assert w.t == 5  # deepest exponent in the grid
 
     def test_count_zero_when_config_saturates_level(self):
         stair = self._stair()
-        cfg = Configuration((3,), Fraction(3, 4), 3)
+        cfg = Configuration((3,), 48, 3)
         ext = ExtendedConfiguration(cfg, 3, stair.ks[3])  # k_3 = 3 = items
-        w = main_window(ext, Fraction(1, 3), 5, stair)
+        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
         assert w.kappa == 0
 
     def test_window_covers_free_space(self):
         stair = self._stair()
-        cfg = Configuration((1,), Fraction(29, 64), 1)
+        cfg = Configuration((1,), 29, 1)
         ext = ExtendedConfiguration(cfg, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 9, stair)
-        assert w.w >= 1 - cfg.total_size
-        assert w.w * Fraction(3, 4) < 1 - cfg.total_size  # tightest such power
+        w = main_window(ext, Fraction(1, 3), 9, stair, 64)
+        free = 1 - Fraction(cfg.total_size, 64)
+        assert w.w >= free
+        assert w.w * Fraction(3, 4) < free  # tightest such power
 
     def test_main_windows_matches_per_extension_windows(self):
         for seed in range(12):
@@ -253,37 +254,34 @@ class TestMainWindow:
             eps = Fraction(1, k)
             n = rng.randint(k + 1, 40)
             stair = build_staircase(random_concave_cost(rng, n), eps, n)
-            sizes = sorted(
-                {Fraction(rng.randint(24, 60), 60) for _ in range(rng.randint(1, 4))},
-                reverse=True,
-            )
+            sizes = sorted({rng.randint(24, 60) for _ in range(rng.randint(1, 4))}, reverse=True)
             mult = [rng.randint(1, 4) for _ in sizes]
-            configs = enumerate_configurations(sizes, mult, k)
+            configs = enumerate_configurations(sizes, mult, k, 60)
             for p_max in (1, stair.ell):
                 for t_max in (0, 2, 7):
                     expected = {
-                        main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair)
+                        main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair, 60)
                         for cfg in configs
                         for p in range(1, p_max + 1)
                         if cfg.n_items <= stair.ks[p]
                     }
-                    assert main_windows(configs, p_max, eps, t_max, stair) == expected
+                    assert main_windows(configs, p_max, eps, t_max, stair, 60) == expected
 
 
 class TestEnumerateConfigurations:
     def test_counts_and_feasibility(self):
-        sizes = [Fraction(1, 2), Fraction(1, 3)]
-        configs = enumerate_configurations(sizes, [2, 3], 3)
+        sizes = [6, 4]  # 1/2 and 1/3 over 12
+        configs = enumerate_configurations(sizes, [2, 3], 3, 12)
         keys = {c.counts for c in configs}
         assert (0, 0) in keys and (2, 0) in keys and (1, 1) in keys and (0, 3) in keys
-        assert (2, 1) not in keys  # size 4/3 > 1
+        assert (2, 1) not in keys  # size 16/12 > 1
         for c in configs:
-            assert c.total_size <= 1
+            assert c.total_size == sum(n * v for n, v in zip(c.counts, sizes)) <= 12
             assert c.n_items <= 3
 
     def test_budget_guard(self):
         from concavebp.errors import SolverLimitError
 
-        sizes = [Fraction(1, 100 + i) for i in range(20)]
+        sizes = [10**6 // (100 + i) for i in range(20)]
         with pytest.raises(SolverLimitError):
-            enumerate_configurations(sizes, [20] * 20, 20, budget=50)
+            enumerate_configurations(sizes, [20] * 20, 20, 10**6, budget=50)
