@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 malformed or unreadable input (including a
 that ``afptas`` cannot normalize, such as an all-zero one), 3 infeasible
 or failed verification (including a claimed cost that does not match, an
 infeasible master program, a numerical failure of the LP solver or a broken
-invariant of the scheme), 4 solver limit exceeded.  Every failure is
-reported on stderr; stdout carries results only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
+invariant of the scheme), 4 solver limit exceeded (including running out of
+memory, reported as one ``solver limit: out of memory`` line).  Every
+failure is reported on stderr; stdout carries results only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
 any row; it reports every other failure in the row's ``error`` field and
 carries on, a packing that fails verification against every item of the
 instance included.
@@ -247,7 +248,13 @@ def _compare_rows(args):
                     _fill_row(row, args, inst, alg, spec, optima)
                 except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
                     row["error"] = str(exc)
+                except MemoryError as exc:
+                    row["error"] = _out_of_memory(exc)
                 yield row
+
+
+def _out_of_memory(exc: MemoryError) -> str:
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
 
 
 def _exact_optimum(optima, inst, spec, f, limit):
@@ -397,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_LIMIT
+    except MemoryError as exc:
+        print(f"solver limit: {_out_of_memory(exc)}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
     except SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
-"""Dense revised simplex for small linear programs.
+"""Revised simplex with sparse pricing for small linear programs.
 
 Solves   min c.x  subject to  A x >= b,  x >= 0   with b >= 0.
 
 Surplus variables turn the rows into equalities and phase 1 starts from an
-artificial identity basis.  The basis inverse is kept explicitly, refreshed
-periodically, and pricing is vectorized over all columns.  Dantzig's rule
-switches to Bland's rule after a run of degenerate pivots to rule out
-cycling.  Master programs here have at most a few hundred rows, so dense
-algebra is appropriate.
+artificial identity basis.  A's nonzeros are kept once per call as
+column-major (row, value) runs, and pricing and entering columns run over
+those nonzeros; a surplus column is -e_i and an artificial column +e_i, so
+neither is stored.  The basis inverse stays a dense m x m matrix, updated in
+place by a rank-one product after each pivot and refreshed periodically.
+Dantzig's rule switches to Bland's rule after a run of degenerate pivots to
+rule out cycling.  A warm-start basis is used only when its computed
+inverse reproduces the identity; a singular one falls back to phase 1.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _REFRESH_EVERY = 64
 _DEGENERATE_RUN = 40
+_INVERSE_TOL = 1e-9
 
 # stable basis labels across column additions:
 #   ("x", j) structural column j, ("s", i) surplus variable of row i
@@ -54,11 +58,10 @@ def solve_lp(
         raise ValueError("right-hand sides must be non-negative")
 
     # column layout: [structural | surplus | artificial]
-    M = np.hstack([A, -np.eye(m), np.eye(m)])
     n_art_start = n + m
     cost2 = np.concatenate([c, np.zeros(2 * m)])
 
-    state = _State(M, b, n, m)
+    state = _State(A, b)
     iterations = 0
 
     start = _labels_to_indices(basis, n, m) if basis is not None else None
@@ -67,7 +70,6 @@ def solve_lp(
     if start is None:
         cost1 = np.zeros(n + 2 * m)
         cost1[n_art_start:] = 1.0
-        state.load_basis(list(range(n_art_start, n_art_start + m)))
         status, it = state.iterate(cost1, allow_artificial=True)
         iterations += it
         if status != "optimal":
@@ -114,26 +116,69 @@ def _indices_to_labels(indices: np.ndarray | list[int], n: int) -> list[Label]:
 
 
 class _State:
-    """Basis, its inverse, and the pivoting loop."""
+    """Basis, its inverse, and the pivoting loop.
 
-    def __init__(self, M: np.ndarray, b: np.ndarray, n: int, m: int):
-        self.M = M
+    Column j < n is A's column j, column n + i is -e_i (surplus) and column
+    n + m + i is +e_i (artificial)."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self.A = A
         self.b = b
-        self.n = n
-        self.m = m
-        self.basis: np.ndarray = np.zeros(m, dtype=np.int64)
-        self.binv = np.eye(m)
+        self.m, self.n = A.shape
+        rows, cols = np.nonzero(A)
+        order = np.argsort(cols, kind="stable")
+        # column-major runs: column j's nonzeros sit in [starts[j], starts[j+1])
+        self.rows = rows[order]
+        self.cols = cols[order]
+        self.vals = A[self.rows, self.cols]
+        self.starts = np.searchsorted(self.cols, np.arange(self.n + 1))
+        # phase 1 starts from the artificial basis, whose inverse is I
+        self.basis: np.ndarray = np.arange(self.n + self.m, self.n + 2 * self.m)
+        self.binv = np.eye(self.m)
         self._pivots_since_refresh = 0
+
+    def _basis_matrix(self, indices) -> np.ndarray:
+        idx = np.asarray(indices, dtype=np.int64)
+        B = np.zeros((self.m, self.m))
+        structural = idx < self.n
+        B[:, structural] = self.A[:, idx[structural]]
+        pos = np.nonzero(~structural)[0]
+        unit = idx[pos] - self.n  # surplus i is i, artificial i is m + i
+        B[unit % self.m, pos] = np.where(unit < self.m, -1.0, 1.0)
+        return B
+
+    def _row_times(self, y: np.ndarray, allow_artificial: bool) -> np.ndarray:
+        """y @ [A | -I] (and | I when artificial columns are allowed)."""
+        parts = [
+            np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n),
+            -y,
+        ]
+        if allow_artificial:
+            parts.append(y)
+        return np.concatenate(parts)
+
+    def _column(self, j: int) -> np.ndarray:
+        """binv @ (column j), a fresh array."""
+        if j < self.n:
+            lo, hi = self.starts[j], self.starts[j + 1]
+            return self.binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
+        if j < self.n + self.m:
+            return -self.binv[:, j - self.n]
+        return self.binv[:, j - self.n - self.m].copy()
 
     def load_basis(self, indices: list[int]) -> bool:
         if len(indices) != self.m:
             return False
-        B = self.M[:, indices]
+        B = self._basis_matrix(indices)
         try:
             binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             return False
+        # a singular B (a repeated label, two equal rows) can invert without
+        # an error into huge entries; such an inverse does not reproduce I
         if not np.all(np.isfinite(binv)):
+            return False
+        if np.abs(B @ binv - np.eye(self.m)).max() > _INVERSE_TOL:
             return False
         if np.any(binv @ self.b < -FEAS_TOL):
             return False
@@ -146,7 +191,7 @@ class _State:
 
     def refresh(self) -> None:
         try:
-            self.binv = np.linalg.inv(self.M[:, self.basis])
+            self.binv = np.linalg.inv(self._basis_matrix(self.basis))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError("basis matrix became singular") from exc
         self._pivots_since_refresh = 0
@@ -157,29 +202,27 @@ class _State:
         for pos in range(self.m):
             if self.basis[pos] < n_art_start:
                 continue
-            row = self.binv[pos] @ self.M[:, :n_art_start]
+            row = self._row_times(self.binv[pos], allow_artificial=False)
             in_basis = set(self.basis.tolist())
             candidates = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
             for j in candidates:
                 if int(j) in in_basis:
                     continue
-                d = self.binv @ self.M[:, j]
-                self._pivot(d, pos, int(j))
+                self._pivot(self._column(int(j)), pos, int(j))
                 break
             # if no candidate exists the row is redundant; the artificial
             # stays basic at level zero, which is harmless
 
     def iterate(self, cost: np.ndarray, allow_artificial: bool) -> tuple[str, int]:
         limit = 200 * (self.m + self.n + 1)
-        n_cols = self.M.shape[1] if allow_artificial else self.n + self.m
-        M = self.M[:, :n_cols]
+        n_cols = self.n + (2 if allow_artificial else 1) * self.m
         it = 0
         degenerate_run = 0
         while True:
             if it >= limit:
                 return "iteration-limit", it
             y = cost[self.basis] @ self.binv
-            reduced = cost[:n_cols] - y @ M
+            reduced = cost[:n_cols] - self._row_times(y, allow_artificial)
             reduced[self.basis[self.basis < n_cols]] = 0.0
             if degenerate_run >= _DEGENERATE_RUN:
                 viol = np.nonzero(reduced < -PIVOT_TOL)[0]
@@ -189,7 +232,7 @@ class _State:
                 entering = j if reduced[j] < -PIVOT_TOL else -1
             if entering < 0:
                 return "optimal", it
-            d = self.binv @ self.M[:, entering]
+            d = self._column(entering)
             xb = self.xb()
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(d > PIVOT_TOL, xb / d, np.inf)
@@ -208,9 +251,9 @@ class _State:
         piv = d[row]
         if abs(piv) <= PIVOT_TOL:
             raise NumericalFailureError("pivot element below tolerance")
-        self.binv[row] /= piv
-        others = np.arange(self.m) != row
-        self.binv[others] -= np.outer(d[others], self.binv[row])
+        r = self.binv[row] / piv
+        self.binv -= np.outer(d, r)
+        self.binv[row] = r
         self.basis[row] = entering
         self._pivots_since_refresh += 1
         if self._pivots_since_refresh >= _REFRESH_EVERY:

@@ -242,6 +242,18 @@ class TestSolve:
         assert captured.err.splitlines() == ["solver failure: simulated LP failure"]
         assert "Traceback" not in captured.out + captured.err
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        _break_lp(monkeypatch, MemoryError)
+        path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
+        code = main(["solve", str(path), "--alg", "afptas", "--cost", "fq:3",
+                     "--eps", "1/3", "--out", str(tmp_path / "x.sol")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.splitlines() == [
+            "solver limit: out of memory: simulated LP failure"
+        ]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_broken_invariant_exit_code(self, tmp_path, capsys, monkeypatch):
         _break_invariant(monkeypatch)
         path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
@@ -435,6 +447,18 @@ class TestCompare:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[0]["error"] == "simulated LP failure"
+        assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
+
+    def test_out_of_memory_becomes_row_error(self, tmp_path, monkeypatch):
+        _break_lp(monkeypatch, MemoryError)
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 6)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--instances", str(p1), "--algs", "afptas,nf-inc",
+                     "--costs", "fq:3", "--eps", "1/3", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert rows[0]["error"] == "out of memory: simulated LP failure"
         assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
 
     def test_broken_invariant_becomes_row_error(self, tmp_path, monkeypatch):
