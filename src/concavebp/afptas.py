@@ -26,10 +26,10 @@ from .fractional import fnfi_with_split_repair
 from .lp import (
     LpModel,
     LpSolution,
-    SmallItem,
     column_generation,
     extract_basic,
     project_to_main_windows,
+    small_types,
 )
 from .structures import (
     GeneralizedConfiguration,
@@ -215,18 +215,15 @@ def round_solution(
     bins = [_Bin(gc, larges) for gc, larges in zip(bin_gcs, placed)]
 
     # small items: integral window assignment or a dedicated bin
+    unit = {i: w for (i, w), val in basic.assignment.items() if abs(val - 1.0) <= 1e-6}
     extra_bins: list[list[int]] = []
     assigned: dict[Window, list[int]] = {}
-    for si, item in enumerate(model.smalls):
-        unit_w = None
-        for w in model.windows:
-            if abs(basic.y.get((si, w), 0.0) - 1.0) <= 1e-6:
-                unit_w = w
-                break
-        if unit_w is None:
-            extra_bins.append([item.index])
-        else:
-            assigned.setdefault(unit_w, []).append(item.index)
+    for st in model.smalls:
+        for item in st.items:
+            if item in unit:
+                assigned.setdefault(unit[item], []).append(item)
+            else:
+                extra_bins.append([item])
     dedicated_small = len(extra_bins)
 
     by_window: dict[Window, list[_Bin]] = {}
@@ -423,7 +420,7 @@ def run_afptas(
             sizes=sizes,
             demands=mult,
             scale=inst.scale,
-            smalls=tuple(SmallItem(i, inst.int_sizes[i]) for i in kept),
+            smalls=small_types(inst.int_sizes, kept),
             windows=tuple(windows),
             staircase=staircase,
             p_max=p_delta,

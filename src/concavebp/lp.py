@@ -1,13 +1,19 @@
 """Restricted master program for the scheme, plus the column-generation loop,
 the projection onto canonical windows, and basic-solution extraction.
 
-Rows:  one covering row per rounded large size, one per kept small item, and
-a (size, count) pair of rows per window.  Columns: one per generalized
-configuration (cost: the configuration's level cost) and one zero-cost
-assignment column per (small item, window) pair.
+Rows:  one covering row per rounded large size, one per small size type
+(the distinct kept small sizes, demand: the type's item count), and a (size,
+count) pair of rows per window some small item fits.  A window no small item
+fits has no assignment columns, so its two rows would read w.x >= 0 and
+kappa.x >= 0 and bind nothing; it gets no rows.  Columns: one per
+generalized configuration (cost: the configuration's level cost) and one
+zero-cost assignment column per (small type, usable window) pair.  The
+master's size thus follows the number of distinct sizes, not n.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,9 +41,20 @@ FRACTIONAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class SmallItem:
-    index: int  # index in the original instance
+class SmallType:
     size: int  # over LpModel.scale
+    items: tuple[int, ...]  # indices in the original instance
+
+
+def small_types(
+    sizes: Sequence[int] | Mapping[int, int], items: Iterable[int]
+) -> tuple[SmallType, ...]:
+    """The distinct sizes among ``items`` (item i has size ``sizes[i]``), in
+    order of first appearance, each with its items."""
+    by_size: dict[int, list[int]] = {}
+    for i in items:
+        by_size.setdefault(sizes[i], []).append(i)
+    return tuple(SmallType(v, tuple(its)) for v, its in by_size.items())
 
 
 @dataclass
@@ -47,7 +64,7 @@ class LpModel:
     sizes: tuple[int, ...]  # distinct rounded large sizes, descending
     demands: tuple[int, ...]  # multiplicity per size
     scale: int  # common denominator of every size, Instance.scale
-    smalls: tuple[SmallItem, ...]
+    smalls: tuple[SmallType, ...]
     windows: tuple[Window, ...]
     staircase: Staircase
     p_max: int
@@ -58,14 +75,14 @@ class LpModel:
 
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
     _column_set: set[GeneralizedConfiguration] = field(default_factory=set)
-    y_pairs: list[tuple[int, Window]] = field(default_factory=list)
+    y_pairs: list[tuple[int, Window]] = field(default_factory=list)  # (type, window)
 
     def usable(self, w: Window) -> bool:
         """Small items fit the window: count bound ks[a] >= 1, and t < t_max."""
         return w.a >= 1 and w.t < self.t_max
 
     def __post_init__(self):
-        # zero-cost assignment columns for every usable (item, window) pair;
+        # zero-cost assignment columns for every usable (type, window) pair;
         # windows too small for any small item carry none by construction
         usable = [w for w in self.windows if self.usable(w)]
         self.y_pairs.extend((si, w) for si in range(len(self.smalls)) for w in usable)
@@ -96,14 +113,20 @@ class LpModel:
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
-        """Dense (c, A, b) plus the active column lists and windows.
+        """Dense (c, A, b) plus the active column lists and the windows that
+        have rows.
 
-        Rows, in order: one per size, one per small item, then a (size,
-        count) pair per window.  With a window filter, rows of excluded
-        windows and columns touching them are dropped (the temporary program
-        after projection).
+        Rows, in order: one per size, one per small type, then a (size,
+        count) pair per usable window.  A configuration column on a window
+        without rows touches the size rows only.  With a window filter, rows
+        of excluded windows and columns touching them are dropped (the
+        temporary program after projection).
         """
-        windows = [w for w in self.windows if window_filter is None or w in window_filter]
+        windows = [
+            w
+            for w in self.windows
+            if self.usable(w) and (window_filter is None or w in window_filter)
+        ]
         nv, ns = len(self.sizes), len(self.smalls)
         w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
         x_cols = [
@@ -123,7 +146,7 @@ class LpModel:
         c = np.zeros(ncols, dtype=np.float64)
         b = np.zeros(A.shape[0], dtype=np.float64)
         b[:nv] = self.demands
-        b[nv : nv + ns] = 1.0
+        b[nv : nv + ns] = [len(st.items) for st in self.smalls]
         # every column touches each of its rows once, so plain assignment
         # into the zero matrix gives the entries a per-column loop would add
         ys = np.arange(len(y_cols))
@@ -134,25 +157,32 @@ class LpModel:
         A[y_rows, ys] = -np.array([it.size / self.scale for it in self.smalls])[si]
         A[y_rows + 1, ys] = -1.0
         xs = np.arange(len(y_cols), ncols)
-        x_rows = np.array([w_row[gc.window] for gc in x_cols], dtype=np.intp)
         c[xs] = [self.staircase.f_at[gc.ext.p] for gc in x_cols]
         A[:nv, xs] = np.array(
             [gc.ext.config.counts for gc in x_cols], dtype=np.float64
         ).reshape(len(x_cols), nv).T
-        A[x_rows, xs] = [float(gc.window.w) for gc in x_cols]
-        A[x_rows + 1, xs] = [gc.window.kappa for gc in x_cols]
+        on_rows = [(j, gc.window) for j, gc in zip(xs, x_cols) if gc.window in w_row]
+        x_on = np.array([j for j, _ in on_rows], dtype=np.intp)
+        x_rows = np.array([w_row[w] for _, w in on_rows], dtype=np.intp)
+        A[x_rows, x_on] = [float(w.w) for _, w in on_rows]
+        A[x_rows + 1, x_on] = [w.kappa for _, w in on_rows]
         return c, A, b, x_cols, y_cols, windows
 
 
 @dataclass
 class LpSolution:
+    """A master solution.  ``y`` is keyed by (small type, window); ``assignment``
+    is keyed by (item, window), split from ``y`` by ``extract_basic``.  Windows
+    without rows have no gamma or delta, which reads as 0."""
+
     objective: float
     x: dict[GeneralizedConfiguration, float]
     y: dict[tuple[int, Window], float]
     alpha: dict[int, float]
-    beta: dict[int, float]
+    beta: dict[int, float]  # per small type
     gamma: dict[Window, float]
     delta: dict[Window, float]
+    assignment: dict[tuple[int, Window], float] = field(default_factory=dict)
 
     def fractional_counts(self) -> tuple[int, int]:
         """(F_X, F_Y): fractional configuration columns, and small items whose
@@ -163,10 +193,10 @@ class LpSolution:
             if val > FRACTIONAL_TOL and abs(val - round(val)) > FRACTIONAL_TOL
         )
         by_item: dict[int, list[float]] = {}
-        for (si, _w), val in self.y.items():
+        for (si, _w), val in self.assignment.items():
             if val > FRACTIONAL_TOL:
                 by_item.setdefault(si, []).append(val)
-        # integral after normalization means exactly one component equal to 1
+        # an integral item has exactly one component, equal to 1
         fy = sum(
             1
             for vals in by_item.values()
@@ -189,7 +219,7 @@ def _solution_from_result(
     duals = [max(0.0, float(d)) for d in res.duals]
     nv, ns = len(model.sizes), len(model.smalls)
     alpha = dict(zip(model.sizes, duals[:nv]))
-    beta = {it.index: d for it, d in zip(model.smalls, duals[nv : nv + ns])}
+    beta = dict(enumerate(duals[nv : nv + ns]))
     gamma = dict(zip(windows, duals[nv + ns :: 2]))
     delta = dict(zip(windows, duals[nv + ns + 1 :: 2]))
     return LpSolution(res.objective, x, y, alpha, beta, gamma, delta)
@@ -309,9 +339,7 @@ def extract_basic(
     sol: LpSolution, model: LpModel, w_prime: set[Window]
 ) -> LpSolution:
     """Basic solution of the program restricted to canonical windows, no worse
-    than ``sol``.  Assignment vectors are then normalized so any component
-    at or above 1 becomes exactly 1 (feasibility is preserved: lowering an
-    assignment only relaxes the window rows)."""
+    than ``sol``, with its small types split into items (``split_types``)."""
     c, A, b, x_cols, y_cols, windows = model.arrays(window_filter=w_prime)
     if A.shape[1] and _is_basic(sol, model, x_cols, y_cols, A):
         basic = sol
@@ -324,19 +352,39 @@ def extract_basic(
                 "basic solution worse than projected solution"
             )
         basic = _solution_from_result(model, res, x_cols, y_cols, windows)
-    y = dict(basic.y)
-    by_item: dict[int, list[tuple[Window, float]]] = {}
-    for (si, w), val in y.items():
-        if val > 0:
-            by_item.setdefault(si, []).append((w, val))
-    for si, entries in by_item.items():
-        best_w, best = max(entries, key=lambda e: e[1])
-        if best >= 1.0 - FRACTIONAL_TOL:
-            for w, _ in entries:
-                y.pop((si, w), None)
-            y[(si, best_w)] = 1.0
-    basic.y = y
+    basic.assignment = split_types(basic.y, model)
     return basic
+
+
+def split_types(
+    y: dict[tuple[int, Window], float], model: LpModel
+) -> dict[tuple[int, Window], float]:
+    """Per-item assignment from per-type values.
+
+    A type's items fill its windows greedily in sorted window order: item q
+    takes the part of [q, q + 1) that falls in a window's stretch of the
+    cumulative mass.  Cumulative positions within FRACTIONAL_TOL of an
+    integer are snapped to it, so an item inside one window gets exactly 1
+    there and only an item straddling two windows is fractional; a type with
+    n_s positive windows thus has at most n_s - 1 fractional items.  Mass
+    beyond the type's count is dropped, which only relaxes the window rows.
+    """
+    out: dict[tuple[int, Window], float] = {}
+    lo = 0.0
+    last = None
+    for (s, w), val in sorted(y.items()):
+        if val <= 0:
+            continue
+        if s != last:
+            last, lo = s, 0.0
+        items = model.smalls[s].items
+        hi = lo + val
+        if abs(hi - round(hi)) <= FRACTIONAL_TOL:
+            hi = float(round(hi))
+        for q in range(math.floor(lo), min(math.ceil(hi), len(items))):
+            out[(items[q], w)] = min(q + 1, hi) - max(q, lo)
+        lo = hi
+    return out
 
 
 def _is_basic(sol: LpSolution, model: LpModel, x_cols, y_cols, A: np.ndarray) -> bool:
@@ -361,7 +409,7 @@ def dual_objective(model: LpModel, sol: LpSolution) -> float:
     """Value of the dual solution carried by ``sol``."""
     return float(
         sum(d * sol.alpha[v] for v, d in zip(model.sizes, model.demands))
-        + sum(sol.beta[it.index] for it in model.smalls)
+        + sum(sol.beta[s] * len(st.items) for s, st in enumerate(model.smalls))
     )
 
 
@@ -375,10 +423,10 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
         )
         if not got >= d - tol:
             raise InvariantError(f"size row {v} violated: {got} < {d}")
-    for it in model.smalls:
-        got = sum(val for (si, _w), val in sol.y.items() if model.smalls[si].index == it.index)
-        if not got >= 1 - tol:
-            raise InvariantError(f"item row {it.index} violated")
+    for s, st in enumerate(model.smalls):
+        got = sum(val for (si, _w), val in sol.y.items() if si == s)
+        if not got >= len(st.items) - tol:
+            raise InvariantError(f"small type row {st.size} violated")
     for w in model.windows:
         xw = sum(val for gc, val in sol.x.items() if gc.window == w)
         ys = sum(

@@ -2,10 +2,12 @@
 
 Solves   min c.x  subject to  A x >= b,  x >= 0   with b >= 0.
 
-Surplus variables turn the rows into equalities and phase 1 starts from an
-artificial identity basis.  A's nonzeros are kept once per call as
-column-major (row, value) runs, and pricing and entering columns run over
-those nonzeros; a surplus column is -e_i and an artificial column +e_i, so
+Surplus variables turn the rows into equalities.  A cold start is a slack
+basis: a row with b_i = 0 starts on its surplus column, feasible at level 0,
+and only a row with b_i > 0 starts on an artificial, so phase 1 begins from
+the inverse diag(+-1) and drives only the positive rows.  A's nonzeros are
+kept once per call as column-major (row, value) runs, and pricing and
+entering columns run over those nonzeros; a surplus column is -e_i and an artificial column +e_i, so
 neither is stored.  The basis inverse stays a dense m x m matrix, updated in
 place by a rank-one product after each pivot and refreshed periodically.
 Dantzig's rule switches to Bland's rule after a run of degenerate pivots to
@@ -132,9 +134,11 @@ class _State:
         self.cols = cols[order]
         self.vals = A[self.rows, self.cols]
         self.starts = np.searchsorted(self.cols, np.arange(self.n + 1))
-        # phase 1 starts from the artificial basis, whose inverse is I
-        self.basis: np.ndarray = np.arange(self.n + self.m, self.n + 2 * self.m)
-        self.binv = np.eye(self.m)
+        # slack start: surplus -e_i on rows with b_i = 0, artificial +e_i on
+        # the rest; B is diag(+-1), its own inverse
+        positive = b > 0
+        self.basis: np.ndarray = self.n + np.arange(self.m) + np.where(positive, self.m, 0)
+        self.binv = np.diag(np.where(positive, 1.0, -1.0))
         self._pivots_since_refresh = 0
 
     def _basis_matrix(self, indices) -> np.ndarray:
@@ -166,21 +170,27 @@ class _State:
             return -self.binv[:, j - self.n]
         return self.binv[:, j - self.n - self.m].copy()
 
-    def load_basis(self, indices: list[int]) -> bool:
-        if len(indices) != self.m:
-            return False
+    def _invert(self, indices) -> np.ndarray | None:
+        """Inverse of the basis matrix of ``indices``, or None when B is
+        singular.  A singular B (a repeated label, two equal rows) can invert
+        without an error into huge entries; such an inverse does not
+        reproduce I."""
         B = self._basis_matrix(indices)
         try:
             binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
-            return False
-        # a singular B (a repeated label, two equal rows) can invert without
-        # an error into huge entries; such an inverse does not reproduce I
+            return None
         if not np.all(np.isfinite(binv)):
-            return False
+            return None
         if np.abs(B @ binv - np.eye(self.m)).max() > _INVERSE_TOL:
+            return None
+        return binv
+
+    def load_basis(self, indices: list[int]) -> bool:
+        if len(indices) != self.m:
             return False
-        if np.any(binv @ self.b < -FEAS_TOL):
+        binv = self._invert(indices)
+        if binv is None or np.any(binv @ self.b < -FEAS_TOL):
             return False
         self.basis = np.array(indices, dtype=np.int64)
         self.binv = binv
@@ -190,10 +200,10 @@ class _State:
         return self.binv @ self.b
 
     def refresh(self) -> None:
-        try:
-            self.binv = np.linalg.inv(self._basis_matrix(self.basis))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError("basis matrix became singular") from exc
+        binv = self._invert(self.basis)
+        if binv is None:
+            raise NumericalFailureError("basis matrix became singular")
+        self.binv = binv
         self._pivots_since_refresh = 0
 
     def expel_artificials(self) -> None:

@@ -19,7 +19,7 @@ from concavebp import (
     verify_packing,
 )
 from concavebp.afptas import round_solution
-from concavebp.lp import LpModel, LpSolution, SmallItem
+from concavebp.lp import LpModel, LpSolution, small_types
 from concavebp.structures import (
     Configuration,
     ExtendedConfiguration,
@@ -224,6 +224,31 @@ def test_windowed_regime_property(inst, k):
     assert p.lp_certified_ratio <= 1.0 + 1.0 / k
 
 
+@st.composite
+def repeated_small_instances(draw):
+    """Like mixed_instances, but the small sizes come from a pool of a few
+    values, so that the master's small types hold many items each."""
+    n = draw(st.integers(50, 200))
+    large = draw(st.lists(st.integers(400, 1000), min_size=n // 5, max_size=n // 5))
+    pool = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4, unique=True))
+    small = draw(st.lists(st.sampled_from(pool), min_size=n - n // 5, max_size=n - n // 5))
+    return Instance.from_values([Fraction(v, 1000) for v in large + small])
+
+
+@settings(max_examples=20, deadline=None)
+@given(inst=repeated_small_instances(), k=st.sampled_from([3, 4]))
+def test_windowed_regime_with_repeated_small_sizes(inst, k):
+    eps = Fraction(1, k)
+    n_large = len(linear_grouping(inst, eps).large)
+    assume(split_small(inst, eps, k, tuple(range(n_large, inst.n))).kept)
+    res = run_afptas(inst, make_fq(3, inst.n), eps, h_eps=k)
+    p = res.provenance
+    assert verify_packing(inst, res.packing).ok
+    assert not p.lp_skipped
+    assert p.fractional_x + p.fractional_y <= p.fractional_bound
+    assert p.lp_certified_ratio <= 1.0 + 1.0 / k
+
+
 def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     """Build instance, model, grouping for hand-driven rounding tests."""
     eps = Fraction(1, 3)
@@ -233,9 +258,7 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     f = make_fq(q, max(n, inst.n))
     stair = build_staircase(f, eps, max(n, inst.n))
     grouping = linear_grouping(inst, eps)
-    small_items = tuple(
-        SmallItem(i, inst.int_sizes[i]) for i in range(n_large, inst.n)
-    )
+    small_items = small_types(inst.int_sizes, range(n_large, inst.n))
     _, t_star = round_size_to_power(eps, Fraction(small_size))
     windows = build_windows(eps, t_star + 1, stair)
     model = LpModel(
@@ -254,16 +277,19 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
 
 
 def _solution(model, columns_with_values, assignments):
+    """``assignments`` holds (position among the small items, window) pairs."""
+    items = [i for st in model.smalls for i in st.items]
     return LpSolution(
         objective=sum(
             model.staircase.f_at[gc.ext.p] * v for gc, v in columns_with_values
         ),
         x=dict(columns_with_values),
-        y={(si, w): 1.0 for si, w in assignments},
+        y={},
         alpha={},
         beta={},
         gamma={},
         delta={},
+        assignment={(items[si], w): 1.0 for si, w in assignments},
     )
 
 
@@ -306,7 +332,7 @@ class TestRoundSolution:
         gc = GeneralizedConfiguration(ext, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(0, mw)])
-        sol.y[(1, mw)] = 0.5  # second item fractionally assigned
+        sol.assignment[(model.smalls[0].items[1], mw)] = 0.5  # second item fractionally assigned
         outcome = round_solution(sol, model, grouping, inst)
         assert outcome.dedicated_small == 1
         placed = sorted(i for b in outcome.bins for i in b)

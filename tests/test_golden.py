@@ -29,14 +29,14 @@ def mixed(n: int, seed: int) -> Instance:
 
 
 GOLDEN = [
-    (100, 1, 3, "c7037e5298df1cfe329011483902576d6cb82166d82617a36e7965197b2c6054",
-     "0a59b70ef45972ca505f3b254adc2d0fdb89984cef708c175fdea24e214645bf"),
-    (100, 2, 3, "119c197956304cede89d3d008aa9c8ed57b25f8b5e45b01ff62b15b2a022ca16",
-     "7ec7d612e49da791b5f6656d0a869a1fd15fc48df8a0bb54f4d0746d3f8dae11"),
-    (100, 3, 3, "90c6ea468f8ee173851ec0d21c253cd3c4f91439776f4642d1313edeff323972",
-     "eb03a7f2e4a1ad97689748fc2de682ff722e38d1a9a369a15f196c881393f34f"),
-    (100, 4, 3, "b492490e18820ebb4fa03767a51e5ee7f45a6af08018be49b3b8d36e04659bab",
-     "a2cc21b95a9a3fd25696bfca72b1d25b3a973ecabe20fb81b86d1f7defe739b6"),
+    (100, 1, 3, "5b34a62103a07ea53de368df2c8d9bc9acf1f65f9e88e8074d61e0634b75f55d",
+     "cddc555a70a398860ea1b01aa2aeb5e216608fdb025b0491c53f1da8c824124a"),
+    (100, 2, 3, "299d6f8358e1bc95067e69069af66dd02b7e8071aaefba32b26d0a6d99dcce0f",
+     "e7fc095e3730406b22dce3a32eb0db81ef47bbcf66a0efbd9bd498845c9ee1b5"),
+    (100, 3, 3, "dc7a0b3d9fd6f295efa3a83410a6c0879c381368caac59fb624d2330063130e5",
+     "5811655d8737b8f2515855e6b1fb1c9cb231645c77946dc5dc1a76d27a01cfde"),
+    (100, 4, 3, "80e9a75bf7a89dce3b30f09417475e2791065861ed50300c72917487f1871132",
+     "1d765df2663e7ba5dd4d05a7212c344b21020f86c4184b0e333a00ea46e9d0bf"),
     (400, 1, None, "58a13e1e5f58c4eb6478e9264a7e6b6a4a47af3d01f92aa1cbab5d9c29566ffb",
      "2da76826ea4481251af9d63959c3b653e18b54e8f928f68c7e7b6e57d678945e"),
     (400, 2, None, "afcc9e42e1459e3e74cc220eb21bb5cbee3b5678c9ba31a8fe06381cb81f8fb0",

@@ -9,12 +9,14 @@ from concavebp import make_fq
 from concavebp.errors import InfeasibleMasterError
 from concavebp.lp import (
     LpModel,
-    SmallItem,
+    LpSolution,
     column_generation,
     dual_objective,
     extract_basic,
     project_to_main_windows,
+    small_types,
     solve_master,
+    split_types,
     verify_solution_rows,
 )
 from concavebp.simplex import solve_lp
@@ -43,6 +45,7 @@ def build_model(
     small = tuple(Fraction(s) for s in small_sizes)
     scale = math.lcm(*(s.denominator for s in sizes + small))
     int_sizes = tuple(int(s * scale) for s in sizes)
+    small_ints = {100 + i: int(s * scale) for i, s in enumerate(small)}
     f = make_fq(q, n)
     stair = build_staircase(f, eps, n)
     if small:
@@ -69,7 +72,7 @@ def build_model(
         sizes=int_sizes,
         demands=tuple(demands),
         scale=scale,
-        smalls=tuple(SmallItem(100 + i, int(s * scale)) for i, s in enumerate(small)),
+        smalls=small_types(small_ints, small_ints),
         windows=tuple(windows),
         staircase=stair,
         p_max=p_max,
@@ -222,15 +225,16 @@ class TestColumnGeneration:
             assert dual_objective(model, sol) == pytest.approx(sol.objective, abs=1e-7)
             for gc in model.columns:
                 w = gc.window
+                # a window no small item fits has no rows, so no duals
                 value = (
                     sum(n * sol.alpha[v] for n, v in zip(gc.ext.config.counts, model.sizes))
-                    + float(w.w) * sol.gamma[w]
-                    + w.kappa * sol.delta[w]
+                    + float(w.w) * sol.gamma.get(w, 0.0)
+                    + w.kappa * sol.delta.get(w, 0.0)
                 )
                 assert model.staircase.f_at[gc.ext.p] - value >= -1e-7
             for si, w in model.y_pairs:
-                item = model.smalls[si]
-                value = sol.beta[item.index] - float(item.size) * sol.gamma[w] - sol.delta[w]
+                size = model.smalls[si].size / model.scale
+                value = sol.beta[si] - size * sol.gamma[w] - sol.delta[w]
                 assert -value >= -1e-7
             checked += len(model.columns) + len(model.y_pairs)
         assert checked >= 1000
@@ -381,10 +385,44 @@ class TestExtractBasic:
             verify_solution_rows(model, basic)
 
 
+class TestSplitTypes:
+    def test_small_types_group_equal_sizes(self):
+        types = small_types([9, 5, 5, 3, 5, 3], [1, 2, 3, 4, 5])
+        assert [(st.size, st.items) for st in types] == [(5, (1, 2, 4)), (3, (3, 5))]
+
+    def test_items_fill_windows_in_order(self):
+        model = build_model(["1/2"], [2], small_sizes=["1/6"] * 4)
+        (st,) = model.smalls
+        assert st.items == (100, 101, 102, 103)
+        w1, w2 = sorted(w for w in model.windows if model.usable(w))[:2]
+        got = split_types({(0, w2): 2.5, (0, w1): 1.5}, model)
+        assert got == {
+            (100, w1): 1.0,
+            (101, w1): 0.5,
+            (101, w2): 0.5,
+            (102, w2): 1.0,
+            (103, w2): 1.0,
+        }
+        sol = LpSolution(0.0, {}, {}, {}, {}, {}, {}, assignment=got)
+        assert sol.fractional_counts() == (0, 1)
+
+    def test_snapping_and_surplus_mass(self):
+        model = build_model(["1/2"], [2], small_sizes=["1/6"] * 3)
+        w1, w2, w3 = sorted(w for w in model.windows if model.usable(w))[:3]
+        # 2 - 1e-9 snaps to 2; the 1.5 beyond the count of 3 is dropped
+        got = split_types({(0, w1): 2 - 1e-9, (0, w2): 1.0 + 1e-9, (0, w3): 1.5}, model)
+        assert got == {(100, w1): 1.0, (101, w1): 1.0, (102, w2): 1.0}
+
+
 def _loop_arrays(model: LpModel, window_filter=None):
     """The master assembled column by column, as before the array build;
-    kept as the reference for LpModel.arrays."""
-    windows = [w for w in model.windows if window_filter is None or w in window_filter]
+    kept as the reference for LpModel.arrays.  Only windows some small item
+    fits get rows."""
+    windows = [
+        w
+        for w in model.windows
+        if model.usable(w) and (window_filter is None or w in window_filter)
+    ]
     nv, ns = len(model.sizes), len(model.smalls)
     w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
     x_cols = [gc for gc in model.columns if window_filter is None or gc.window in window_filter]
@@ -394,7 +432,7 @@ def _loop_arrays(model: LpModel, window_filter=None):
     c = np.zeros(ncols, dtype=np.float64)
     b = np.zeros(A.shape[0], dtype=np.float64)
     b[:nv] = model.demands
-    b[nv : nv + ns] = 1.0
+    b[nv : nv + ns] = [len(st.items) for st in model.smalls]
     for j, (si, w) in enumerate(y_cols):
         A[nv + si, j] += 1.0
         A[w_row[w], j] -= float(Fraction(model.smalls[si].size, model.scale))
@@ -403,8 +441,9 @@ def _loop_arrays(model: LpModel, window_filter=None):
     for j, gc in enumerate(x_cols):
         c[off + j] = model.staircase.f_at[gc.ext.p]
         A[:nv, off + j] = gc.ext.config.counts
-        A[w_row[gc.window], off + j] += float(gc.window.w)
-        A[w_row[gc.window] + 1, off + j] += gc.window.kappa
+        if gc.window in w_row:
+            A[w_row[gc.window], off + j] += float(gc.window.w)
+            A[w_row[gc.window] + 1, off + j] += gc.window.kappa
     return c, A, b, x_cols, y_cols, windows
 
 

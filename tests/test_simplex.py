@@ -7,12 +7,14 @@ import pytest
 from concavebp.errors import NumericalFailureError
 from concavebp.simplex import (
     _DEGENERATE_RUN,
+    _INVERSE_TOL,
     _REFRESH_EVERY,
     FEAS_TOL,
     PIVOT_TOL,
     LpResult,
     _indices_to_labels,
     _labels_to_indices,
+    _State,
     solve_lp,
 )
 
@@ -351,3 +353,52 @@ class TestSingularWarmBasis:
         assert res.status == "optimal"
         assert np.all(A @ res.x >= b - 1e-7)
         assert res.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-12)
+
+
+class TestSlackStart:
+    def test_cold_basis_is_surplus_on_zero_rows(self):
+        A = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+        b = np.array([0.0, 2.0, 0.0, 1.0])
+        n, m = 2, 4
+        state = _State(A, b)
+        # surplus -e_i where b_i = 0, artificial +e_i where b_i > 0
+        assert state.basis.tolist() == [n + 0, n + m + 1, n + 2, n + m + 3]
+        assert np.array_equal(state.binv, np.diag([-1.0, 1.0, -1.0, 1.0]))
+        assert np.array_equal(state.xb(), [0.0, 2.0, 0.0, 1.0])
+
+    def test_zero_rhs_is_optimal_without_a_pivot(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            m, n = rng.randint(1, 10), rng.randint(1, 12)
+            A = np.array(
+                [[rng.choice([0.0, 0.0, 1.0, 2.5, -1.0]) for _ in range(n)] for _ in range(m)]
+            )
+            c = np.array([rng.choice([0.0, rng.uniform(0.1, 3.0)]) for _ in range(n)])
+            res = solve_lp(c, A, np.zeros(m))
+            assert res.status == "optimal"
+            assert res.iterations == 0
+            assert res.objective == 0.0
+            assert res.basis == [("s", i) for i in range(m)]
+
+
+class TestRefresh:
+    def test_near_singular_basis_raises(self):
+        # the two columns are parallel up to 3e-15: np.linalg.inv returns a
+        # finite inverse that does not reproduce the identity
+        B = np.array([[2.2847759480075145, 3 * 2.2847759480075145], [1.0, 3.0 + 3e-15]])
+        binv = np.linalg.inv(B)
+        assert np.all(np.isfinite(binv))
+        assert np.abs(B @ binv - np.eye(2)).max() > _INVERSE_TOL
+        state = _State(B, np.ones(2))
+        state.basis = np.array([0, 1])
+        with pytest.raises(NumericalFailureError, match="singular"):
+            state.refresh()
+
+    def test_sound_basis_refreshes(self):
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        state = _State(A, np.ones(2))
+        state.basis = np.array([0, 1])
+        state._pivots_since_refresh = 5
+        state.refresh()
+        assert np.allclose(state.binv @ A, np.eye(2))
+        assert state._pivots_since_refresh == 0
