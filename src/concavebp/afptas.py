@@ -43,7 +43,7 @@ from .structures import (
     enumerate_configurations,
     linear_grouping,
     main_windows,
-    round_size_to_power,
+    power_index,
     split_small,
 )
 
@@ -136,7 +136,7 @@ def _compute_h(
     smallest = min((sizes_int[i] for i in small if sizes_int[i] > 0), default=0)
     if not smallest:
         return k
-    _, t_star = round_size_to_power(eps, Fraction(smallest, inst.scale))
+    t_star = power_index(k, smallest, inst.scale)
     configs = enumerate_configurations(sizes, mult, k, inst.scale, budget)
     mains = main_windows(configs, staircase.ell, eps, t_star + 1, staircase, inst.scale)
     return k * (len(sizes) + 2 * len(mains) + 1)
@@ -168,6 +168,18 @@ def _place_large(bin_counts: list[tuple[int, ...]], grouping: GroupingResult) ->
     return out
 
 
+class _Bin:
+    """A configuration bin during rounding: its large items and the small
+    items dealt to its window."""
+
+    __slots__ = ("gc", "larges", "smalls")
+
+    def __init__(self, gc: GeneralizedConfiguration, larges: list[int]):
+        self.gc = gc
+        self.larges = larges
+        self.smalls: list[int] = []
+
+
 @dataclass
 class RoundingOutcome:
     bins: list[list[int]]
@@ -193,7 +205,8 @@ def round_solution(
     """
     k = model.eps.denominator
     one_plus = 1.0 + 1.0 / k
-    f = model.f
+    f_vals = model.f.values
+    top = len(f_vals) - 1
     sizes, scale = inst.int_sizes, inst.scale
 
     x_hat: list[tuple[GeneralizedConfiguration, int]] = []
@@ -201,14 +214,6 @@ def round_solution(
         val = basic.x[gc]
         if val > 1e-7:
             x_hat.append((gc, math.ceil(val - 1e-7)))
-
-    class _Bin:
-        __slots__ = ("gc", "larges", "smalls")
-
-        def __init__(self, gc, larges):
-            self.gc = gc
-            self.larges: list[int] = larges
-            self.smalls: list[int] = []
 
     bin_gcs = [gc for gc, copies in x_hat for _ in range(copies)]
     placed = _place_large([gc.ext.config.counts for gc in bin_gcs], grouping)
@@ -300,12 +305,11 @@ def round_solution(
         if sum(sizes[i] for i in content) > scale:
             raise InvariantError("configuration bin exceeds capacity")
         k_p = b.gc.ext.k_p
-        f_kp = f.value(k_p)
-        if not f.value(len(content)) <= one_plus * f_kp + 1e-9:
+        f_kp = f_vals[min(k_p, top)]
+        cost = f_vals[min(len(content), top)]
+        if not cost <= one_plus * f_kp + 1e-9:
             raise InvariantError("bin real cost exceeds (1+eps) * level cost")
-        config_records.append(
-            {"k_p": k_p, "f_k_p": f_kp, "items": len(content), "cost": f.value(len(content))}
-        )
+        config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": len(content), "cost": cost})
         out_bins.append(content)
     n_removed_bins = (len(removed) + k - 1) // k
     n_special_bins = (len(specials) + k - 1) // k
@@ -373,39 +377,43 @@ def run_afptas(
         split = SmallSplit((), (), k)
 
     bins_out: list[list[int]] = []
-    stage_cost = lambda bs: math.fsum(f.value(len(b)) for b in bs)
+    f_vals = f.values
+    top = len(f_vals) - 1
+    stage_cost = lambda bs: math.fsum(f_vals[min(len(b), top)] for b in bs)
 
     l1_bins = [[i] for i in grouping.l1]
     bins_out.extend(l1_bins)
     prov.stages.append(StageReport("largest-class singletons", len(l1_bins), stage_cost(l1_bins)))
 
     if split.tail:
-        tail_inst = Instance(tuple(inst.sizes[i] for i in split.tail))
-        tail_packed = fnfi_with_split_repair(tail_inst)
+        tail_packed = fnfi_with_split_repair(inst.subset(split.tail))
         tail_bins = [[split.tail[j] for j in b] for b in tail_packed.bins]
         bins_out.extend(tail_bins)
         prov.stages.append(StageReport("smallest-tail prepack", len(tail_bins), stage_cost(tail_bins)))
 
     kept = split.kept
     prov.h_set_size = len(sizes)
-    prov.i2_sizes = [
-        str(Fraction(v, inst.scale)) for v, d in zip(sizes, mult) for _ in range(d)
-    ] + [str(inst.sizes[i]) for i in kept]
+    prov.i2_sizes = []
+    for v, d in zip(sizes, mult):
+        prov.i2_sizes += [str(Fraction(v, inst.scale))] * d
+    prov.i2_sizes += [str(inst.sizes[i]) for i in kept]
 
     if not sizes and not kept:
         prov.lp_skipped = True
     else:
+        # delta = 1 / (smallest kept size), or 1/eps when none is kept, as
+        # the fraction num / den
         if kept:
-            s_min = min(inst.sizes[i] for i in kept)
-            delta = 1 / s_min
-            _, t_star = round_size_to_power(eps, s_min)
+            s_min = min(inst.int_sizes[i] for i in kept)
+            num, den = inst.scale, s_min
+            t_star = power_index(k, s_min, inst.scale)
         else:
-            delta = Fraction(k)
+            num, den = k, 1
             t_star = 0
         t_max = t_star + 1
-        prov.delta = str(delta)
+        prov.delta = str(Fraction(num, den))
         p_delta = next(
-            (p for p, kp in enumerate(staircase.ks) if kp >= delta), staircase.ell
+            (p for p, kp in enumerate(staircase.ks) if kp * den >= num), staircase.ell
         )
         prov.p_delta = p_delta
 

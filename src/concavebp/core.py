@@ -2,9 +2,10 @@
 
 Sizes are exact rationals throughout so that capacity feasibility is
 bit-exact; an instance also carries them as integers over their common
-denominator, so capacity tests need no rational arithmetic.  Cost values are
-plain floats and are only ever compared with a small tolerance, never
-accumulated adversarially.
+denominator, so capacity tests need no rational arithmetic.  The fractional
+verifier and the fractional cost read each part's numerator and denominator
+and count in integers too.  Cost values are plain floats and are only ever
+compared with a small tolerance, never accumulated adversarially.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ SizeLike = Union[Fraction, int, float, str]
 
 #: tolerance for comparisons between cost values (floats)
 COST_TOL = 1e-9
+
+#: fraction types whose numerator and denominator are read as they are;
+#: any other part is converted exactly with ``Fraction(part)``
+_EXACT_PARTS = (int, Fraction)
 
 
 def to_size(value: SizeLike) -> Fraction:
@@ -35,9 +40,10 @@ def to_size(value: SizeLike) -> Fraction:
 class Instance:
     """Items to pack: exact-rational sizes in [0, 1], sorted non-increasing.
 
-    ``scale`` (the LCM of the size denominators) and ``int_sizes`` (each size
-    times ``scale``) are computed on first use and kept; they are not fields,
-    so equality, hashing and repr see the sizes only.
+    ``scale`` (a common denominator of the sizes: their LCM, or the parent's
+    ``scale`` for an instance cut out with ``subset``) and ``int_sizes`` (each
+    size times ``scale``) are computed on first use and kept; they are not
+    fields, so equality, hashing and repr see the sizes only.
     """
 
     sizes: tuple[Fraction, ...]
@@ -68,6 +74,15 @@ class Instance:
     def int_sizes(self) -> tuple[int, ...]:
         scale = self.scale
         return tuple(s.numerator * (scale // s.denominator) for s in self.sizes)
+
+    def subset(self, indices: Sequence[int]) -> "Instance":
+        """The items at ``indices``, in that order, over this instance's
+        ``scale`` and integers, so nothing is recomputed from the sizes."""
+        sub = Instance(tuple(self.sizes[i] for i in indices))
+        ints = self.int_sizes
+        object.__setattr__(sub, "scale", self.scale)
+        object.__setattr__(sub, "int_sizes", tuple(ints[i] for i in indices))
+        return sub
 
     @property
     def n(self) -> int:
@@ -204,7 +219,9 @@ def embed_fractional(p: Packing) -> FractionalPacking:
 
 def eval_cost(f: CostFunction, p: Packing) -> float:
     """Total cost: sum of f(bin cardinality) over the bins."""
-    return math.fsum(f.value(len(b)) for b in p.bins)
+    vals = f.values
+    top = len(vals) - 1
+    return math.fsum(vals[min(len(b), top)] for b in p.bins)
 
 
 def eval_fractional_f(f: CostFunction, q: Union[Fraction, float, int]) -> float:
@@ -222,10 +239,39 @@ def eval_fractional_f(f: CostFunction, q: Union[Fraction, float, int]) -> float:
 
 
 def eval_fractional_cost(f: CostFunction, p: FractionalPacking) -> float:
-    """Total cost of a fractional packing; a bin holds the sum of its fractions."""
-    return math.fsum(
-        eval_fractional_f(f, sum((fr for _, fr in b), Fraction(0))) for b in p.bins
-    )
+    """Total cost of a fractional packing; a bin holds the sum of its fractions.
+
+    Each bin's sum is taken exactly, as an integer over a common denominator,
+    and the result equals ``eval_fractional_f`` of that sum as a ``Fraction``.
+    Parts that are neither ``Fraction`` nor ``int`` (floats, say) are
+    converted exactly with ``Fraction(part)`` first.
+    """
+    vals = f.values
+    top = len(vals) - 1
+    costs = []
+    for b in p.bins:
+        num, den = 0, 1  # the bin's sum is num / den, not reduced
+        for _, fr in b:
+            if not isinstance(fr, _EXACT_PARTS):
+                fr = Fraction(fr)
+            d = fr.denominator
+            if d == den:
+                num += fr.numerator
+            elif den % d == 0:
+                num += fr.numerator * (den // d)
+            else:
+                num, den = num * d + fr.numerator * den, den * d
+        if num < 0:
+            raise ValueError("fractional cost argument must be non-negative")
+        q, r = divmod(num, den)
+        if q >= top:
+            costs.append(vals[top])
+        elif not r:
+            costs.append(vals[q])
+        else:
+            frac = r / den  # int division rounds correctly: float(Fraction(r, den))
+            costs.append((1.0 - frac) * vals[q] + frac * vals[q + 1])
+    return math.fsum(costs)
 
 
 @dataclass(frozen=True)
@@ -247,11 +293,12 @@ class Verdict:
 def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
     out: list[Violation] = []
     seen: dict[int, int] = {}
+    n, items = inst.n, p.items
     sizes, scale = inst.int_sizes, inst.scale
     for b_idx, b in enumerate(p.bins):
         total = 0
         for i in b:
-            if not 0 <= i < inst.n:
+            if not 0 <= i < n:
                 out.append(Violation("unknown-item", b_idx, f"item {i} not in instance"))
                 continue
             if i in seen:
@@ -261,7 +308,7 @@ def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
             else:
                 seen[i] = b_idx
             total += sizes[i]
-            if i not in p.items:
+            if i not in items:
                 out.append(
                     Violation("unexpected-item", b_idx, f"item {i} not in declared set")
                 )
@@ -269,20 +316,27 @@ def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
             out.append(
                 Violation("overfull", b_idx, f"bin total {Fraction(total, scale)} > 1")
             )
-    for i in sorted(p.items):
+    for i in sorted(items):
         if i not in seen:
             out.append(Violation("missing", None, f"item {i} in no bin"))
     return out
 
 
 def _verify_fractional(inst: Instance, p: FractionalPacking) -> list[Violation]:
+    """A part fr = num/den of item i adds num * int_sizes[i] / den to its
+    bin's load over ``inst.scale``: the integer quotient, plus an exact
+    remainder only when the division leaves one.  An item's parts are summed
+    (unreduced) only when it has more than one."""
     out: list[Violation] = []
-    totals: dict[int, Fraction] = {}
+    n, items = inst.n, p.items
+    sizes, scale = inst.int_sizes, inst.scale
+    parts: dict[int, tuple[int, int]] = {}  # item -> (num, den) of its parts' sum
     for b_idx, b in enumerate(p.bins):
-        load = Fraction(0)
+        load = 0  # over scale
+        rest: Fraction | None = None  # over scale, from non-integral products
         in_bin: set[int] = set()
         for i, fr in b:
-            if not 0 <= i < inst.n:
+            if not 0 <= i < n:
                 out.append(Violation("unknown-item", b_idx, f"item {i} not in instance"))
                 continue
             if i in in_bin:
@@ -290,25 +344,41 @@ def _verify_fractional(inst: Instance, p: FractionalPacking) -> list[Violation]:
                     Violation("split-in-bin", b_idx, f"two parts of item {i} in one bin")
                 )
             in_bin.add(i)
-            if not 0 < fr <= 1:
+            exact = fr if isinstance(fr, _EXACT_PARTS) else Fraction(fr)
+            num, den = exact.numerator, exact.denominator
+            if not 0 < num <= den:
                 out.append(
                     Violation("bad-fraction", b_idx, f"item {i} fraction {fr} not in (0,1]")
                 )
-            if i not in p.items:
+            if i not in items:
                 out.append(
                     Violation("unexpected-item", b_idx, f"item {i} not in declared set")
                 )
-            load += fr * inst.sizes[i]
-            totals[i] = totals.get(i, Fraction(0)) + fr
-        if load > 1:
-            out.append(Violation("overfull", b_idx, f"bin load {load} > 1"))
-    for i in sorted(p.items):
-        if totals.get(i, Fraction(0)) != 1:
+            if den == 1:
+                load += num * sizes[i]
+            else:
+                q, r = divmod(num * sizes[i], den)
+                load += q
+                if r:
+                    rest = Fraction(r, den) if rest is None else rest + Fraction(r, den)
+            if i in parts:
+                a, d = parts[i]
+                parts[i] = (a + num, d) if d == den else (a * den + num * d, d * den)
+            else:
+                parts[i] = (num, den)
+        if rest is None:
+            if load > scale:
+                out.append(Violation("overfull", b_idx, f"bin load {Fraction(load, scale)} > 1"))
+        elif load + rest > scale:
+            out.append(Violation("overfull", b_idx, f"bin load {(load + rest) / scale} > 1"))
+    for i in sorted(items):
+        num, den = parts.get(i, (0, 1))
+        if num != den:
             out.append(
                 Violation(
                     "fraction-sum",
                     None,
-                    f"item {i} fractions sum to {totals.get(i, Fraction(0))}, not 1",
+                    f"item {i} fractions sum to {Fraction(num, den)}, not 1",
                 )
             )
     return out
@@ -324,7 +394,12 @@ def violation_lines(verdict: Verdict) -> list[str]:
 
 
 def verify_packing(inst: Instance, p: Union[Packing, FractionalPacking]) -> Verdict:
-    """Check every packing invariant with exact arithmetic; report all failures."""
+    """Check every packing invariant with exact arithmetic; report all failures.
+
+    Fractional parts that are neither ``Fraction`` nor ``int`` are converted
+    exactly with ``Fraction(part)``; one it cannot convert (NaN, infinity)
+    raises its ``ValueError`` or ``OverflowError``.
+    """
     if isinstance(p, Packing):
         violations = _verify_integral(inst, p)
     elif isinstance(p, FractionalPacking):

@@ -59,10 +59,38 @@ def split_items(p: FractionalPacking) -> list[int]:
 
 
 def fnfi_with_split_repair(inst: Instance) -> Packing:
-    """Integral packing: fnfi, with every split item moved to its own bin."""
-    frac = fnfi(inst)
-    split = set(split_items(frac))
-    bins = [[i for i, _ in b if i not in split] for b in frac.bins]
-    bins = [b for b in bins if b]
-    bins.extend([i] for i in sorted(split))
+    """Integral packing: fnfi, with every split item moved to its own bin.
+
+    Walks the integer sizes as ``fnfi`` does without building its fractions:
+    an item that overflows the open bin is split, so it goes to a bin of its
+    own while its parts still take their room, and a bin left empty by the
+    move is dropped.
+    """
+    sizes, scale = inst.int_sizes, inst.scale
+    bins: list[list[int]] = []
+    split: list[int] = []
+    cur: list[int] = []
+    room = scale
+    for i in range(inst.n - 1, -1, -1):  # non-decreasing size order
+        left = sizes[i]
+        if left > room:
+            split.append(i)
+            left -= room
+            while left > scale:  # a bin holding a part of item i alone
+                left -= scale
+            if cur:
+                bins.append(cur)
+                cur = []
+            room = scale
+        else:
+            cur.append(i)
+        room -= left
+        if room == 0:
+            if cur:
+                bins.append(cur)
+                cur = []
+            room = scale
+    if cur:
+        bins.append(cur)
+    bins.extend([i] for i in reversed(split))  # ascending
     return Packing.from_bins(bins, range(inst.n))

@@ -184,9 +184,8 @@ def match_half(inst: Instance) -> Packing:
     n = inst.n
     pairs = greedy_half_matching(inst)
     matched = {i for pair in pairs for i in pair}
-    rest = [s for i, s in enumerate(inst.sizes) if i not in matched]
     rest_index = [i for i in range(n) if i not in matched]
-    sub = Instance(tuple(rest))  # positional: rest_index maps its items back
+    sub = inst.subset(rest_index)  # positional: rest_index maps its items back
     sub_packing = next_fit(sub, "increasing")
     bins = [list(p) for p in pairs]
     bins += [[rest_index[i] for i in b] for b in sub_packing.bins]

@@ -168,17 +168,18 @@ class Window:
         return self.t <= other.t and self.a >= other.a
 
 
-def round_size_to_power(eps: Fraction, s: Fraction) -> tuple[Fraction, int]:
-    """Largest (1+eps)**-t that is <= s; returns (value, t)."""
-    if s <= 0 or s > 1:
+def power_index(k: int, size: int, scale: int) -> int:
+    """Smallest t with (k/(k+1))**t <= size/scale: the grid index of the
+    largest window size at most ``size``, for 0 < size <= scale.  The test
+    reads k**t * scale <= size * (k+1)**t, in integers."""
+    if not 0 < size <= scale:
         raise ValueError("size must be in (0, 1]")
-    t = 0
-    val = Fraction(1)
-    step = Fraction(eps.denominator, eps.denominator + 1)
-    while val > s:
-        val *= step
+    t, lhs, rhs = 0, scale, size
+    while lhs > rhs:
+        lhs *= k
+        rhs *= k + 1
         t += 1
-    return val, t
+    return t
 
 
 def build_windows(eps: Fraction, t_max: int, staircase: Staircase) -> list[Window]:
@@ -296,27 +297,40 @@ def enumerate_configurations(
 ) -> list[Configuration]:
     """All multisets over the given integer sizes with total size at most
     ``capacity`` and at most ``max_items`` items, respecting multiplicities.
-    Sizes must be positive.
+    Sizes must be positive.  Configurations come in depth-first order: the
+    count of the first size varies slowest, each count ascending.
 
     Raises SolverLimitError when the enumeration exceeds ``budget``.
     """
     out: list[Configuration] = []
-    counts = [0] * len(sizes)
+    m = len(sizes)
     # smallest size at or after each position, to cut dead branches early
     min_suffix = list(accumulate(reversed(sizes), min))[::-1]
-
-    def rec(idx: int, room: int, left: int) -> None:
+    # the search path: counts[j] of sizes[j] taken out of at most tops[j],
+    # leaving rooms[j + 1] and lefts[j + 1] to the sizes after j
+    counts = [0] * m
+    tops = [0] * m
+    rooms = [capacity] + [0] * m
+    lefts = [max_items] + [0] * m
+    idx = 0
+    while True:
         if len(out) > budget:
             raise SolverLimitError("configuration enumeration budget exceeded")
-        if idx == len(sizes) or left == 0 or room < min_suffix[idx]:
-            out.append(Configuration(tuple(counts), capacity - room, max_items - left))
-            return
-        s = sizes[idx]
-        max_take = min(multiplicity[idx], left, room // s)
-        for take in range(max_take + 1):
-            counts[idx] = take
-            rec(idx + 1, room - take * s, left - take)
-        counts[idx] = 0
-
-    rec(0, capacity, max_items)
-    return out
+        room, left = rooms[idx], lefts[idx]
+        if idx < m and left and room >= min_suffix[idx]:
+            tops[idx] = min(multiplicity[idx], left, room // sizes[idx])
+            rooms[idx + 1], lefts[idx + 1] = room, left  # take none first
+            idx += 1
+            continue
+        out.append(Configuration(tuple(counts), capacity - room, max_items - left))
+        # back up to the deepest size that can take one more
+        idx -= 1
+        while idx >= 0 and counts[idx] == tops[idx]:
+            counts[idx] = 0
+            idx -= 1
+        if idx < 0:
+            return out
+        counts[idx] += 1
+        rooms[idx + 1] -= sizes[idx]
+        lefts[idx + 1] -= 1
+        idx += 1

@@ -34,6 +34,23 @@ def random_instance(
     return Instance.from_values(sizes)
 
 
+def round_size_to_power(eps: Fraction, s: Fraction) -> tuple[Fraction, int]:
+    """Largest (1+eps)**-t that is <= s; returns (value, t).
+
+    The rational walk that ``structures.power_index`` replaced; tests use it
+    to pick t_max and as the reference for the integer version.
+    """
+    if s <= 0 or s > 1:
+        raise ValueError("size must be in (0, 1]")
+    t = 0
+    val = Fraction(1)
+    step = Fraction(eps.denominator, eps.denominator + 1)
+    while val > s:
+        val *= step
+        t += 1
+    return val, t
+
+
 def random_concave_cost(rng: random.Random, n: int) -> CostFunction:
     """Random valid cost table: non-increasing positive increments."""
     incs = sorted((rng.random() for _ in range(max(n, 1))), reverse=True)

@@ -28,10 +28,9 @@ from concavebp.structures import (
     build_windows,
     linear_grouping,
     main_window,
-    round_size_to_power,
     split_small,
 )
-from conftest import random_concave_cost, random_instance
+from conftest import random_concave_cost, random_instance, round_size_to_power
 
 
 class TestRunBasics:

@@ -45,10 +45,9 @@ from concavebp.structures import (
     check_eps,
     enumerate_configurations,
     main_windows,
-    round_size_to_power,
     scaled_powers,
 )
-from conftest import random_concave_cost, random_instance
+from conftest import random_concave_cost, random_instance, round_size_to_power
 
 # three pairwise coprime denominators near 2**21: their LCM exceeds 2**60
 PRIMES = (2097143, 2097133, 2097131)

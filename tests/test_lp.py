@@ -28,8 +28,8 @@ from concavebp.structures import (
     build_windows,
     enumerate_configurations,
     main_window,
-    round_size_to_power,
 )
+from conftest import round_size_to_power
 
 
 def build_model(

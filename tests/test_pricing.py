@@ -19,9 +19,8 @@ from concavebp.structures import (
     build_staircase,
     build_windows,
     main_window,
-    round_size_to_power,
 )
-from conftest import brute_force_kcc
+from conftest import brute_force_kcc, round_size_to_power
 
 
 def _items(*triples):

@@ -20,9 +20,8 @@ from concavebp.structures import (
     enumerate_configurations,
     check_eps,
     main_windows,
-    round_size_to_power,
 )
-from conftest import random_concave_cost
+from conftest import random_concave_cost, round_size_to_power
 
 
 class TestCheckEps:
