@@ -8,7 +8,9 @@ fits has no assignment columns, so its two rows would read w.x >= 0 and
 kappa.x >= 0 and bind nothing; it gets no rows.  Columns: one per
 generalized configuration (cost: the configuration's level cost) and one
 zero-cost assignment column per (small type, usable window) pair.  The
-master's size thus follows the number of distinct sizes, not n.
+master's size thus follows the number of distinct sizes, not n.  The first
+master solve starts from ``seed_basis``, a primal feasible basis read off
+the seed columns, instead of the simplex's phase 1.
 """
 from __future__ import annotations
 
@@ -95,21 +97,30 @@ class LpModel:
         self.columns.append(gc)
         return True
 
+    def singleton_column(self, j: int) -> GeneralizedConfiguration:
+        """The seed column of size j: one item, level 1, its main window."""
+        counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
+        ext = ExtendedConfiguration(
+            Configuration(counts, self.sizes[j], 1), 1, self.staircase.ks[1]
+        )
+        mw = main_window(ext, self.eps, self.t_max, self.staircase, self.scale)
+        return GeneralizedConfiguration(ext, mw)
+
+    def empty_column(self, w: Window) -> GeneralizedConfiguration:
+        """The seed column of window w: no large item, level w.a."""
+        empty = Configuration((0,) * len(self.sizes), 0, 0)
+        ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
+        return GeneralizedConfiguration(ext, w)
+
     def seed_columns(self) -> None:
         """Singleton-configuration columns per size, plus one empty
         configuration per window when small items are present."""
-        zero = (0,) * len(self.sizes)
-        for j, v in enumerate(self.sizes):
-            counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
-            ext = ExtendedConfiguration(Configuration(counts, v, 1), 1, self.staircase.ks[1])
-            mw = main_window(ext, self.eps, self.t_max, self.staircase, self.scale)
-            self.add_column(GeneralizedConfiguration(ext, mw))
+        for j in range(len(self.sizes)):
+            self.add_column(self.singleton_column(j))
         if self.smalls:
-            empty = Configuration(zero, 0, 0)
             for w in self.windows:
                 if w.a <= self.p_max and self.usable(w):
-                    ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
-                    self.add_column(GeneralizedConfiguration(ext, w))
+                    self.add_column(self.empty_column(w))
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
@@ -167,6 +178,64 @@ class LpModel:
         A[x_rows, x_on] = [float(w.w) for _, w in on_rows]
         A[x_rows + 1, x_on] = [w.kappa for _, w in on_rows]
         return c, A, b, x_cols, y_cols, windows
+
+
+def seed_basis(model: LpModel) -> list[Label] | None:
+    """A primal feasible first basis of the seeded master, in the labels of
+    ``model.arrays()``, built from the model's structure (a crash basis in
+    place of phase 1, after Bixby 1992).  None when a seed column is missing.
+
+    Size row j is covered by its singleton seed column at level demands[j].
+    Every small type sits on its assignment column to one host window, the
+    usable window with an empty seed configuration whose cost f_at[a] times
+    the level max(S/w, N/kappa) it needs is least, where S and N are the
+    total kept small size and count less what the singletons already put on
+    the window's rows.  The host's empty configuration is basic on whichever
+    of its two rows needs the larger level, the other row's surplus is
+    basic; a host the singletons already cover keeps both surpluses.  Every
+    other row is on its surplus.  ``solve_lp`` still checks the basis (its
+    inverse and B^-1 b >= 0) and falls back to the slack start.
+    """
+    nv, ns = len(model.sizes), len(model.smalls)
+    windows = [w for w in model.windows if model.usable(w)]
+    w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
+    off = len(model.y_pairs)  # assignment columns come first
+    x_index = {gc: off + j for j, gc in enumerate(model.columns)}
+    labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * len(windows))]
+    size_on = dict.fromkeys(windows, 0.0)  # what the singletons put on a row
+    count_on = dict.fromkeys(windows, 0.0)
+    for j, d in enumerate(model.demands):
+        gc = model.singleton_column(j)
+        if gc not in x_index:
+            return None
+        labels[j] = ("x", x_index[gc])
+        if gc.window in w_row:
+            size_on[gc.window] += float(gc.window.w) * d
+            count_on[gc.window] += gc.window.kappa * d
+    if not model.smalls:
+        return labels
+    total_size = sum(st.size / model.scale * len(st.items) for st in model.smalls)
+    total_count = sum(len(st.items) for st in model.smalls)
+    best = None  # (cost, size level, count level, window, column)
+    for w in windows:
+        col = x_index.get(model.empty_column(w))
+        if col is None:
+            continue
+        by_size = (total_size - size_on[w]) / float(w.w)
+        by_count = (total_count - count_on[w]) / w.kappa
+        cost = model.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
+        if best is None or cost < best[0]:
+            best = (cost, by_size, by_count, w, col)
+    if best is None:
+        return None
+    _, by_size, by_count, host, col = best
+    y_index = {pair: j for j, pair in enumerate(model.y_pairs)}
+    for si in range(ns):
+        labels[nv + si] = ("x", y_index[si, host])
+    if max(by_size, by_count) > 0.0:
+        row = w_row[host] + (1 if by_count > by_size else 0)  # size row, count row
+        labels[row] = ("x", col)
+    return labels
 
 
 @dataclass
@@ -269,7 +338,7 @@ def column_generation(
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2
     one_plus = 1.0 + 1.0 / model.eps.denominator
-    basis: list[Label] | None = None
+    basis = seed_basis(model)
     added_total = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):

@@ -7,11 +7,15 @@ The FPTAS scales item volumes, then runs a dynamic program over
 size.  Sizes are integers over the scheme's one denominator, Instance.scale;
 a window's bound, total < 1 - w/(1+eps), is the integer limit
 scale - 1 - floor(scale * w/(1+eps)).  The table is bounded by the limit: no
-type gets more copies, and no multiset more items, than fit.
+type gets more copies, and no multiset more items, than fit.  The limit
+depends on the window's power t only, so the sweep builds one table per t
+for the largest cardinality its pairs ask and reads every smaller
+cardinality from the same table.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -57,17 +61,38 @@ class KccInstance:
         self.__dict__.update(items=items, cardinality=cardinality, limit=limit)  # frozen
 
 
-def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
+KccAnswer = tuple[tuple[int, ...], float]  # (counts per item type, total volume)
+
+
+def kcc_fptas(
+    inst: KccInstance, eps: float, cardinalities: Iterable[int] | None = None
+) -> KccAnswer | dict[int, KccAnswer]:
     """Approximate max-volume multiset; volume >= (1 - eps) * optimum.
 
-    Returns (counts per item type, total volume).
+    Returns (counts per item type, total volume).  With ``cardinalities``
+    (caps of at most ``inst.cardinality``), returns that pair for every cap
+    c, keyed by c, read from the one table of ``inst.cardinality``: the best
+    cell among its rows of at most c copies.  The table's scaling step mu is
+    the one of the largest cap, no coarser than c's own, so each answer
+    keeps the (1 - eps) guarantee; the largest cap's answer is the one a
+    call without ``cardinalities`` returns.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
+    caps = (inst.cardinality,) if cardinalities is None else tuple(cardinalities)
+    if any(c > inst.cardinality for c in caps):
+        raise ValueError("cardinalities must not exceed the instance's")
+    answers = _kcc_table(inst, eps, caps)
+    return answers[inst.cardinality] if cardinalities is None else answers
+
+
+def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int, KccAnswer]:
+    """The oracle's table for ``inst.cardinality``, read once per cap."""
     ntypes = len(inst.items)
-    empty = (0,) * ntypes
+    empty = ((0,) * ntypes, 0.0)
+    nothing = dict.fromkeys(caps, empty)
     if inst.cardinality <= 0 or ntypes == 0:
-        return empty, 0.0
+        return nothing
     for it in inst.items:
         if it.size <= 0:
             raise ValueError("item sizes must be positive")
@@ -89,11 +114,11 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
         uncapped += min(it.multiplicity, inst.cardinality)
         copies.extend([ti] * min(it.multiplicity, inst.cardinality, limit // it.size))
     if not copies:
-        return empty, 0.0
+        return nothing
     k_eff = min(inst.cardinality, uncapped)
     p_max = max(inst.items[ti].volume for ti in copies)
     if p_max <= 0.0:
-        return empty, 0.0
+        return nothing
     mu = eps * p_max / k_eff
     # no feasible multiset holds more than c_max copies
     c_max = min(k_eff, limit // min(inst.items[ti].size for ti in copies))
@@ -118,21 +143,27 @@ def kcc_fptas(inst: KccInstance, eps: float) -> tuple[tuple[int, ...], float]:
             target[better] = cand[better]
             took[j, 1:, q:] = better
     feas = g <= limit
-    if not feas.any():
-        return empty, 0.0
-    qs = np.nonzero(feas.any(axis=0))[0]
-    best_q = int(qs[-1])
-    best_c = int(np.nonzero(feas[:, best_q])[0][0])
-    # reconstruct
-    counts = [0] * ntypes
-    c, q = best_c, best_q
-    for j in range(len(copies) - 1, -1, -1):
-        if c > 0 and took[j, c, q]:
-            counts[copies[j]] += 1
-            c -= 1
-            q -= q_of[j]
-    volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
-    return tuple(counts), volume
+    answers = {}
+    for cap in caps:
+        # the best cell among rows 0..cap; the last improver of a cell is
+        # the latest copy that took it, whatever its row
+        rows = feas[: max(min(cap, c_max) + 1, 0)]
+        if not rows.any():
+            answers[cap] = empty
+            continue
+        qs = np.nonzero(rows.any(axis=0))[0]
+        best_q = int(qs[-1])
+        best_c = int(np.nonzero(rows[:, best_q])[0][0])
+        counts = [0] * ntypes
+        c, q = best_c, best_q
+        for j in range(len(copies) - 1, -1, -1):
+            if c > 0 and took[j, c, q]:
+                counts[copies[j]] += 1
+                c -= 1
+                q -= q_of[j]
+        volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
+        answers[cap] = (tuple(counts), volume)
+    return answers
 
 
 @dataclass(frozen=True)
@@ -170,38 +201,45 @@ def price_all(
         for v, mult in zip(model.sizes, model.demands)
     )
     slack = 1.0 / (1.0 - kcc_eps)
-    # oracle results keyed by the window's size index t (it fixes the
-    # limit), then by cardinality; a cardinality at or above the
-    # total multiplicity caps nothing, so such pairs share one oracle call
+    # the window's size index t fixes the oracle's limit, so each t gets one
+    # oracle table answering every cardinality its (window, level) pairs
+    # ask; a cardinality at or above the total multiplicity caps nothing,
+    # so such pairs share one answer
     total_items = sum(model.demands)
-    cache: dict[int, dict[int, tuple[tuple[int, ...], float]]] = {}
     floors = scaled_powers(model.eps.denominator, model.t_max, model.scale)
-    found: list[PricedColumn] = []
-    max_ratio = 0.0
-    max_certified = 0.0
-
+    sweep: list[tuple[Window, list[tuple[int, int]]]] = []  # (window, [(p, card)])
+    cards: dict[int, set[int]] = {}
     for window in sorted(model.windows):
         if window.a > model.p_max:
             continue  # count bound exceeds every usable cost level
-        if window.t >= model.t_max:  # degenerate: too small for any small item
+        levels = []
+        for p in range(max(window.a, 1), model.p_max + 1):
+            if window.a == 0:
+                card = stair.ks[p]
+            else:
+                card = stair.ks[p] - stair.ks[window.a - 1] - 1
+            if card >= 0:
+                levels.append((p, min(card, total_items)))
+        if levels:
+            sweep.append((window, levels))
+            cards.setdefault(window.t, set()).update(card for _, card in levels)
+    solved: dict[int, dict[int, KccAnswer]] = {}
+    for t, caps in cards.items():
+        if t >= model.t_max:  # degenerate: too small for any small item
             limit = model.scale
         else:  # total < 1 - w/(1+eps), and w/(1+eps) is the power t + 1
-            limit = model.scale - 1 - floors[window.t + 1]
-        solved = cache.setdefault(window.t, {})
+            limit = model.scale - 1 - floors[t + 1]
+        inst = KccInstance(items, max(caps), limit)
+        solved[t] = kcc_fptas(inst, kcc_eps, cardinalities=caps)
+
+    found: list[PricedColumn] = []
+    max_ratio = 0.0
+    max_certified = 0.0
+    for window, levels in sweep:
         gamma_w = float(window.w) * duals_gamma.get(window, 0.0)
         delta_k = window.kappa * duals_delta.get(window, 0.0)
-        for p in range(max(window.a, 1), model.p_max + 1):
-            k_p = stair.ks[p]
-            if window.a == 0:
-                card = k_p
-            else:
-                card = k_p - stair.ks[window.a - 1] - 1
-            if card < 0:
-                continue
-            card = min(card, total_items)
-            if card not in solved:
-                solved[card] = kcc_fptas(KccInstance(items, card, limit), kcc_eps)
-            counts, volume = solved[card]
+        for p, card in levels:
+            counts, volume = solved[window.t][card]
             f_kp = stair.f_at[p]
             lhs = volume + gamma_w + delta_k
             certified = volume * slack + gamma_w + delta_k
@@ -211,7 +249,7 @@ def price_all(
             if ratio > 1.0 + 1e-9:
                 total = sum(c * v for c, v in zip(counts, model.sizes))
                 config = Configuration(counts, total, sum(counts))
-                ext = ExtendedConfiguration(config, p, k_p)
+                ext = ExtendedConfiguration(config, p, stair.ks[p])
                 mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
                 if not mw.dominates(window):
                     raise InvariantError("priced column must be valid")

@@ -11,8 +11,12 @@ entering columns run over those nonzeros; a surplus column is -e_i and an artifi
 neither is stored.  The basis inverse stays a dense m x m matrix, updated in
 place by a rank-one product after each pivot and refreshed periodically.
 Dantzig's rule switches to Bland's rule after a run of degenerate pivots to
-rule out cycling.  A warm-start basis is used only when its computed
-inverse reproduces the identity; a singular one falls back to phase 1.
+rule out cycling.  The ratio test is Harris's, with threshold pivoting
+among the rows it admits, so a basic value rounded just below zero never
+pivots on a tiny element.  A warm-start basis (the previous round's, or the
+master's seed basis in the first round) skips phase 1.  It is used only
+when its computed inverse reproduces the identity and B^-1 b >= -FEAS_TOL;
+a singular or infeasible one falls back to the slack start.
 """
 from __future__ import annotations
 
@@ -27,6 +31,8 @@ FEAS_TOL = 1e-7
 _REFRESH_EVERY = 64
 _DEGENERATE_RUN = 40
 _INVERSE_TOL = 1e-9
+_TIE_PIVOT = 0.1
+_HARRIS_TOL = 1e-9
 
 # stable basis labels across column additions:
 #   ("x", j) structural column j, ("s", i) surplus variable of row i
@@ -243,16 +249,26 @@ class _State:
             if entering < 0:
                 return "optimal", it
             d = self._column(entering)
-            xb = self.xb()
+            # a basic value rounded below zero counts as zero: its negative
+            # ratio would otherwise win and pivot on any tiny element
+            xb = np.maximum(self.xb(), 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(d > PIVOT_TOL, xb / d, np.inf)
-            leave = int(np.argmin(ratios))
-            if not np.isfinite(ratios[leave]):
+                # Harris: a row may leave when its ratio is within the step
+                # that keeps every basic value above -_HARRIS_TOL
+                bound = np.where(d > PIVOT_TOL, (xb + _HARRIS_TOL) / d, np.inf).min()
+            if not np.isfinite(bound):
                 return "unbounded", it
+            near = np.nonzero(ratios <= bound)[0]
             if degenerate_run >= _DEGENERATE_RUN:
                 # Bland: among ratio ties, leave with the smallest basis index
-                near = np.nonzero(ratios <= ratios[leave] + 1e-12)[0]
                 leave = int(near[np.argmin(self.basis[near])])
+            else:
+                # threshold pivoting among those rows: the first whose pivot
+                # element reaches _TIE_PIVOT of the largest, so no tiny
+                # element spoils the updated inverse
+                stable = near[d[near] >= _TIE_PIVOT * d[near].max()]
+                leave = int(stable[0])
             degenerate_run = degenerate_run + 1 if ratios[leave] <= 1e-12 else 0
             self._pivot(d, leave, entering)
             it += 1

@@ -64,7 +64,9 @@ def random_fractional_packing(
     rng: random.Random, inst: Instance, max_extra_bins: int = 3
 ) -> FractionalPacking:
     """Feasible fractional packing built by randomly splitting items over bins
-    with spare exact-rational capacity."""
+    with spare exact-rational capacity.  An item takes at most two random
+    cuts; after them it takes all it can of each bin, so it is placed within
+    m + 2 steps however large the sizes' denominators are."""
     total = inst.total_size
     m = max(1, int(total) + 1 + rng.randint(0, max_extra_bins))
     room = [Fraction(1)] * m
@@ -74,6 +76,7 @@ def random_fractional_packing(
     for i in order:
         s = inst.sizes[i]
         left = Fraction(1)
+        cuts = 0
         while left > 0:
             open_bins = [
                 b for b in range(m) if i not in content[b] and (s == 0 or room[b] > 0)
@@ -88,10 +91,11 @@ def random_fractional_packing(
                 content[b][i] = left
                 break
             cap_frac = min(left, room[b] / s)
-            if left > cap_frac and rng.random() < 0.7:
+            if cuts == 2 or (left > cap_frac and rng.random() < 0.7):
                 take = cap_frac
             else:
                 # random cut, biased toward finishing the item
+                cuts += 1
                 num = rng.randint(1, cap_frac.numerator + cap_frac.denominator)
                 take = min(cap_frac, Fraction(num, cap_frac.denominator + 1), left)
             if take <= 0:

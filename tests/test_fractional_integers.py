@@ -225,11 +225,10 @@ def mutate(rng: random.Random, inst: Instance, bins: list[list[tuple[int, object
         other.append((i, Fraction(fr) - cut))
 
 
-def packings(rng: random.Random, inst: Instance, rounds: int = 6, feasible: bool = True):
-    """fnfi, a random feasible packing (unless ``feasible`` is False), and
-    mutations of both."""
+def packings(rng: random.Random, inst: Instance, rounds: int = 6):
+    """fnfi, a random feasible packing, and mutations of both."""
     bases = [fnfi(inst)]
-    if inst.n and feasible:
+    if inst.n:
         bases.append(random_fractional_packing(rng, inst))
     for base in bases:
         yield base
@@ -323,8 +322,7 @@ class TestVerifyFractionalMatchesReference:
 )
 def test_verify_and_cost_match_reference_property(values, rng):
     inst = Instance.from_values(values)
-    # the random feasible packer's cuts compound huge denominators: fnfi only
-    for p in packings(rng, inst, rounds=3, feasible=False):
+    for p in packings(rng, inst, rounds=3):
         assert _verify_fractional(inst, p) == reference_verify_fractional(inst, p)
         for f in costs(rng):
             assert cost_or_error(f, p, eval_fractional_cost) == cost_or_error(

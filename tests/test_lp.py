@@ -14,12 +14,13 @@ from concavebp.lp import (
     dual_objective,
     extract_basic,
     project_to_main_windows,
+    seed_basis,
     small_types,
     solve_master,
     split_types,
     verify_solution_rows,
 )
-from concavebp.simplex import solve_lp
+from concavebp.simplex import _labels_to_indices, _State, solve_lp
 from concavebp.structures import (
     Configuration,
     ExtendedConfiguration,
@@ -554,3 +555,131 @@ class TestColumnIdentity:
         projected.x = {}
         with pytest.raises(InvariantError, match="size row"):
             verify_solution_rows(model, projected)
+
+
+def _random_seeded_master(rng, with_smalls):
+    sizes = sorted(
+        {Fraction(rng.randint(5, 12), 12) for _ in range(rng.randint(1, 3))},
+        reverse=True,
+    )
+    demands = [rng.randint(1, 4) for _ in sizes]
+    smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(1, 6) * with_smalls)]
+    model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
+    model.seed_columns()
+    return model
+
+
+def _host(model, labels):
+    """(window, True when its count row binds) for the window whose empty
+    configuration is basic, or None."""
+    nv, ns = len(model.sizes), len(model.smalls)
+    windows = [w for w in model.windows if model.usable(w)]
+    for i, w in enumerate(windows):
+        row = nv + ns + 2 * i
+        if labels[row][0] == "x" or labels[row + 1][0] == "x":
+            return w, labels[row + 1][0] == "x"
+    return None
+
+
+class TestSeedBasis:
+    """The crash basis of the seeded master loads as it is (no fallback to
+    the slack start), is primal feasible, and leads to the cold start's
+    optimum."""
+
+    def _check(self, model):
+        labels = seed_basis(model)
+        assert labels is not None
+        c, A, b, *_ = model.arrays()
+        state = _State(A, b)
+        assert state.load_basis(_labels_to_indices(labels, A.shape[1], A.shape[0]))
+        assert state.xb().min() >= -1e-12
+        warm, cold = solve_lp(c, A, b, basis=labels), solve_lp(c, A, b)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        return labels, state
+
+    def test_without_kept_smalls(self):
+        rng = random.Random(81)
+        for _ in range(10):
+            model = _random_seeded_master(rng, with_smalls=False)
+            labels, _ = self._check(model)
+            # singletons on the size rows, every other row on its surplus
+            nv = len(model.sizes)
+            assert all(kind == "x" for kind, _ in labels[:nv])
+            assert all(kind == "s" for kind, _ in labels[nv:])
+
+    def test_with_kept_smalls(self):
+        rng = random.Random(82)
+        hosts = set()
+        for _ in range(25):
+            model = _random_seeded_master(rng, with_smalls=True)
+            labels, _ = self._check(model)
+            host = _host(model, labels)
+            assert host is not None
+            hosts.add(host[1])
+            # each type is on its assignment column to the host window
+            ns = len(model.smalls)
+            picked = [model.y_pairs[j] for _, j in labels[len(model.sizes) :][:ns]]
+            assert picked == [(si, host[0]) for si in range(ns)]
+        assert hosts == {False, True}  # both a size row and a count row bind
+
+    def test_count_row_binds(self):
+        # forty items of 1/1000: the count bound, not the size, sets the level
+        model = build_model(["1/2"], [2], small_sizes=["1/1000"] * 40, n=60)
+        model.seed_columns()
+        host = _host(model, self._check(model)[0])
+        assert host is not None and host[1]
+
+    def test_size_row_binds(self):
+        # four items just below 1/3: the size bound sets the level
+        model = build_model(["1/2"], [2], small_sizes=["7/24"] * 4, n=60)
+        model.seed_columns()
+        host = _host(model, self._check(model)[0])
+        assert host is not None and not host[1]
+
+    def _with_singleton_on(self, model, w):
+        """Put size 0's seed singleton on window w, as if its main window
+        reserved room there."""
+        plain = model.singleton_column
+        def singleton(j):
+            gc = plain(j)
+            return GeneralizedConfiguration(gc.ext, w) if j == 0 else gc
+        model.singleton_column = singleton
+        model.seed_columns()
+
+    def test_window_a_singleton_already_covers(self):
+        # one item of 1/6 fits under the singleton's window share: the host
+        # needs no level, so both its rows stay on their surpluses
+        model = build_model(["1/2"], [4], small_sizes=["1/6"])
+        w = min(
+            (w for w in model.windows if model.usable(w) and w.a <= model.p_max),
+            key=lambda w: model.staircase.f_at[w.a],
+        )
+        self._with_singleton_on(model, w)
+        labels, _ = self._check(model)
+        assert _host(model, labels) is None
+        assert labels[len(model.sizes)] == ("x", model.y_pairs.index((0, w)))
+
+    def test_window_a_singleton_partly_covers(self):
+        # the singleton's share counts against the host's need: the host
+        # keeps its window, at the lower level the rest of the smalls need
+        for k in range(8, 15):
+            smalls = ["1/6"] * k + ["1/8"] * (k // 3)
+            plain = build_model(["1/2"], [1], small_sizes=smalls, n=40)
+            plain.seed_columns()
+            w, _ = _host(plain, seed_basis(plain))
+            model = build_model(["1/2"], [1], small_sizes=smalls, n=40)
+            self._with_singleton_on(model, w)
+            labels, state = self._check(model)
+            assert _host(model, labels)[0] == w
+            total = k / 6 + (k // 3) / 8
+            need = max((total - float(w.w)) / float(w.w), (len(smalls) - w.kappa) / w.kappa)
+            col = len(model.y_pairs) + model.columns.index(model.empty_column(w))
+            level = state.xb()[labels.index(("x", col))]
+            assert need > 0 and level == pytest.approx(need, rel=1e-12)
+
+    def test_missing_seed_column(self):
+        model = build_model(["1/2", "1/3"], [2, 3], small_sizes=["1/6"])
+        assert seed_basis(model) is None  # nothing seeded yet
+        model.seed_columns()
+        assert seed_basis(model) is not None

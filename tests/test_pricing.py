@@ -173,6 +173,96 @@ class TestKccFptas:
                 assert (1 - eps) * best - 1e-9 <= volume <= best + 1e-9
 
 
+class TestSharedTable:
+    """One table for the largest cardinality answers every smaller one."""
+
+    def _instance(self, rng):
+        while True:
+            items = [
+                KccItemType(
+                    Fraction(rng.randint(1, 24), 24),
+                    rng.choice([0.0, rng.random() * 5, float(rng.randint(1, 3))]),
+                    rng.randint(1, 3),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            copies = sum(it.multiplicity for it in items)
+            if copies <= 9:
+                break
+        cap = Fraction(rng.randint(4, 24), 24)
+        return items, cap, rng.random() < 0.3, copies
+
+    def test_every_cardinality_feasible_and_within_guarantee(self):
+        rng = random.Random(34)
+        checked = 0
+        for _ in range(120):
+            items, cap, strict, copies = self._instance(rng)
+            top = rng.randint(1, copies + 2)
+            cards = {rng.randint(0, top) for _ in range(4)} | {top}
+            inst = _scaled(items, top, cap, strict)
+            for eps in (1 / 3, 1 / 5):
+                answers = kcc_fptas(inst, eps, cardinalities=cards)
+                assert set(answers) == cards
+                for card, (counts, volume) in answers.items():
+                    assert sum(counts) <= card
+                    assert all(0 <= c <= it.multiplicity for c, it in zip(counts, items))
+                    total = sum((c * it.size for c, it in zip(counts, items)), Fraction(0))
+                    assert (total < cap) if strict else (total <= cap)
+                    assert volume == sum(c * it.volume for c, it in zip(counts, items))
+                    best = brute_force_kcc(items, card, cap, strict)
+                    assert volume >= (1 - eps) * best - 1e-9
+                    checked += card < top and best > 0
+        assert checked > 100
+
+    def test_largest_cardinality_matches_the_single_call(self):
+        rng = random.Random(35)
+        for _ in range(150):
+            inst = _scaled(*_random_kcc(rng))
+            cards = {rng.randint(0, inst.cardinality) for _ in range(3)} | {inst.cardinality}
+            for eps in (1 / 3, 1 / 6):
+                single = kcc_fptas(inst, eps)
+                shared = kcc_fptas(inst, eps, cardinalities=cards)[inst.cardinality]
+                assert shared == single
+                assert shared[1].hex() == single[1].hex()
+
+    def test_beyond_int64(self):
+        # an object-dtype table (common denominator above 2**60) answers
+        # every cardinality as the int64 one does
+        primes = (2097143, 2097133, 2097131)
+        rng = random.Random(36)
+        for _ in range(10):
+            items = [
+                KccItemType(Fraction(rng.randint(p // 8, p // 2), p), rng.random() * 5, rng.randint(1, 3))
+                for p in primes
+            ]
+            cap = Fraction(rng.randint(2, 8), 8)
+            strict = rng.random() < 0.5
+            top = sum(it.multiplicity for it in items)
+            inst = _scaled(items, top, cap, strict)
+            assert inst.limit >= 2**60
+            answers = kcc_fptas(inst, 1 / 5, cardinalities=range(top + 1))
+            assert answers[top] == kcc_fptas(inst, 1 / 5)
+            for card, (counts, volume) in answers.items():
+                total = sum((c * it.size for c, it in zip(counts, items)), Fraction(0))
+                assert sum(counts) <= card and ((total < cap) if strict else (total <= cap))
+                assert volume >= (1 - 1 / 5) * brute_force_kcc(items, card, cap, strict) - 1e-9
+
+    def test_cardinalities_above_the_instance_are_refused(self):
+        inst = KccInstance((KccItemType(2, 1.0, 3),), 2, 5)
+        with pytest.raises(ValueError, match="cardinalities"):
+            kcc_fptas(inst, 1 / 3, cardinalities=(1, 3))
+
+    def test_trivial_instances_answer_every_cardinality(self):
+        empty = ((0, 0), 0.0)
+        for inst in (
+            KccInstance((KccItemType(3, 1.0, 2), KccItemType(4, 2.0, 1)), 0, 9),
+            KccInstance((KccItemType(3, 0.0, 2), KccItemType(4, 0.0, 1)), 3, 9),
+            KccInstance((KccItemType(30, 1.0, 2), KccItemType(40, 2.0, 1)), 3, 9),
+        ):
+            caps = range(inst.cardinality + 1)
+            assert kcc_fptas(inst, 1 / 3, cardinalities=caps) == dict.fromkeys(caps, empty)
+
+
 class TestPriceAll:
     def _context(self, sizes, mults, n=12, eps=Fraction(1, 3), s_min=Fraction(1)):
         f = make_fq(2, n)
@@ -411,13 +501,28 @@ def test_bounded_oracle_matches_uncapped_property(types, card, capacity, strict,
 def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
     """price_all as a plain sweep: one oracle call per (window, level) pair
     with its raw cardinality, no cache, the dual terms added per pair, and
-    the oracle given Fraction sizes with each window's Fraction capacity."""
+    the oracle given Fraction sizes with each window's Fraction capacity.
+    Each call scales volumes as the largest raw cardinality of its window
+    power t does (per-power scaling)."""
     stair = model.staircase
     items = tuple(
         KccItemType(Fraction(v, model.scale), duals_alpha.get(v, 0.0), mult)
         for v, mult in zip(model.sizes, model.demands)
     )
     slack = 1.0 / (1.0 - kcc_eps)
+
+    def raw_cards(window):
+        for p in range(max(window.a, 1), model.p_max + 1):
+            k_p = stair.ks[p]
+            card = k_p if window.a == 0 else k_p - stair.ks[window.a - 1] - 1
+            if card >= 0:
+                yield p, card
+
+    top: dict[int, int] = {}
+    for window in model.windows:
+        if window.a <= model.p_max:
+            for _, card in raw_cards(window):
+                top[window.t] = max(top.get(window.t, 0), card)
     found, max_ratio, max_certified = [], 0.0, 0.0
     for window in sorted(model.windows):
         if window.a > model.p_max:
@@ -426,12 +531,10 @@ def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
             capacity, strict = Fraction(1), False
         else:
             capacity, strict = 1 - window.w / (1 + model.eps), True
-        for p in range(max(window.a, 1), model.p_max + 1):
+        for p, card in raw_cards(window):
             k_p = stair.ks[p]
-            card = k_p if window.a == 0 else k_p - stair.ks[window.a - 1] - 1
-            if card < 0:
-                continue
-            counts, volume = kcc_fptas(KccInstance(items, card, capacity, strict), kcc_eps)
+            inst = KccInstance(items, top[window.t], capacity, strict)
+            counts, volume = kcc_fptas(inst, kcc_eps, cardinalities=(card,))[card]
             f_kp = stair.f_at[p]
             lhs = (
                 volume
@@ -474,6 +577,34 @@ class TestPriceAllMatchesUncachedSweep:
             t_max=t_star + 1,
             f=f,
         )
+
+    def test_one_oracle_table_per_window_power(self, monkeypatch):
+        # each power t gets one call, whose table is that of the largest
+        # cardinality (clamped to the total multiplicity) its pairs ask
+        import concavebp.pricing as pricing
+
+        ctx = self._model(["3/5", "9/20", "7/20", "1/4"], [3, 4, 2, 5], 60)
+        calls = []
+        plain = pricing.kcc_fptas
+
+        def traced(inst, eps, cardinalities=None):
+            calls.append((inst.cardinality, set(cardinalities)))
+            return plain(inst, eps, cardinalities)
+
+        monkeypatch.setattr(pricing, "kcc_fptas", traced)
+        alpha = {v: 1.0 + v / ctx.scale for v in ctx.sizes}
+        price_all(alpha, {}, {}, ctx, 1 / 6)
+        stair, total = ctx.staircase, sum(ctx.demands)
+        want: dict[int, set[int]] = {}
+        for w in ctx.windows:
+            for p in range(max(w.a, 1), ctx.p_max + 1):
+                card = stair.ks[p] - (stair.ks[w.a - 1] + 1 if w.a else 0)
+                if w.a <= ctx.p_max and card >= 0:
+                    want.setdefault(w.t, set()).add(min(card, total))
+        assert len(calls) == len(want)
+        assert sorted(map(sorted, (caps for _, caps in calls))) == sorted(map(sorted, want.values()))
+        assert all(top == max(caps) for top, caps in calls)
+        assert any(len(caps) > 1 for _, caps in calls)
 
     @pytest.mark.parametrize(
         "sizes, mults, n",

@@ -402,3 +402,38 @@ class TestRefresh:
         state.refresh()
         assert np.allclose(state.binv @ A, np.eye(2))
         assert state._pivots_since_refresh == 0
+
+
+class TestRatioTest:
+    """A basic value rounded just below zero must not make the ratio test
+    pivot on a tiny element: a warm master once ended "optimal" with a row
+    short by 0.0117 that way."""
+
+    class _Stop(Exception):
+        pass
+
+    def _first_pivot(self, b):
+        A = np.array([[1.0, 0.0, 1e-7], [0.0, 1.0, 500.0]])
+        state = _State(A, np.array(b))
+        assert state.load_basis([0, 1])
+        taken = []
+
+        def spy(d, row, entering):
+            taken.append((row, entering, float(d[row])))
+            raise self._Stop
+
+        state._pivot = spy
+        with pytest.raises(self._Stop):
+            state.iterate(np.array([0.0, 0.0, -1.0, 0.0, 0.0]), allow_artificial=False)
+        return taken
+
+    def test_tie_at_zero_takes_the_large_pivot(self):
+        assert self._first_pivot([-1e-11, 0.0]) == [(1, 2, 500.0)]
+
+    def test_near_tie_takes_the_large_pivot(self):
+        # row 1 blocks at 2e-9, row 0 at 0: within Harris's tolerance
+        assert self._first_pivot([-1e-11, 1e-6]) == [(1, 2, 500.0)]
+
+    def test_lone_blocking_row_still_leaves(self):
+        # row 1 blocks only at 2000: the tiny element is the only choice
+        assert self._first_pivot([0.0, 1e6]) == [(0, 2, 1e-7)]
