@@ -110,8 +110,8 @@ def _singleton_result(inst: Instance, f: CostFunction, eps: Fraction) -> AfptasR
     bins = [[i] for i in range(inst.n)]
     packing = Packing.from_bins(bins, range(inst.n))
     prov = Provenance(inst.n, str(eps), base_case=True)
-    prov.stages.append(StageReport("singletons", inst.n, eval_cost(f, packing)))
     prov.total_cost = eval_cost(f, packing)
+    prov.stages.append(StageReport("singletons", inst.n, prov.total_cost))
     prov.total_bins = inst.n
     return AfptasResult(packing, prov)
 
@@ -253,17 +253,14 @@ def round_solution(
         order = sorted(items, key=lambda i: (-sizes[i], i))
         for pos, item in enumerate(order):
             target_bins[pos % x_w].smalls.append(item)
+        # per bin: remove the largest, then refill greedily, splitting off
+        # the special and excess items
         for b in target_bins:
             if len(b.smalls) > w.kappa:
                 raise InvariantError(f"window {w} dealt more than kappa items to a bin")
-            if b.smalls:
-                removed.append(b.smalls.pop(0))  # largest: first dealt
-
-    # greedy refill, splitting special and excess items per bin
-    for w in sorted(assigned):
-        for b in by_window.get(w, []):
             if not b.smalls:
                 continue
+            removed.append(b.smalls.pop(0))  # largest: first dealt
             room = scale - sum(sizes[i] for i in b.larges)
             keep: list[int] = []
             special: int | None = None
@@ -393,14 +390,11 @@ def run_afptas(
 
     kept = split.kept
     prov.h_set_size = len(sizes)
-    prov.i2_sizes = []
     for v, d in zip(sizes, mult):
         prov.i2_sizes += [str(Fraction(v, inst.scale))] * d
     prov.i2_sizes += [str(inst.sizes[i]) for i in kept]
 
-    if not sizes and not kept:
-        prov.lp_skipped = True
-    else:
+    if sizes or kept:
         # delta = 1 / (smallest kept size), or 1/eps when none is kept, as
         # the fraction num / den
         if kept:
@@ -449,7 +443,7 @@ def run_afptas(
         for gc, val in projected.x.items():
             if not (val <= 0 or gc.window in w_prime):
                 raise InvariantError(f"projection left mass on window {gc.window}")
-        basic = extract_basic(projected, model, w_prime)
+        basic = extract_basic(projected, model)
         prov.lp_basic_objective = basic.objective
         fx, fy = basic.fractional_counts()
         bound = len(sizes) + 2 * len(w_prime)

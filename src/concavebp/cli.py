@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generators
-from .afptas import run_afptas
+from .afptas import DEFAULT_CONFIG_BUDGET, run_afptas
 from .core import (
     COST_TOL,
     FractionalPacking,
@@ -81,7 +81,7 @@ def parse_eps(text: str) -> Fraction:
     return Fraction(1, k)
 
 
-def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
+def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=DEFAULT_CONFIG_BUDGET):
     """Returns (packing, cost, provenance-or-None)."""
     simple = {
         "nf-inc": lambda: next_fit(inst, "increasing"),
@@ -104,9 +104,8 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=None):
     if name == "afptas":
         if eps is None:
             raise ParseError("afptas needs --eps")
-        kwargs = {} if config_budget is None else {"config_budget": config_budget}
         try:
-            result = run_afptas(inst, f, eps, **kwargs)
+            result = run_afptas(inst, f, eps, config_budget=config_budget)
         except ValueError as exc:  # input the scheme rejects, e.g. an all-zero table
             raise ParseError(str(exc)) from exc
         return result.packing, eval_cost(f, result.packing), result.provenance
@@ -129,7 +128,7 @@ def _verification_failure(verdict) -> str:
 
 
 def cmd_solve(args) -> int:
-    if args.config_budget is not None and args.config_budget < 1:
+    if args.config_budget < 1:
         raise ParseError("--config-budget must be at least 1")
     _check_exact_limit(args.exact_limit)
     with open(args.instance) as fh:
@@ -365,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--config-budget",
         type=int,
+        default=DEFAULT_CONFIG_BUDGET,
         help="cap on enumerated bin configurations for afptas",
     )
     p.set_defaults(func=cmd_solve)

@@ -115,9 +115,6 @@ class CostFunction:
             raise ValueError("cost argument must be non-negative")
         return self.values[min(q, self.n)]
 
-    def __call__(self, q: int) -> float:
-        return self.value(q)
-
 
 def make_cost_function(values: Sequence[float]) -> CostFunction:
     """Validate and build a CostFunction, rescaling so that f(1) = 1.

@@ -60,7 +60,7 @@ def weight(p: SizeLike) -> Fraction:
 def _ordered_indices(inst: Instance, order: str) -> list[int]:
     # Stored order is non-increasing; equal sizes keep lowest index first, so
     # reversing treats the lowest index as the larger item.
-    if order in ("decreasing", "given"):
+    if order == "decreasing":
         return list(range(inst.n))
     if order == "increasing":
         return list(range(inst.n - 1, -1, -1))

@@ -9,8 +9,7 @@ kappa.x >= 0 and bind nothing; it gets no rows.  Columns: one per
 generalized configuration (cost: the configuration's level cost) and one
 zero-cost assignment column per (small type, usable window) pair.  The
 master's size thus follows the number of distinct sizes, not n.  The first
-master solve starts from ``seed_basis``, a primal feasible basis read off
-the seed columns, instead of the simplex's phase 1.
+master solve starts from the feasible basis of ``LpModel.seed_columns``.
 """
 from __future__ import annotations
 
@@ -61,7 +60,9 @@ def small_types(
 
 @dataclass
 class LpModel:
-    """Master model state: fixed rows, growable column set."""
+    """Master model state: fixed rows, growable column set.  The fixed part
+    is worked out once: ``row_windows`` (the usable windows, which get
+    rows), ``y_pairs`` and each column's position in ``columns``."""
 
     sizes: tuple[int, ...]  # distinct rounded large sizes, descending
     demands: tuple[int, ...]  # multiplicity per size
@@ -76,24 +77,28 @@ class LpModel:
     main_windows: set[Window] = field(default_factory=set)  # canonical windows
 
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
-    _column_set: set[GeneralizedConfiguration] = field(default_factory=set)
-    y_pairs: list[tuple[int, Window]] = field(default_factory=list)  # (type, window)
+    row_windows: tuple[Window, ...] = field(init=False)
+    y_pairs: tuple[tuple[int, Window], ...] = field(init=False)  # (type, window)
+    _position: dict[GeneralizedConfiguration, int] = field(init=False)
 
     def usable(self, w: Window) -> bool:
         """Small items fit the window: count bound ks[a] >= 1, and t < t_max."""
         return w.a >= 1 and w.t < self.t_max
 
     def __post_init__(self):
+        self.row_windows = tuple(w for w in self.windows if self.usable(w))
         # zero-cost assignment columns for every usable (type, window) pair;
         # windows too small for any small item carry none by construction
-        usable = [w for w in self.windows if self.usable(w)]
-        self.y_pairs.extend((si, w) for si in range(len(self.smalls)) for w in usable)
+        self.y_pairs = tuple(
+            (si, w) for si in range(len(self.smalls)) for w in self.row_windows
+        )
+        self._position = {gc: j for j, gc in enumerate(self.columns)}
 
     # -- column handling -------------------------------------------------
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
-        if gc in self._column_set:
+        if gc in self._position:
             return False
-        self._column_set.add(gc)
+        self._position[gc] = len(self.columns)
         self.columns.append(gc)
         return True
 
@@ -112,15 +117,62 @@ class LpModel:
         ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
         return GeneralizedConfiguration(ext, w)
 
-    def seed_columns(self) -> None:
-        """Singleton-configuration columns per size, plus one empty
-        configuration per window when small items are present."""
-        for j in range(len(self.sizes)):
-            self.add_column(self.singleton_column(j))
-        if self.smalls:
-            for w in self.windows:
-                if w.a <= self.p_max and self.usable(w):
-                    self.add_column(self.empty_column(w))
+    def seed_columns(self) -> list[Label]:
+        """Add the seed columns and return a primal feasible first basis over
+        them, in the labels of ``arrays()`` (a crash basis in place of phase
+        1, after Bixby 1992).  Seeding again adds nothing and returns the
+        same labels.
+
+        Size row j is covered by its singleton seed column at level
+        demands[j].  When small items are kept, every usable window with
+        a <= p_max gets an empty seed configuration, and every small type
+        sits on its assignment column to one host window: the one whose
+        empty configuration's cost f_at[a] times the level max(S/w, N/kappa)
+        it needs is least, where S and N are the total kept small size and
+        count less what the singletons already put on the window's rows.
+        The host's empty configuration is basic on whichever of its two rows
+        needs the larger level, the other row's surplus is basic; a host the
+        singletons already cover keeps both surpluses.  Every other row is on
+        its surplus.  ``solve_lp`` still checks the basis (its inverse and
+        B^-1 b >= 0) and falls back to the slack start, as it does when no
+        window can host.
+        """
+        nv, ns = len(self.sizes), len(self.smalls)
+        off = len(self.y_pairs)  # assignment columns come first
+        labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * len(self.row_windows))]
+        size_on = dict.fromkeys(self.row_windows, 0.0)  # what the singletons put on a row
+        count_on = dict.fromkeys(self.row_windows, 0.0)
+        for j, d in enumerate(self.demands):
+            gc = self.singleton_column(j)
+            self.add_column(gc)
+            labels[j] = ("x", off + self._position[gc])
+            if gc.window in size_on:
+                size_on[gc.window] += float(gc.window.w) * d
+                count_on[gc.window] += gc.window.kappa * d
+        if not self.smalls:
+            return labels
+        total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
+        total_count = sum(len(st.items) for st in self.smalls)
+        best = None  # (cost, size level, count level, host position, column)
+        for h, w in enumerate(self.row_windows):
+            if w.a > self.p_max:
+                continue
+            gc = self.empty_column(w)
+            self.add_column(gc)
+            by_size = (total_size - size_on[w]) / float(w.w)
+            by_count = (total_count - count_on[w]) / w.kappa
+            cost = self.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
+            if best is None or cost < best[0]:
+                best = (cost, by_size, by_count, h, off + self._position[gc])
+        if best is None:
+            return labels
+        _, by_size, by_count, h, col = best
+        for si in range(ns):
+            labels[nv + si] = ("x", si * len(self.row_windows) + h)  # y_pairs order
+        if max(by_size, by_count) > 0.0:
+            row = nv + ns + 2 * h + (1 if by_count > by_size else 0)  # size row, count row
+            labels[row] = ("x", col)
+        return labels
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
@@ -133,23 +185,12 @@ class LpModel:
         of excluded windows and columns touching them are dropped (the
         temporary program after projection).
         """
-        windows = [
-            w
-            for w in self.windows
-            if self.usable(w) and (window_filter is None or w in window_filter)
-        ]
+        keep = window_filter
+        windows = [w for w in self.row_windows if keep is None or w in keep]
+        x_cols = [gc for gc in self.columns if keep is None or gc.window in keep]
+        y_cols = [(si, w) for si, w in self.y_pairs if keep is None or w in keep]
         nv, ns = len(self.sizes), len(self.smalls)
         w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
-        x_cols = [
-            gc
-            for gc in self.columns
-            if window_filter is None or gc.window in window_filter
-        ]
-        y_cols = [
-            (si, w)
-            for si, w in self.y_pairs
-            if window_filter is None or w in window_filter
-        ]
         # assignment columns first: their indices never move when the column
         # generation appends configuration columns, keeping bases warm-startable
         ncols = len(x_cols) + len(y_cols)
@@ -178,64 +219,6 @@ class LpModel:
         A[x_rows, x_on] = [float(w.w) for _, w in on_rows]
         A[x_rows + 1, x_on] = [w.kappa for _, w in on_rows]
         return c, A, b, x_cols, y_cols, windows
-
-
-def seed_basis(model: LpModel) -> list[Label] | None:
-    """A primal feasible first basis of the seeded master, in the labels of
-    ``model.arrays()``, built from the model's structure (a crash basis in
-    place of phase 1, after Bixby 1992).  None when a seed column is missing.
-
-    Size row j is covered by its singleton seed column at level demands[j].
-    Every small type sits on its assignment column to one host window, the
-    usable window with an empty seed configuration whose cost f_at[a] times
-    the level max(S/w, N/kappa) it needs is least, where S and N are the
-    total kept small size and count less what the singletons already put on
-    the window's rows.  The host's empty configuration is basic on whichever
-    of its two rows needs the larger level, the other row's surplus is
-    basic; a host the singletons already cover keeps both surpluses.  Every
-    other row is on its surplus.  ``solve_lp`` still checks the basis (its
-    inverse and B^-1 b >= 0) and falls back to the slack start.
-    """
-    nv, ns = len(model.sizes), len(model.smalls)
-    windows = [w for w in model.windows if model.usable(w)]
-    w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
-    off = len(model.y_pairs)  # assignment columns come first
-    x_index = {gc: off + j for j, gc in enumerate(model.columns)}
-    labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * len(windows))]
-    size_on = dict.fromkeys(windows, 0.0)  # what the singletons put on a row
-    count_on = dict.fromkeys(windows, 0.0)
-    for j, d in enumerate(model.demands):
-        gc = model.singleton_column(j)
-        if gc not in x_index:
-            return None
-        labels[j] = ("x", x_index[gc])
-        if gc.window in w_row:
-            size_on[gc.window] += float(gc.window.w) * d
-            count_on[gc.window] += gc.window.kappa * d
-    if not model.smalls:
-        return labels
-    total_size = sum(st.size / model.scale * len(st.items) for st in model.smalls)
-    total_count = sum(len(st.items) for st in model.smalls)
-    best = None  # (cost, size level, count level, window, column)
-    for w in windows:
-        col = x_index.get(model.empty_column(w))
-        if col is None:
-            continue
-        by_size = (total_size - size_on[w]) / float(w.w)
-        by_count = (total_count - count_on[w]) / w.kappa
-        cost = model.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
-        if best is None or cost < best[0]:
-            best = (cost, by_size, by_count, w, col)
-    if best is None:
-        return None
-    _, by_size, by_count, host, col = best
-    y_index = {pair: j for j, pair in enumerate(model.y_pairs)}
-    for si in range(ns):
-        labels[nv + si] = ("x", y_index[si, host])
-    if max(by_size, by_count) > 0.0:
-        row = w_row[host] + (1 if by_count > by_size else 0)  # size row, count row
-        labels[row] = ("x", col)
-    return labels
 
 
 @dataclass
@@ -330,15 +313,13 @@ def column_generation(
     the certified ratio, so termination implies the scaled duals are feasible
     and the master value is within (1 + eps) of the full program's optimum.
     """
-    if not model.columns:
-        model.seed_columns()
+    basis = model.seed_columns()
     if max_rounds is None:
         max_rounds = 10 * (
             len(model.sizes) + 2 * len(model.windows) + len(model.smalls)
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2
     one_plus = 1.0 + 1.0 / model.eps.denominator
-    basis = seed_basis(model)
     added_total = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
@@ -404,13 +385,12 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     return LpSolution(sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta)
 
 
-def extract_basic(
-    sol: LpSolution, model: LpModel, w_prime: set[Window]
-) -> LpSolution:
-    """Basic solution of the program restricted to canonical windows, no worse
-    than ``sol``, with its small types split into items (``split_types``)."""
-    c, A, b, x_cols, y_cols, windows = model.arrays(window_filter=w_prime)
-    if A.shape[1] and _is_basic(sol, model, x_cols, y_cols, A):
+def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
+    """Basic solution of the program restricted to the canonical windows
+    ``model.main_windows``, no worse than ``sol``, with its small types split
+    into items (``split_types``)."""
+    c, A, b, x_cols, y_cols, windows = model.arrays(window_filter=model.main_windows)
+    if A.shape[1] and _is_basic(sol, x_cols, y_cols, A):
         basic = sol
     else:
         res = solve_lp(c, A, b)
@@ -456,7 +436,7 @@ def split_types(
     return out
 
 
-def _is_basic(sol: LpSolution, model: LpModel, x_cols, y_cols, A: np.ndarray) -> bool:
+def _is_basic(sol: LpSolution, x_cols, y_cols, A: np.ndarray) -> bool:
     """A solution is basic iff its support columns are linearly independent."""
     support = []
     for j, pair in enumerate(y_cols):

@@ -106,7 +106,8 @@ class TestGen:
         out = tmp_path / "k4.inst"
         assert main(["gen", "sec2_single_large", "--param", "K=4",
                      "--out", str(out)]) == 0
-        inst = read_instance(open(out))
+        with open(out) as fh:
+            inst = read_instance(fh)
         assert inst.sizes[0] == Fraction(3, 4)
         assert inst.sizes[1:] == (Fraction(1, 16),) * 8
 
@@ -116,13 +117,15 @@ class TestGen:
     def test_empty_random_instance(self, tmp_path):
         out = tmp_path / "e.inst"
         assert main(["gen", "uniform_random", "--param", "n=0", "--out", str(out)]) == 0
-        assert read_instance(open(out)).n == 0
+        with open(out) as fh:
+            assert read_instance(fh).n == 0
 
     def test_matching_family_contents(self, tmp_path):
         out = tmp_path / "mh.inst"
         assert main(["gen", "mh_tight", "--param", "N=8", "--param", "K=2",
                      "--out", str(out)]) == 0
-        inst = read_instance(open(out))
+        with open(out) as fh:
+            inst = read_instance(fh)
         assert inst.sizes[:8] == (Fraction(3, 4),) * 8
         assert inst.sizes[8:] == (Fraction(1, 4),) * 8
 
@@ -137,7 +140,8 @@ class TestSolve:
                      "--out", str(out)])
         assert code == 0
         assert "cost: 8.0" in capsys.readouterr().out
-        sol = read_solution(open(out))
+        with open(out) as fh:
+            sol = read_solution(fh)
         assert sol["cost"] == 8.0
 
     def test_exact_single_item(self, tmp_path, capsys):

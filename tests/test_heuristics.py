@@ -26,7 +26,7 @@ from concavebp import (
 from concavebp.heuristics import _is_pi_minus_one, _ordered_indices
 from conftest import brute_force_matching, random_consecutive_packing, random_instance
 
-ORDERS = ("increasing", "decreasing", "given")
+ORDERS = ("increasing", "decreasing")
 
 
 # Reference oracles: the direct scans over Fraction loads that next_fit,

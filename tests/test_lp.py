@@ -14,7 +14,6 @@ from concavebp.lp import (
     dual_objective,
     extract_basic,
     project_to_main_windows,
-    seed_basis,
     small_types,
     solve_master,
     split_types,
@@ -341,7 +340,7 @@ class TestExtractBasic:
         model = build_model(["1/2"], [6])
         sol, _ = column_generation(model)
         projected = project_to_main_windows(sol, model)
-        basic = extract_basic(projected, model, model.main_windows)
+        basic = extract_basic(projected, model)
         assert basic.objective <= projected.objective + 1e-9
 
     def test_midpoint_of_two_bases_resolves_to_vertex(self):
@@ -360,7 +359,7 @@ class TestExtractBasic:
             projected.x = dict(projected.x)
             projected.x[gc0] = v0 / 2
             projected.x[other] = projected.x.get(other, 0.0) + v0 / 2
-        basic = extract_basic(projected, model, w_prime)
+        basic = extract_basic(projected, model)
         fx, fy = basic.fractional_counts()
         assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
 
@@ -379,7 +378,7 @@ class TestExtractBasic:
             sol, _ = column_generation(model)
             projected = project_to_main_windows(sol, model)
             w_prime = model.main_windows
-            basic = extract_basic(projected, model, w_prime)
+            basic = extract_basic(projected, model)
             assert basic.objective <= projected.objective + 1e-6
             fx, fy = basic.fractional_counts()
             assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
@@ -557,24 +556,21 @@ class TestColumnIdentity:
             verify_solution_rows(model, projected)
 
 
-def _random_seeded_master(rng, with_smalls):
+def _random_master(rng, with_smalls):
     sizes = sorted(
         {Fraction(rng.randint(5, 12), 12) for _ in range(rng.randint(1, 3))},
         reverse=True,
     )
     demands = [rng.randint(1, 4) for _ in sizes]
     smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(1, 6) * with_smalls)]
-    model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
-    model.seed_columns()
-    return model
+    return build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
 
 
 def _host(model, labels):
     """(window, True when its count row binds) for the window whose empty
     configuration is basic, or None."""
     nv, ns = len(model.sizes), len(model.smalls)
-    windows = [w for w in model.windows if model.usable(w)]
-    for i, w in enumerate(windows):
+    for i, w in enumerate(model.row_windows):
         row = nv + ns + 2 * i
         if labels[row][0] == "x" or labels[row + 1][0] == "x":
             return w, labels[row + 1][0] == "x"
@@ -587,8 +583,7 @@ class TestSeedBasis:
     optimum."""
 
     def _check(self, model):
-        labels = seed_basis(model)
-        assert labels is not None
+        labels = model.seed_columns()
         c, A, b, *_ = model.arrays()
         state = _State(A, b)
         assert state.load_basis(_labels_to_indices(labels, A.shape[1], A.shape[0]))
@@ -601,7 +596,7 @@ class TestSeedBasis:
     def test_without_kept_smalls(self):
         rng = random.Random(81)
         for _ in range(10):
-            model = _random_seeded_master(rng, with_smalls=False)
+            model = _random_master(rng, with_smalls=False)
             labels, _ = self._check(model)
             # singletons on the size rows, every other row on its surplus
             nv = len(model.sizes)
@@ -612,7 +607,7 @@ class TestSeedBasis:
         rng = random.Random(82)
         hosts = set()
         for _ in range(25):
-            model = _random_seeded_master(rng, with_smalls=True)
+            model = _random_master(rng, with_smalls=True)
             labels, _ = self._check(model)
             host = _host(model, labels)
             assert host is not None
@@ -626,14 +621,12 @@ class TestSeedBasis:
     def test_count_row_binds(self):
         # forty items of 1/1000: the count bound, not the size, sets the level
         model = build_model(["1/2"], [2], small_sizes=["1/1000"] * 40, n=60)
-        model.seed_columns()
         host = _host(model, self._check(model)[0])
         assert host is not None and host[1]
 
     def test_size_row_binds(self):
         # four items just below 1/3: the size bound sets the level
         model = build_model(["1/2"], [2], small_sizes=["7/24"] * 4, n=60)
-        model.seed_columns()
         host = _host(model, self._check(model)[0])
         assert host is not None and not host[1]
 
@@ -645,7 +638,6 @@ class TestSeedBasis:
             gc = plain(j)
             return GeneralizedConfiguration(gc.ext, w) if j == 0 else gc
         model.singleton_column = singleton
-        model.seed_columns()
 
     def test_window_a_singleton_already_covers(self):
         # one item of 1/6 fits under the singleton's window share: the host
@@ -666,8 +658,7 @@ class TestSeedBasis:
         for k in range(8, 15):
             smalls = ["1/6"] * k + ["1/8"] * (k // 3)
             plain = build_model(["1/2"], [1], small_sizes=smalls, n=40)
-            plain.seed_columns()
-            w, _ = _host(plain, seed_basis(plain))
+            w, _ = _host(plain, plain.seed_columns())
             model = build_model(["1/2"], [1], small_sizes=smalls, n=40)
             self._with_singleton_on(model, w)
             labels, state = self._check(model)
@@ -678,8 +669,13 @@ class TestSeedBasis:
             level = state.xb()[labels.index(("x", col))]
             assert need > 0 and level == pytest.approx(need, rel=1e-12)
 
-    def test_missing_seed_column(self):
-        model = build_model(["1/2", "1/3"], [2, 3], small_sizes=["1/6"])
-        assert seed_basis(model) is None  # nothing seeded yet
-        model.seed_columns()
-        assert seed_basis(model) is not None
+    def test_seeding_twice_adds_nothing(self):
+        rng = random.Random(83)
+        for with_smalls in (False, True):
+            for _ in range(5):
+                model = _random_master(rng, with_smalls)
+                labels = model.seed_columns()
+                assert len(labels) == len(model.arrays()[2])  # one label per row
+                columns = list(model.columns)
+                assert model.seed_columns() == labels
+                assert model.columns == columns
