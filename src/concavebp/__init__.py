@@ -45,7 +45,6 @@ from .heuristics import (
 from .pricing import KccInstance, KccItemType, kcc_fptas, price_all
 from .structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     GroupingResult,
     SmallSplit,

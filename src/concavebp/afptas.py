@@ -32,6 +32,7 @@ from .lp import (
     small_types,
 )
 from .structures import (
+    DEFAULT_CONFIG_BUDGET,
     GeneralizedConfiguration,
     GroupingResult,
     SmallSplit,
@@ -46,8 +47,6 @@ from .structures import (
     power_index,
     split_small,
 )
-
-DEFAULT_CONFIG_BUDGET = 200_000
 
 
 @dataclass
@@ -216,7 +215,7 @@ def round_solution(
             x_hat.append((gc, math.ceil(val - 1e-7)))
 
     bin_gcs = [gc for gc, copies in x_hat for _ in range(copies)]
-    placed = _place_large([gc.ext.config.counts for gc in bin_gcs], grouping)
+    placed = _place_large([gc.config.counts for gc in bin_gcs], grouping)
     bins = [_Bin(gc, larges) for gc, larges in zip(bin_gcs, placed)]
 
     # small items: integral window assignment or a dedicated bin
@@ -301,7 +300,7 @@ def round_solution(
             continue
         if sum(sizes[i] for i in content) > scale:
             raise InvariantError("configuration bin exceeds capacity")
-        k_p = b.gc.ext.k_p
+        k_p = model.staircase.ks[b.gc.p]
         f_kp = f_vals[min(k_p, top)]
         cost = f_vals[min(len(content), top)]
         if not cost <= one_plus * f_kp + 1e-9:

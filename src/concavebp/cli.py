@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generators
-from .afptas import DEFAULT_CONFIG_BUDGET, run_afptas
+from .afptas import run_afptas
 from .core import (
     COST_TOL,
     FractionalPacking,
@@ -58,6 +58,7 @@ from .serialize import (
     write_instance,
     write_solution,
 )
+from .structures import DEFAULT_CONFIG_BUDGET
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2

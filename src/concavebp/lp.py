@@ -31,7 +31,6 @@ from .pricing import PricingOutcome, price_all
 from .simplex import FEAS_TOL, Label, LpResult, solve_lp
 from .structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     Staircase,
     Window,
@@ -105,17 +104,13 @@ class LpModel:
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
         counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
-        ext = ExtendedConfiguration(
-            Configuration(counts, self.sizes[j], 1), 1, self.staircase.ks[1]
-        )
-        mw = main_window(ext, self.eps, self.t_max, self.staircase, self.scale)
-        return GeneralizedConfiguration(ext, mw)
+        cfg = Configuration(counts, self.sizes[j], 1)
+        mw = main_window(cfg, 1, self.eps, self.t_max, self.staircase, self.scale)
+        return GeneralizedConfiguration(cfg, 1, mw)
 
     def empty_column(self, w: Window) -> GeneralizedConfiguration:
         """The seed column of window w: no large item, level w.a."""
-        empty = Configuration((0,) * len(self.sizes), 0, 0)
-        ext = ExtendedConfiguration(empty, w.a, self.staircase.ks[w.a])
-        return GeneralizedConfiguration(ext, w)
+        return GeneralizedConfiguration(Configuration((0,) * len(self.sizes), 0, 0), w.a, w)
 
     def seed_columns(self) -> list[Label]:
         """Add the seed columns and return a primal feasible first basis over
@@ -147,7 +142,7 @@ class LpModel:
             self.add_column(gc)
             labels[j] = ("x", off + self._position[gc])
             if gc.window in size_on:
-                size_on[gc.window] += float(gc.window.w) * d
+                size_on[gc.window] += gc.window.w * d
                 count_on[gc.window] += gc.window.kappa * d
         if not self.smalls:
             return labels
@@ -159,7 +154,7 @@ class LpModel:
                 continue
             gc = self.empty_column(w)
             self.add_column(gc)
-            by_size = (total_size - size_on[w]) / float(w.w)
+            by_size = (total_size - size_on[w]) / w.w
             by_count = (total_count - count_on[w]) / w.kappa
             cost = self.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
             if best is None or cost < best[0]:
@@ -209,14 +204,14 @@ class LpModel:
         A[y_rows, ys] = -np.array([it.size / self.scale for it in self.smalls])[si]
         A[y_rows + 1, ys] = -1.0
         xs = np.arange(len(y_cols), ncols)
-        c[xs] = [self.staircase.f_at[gc.ext.p] for gc in x_cols]
+        c[xs] = [self.staircase.f_at[gc.p] for gc in x_cols]
         A[:nv, xs] = np.array(
-            [gc.ext.config.counts for gc in x_cols], dtype=np.float64
+            [gc.config.counts for gc in x_cols], dtype=np.float64
         ).reshape(len(x_cols), nv).T
         on_rows = [(j, gc.window) for j, gc in zip(xs, x_cols) if gc.window in w_row]
         x_on = np.array([j for j, _ in on_rows], dtype=np.intp)
         x_rows = np.array([w_row[w] for _, w in on_rows], dtype=np.intp)
-        A[x_rows, x_on] = [float(w.w) for _, w in on_rows]
+        A[x_rows, x_on] = [w.w for _, w in on_rows]
         A[x_rows + 1, x_on] = [w.kappa for _, w in on_rows]
         return c, A, b, x_cols, y_cols, windows
 
@@ -368,10 +363,12 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     for gc, val in sorted(sol.x.items()):
         if gc.window in w_prime or val <= 0:
             continue
-        target_w = main_window(gc.ext, model.eps, model.t_max, model.staircase, model.scale)
+        target_w = main_window(
+            gc.config, gc.p, model.eps, model.t_max, model.staircase, model.scale
+        )
         if target_w not in w_prime:
             raise InvariantError(f"main window {target_w} of a column is not canonical")
-        target = GeneralizedConfiguration(gc.ext, target_w)
+        target = GeneralizedConfiguration(gc.config, gc.p, target_w)
         model.add_column(target)
         x[target] = x.get(target, 0.0) + val
         x.pop(gc, None)
@@ -467,7 +464,7 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
     solution dictionary; raises InvariantError on violation."""
     for v, d in zip(model.sizes, model.demands):
         got = sum(
-            gc.ext.config.counts[model.sizes.index(v)] * val
+            gc.config.counts[model.sizes.index(v)] * val
             for gc, val in sol.x.items()
         )
         if not got >= d - tol:
@@ -484,7 +481,7 @@ def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> 
             if ww == w
         )
         yc = sum(val for (si, ww), val in sol.y.items() if ww == w)
-        if not float(w.w) * xw >= ys - tol:
+        if not w.w * xw >= ys - tol:
             raise InvariantError(f"window size row {w} violated")
         if not w.kappa * xw >= yc - tol:
             raise InvariantError(f"window count row {w} violated")

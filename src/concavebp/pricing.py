@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InvariantError
 from .structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     Window,
     main_window,
@@ -236,7 +235,7 @@ def price_all(
     max_ratio = 0.0
     max_certified = 0.0
     for window, levels in sweep:
-        gamma_w = float(window.w) * duals_gamma.get(window, 0.0)
+        gamma_w = window.w * duals_gamma.get(window, 0.0)
         delta_k = window.kappa * duals_delta.get(window, 0.0)
         for p, card in levels:
             counts, volume = solved[window.t][card]
@@ -249,9 +248,8 @@ def price_all(
             if ratio > 1.0 + 1e-9:
                 total = sum(c * v for c, v in zip(counts, model.sizes))
                 config = Configuration(counts, total, sum(counts))
-                ext = ExtendedConfiguration(config, p, stair.ks[p])
-                mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
+                mw = main_window(config, p, model.eps, model.t_max, stair, model.scale)
                 if not mw.dominates(window):
                     raise InvariantError("priced column must be valid")
-                found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))
+                found.append(PricedColumn(GeneralizedConfiguration(config, p, window), ratio))
     return PricingOutcome(tuple(found), max_ratio, max_certified)

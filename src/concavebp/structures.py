@@ -14,6 +14,10 @@ from .core import CostFunction, Instance
 from .errors import SolverLimitError
 
 
+# most configurations one enumeration may produce before it gives up
+DEFAULT_CONFIG_BUDGET = 200_000
+
+
 def check_eps(eps: Fraction) -> int:
     """The scheme accepts accuracies 1/k for integer k >= 3; returns k."""
     eps = Fraction(eps)
@@ -160,7 +164,7 @@ class Window:
 
     t: int  # size = (1+eps) ** -t
     a: int  # count bound = staircase ks[a]
-    w: Fraction = field(compare=False)
+    w: float = field(compare=False)  # k**t / (k+1)**t, rounded once
     kappa: int = field(compare=False)
 
     def dominates(self, other: "Window") -> bool:
@@ -206,55 +210,63 @@ class Configuration:
 
 
 @dataclass(frozen=True, order=True)
-class ExtendedConfiguration:
-    """A configuration plus the staircase index p of the cost it will pay."""
+class GeneralizedConfiguration:
+    """A column of the master: a configuration, the staircase index p of the
+    cost level it pays, f(ks[p]), and its window.  Equal, ordered and hashed
+    by (counts, p, t, a)."""
 
     config: Configuration
     p: int
-    k_p: int = field(compare=False)
-
-
-@dataclass(frozen=True, order=True)
-class GeneralizedConfiguration:
-    """A column of the master: equal, ordered and hashed by
-    (counts, p, t, a)."""
-
-    ext: ExtendedConfiguration
     window: Window
 
 
 @lru_cache(maxsize=64)
-def _powers(k: int, t_max: int) -> tuple[Fraction, ...]:
-    """The window sizes (k/(k+1))**t for t = 0..t_max."""
-    return tuple(Fraction(k**t, (k + 1) ** t) for t in range(max(t_max, 0) + 1))
+def _powers(k: int, t_max: int) -> tuple[float, ...]:
+    """The window sizes (k/(k+1))**t for t = 0..t_max; int / int rounds once,
+    exactly as float(Fraction(k**t, (k+1)**t)) does."""
+    return tuple(k**t / (k + 1) ** t for t in range(max(t_max, 0) + 1))
 
 
 @lru_cache(maxsize=64)
 def scaled_powers(k: int, t_max: int, scale: int) -> tuple[int, ...]:
     """floor(scale * (k/(k+1))**t) for t = 0..t_max.  A window size is at
     least m/scale, for an integer m, exactly when its entry is at least m."""
-    return tuple(scale * w.numerator // w.denominator for w in _powers(k, t_max))
+    return tuple(scale * k**t // (k + 1) ** t for t in range(max(t_max, 0) + 1))
+
+
+def _size_index(total: int, floors: tuple[int, ...]) -> int:
+    """Largest t with floors[t] >= floors[0] - total, on the floors of
+    ``scaled_powers`` (floors[0] is the scale): the power of the smallest
+    window that covers the free space beside a total of ``total``."""
+    # floors descend, so their negations ascend
+    return bisect_right(floors, total - floors[0], key=neg) - 1
+
+
+def _window(t: int, need: int, powers: tuple[float, ...], ks: tuple[int, ...]) -> Window:
+    """Window of power t whose count bound is the smallest breakpoint at
+    least ``need``."""
+    a = bisect_left(ks, need)
+    return Window(t, a, powers[t], ks[a])
 
 
 def main_window(
-    ext: ExtendedConfiguration,
+    config: Configuration,
+    p: int,
     eps: Fraction,
     t_max: int,
     staircase: Staircase,
     scale: int,
 ) -> Window:
-    """Canonical window of an extended configuration.
+    """Canonical window of the configuration at cost level p.
 
     Size part: the smallest grid power of 1/(1+eps) that still covers the
     free space left by the configuration: the largest t with
     floor(scale * (k/(k+1))**t) >= scale - total.  Count part: the smallest
-    breakpoint at least k_p minus the number of large items.
+    breakpoint at least ks[p] minus the number of large items.
     """
-    floors = scaled_powers(eps.denominator, t_max, scale)
-    # floors descend, so their negations ascend
-    t = bisect_right(floors, ext.config.total_size - scale, key=neg) - 1
-    a = bisect_left(staircase.ks, ext.k_p - ext.config.n_items)
-    return Window(t, a, _powers(eps.denominator, t_max)[t], staircase.ks[a])
+    k, ks = eps.denominator, staircase.ks
+    t = _size_index(config.total_size, scaled_powers(k, t_max, scale))
+    return _window(t, ks[p] - config.n_items, _powers(k, t_max), ks)
 
 
 def main_windows(
@@ -265,26 +277,18 @@ def main_windows(
     staircase: Staircase,
     scale: int,
 ) -> set[Window]:
-    """Main windows of every extension (cfg, p) with 1 <= p <= p_max and
-    cfg.n_items <= k_p.
-
-    A main window depends on the extension only through the size index of
-    the configuration's free space and k_p minus its item count: the window
-    is built once per pair.
-    """
-    powers = _powers(eps.denominator, t_max)
-    floors = scaled_powers(eps.denominator, t_max, scale)
-    ks = staircase.ks
+    """Main windows of every (cfg, p) with 1 <= p <= p_max and
+    cfg.n_items <= ks[p], through main_window's two lookups: the power t
+    once per configuration, and the window once per (t, count need)."""
+    k, ks = eps.denominator, staircase.ks
+    floors, powers = scaled_powers(k, t_max, scale), _powers(k, t_max)
     by_key: dict[tuple[int, int], Window] = {}
     for cfg in configs:
-        if cfg.n_items > ks[p_max]:
-            continue
-        t = bisect_right(floors, cfg.total_size - scale, key=neg) - 1  # as in main_window
+        t = _size_index(cfg.total_size, floors)
         for p in range(1, p_max + 1):
             need = ks[p] - cfg.n_items
             if need >= 0 and (t, need) not in by_key:
-                a = bisect_left(ks, need)
-                by_key[t, need] = Window(t, a, powers[t], ks[a])
+                by_key[t, need] = _window(t, need, powers, ks)
     return set(by_key.values())
 
 
@@ -293,7 +297,7 @@ def enumerate_configurations(
     multiplicity: list[int],
     max_items: int,
     capacity: int,
-    budget: int = 200_000,
+    budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> list[Configuration]:
     """All multisets over the given integer sizes with total size at most
     ``capacity`` and at most ``max_items`` items, respecting multiplicities.

@@ -22,7 +22,6 @@ from concavebp.afptas import round_solution
 from concavebp.lp import LpModel, LpSolution, small_types
 from concavebp.structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     build_staircase,
     build_windows,
@@ -280,7 +279,7 @@ def _solution(model, columns_with_values, assignments):
     items = [i for st in model.smalls for i in st.items]
     return LpSolution(
         objective=sum(
-            model.staircase.f_at[gc.ext.p] * v for gc, v in columns_with_values
+            model.staircase.f_at[gc.p] * v for gc, v in columns_with_values
         ),
         x=dict(columns_with_values),
         y={},
@@ -298,9 +297,9 @@ class TestRoundSolution:
             "1/2", 3, "1/10", 7, n=10
         )
         cfg = Configuration((1,), inst.int_sizes[0], 1)
-        ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
-        gc = GeneralizedConfiguration(ext, mw)
+        p = stair.ell
+        mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
+        gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 3.0)], [(si, mw) for si in range(7)])
         outcome = round_solution(sol, model, grouping, inst)
@@ -314,9 +313,9 @@ class TestRoundSolution:
     def test_integral_solution_needs_no_dedicated_bins(self):
         inst, f, grouping, model, stair = _rounding_fixture("1/2", 2, "1/10", 0, n=8)
         cfg = Configuration((2,), inst.scale, 2)
-        ext = ExtendedConfiguration(cfg, 2, stair.ks[2])
-        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
-        gc = GeneralizedConfiguration(ext, mw)
+        p = 2
+        mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
+        gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [])
         outcome = round_solution(sol, model, grouping, inst)
@@ -326,9 +325,9 @@ class TestRoundSolution:
     def test_fractional_assignment_gets_dedicated_bin(self):
         inst, f, grouping, model, stair = _rounding_fixture("1/2", 1, "1/10", 2, n=8)
         cfg = Configuration((1,), inst.int_sizes[0], 1)
-        ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
-        gc = GeneralizedConfiguration(ext, mw)
+        p = stair.ell
+        mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
+        gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(0, mw)])
         sol.assignment[(model.smalls[0].items[1], mw)] = 0.5  # second item fractionally assigned
@@ -344,10 +343,10 @@ class TestRoundSolution:
             "9/16", 1, "7/625", 50, n=51
         )
         cfg = Configuration((1,), inst.int_sizes[0], 1)
-        ext = ExtendedConfiguration(cfg, stair.ell, stair.ks[stair.ell])
-        mw = main_window(ext, model.eps, model.t_max, stair, model.scale)
-        assert mw.w == Fraction(9, 16)
-        gc = GeneralizedConfiguration(ext, mw)
+        p = stair.ell
+        mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
+        assert mw.w == 9 / 16
+        gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
         sol = _solution(model, [(gc, 1.0)], [(si, mw) for si in range(50)])
         outcome = round_solution(sol, model, grouping, inst)

@@ -7,7 +7,10 @@ A change that alters the packing on purpose updates them and says why.
 The instances follow the benchmark's mixed family: exactly n // 5 sizes from
 U{400..1000}/1000 and the rest from U{1..200}/1000.  The n = 100 runs force
 ``h_eps = 3``, so the windowed program is solved and rounded with small
-items; the n = 400 runs take the default threshold.
+items; the n = 400 runs take the default threshold.  At eps 1/3 every window
+size (3/4)**t is dyadic, so ``GOLDEN_QUARTER`` adds windowed runs at eps
+1/4, whose sizes (4/5)**t are not: a change in how a size rounds to a float
+shows there.
 """
 import hashlib
 import json
@@ -18,6 +21,7 @@ from functools import lru_cache
 import pytest
 
 from concavebp import Instance, make_fq, run_afptas
+from concavebp.serialize import parse_cost_spec
 
 
 def mixed(n: int, seed: int) -> Instance:
@@ -47,6 +51,22 @@ GOLDEN = [
 
 IDS = [f"n{n}-seed{seed}" for n, seed, *_ in GOLDEN]
 
+TABLE = "table:0,1,1.6,2.0,2.3,2.5"
+
+# eps 1/4, h_eps 4, n = 100: (seed, cost spec, bins digest, provenance digest)
+GOLDEN_QUARTER = [
+    (1, "fq:3", "ec28a6463dad17f332232891d0c0be84b3edac5cacf5d7c18db77e85d4cae92d",
+     "d17c030985f887f5b90db851de0a3b7011c6f5fec62d5744e9c4a40109b486cf"),
+    (1, TABLE, "72839fef3a616ed68387170e2ba720285eb878d9d821a95f8e1859158e3d0bd9",
+     "1483323fa4469d206de9708e425f80160224b8520effdf10e0f945a53d90e18f"),
+    (2, "fq:3", "7bb60ffdb8874cca82840e0852ddff33c8a68fc948d46923ba0080eb7e76a5b7",
+     "abeb6bcb83f35c24e43204ec143940a4a97d3a6b1114d89149e793b1641bcda9"),
+    (2, TABLE, "5b6374bc43dddb0762777181fb0f2b453d363b2cf5563851b1ad82d8a03275c6",
+     "05043e58f617168d43cf4f10832c13453f73c5d86d04503c3c2894a147ba9455"),
+]
+
+QUARTER_IDS = [f"seed{seed}-{spec.split(':')[0]}" for seed, spec, *_ in GOLDEN_QUARTER]
+
 
 @lru_cache(maxsize=None)
 def golden_run(n: int, seed: int, h_eps: int | None):
@@ -70,4 +90,22 @@ def test_scheme_bins_match_golden_digest(n, seed, h_eps, digest, _prov):
 @pytest.mark.parametrize("n,seed,h_eps,_bins,digest", GOLDEN, ids=IDS)
 def test_scheme_provenance_matches_golden_digest(n, seed, h_eps, _bins, digest):
     prov = golden_run(n, seed, h_eps).provenance.to_dict()
+    assert sha256(json.dumps(prov, sort_keys=True, default=str)) == digest
+
+
+@lru_cache(maxsize=None)
+def quarter_run(seed: int, spec: str):
+    return run_afptas(mixed(100, seed), parse_cost_spec(spec, 100), Fraction(1, 4), h_eps=4)
+
+
+@pytest.mark.parametrize("seed,spec,digest,_prov", GOLDEN_QUARTER, ids=QUARTER_IDS)
+def test_quarter_bins_match_golden_digest(seed, spec, digest, _prov):
+    res = quarter_run(seed, spec)
+    assert res.provenance.removed_bins > 0  # small items were dealt into windows
+    assert sha256(json.dumps(res.packing.bins)) == digest
+
+
+@pytest.mark.parametrize("seed,spec,_bins,digest", GOLDEN_QUARTER, ids=QUARTER_IDS)
+def test_quarter_provenance_matches_golden_digest(seed, spec, _bins, digest):
+    prov = quarter_run(seed, spec).provenance.to_dict()
     assert sha256(json.dumps(prov, sort_keys=True, default=str)) == digest

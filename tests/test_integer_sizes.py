@@ -39,7 +39,6 @@ from concavebp.heuristics import greedy_half_matching
 from concavebp.lp import LpModel
 from concavebp.structures import (
     Configuration,
-    ExtendedConfiguration,
     SmallSplit,
     Window,
     check_eps,
@@ -141,9 +140,9 @@ def reference_split_small(inst, eps, h_eps, small) -> SmallSplit:
     return SmallSplit(kept, tail, h_eps)
 
 
-def reference_main_window(ext, eps, t_max, staircase, scale) -> Window:
-    free = 1 - Fraction(ext.config.total_size, scale)
-    need = ext.k_p - ext.config.n_items
+def reference_main_window(cfg, p, eps, t_max, staircase, scale) -> Window:
+    free = 1 - Fraction(cfg.total_size, scale)
+    need = staircase.ks[p] - cfg.n_items
     t = 0
     val = Fraction(1)
     step = Fraction(eps.denominator, eps.denominator + 1)
@@ -161,8 +160,7 @@ def reference_main_windows(configs, p_max, eps, t_max, staircase, scale) -> set[
             k_p = staircase.ks[p]
             key = (cfg.total_size, k_p - cfg.n_items)
             if cfg.n_items <= k_p and key not in by_key:
-                ext = ExtendedConfiguration(cfg, p, k_p)
-                by_key[key] = reference_main_window(ext, eps, t_max, staircase, scale)
+                by_key[key] = reference_main_window(cfg, p, eps, t_max, staircase, scale)
     return set(by_key.values())
 
 
@@ -432,9 +430,8 @@ class TestMainWindowMatchesReference:
                     for cfg in configs:
                         for p in range(1, p_max + 1):
                             if cfg.n_items <= stair.ks[p]:
-                                ext = ExtendedConfiguration(cfg, p, stair.ks[p])
-                                assert main_window(ext, eps, t_max, stair, scale) == (
-                                    reference_main_window(ext, eps, t_max, stair, scale)
+                                assert main_window(cfg, p, eps, t_max, stair, scale) == (
+                                    reference_main_window(cfg, p, eps, t_max, stair, scale)
                                 )
                     got = main_windows(configs, p_max, eps, t_max, stair, scale)
                     expected = reference_main_windows(configs, p_max, eps, t_max, stair, scale)
@@ -538,7 +535,9 @@ class TestPlaceLargeMatchesReference:
 class TestWindowTestsMatchReference:
     @staticmethod
     def full(w: Window):
-        return (w.t, w.a, w.w, w.kappa)
+        """Every field, the size as a float: the grid's sizes are the
+        reference's Fractions rounded once."""
+        return (w.t, w.a, float(w.w), w.kappa)
 
     def test_seeded_grids(self):
         seen = {"usable": 0, "degenerate": 0, "dominates": 0, "no_kept": 0}
@@ -560,6 +559,9 @@ class TestWindowTestsMatchReference:
             windows = build_windows(eps, t_max, stair)
             expected = reference_build_windows(eps, s_min_small, stair)
             assert [self.full(w) for w in windows] == [self.full(w) for w in expected]
+            assert all(type(w.w) is float for w in windows)
+            # the reference tests read the exact Fraction sizes
+            ref = {(w.t, w.a): w for w in expected}
             model = LpModel(
                 sizes=(),
                 demands=(),
@@ -573,8 +575,8 @@ class TestWindowTestsMatchReference:
                 f=f,
             )
             for w in windows:
-                assert model.usable(w) == reference_usable(w, s_min_small)
-                assert (w.t >= model.t_max) == reference_degenerate(w, s_min_small)
+                assert model.usable(w) == reference_usable(ref[w.t, w.a], s_min_small)
+                assert (w.t >= model.t_max) == reference_degenerate(ref[w.t, w.a], s_min_small)
                 seen["usable"] += model.usable(w)
                 seen["degenerate"] += w.t >= model.t_max
             # main windows of random extensions and some grid windows, against
@@ -582,14 +584,14 @@ class TestWindowTestsMatchReference:
             sizes = sorted({rng.randint(12, 60) for _ in range(3)}, reverse=True)  # over 60
             configs = enumerate_configurations(sizes, [2] * len(sizes), k, 60)
             mains = {
-                main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair, 60)
+                main_window(cfg, p, eps, t_max, stair, 60)
                 for cfg in configs
                 for p in range(1, stair.ell + 1)
                 if cfg.n_items <= stair.ks[p]
             }
             for v in sorted(mains) + rng.sample(windows, min(30, len(windows))):
                 for w in windows:
-                    assert v.dominates(w) == reference_dominates(v, w)
+                    assert v.dominates(w) == reference_dominates(ref[v.t, v.a], ref[w.t, w.a])
                     seen["dominates"] += v.dominates(w)
         assert all(seen.values()), seen
 

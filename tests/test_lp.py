@@ -22,7 +22,6 @@ from concavebp.lp import (
 from concavebp.simplex import _labels_to_indices, _State, solve_lp
 from concavebp.structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     build_staircase,
     build_windows,
@@ -66,8 +65,7 @@ def build_model(
     for cfg in enumerate_configurations(list(int_sizes), list(demands), eps.denominator, scale):
         for p in range(1, p_max + 1):
             if cfg.n_items <= stair.ks[p]:
-                ext = ExtendedConfiguration(cfg, p, stair.ks[p])
-                mains.add(main_window(ext, eps, t_star + 1, stair, scale))
+                mains.add(main_window(cfg, p, eps, t_star + 1, stair, scale))
     return LpModel(
         sizes=int_sizes,
         demands=tuple(demands),
@@ -141,9 +139,8 @@ class TestSolveMaster:
         model = build_model(["1/2", "1/4"], [2, 4])
         model.seed_columns()
         mixed = Configuration((1, 2), model.scale, 3)
-        ext = ExtendedConfiguration(mixed, 3, model.staircase.ks[3])
         gc = GeneralizedConfiguration(
-            ext, main_window(ext, model.eps, model.t_max, model.staircase, model.scale)
+            mixed, 3, main_window(mixed, 3, model.eps, model.t_max, model.staircase, model.scale)
         )
         model.add_column(gc)
         sol, _ = solve_master(model)
@@ -227,11 +224,11 @@ class TestColumnGeneration:
                 w = gc.window
                 # a window no small item fits has no rows, so no duals
                 value = (
-                    sum(n * sol.alpha[v] for n, v in zip(gc.ext.config.counts, model.sizes))
-                    + float(w.w) * sol.gamma.get(w, 0.0)
+                    sum(n * sol.alpha[v] for n, v in zip(gc.config.counts, model.sizes))
+                    + w.w * sol.gamma.get(w, 0.0)
                     + w.kappa * sol.delta.get(w, 0.0)
                 )
-                assert model.staircase.f_at[gc.ext.p] - value >= -1e-7
+                assert model.staircase.f_at[gc.p] - value >= -1e-7
             for si, w in model.y_pairs:
                 size = model.smalls[si].size / model.scale
                 value = sol.beta[si] - size * sol.gamma[w] - sol.delta[w]
@@ -262,11 +259,10 @@ def _solve_full_program(model: LpModel) -> float:
         for p in range(1, model.p_max + 1):
             if cfg.n_items > model.staircase.ks[p]:
                 continue
-            ext = ExtendedConfiguration(cfg, p, model.staircase.ks[p])
-            mw = main_window(ext, model.eps, model.t_max, model.staircase, model.scale)
+            mw = main_window(cfg, p, model.eps, model.t_max, model.staircase, model.scale)
             for w in model.windows:
                 if mw.dominates(w):
-                    probe.add_column(GeneralizedConfiguration(ext, w))
+                    probe.add_column(GeneralizedConfiguration(cfg, p, w))
     sol, _ = solve_master(probe)
     return sol.objective
 
@@ -304,15 +300,14 @@ class TestProjection:
         model.seed_columns()
         stair = model.staircase
         cfg = Configuration((1,), model.scale // 2, 1)
-        ext2 = ExtendedConfiguration(cfg, 2, stair.ks[2])
-        ext3 = ExtendedConfiguration(cfg, 3, stair.ks[3])
+        mw2 = main_window(cfg, 2, model.eps, model.t_max, stair, model.scale)
+        mw3 = main_window(cfg, 3, model.eps, model.t_max, stair, model.scale)
         off = next(
             w for w in model.windows
-            if w not in model.main_windows and model.usable(w)
-            and main_window(ext2, model.eps, model.t_max, stair, model.scale).dominates(w)
+            if w not in model.main_windows and model.usable(w) and mw2.dominates(w)
         )
-        gc2 = GeneralizedConfiguration(ext2, off)
-        gc3 = GeneralizedConfiguration(ext3, off)
+        gc2 = GeneralizedConfiguration(cfg, 2, off)
+        gc3 = GeneralizedConfiguration(cfg, 3, off)
         model.add_column(gc2)
         model.add_column(gc3)
         si = 0
@@ -321,10 +316,8 @@ class TestProjection:
         sol.y = {(si, off): 0.9}
         sol.objective = 2.0 * stair.f_at[2] + 1.0 * stair.f_at[3]
         projected = project_to_main_windows(sol, model)
-        mw2 = main_window(ext2, model.eps, model.t_max, stair, model.scale)
-        mw3 = main_window(ext3, model.eps, model.t_max, stair, model.scale)
-        assert projected.x[GeneralizedConfiguration(ext2, mw2)] == pytest.approx(2.0)
-        assert projected.x[GeneralizedConfiguration(ext3, mw3)] == pytest.approx(1.0)
+        assert projected.x[GeneralizedConfiguration(cfg, 2, mw2)] == pytest.approx(2.0)
+        assert projected.x[GeneralizedConfiguration(cfg, 3, mw3)] == pytest.approx(1.0)
         got2 = projected.y.get((si, mw2), 0.0)
         got3 = projected.y.get((si, mw3), 0.0)
         if mw2 == mw3:
@@ -439,10 +432,10 @@ def _loop_arrays(model: LpModel, window_filter=None):
         A[w_row[w] + 1, j] -= 1.0
     off = len(y_cols)
     for j, gc in enumerate(x_cols):
-        c[off + j] = model.staircase.f_at[gc.ext.p]
-        A[:nv, off + j] = gc.ext.config.counts
+        c[off + j] = model.staircase.f_at[gc.p]
+        A[:nv, off + j] = gc.config.counts
         if gc.window in w_row:
-            A[w_row[gc.window], off + j] += float(gc.window.w)
+            A[w_row[gc.window], off + j] += gc.window.w
             A[w_row[gc.window] + 1, off + j] += gc.window.kappa
     return c, A, b, x_cols, y_cols, windows
 
@@ -508,7 +501,7 @@ class TestColumnIdentity:
     def old_key(gc):
         """The earlier column key: counts, level, then every window field."""
         w = gc.window
-        return (gc.ext.config.counts, gc.ext.p, (w.t, w.a, w.w, w.kappa))
+        return (gc.config.counts, gc.p, (w.t, w.a, w.w, w.kappa))
 
     def test_sorted_columns_follow_the_old_key(self):
         seen = 0
@@ -527,13 +520,10 @@ class TestColumnIdentity:
     def test_rebuilt_column_is_a_duplicate(self):
         model, _ = next(_seeded_masters(41, 1))
         for gc in list(model.columns):
-            cfg, w = gc.ext.config, gc.window
+            cfg, w = gc.config, gc.window
             twin = GeneralizedConfiguration(
-                ExtendedConfiguration(
-                    Configuration(tuple(cfg.counts), Fraction(cfg.total_size), cfg.n_items),
-                    gc.ext.p,
-                    gc.ext.k_p,
-                ),
+                Configuration(tuple(cfg.counts), Fraction(cfg.total_size), cfg.n_items),
+                gc.p,
                 type(w)(w.t, w.a, Fraction(w.w), w.kappa),
             )
             assert twin == gc and hash(twin) == hash(gc)
@@ -636,7 +626,7 @@ class TestSeedBasis:
         plain = model.singleton_column
         def singleton(j):
             gc = plain(j)
-            return GeneralizedConfiguration(gc.ext, w) if j == 0 else gc
+            return GeneralizedConfiguration(gc.config, gc.p, w) if j == 0 else gc
         model.singleton_column = singleton
 
     def test_window_a_singleton_already_covers(self):
@@ -664,7 +654,7 @@ class TestSeedBasis:
             labels, state = self._check(model)
             assert _host(model, labels)[0] == w
             total = k / 6 + (k // 3) / 8
-            need = max((total - float(w.w)) / float(w.w), (len(smalls) - w.kappa) / w.kappa)
+            need = max((total - w.w) / w.w, (len(smalls) - w.kappa) / w.kappa)
             col = len(model.y_pairs) + model.columns.index(model.empty_column(w))
             level = state.xb()[labels.index(("x", col))]
             assert need > 0 and level == pytest.approx(need, rel=1e-12)

@@ -14,7 +14,6 @@ from concavebp.lp import LpModel
 from concavebp.pricing import PricedColumn, price_all
 from concavebp.structures import (
     Configuration,
-    ExtendedConfiguration,
     GeneralizedConfiguration,
     build_staircase,
     build_windows,
@@ -296,7 +295,7 @@ class TestPriceAll:
         out = price_all(alpha, {}, {}, ctx, 1 / 6)
         assert out.violations
         top = out.violations[0]
-        assert top.column.ext.config.counts[0] >= 1
+        assert top.column.config.counts[0] >= 1
         assert top.ratio > 1.0
 
     def test_emitted_columns_are_valid(self):
@@ -309,10 +308,10 @@ class TestPriceAll:
             out = price_all(alpha, gamma, delta, ctx, 1 / 6)
             for pc in out.violations:
                 gen = pc.column
-                mw = main_window(gen.ext, ctx.eps, ctx.t_max, ctx.staircase, ctx.scale)
+                mw = main_window(gen.config, gen.p, ctx.eps, ctx.t_max, ctx.staircase, ctx.scale)
                 assert mw.dominates(gen.window)
-                assert gen.ext.config.n_items <= gen.ext.k_p
-                assert gen.ext.config.total_size <= ctx.scale
+                assert gen.config.n_items <= ctx.staircase.ks[gen.p]
+                assert gen.config.total_size <= ctx.scale
 
 
 def _uncapped_kcc_fptas(inst: RationalKcc, eps: float):
@@ -530,20 +529,20 @@ def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
         if window.t >= model.t_max:
             capacity, strict = Fraction(1), False
         else:
-            capacity, strict = 1 - window.w / (1 + model.eps), True
+            w = Fraction(model.eps.denominator, model.eps.denominator + 1) ** window.t
+            capacity, strict = 1 - w / (1 + model.eps), True
         for p, card in raw_cards(window):
-            k_p = stair.ks[p]
             inst = KccInstance(items, top[window.t], capacity, strict)
             counts, volume = kcc_fptas(inst, kcc_eps, cardinalities=(card,))[card]
             f_kp = stair.f_at[p]
             lhs = (
                 volume
-                + float(window.w) * duals_gamma.get(window, 0.0)
+                + window.w * duals_gamma.get(window, 0.0)
                 + window.kappa * duals_delta.get(window, 0.0)
             )
             certified = (
                 volume * slack
-                + float(window.w) * duals_gamma.get(window, 0.0)
+                + window.w * duals_gamma.get(window, 0.0)
                 + window.kappa * duals_delta.get(window, 0.0)
             )
             ratio = lhs / f_kp
@@ -551,8 +550,8 @@ def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):
             max_certified = max(max_certified, certified / f_kp)
             if ratio > 1.0 + 1e-9:
                 total = sum(c * v for c, v in zip(counts, model.sizes))
-                ext = ExtendedConfiguration(Configuration(counts, total, sum(counts)), p, k_p)
-                found.append(PricedColumn(GeneralizedConfiguration(ext, window), ratio))
+                config = Configuration(counts, total, sum(counts))
+                found.append(PricedColumn(GeneralizedConfiguration(config, p, window), ratio))
     return tuple(found), max_ratio, max_certified
 
 

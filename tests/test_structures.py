@@ -15,7 +15,6 @@ from concavebp import (
 )
 from concavebp.structures import (
     Configuration,
-    ExtendedConfiguration,
     Window,
     enumerate_configurations,
     check_eps,
@@ -204,12 +203,22 @@ class TestWindows:
         windows = build_windows(Fraction(1, 3), t_star + 1, stair)
         for w in windows:
             assert hash(w) == hash((w.t, w.a))
-            twin = Window(w.t, w.a, Fraction(w.w.numerator, w.w.denominator), w.kappa)
+            twin = Window(w.t, w.a, float(Fraction(3**w.t, 4**w.t)), w.kappa)
             assert twin == w and hash(twin) == hash(w)
-            assert repr(twin) == repr(w)
+            assert repr(twin) == repr(w)  # the float size is the Fraction's, rounded once
         full = lambda w: (w.t, w.a, w.w, w.kappa)
         assert sorted(windows) == sorted(windows, key=full)
         assert sorted(windows, reverse=True) == sorted(windows, key=full, reverse=True)
+
+
+    def test_sizes_are_the_rounded_fractions(self):
+        # each size is k**t / (k+1)**t rounded once, bit for bit the float of
+        # the exact Fraction, far beyond any grid a run builds
+        stair = build_staircase(make_fq(1, 1), Fraction(1, 3), 1)
+        for k in range(3, 13):
+            for w in build_windows(Fraction(1, k), 300, stair):
+                ref = float(Fraction(k**w.t, (k + 1) ** w.t))
+                assert type(w.w) is float and w.w.hex() == ref.hex()
 
 
 class TestMainWindow:
@@ -219,29 +228,25 @@ class TestMainWindow:
     def test_empty_configuration(self):
         stair = self._stair()
         empty = Configuration((), 0, 0)
-        ext = ExtendedConfiguration(empty, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
+        w = main_window(empty, 3, Fraction(1, 3), 5, stair, 64)
         assert w.w == 1 and w.kappa == stair.ks[3]
 
     def test_full_configuration_gets_smallest_power(self):
         stair = self._stair()
         full = Configuration((2,), 64, 2)
-        ext = ExtendedConfiguration(full, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
+        w = main_window(full, 3, Fraction(1, 3), 5, stair, 64)
         assert w.t == 5  # deepest exponent in the grid
 
     def test_count_zero_when_config_saturates_level(self):
         stair = self._stair()
         cfg = Configuration((3,), 48, 3)
-        ext = ExtendedConfiguration(cfg, 3, stair.ks[3])  # k_3 = 3 = items
-        w = main_window(ext, Fraction(1, 3), 5, stair, 64)
+        w = main_window(cfg, 3, Fraction(1, 3), 5, stair, 64)  # ks[3] = 3 = items
         assert w.kappa == 0
 
     def test_window_covers_free_space(self):
         stair = self._stair()
         cfg = Configuration((1,), 29, 1)
-        ext = ExtendedConfiguration(cfg, 3, stair.ks[3])
-        w = main_window(ext, Fraction(1, 3), 9, stair, 64)
+        w = main_window(cfg, 3, Fraction(1, 3), 9, stair, 64)
         free = 1 - Fraction(cfg.total_size, 64)
         assert w.w >= free
         assert w.w * Fraction(3, 4) < free  # tightest such power
@@ -259,7 +264,7 @@ class TestMainWindow:
             for p_max in (1, stair.ell):
                 for t_max in (0, 2, 7):
                     expected = {
-                        main_window(ExtendedConfiguration(cfg, p, stair.ks[p]), eps, t_max, stair, 60)
+                        main_window(cfg, p, eps, t_max, stair, 60)
                         for cfg in configs
                         for p in range(1, p_max + 1)
                         if cfg.n_items <= stair.ks[p]
