@@ -17,6 +17,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class LpModel:
     row_windows: tuple[Window, ...] = field(init=False)
     y_pairs: tuple[tuple[int, Window], ...] = field(init=False)  # (type, window)
     _position: dict[GeneralizedConfiguration, int] = field(init=False)
+    # the fixed assignment block, one entry per y_pairs pair: its type, its
+    # window's index in row_windows, and its size-row coefficient
+    _y_type: np.ndarray = field(init=False)
+    _y_window: np.ndarray = field(init=False)
+    _y_size: np.ndarray = field(init=False)
 
     def usable(self, w: Window) -> bool:
         """Small items fit the window: count bound ks[a] >= 1, and t < t_max."""
@@ -91,6 +97,13 @@ class LpModel:
         self.y_pairs = tuple(
             (si, w) for si in range(len(self.smalls)) for w in self.row_windows
         )
+        self._y_type, self._y_window = np.divmod(
+            np.arange(len(self.y_pairs), dtype=np.intp), len(self.row_windows)
+        )
+        # int / int rounds once, exactly as float(Fraction) does
+        self._y_size = -np.array(
+            [st.size / self.scale for st in self.smalls], dtype=np.float64
+        )[self._y_type]
         self._position = {gc: j for j, gc in enumerate(self.columns)}
 
     # -- column handling -------------------------------------------------
@@ -127,14 +140,36 @@ class LpModel:
         count less what the singletons already put on the window's rows.
         The host's empty configuration is basic on whichever of its two rows
         needs the larger level, the other row's surplus is basic; a host the
-        singletons already cover keeps both surpluses.  Every other row is on
-        its surplus.  ``solve_lp`` still checks the basis (its inverse and
-        B^-1 b >= 0) and falls back to the slack start, as it does when no
-        window can host.
+        singletons already cover keeps both surpluses.
+
+        The rows of every other window then complete the duals.  The host's
+        binding row prices small type s at beta_s = size_s f_at[a] / w (size
+        row) or f_at[a] / kappa (count row); a host the singletons already
+        cover prices it at 0.  A window that is neither the host nor carries
+        a singleton share is idle: both its rows are tight at 0, and on their
+        surpluses they would price its assignment columns at -beta_s, so the
+        simplex would spend one degenerate pivot per idle window lifting its
+        duals.  Instead one of its assignment columns is basic at level 0 in
+        place of one row's surplus, so the primal vertex does not move.  On
+        the size row that is the type of largest beta_s / size_s, which sets
+        gamma = max_s beta_s / size_s; on the count row the type of largest
+        beta_s, which sets delta = max_s beta_s.  Either way every
+        assignment column on the window has reduced cost
+        size_s gamma + delta - beta_s >= 0 (complementary slackness at a
+        degenerate vertex).  The row taken is the one whose dual charges the
+        window's capacity less, w gamma against kappa delta, so the
+        configurations on the window are priced as cheaply as the two dual
+        vertices allow.  The seed basis is then optimal unless some empty
+        seed configuration prices below its cost, and the first master solve
+        usually takes no pivot.
+
+        Every other row is on its surplus.  ``solve_lp`` still checks the
+        basis (its inverse and B^-1 b >= 0) and falls back to the slack
+        start, as it does when no window can host.
         """
-        nv, ns = len(self.sizes), len(self.smalls)
+        nv, ns, nw = len(self.sizes), len(self.smalls), len(self.row_windows)
         off = len(self.y_pairs)  # assignment columns come first
-        labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * len(self.row_windows))]
+        labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * nw)]
         size_on = dict.fromkeys(self.row_windows, 0.0)  # what the singletons put on a row
         count_on = dict.fromkeys(self.row_windows, 0.0)
         for j, d in enumerate(self.demands):
@@ -163,10 +198,25 @@ class LpModel:
             return labels
         _, by_size, by_count, h, col = best
         for si in range(ns):
-            labels[nv + si] = ("x", si * len(self.row_windows) + h)  # y_pairs order
+            labels[nv + si] = ("x", si * nw + h)  # y_pairs order
+        sizes = -self._y_size[::nw]  # size_s, once per type
+        host = self.row_windows[h]
+        f_host = self.staircase.f_at[host.a]
+        beta = np.zeros(ns)  # a host the singletons cover prices nothing
         if max(by_size, by_count) > 0.0:
-            row = nv + ns + 2 * h + (1 if by_count > by_size else 0)  # size row, count row
-            labels[row] = ("x", col)
+            on_count = by_count > by_size
+            labels[nv + ns + 2 * h + on_count] = ("x", col)  # size row, count row
+            beta = np.full(ns, f_host / host.kappa) if on_count else sizes * f_host / host.w
+        s_size = int(np.argmax(beta / sizes))
+        s_count = int(np.argmax(beta))
+        gamma, delta = beta[s_size] / sizes[s_size], beta[s_count]
+        for i, w in enumerate(self.row_windows):
+            if i == h or count_on[w]:
+                continue  # the host, or a window with a singleton share
+            if w.w * gamma <= w.kappa * delta:
+                labels[nv + ns + 2 * i] = ("x", s_size * nw + i)
+            else:
+                labels[nv + ns + 2 * i + 1] = ("x", s_count * nw + i)
         return labels
 
     # -- matrix assembly --------------------------------------------------
@@ -181,10 +231,13 @@ class LpModel:
         temporary program after projection).
         """
         keep = window_filter
-        windows = [w for w in self.row_windows if keep is None or w in keep]
-        x_cols = [gc for gc in self.columns if keep is None or gc.window in keep]
-        y_cols = [(si, w) for si, w in self.y_pairs if keep is None or w in keep]
         nv, ns = len(self.sizes), len(self.smalls)
+        kept = np.array([keep is None or w in keep for w in self.row_windows], dtype=bool)
+        windows = list(compress(self.row_windows, kept))
+        x_cols = [gc for gc in self.columns if keep is None or gc.window in keep]
+        y_keep = kept[self._y_window]  # the per-window mask, read per pair
+        y_cols = list(compress(self.y_pairs, y_keep))
+        row_of = np.cumsum(kept) - 1  # a kept window's index among windows
         w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
         # assignment columns first: their indices never move when the column
         # generation appends configuration columns, keeping bases warm-startable
@@ -197,11 +250,9 @@ class LpModel:
         # every column touches each of its rows once, so plain assignment
         # into the zero matrix gives the entries a per-column loop would add
         ys = np.arange(len(y_cols))
-        si = np.array([si for si, _ in y_cols], dtype=np.intp)
-        y_rows = np.array([w_row[w] for _, w in y_cols], dtype=np.intp)
-        A[nv + si, ys] = 1.0
-        # int / int rounds once, exactly as float(Fraction) does
-        A[y_rows, ys] = -np.array([it.size / self.scale for it in self.smalls])[si]
+        y_rows = nv + ns + 2 * row_of[self._y_window[y_keep]]
+        A[nv + self._y_type[y_keep], ys] = 1.0
+        A[y_rows, ys] = self._y_size[y_keep]
         A[y_rows + 1, ys] = -1.0
         xs = np.arange(len(y_cols), ncols)
         c[xs] = [self.staircase.f_at[gc.p] for gc in x_cols]
@@ -255,13 +306,13 @@ class LpSolution:
 def _solution_from_result(
     model: LpModel, res: LpResult, x_cols, y_cols, windows
 ) -> LpSolution:
-    y = {
-        (si, w): float(res.x[j])
-        for j, (si, w) in enumerate(y_cols)
-        if res.x[j] > 0
-    }
     off = len(y_cols)
-    x = {gc: float(res.x[off + j]) for j, gc in enumerate(x_cols) if res.x[off + j] > 0}
+    y, x = {}, {}
+    for j in np.flatnonzero(res.x > 0).tolist():
+        if j < off:
+            y[y_cols[j]] = float(res.x[j])
+        else:
+            x[x_cols[j - off]] = float(res.x[j])
     # duals of >= rows in a minimization are non-negative; clamp float dust
     duals = [max(0.0, float(d)) for d in res.duals]
     nv, ns = len(model.sizes), len(model.smalls)
@@ -274,8 +325,9 @@ def _solution_from_result(
 
 def solve_master(
     model: LpModel, warm_basis: list[Label] | None = None
-) -> tuple[LpSolution, list[Label]]:
-    """Solve the current restricted master exactly; returns duals as well."""
+) -> tuple[LpSolution, LpResult]:
+    """Solve the current restricted master exactly; returns duals as well,
+    and the simplex result for its basis and pivot count."""
     c, A, b, x_cols, y_cols, windows = model.arrays()
     res = solve_lp(c, A, b, basis=warm_basis)
     if res.status == "infeasible":
@@ -285,13 +337,14 @@ def solve_master(
     resid = np.min(A @ res.x - b) if len(b) else 0.0
     if resid < -FEAS_TOL:
         raise NumericalFailureError(f"master residual {resid:.2e}")
-    return _solution_from_result(model, res, x_cols, y_cols, windows), res.basis
+    return _solution_from_result(model, res, x_cols, y_cols, windows), res
 
 
 @dataclass
 class ColumnGenerationInfo:
     iterations: int
     columns_added: int
+    pivots: int  # simplex pivots over every master solve
     final_max_ratio: float
     final_certified_ratio: float
 
@@ -315,10 +368,11 @@ def column_generation(
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2
     one_plus = 1.0 + 1.0 / model.eps.denominator
-    added_total = 0
+    added_total = pivots = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
-        sol, basis = solve_master(model, basis)
+        sol, res = solve_master(model, basis)
+        basis, pivots = res.basis, pivots + res.iterations
         if not dual_objective(model, sol) <= sol.objective + 1e-6:
             raise InvariantError("weak duality violated")
         outcome = pricer(sol.alpha, sol.gamma, sol.delta, model, kcc_eps)
@@ -326,6 +380,7 @@ def column_generation(
             info = ColumnGenerationInfo(
                 round_no + 1,
                 added_total,
+                pivots,
                 outcome.max_ratio,
                 outcome.max_certified_ratio,
             )

@@ -279,14 +279,15 @@ def main_windows(
 ) -> set[Window]:
     """Main windows of every (cfg, p) with 1 <= p <= p_max and
     cfg.n_items <= ks[p], through main_window's two lookups: the power t
-    once per configuration, and the window once per (t, count need)."""
+    once per distinct (total size, item count), the only fields a main
+    window reads, and the window once per (t, count need)."""
     k, ks = eps.denominator, staircase.ks
     floors, powers = scaled_powers(k, t_max, scale), _powers(k, t_max)
     by_key: dict[tuple[int, int], Window] = {}
-    for cfg in configs:
-        t = _size_index(cfg.total_size, floors)
+    for total, n_items in dict.fromkeys((cfg.total_size, cfg.n_items) for cfg in configs):
+        t = _size_index(total, floors)
         for p in range(1, p_max + 1):
-            need = ks[p] - cfg.n_items
+            need = ks[p] - n_items
             if need >= 0 and (t, need) not in by_key:
                 by_key[t, need] = _window(t, need, powers, ks)
     return set(by_key.values())

@@ -8,9 +8,12 @@ rename or deletion in the package breaks it.  Both lists are read with
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 from concavebp import lp
+from concavebp.afptas import Provenance
+from concavebp.simplex import LpResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +47,15 @@ def test_traced_signatures():
     assert list(inspect.signature(lp.LpModel.arrays).parameters) == ["self", "window_filter"]
     assert inspect.signature(lp.column_generation).parameters["pricer"].default is lp.price_all
     assert list(inspect.signature(lp.solve_lp).parameters)[3] == "basis"
+
+
+def test_traced_result_fields():
+    # the tracer's hooks read these fields off the traced calls' results
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert "iterations" in names(LpResult)
+    assert "columns_added" in names(lp.ColumnGenerationInfo)
+    assert {
+        "lp_iterations", "n_windows", "n_main_windows", "fractional_x", "fractional_y",
+    } <= names(Provenance)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import pytest
 
-from concavebp import Instance, make_fq, run_afptas
+from concavebp import Instance, afptas, make_fq, run_afptas
 from concavebp.serialize import parse_cost_spec
 
 
@@ -53,16 +53,17 @@ IDS = [f"n{n}-seed{seed}" for n, seed, *_ in GOLDEN]
 
 TABLE = "table:0,1,1.6,2.0,2.3,2.5"
 
-# eps 1/4, h_eps 4, n = 100: (seed, cost spec, bins digest, provenance digest)
+# eps 1/4, h_eps 4, n = 100: (seed, cost spec, bins digest, provenance digest);
+# costs 54, 48.5, 58, 50.7
 GOLDEN_QUARTER = [
     (1, "fq:3", "ec28a6463dad17f332232891d0c0be84b3edac5cacf5d7c18db77e85d4cae92d",
-     "d17c030985f887f5b90db851de0a3b7011c6f5fec62d5744e9c4a40109b486cf"),
-    (1, TABLE, "72839fef3a616ed68387170e2ba720285eb878d9d821a95f8e1859158e3d0bd9",
-     "1483323fa4469d206de9708e425f80160224b8520effdf10e0f945a53d90e18f"),
+     "69c2fe5fc1c8755aeba1713a4c80b277db40e30759d542e17e45df9c06fd6ada"),
+    (1, TABLE, "a61bb2435158df0b4e42ebd36b16260beaf4248bf17fc669bd33a3aa94c59268",
+     "4fe320196a2d34bc2e64ed248104b78ba6bb8656eda8ad2285e24a647b54ab23"),
     (2, "fq:3", "7bb60ffdb8874cca82840e0852ddff33c8a68fc948d46923ba0080eb7e76a5b7",
-     "abeb6bcb83f35c24e43204ec143940a4a97d3a6b1114d89149e793b1641bcda9"),
-    (2, TABLE, "5b6374bc43dddb0762777181fb0f2b453d363b2cf5563851b1ad82d8a03275c6",
-     "05043e58f617168d43cf4f10832c13453f73c5d86d04503c3c2894a147ba9455"),
+     "a9ca36a03eb503bdf92219113e3878e422b27a9f8917834b7c4a32a7c4e60fed"),
+    (2, TABLE, "40df4bb1060314df81238f8377d8f0cf00ca4d440967f97264d149a411d05716",
+     "80b026087f625a6286f6652792ccc107556f6284a3ebabf50fa269d4e0fc037f"),
 ]
 
 QUARTER_IDS = [f"seed{seed}-{spec.split(':')[0]}" for seed, spec, *_ in GOLDEN_QUARTER]
@@ -91,6 +92,26 @@ def test_scheme_bins_match_golden_digest(n, seed, h_eps, digest, _prov):
 def test_scheme_provenance_matches_golden_digest(n, seed, h_eps, _bins, digest):
     prov = golden_run(n, seed, h_eps).provenance.to_dict()
     assert sha256(json.dumps(prov, sort_keys=True, default=str)) == digest
+
+
+WINDOWED = [(n, seed, h_eps) for n, seed, h_eps, *_ in GOLDEN if h_eps is not None]
+
+
+@pytest.mark.parametrize("n,seed,h_eps", WINDOWED, ids=[f"n{n}-seed{s}" for n, s, _ in WINDOWED])
+def test_seed_basis_takes_no_pivot(n, seed, h_eps, monkeypatch):
+    # the seed basis prices out every assignment column, so on these masters
+    # it is already optimal and column generation never pivots
+    infos = []
+    plain = afptas.column_generation
+
+    def recording(model, *args, **kwargs):
+        sol, info = plain(model, *args, **kwargs)
+        infos.append(info)
+        return sol, info
+
+    monkeypatch.setattr(afptas, "column_generation", recording)
+    run_afptas(mixed(n, seed), make_fq(3, n), Fraction(1, 3), h_eps=h_eps)
+    assert [info.pivots for info in infos] == [0]
 
 
 @lru_cache(maxsize=None)

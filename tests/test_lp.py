@@ -558,12 +558,15 @@ def _random_master(rng, with_smalls):
 
 def _host(model, labels):
     """(window, True when its count row binds) for the window whose empty
-    configuration is basic, or None."""
+    configuration is basic, or None.  Configuration columns follow the
+    assignment columns, so the empty configuration's label index is at least
+    len(model.y_pairs); assignment columns basic on idle windows are not it."""
     nv, ns = len(model.sizes), len(model.smalls)
     for i, w in enumerate(model.row_windows):
         row = nv + ns + 2 * i
-        if labels[row][0] == "x" or labels[row + 1][0] == "x":
-            return w, labels[row + 1][0] == "x"
+        for binds_count, (kind, j) in enumerate(labels[row : row + 2]):
+            if kind == "x" and j >= len(model.y_pairs):
+                return w, bool(binds_count)
     return None
 
 
@@ -581,7 +584,26 @@ class TestSeedBasis:
         warm, cold = solve_lp(c, A, b, basis=labels), solve_lp(c, A, b)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        self._check_idle_windows(model, labels)
+        # no assignment column prices below zero under the seed basis
+        duals = np.concatenate([c, np.zeros(A.shape[0])])[state.basis] @ state.binv
+        off = len(model.y_pairs)
+        assert (c[:off] - duals @ A[:, :off]).min(initial=0.0) >= -1e-9
         return labels, state
+
+    def _check_idle_windows(self, model, labels):
+        """Each idle window (not the host, no singleton share) has exactly
+        one assignment column of its own basic on one of its rows."""
+        nv, ns, off = len(model.sizes), len(model.smalls), len(model.y_pairs)
+        if not ns or labels[nv][0] != "x":
+            return  # no host: nothing to complete
+        host = model.y_pairs[labels[nv][1]][1]
+        shared = {model.columns[j - off].window for _, j in labels[:nv]}
+        for i, w in enumerate(model.row_windows):
+            if w == host or w in shared:
+                continue
+            on = [j for kind, j in labels[nv + ns + 2 * i : nv + ns + 2 * i + 2] if kind == "x"]
+            assert len(on) == 1 and on[0] < off and model.y_pairs[on[0]][1] == w
 
     def test_without_kept_smalls(self):
         rng = random.Random(81)

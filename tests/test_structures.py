@@ -17,8 +17,12 @@ from concavebp.structures import (
     Configuration,
     Window,
     enumerate_configurations,
+    _powers,
+    _size_index,
+    _window,
     check_eps,
     main_windows,
+    scaled_powers,
 )
 from conftest import random_concave_cost, round_size_to_power
 
@@ -270,6 +274,42 @@ class TestMainWindow:
                         if cfg.n_items <= stair.ks[p]
                     }
                     assert main_windows(configs, p_max, eps, t_max, stair, 60) == expected
+
+
+    @staticmethod
+    def per_configuration_main_windows(configs, p_max, eps, t_max, stair, scale):
+        """main_windows walking every configuration, without first merging
+        those of equal (total size, item count)."""
+        k, ks = eps.denominator, stair.ks
+        floors, powers = scaled_powers(k, t_max, scale), _powers(k, t_max)
+        by_key = {}
+        for cfg in configs:
+            t = _size_index(cfg.total_size, floors)
+            for p in range(1, p_max + 1):
+                need = ks[p] - cfg.n_items
+                if need >= 0 and (t, need) not in by_key:
+                    by_key[t, need] = _window(t, need, powers, ks)
+        return set(by_key.values())
+
+    def test_main_windows_merges_equal_totals_and_counts(self):
+        # random lists that repeat (total size, item count) pairs under
+        # different counts vectors, in any order
+        for seed in range(40):
+            rng = random.Random(seed)
+            k = rng.choice([3, 4, 5])
+            eps = Fraction(1, k)
+            n = rng.randint(k + 1, 40)
+            stair = build_staircase(random_concave_cost(rng, n), eps, n)
+            pairs = [(rng.randint(0, 60), rng.randint(0, k)) for _ in range(rng.randint(1, 8))]
+            configs = [
+                Configuration((rng.randint(0, 9), i), *rng.choice(pairs))
+                for i in range(rng.randint(0, 60))
+            ]
+            for p_max in (1, stair.ell):
+                for t_max in (0, 2, 7):
+                    args = (configs, p_max, eps, t_max, stair, 60)
+                    got, want = main_windows(*args), self.per_configuration_main_windows(*args)
+                    assert got == want and list(got) == list(want)
 
 
 class TestEnumerateConfigurations:
