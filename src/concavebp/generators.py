@@ -13,6 +13,7 @@ FAMILIES = (
     "mh_tight",
     "uniform_random",
     "clustered_random",
+    "mixed",
 )
 
 
@@ -69,6 +70,22 @@ def clustered_random(n: int, seed: int, clusters: int = 3, denominator: int = 10
     return Instance.from_values(sizes)
 
 
+def mixed(n: int, seed: int, denominator: int = 1000) -> Instance:
+    """The mixed family: exactly n // 5 sizes from U{0.4D..D}/D, drawn
+    first, and the rest from U{1..0.2D}/D, for D = ``denominator`` (bounds
+    rounded down).  A fixed share of large items keeps the work per
+    instance steady from seed to seed.  D = 1000 is the benchmark's family;
+    D = 10**6 makes almost every small size distinct."""
+    if n < 0 or denominator < 5:
+        raise ValueError("need n >= 0 and denominator >= 5")
+    rng = random.Random(seed)
+    n_large = n // 5
+    lo, hi = 2 * denominator // 5, denominator // 5
+    sizes = [Fraction(rng.randint(lo, denominator), denominator) for _ in range(n_large)]
+    sizes += [Fraction(rng.randint(1, hi), denominator) for _ in range(n - n_large)]
+    return Instance.from_values(sizes)
+
+
 def generate(family: str, params: dict[str, int], seed: int = 0) -> Instance:
     """Dispatch by family name; ``seed`` only matters for random families."""
     if family == "sec2_single_large":
@@ -83,4 +100,6 @@ def generate(family: str, params: dict[str, int], seed: int = 0) -> Instance:
         return clustered_random(
             params["n"], seed, params.get("clusters", 3), params.get("denominator", 1000)
         )
+    if family == "mixed":
+        return mixed(params["n"], seed, params.get("denominator", 1000))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

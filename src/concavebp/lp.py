@@ -6,10 +6,16 @@ Rows:  one covering row per rounded large size, one per small size type
 count) pair of rows per window some small item fits.  A window no small item
 fits has no assignment columns, so its two rows would read w.x >= 0 and
 kappa.x >= 0 and bind nothing; it gets no rows.  Columns: one per
-generalized configuration (cost: the configuration's level cost) and one
-zero-cost assignment column per (small type, usable window) pair.  The
-master's size thus follows the number of distinct sizes, not n.  The first
-master solve starts from the feasible basis of ``LpModel.seed_columns``.
+generalized configuration (cost: the configuration's level cost) and
+zero-cost assignment columns, one per (small type, usable window) pair that
+has entered the master.  Every such pair is a candidate, but it enters only
+when its reduced cost size_s gamma_w + delta_w - beta_s, which has a closed
+form in the three duals of its rows, is negative (sifting, after Bixby,
+Gregory, Lustig, Marsten and Shanno 1992; partial pricing, Chvatal 1983).
+The master's size thus follows the number of distinct sizes, not n, and
+its assignment columns follow the pairs the optimum uses, not the product
+of types and windows.  The first master solve starts from the feasible
+basis of ``LpModel.seed_columns``.
 """
 from __future__ import annotations
 
@@ -29,7 +35,7 @@ from .errors import (
     SolverLimitError,
 )
 from .pricing import PricingOutcome, price_all
-from .simplex import FEAS_TOL, Label, LpResult, solve_lp
+from .simplex import FEAS_TOL, PIVOT_TOL, Label, LpResult, solve_lp
 from .structures import (
     Configuration,
     GeneralizedConfiguration,
@@ -62,7 +68,10 @@ def small_types(
 class LpModel:
     """Master model state: fixed rows, growable column set.  The fixed part
     is worked out once: ``row_windows`` (the usable windows, which get
-    rows), ``y_pairs`` and each column's position in ``columns``."""
+    rows) and the candidate assignment pairs ``y_pairs``.  The master's
+    columns are the configurations of ``columns`` and the ``entered`` pairs,
+    in one append-only order of entry: a column's position, and with it a
+    warm-start label, never moves."""
 
     sizes: tuple[int, ...]  # distinct rounded large sizes, descending
     demands: tuple[int, ...]  # multiplicity per size
@@ -78,13 +87,21 @@ class LpModel:
 
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
     row_windows: tuple[Window, ...] = field(init=False)
+    row_index: dict[Window, int] = field(init=False)  # a window's index in row_windows
     y_pairs: tuple[tuple[int, Window], ...] = field(init=False)  # (type, window)
+    entered: list[int] = field(init=False)  # indices into y_pairs, in order of entry
+    # per configuration: its master position, and its window's index in
+    # row_windows (-1 for a window without rows)
     _position: dict[GeneralizedConfiguration, int] = field(init=False)
+    _x_at: list[int] = field(init=False)
+    _x_row: list[int] = field(init=False)
     # the fixed assignment block, one entry per y_pairs pair: its type, its
-    # window's index in row_windows, and its size-row coefficient
+    # window's index in row_windows, its size-row coefficient, and its master
+    # position (-1 until it enters)
     _y_type: np.ndarray = field(init=False)
     _y_window: np.ndarray = field(init=False)
     _y_size: np.ndarray = field(init=False)
+    _y_at: np.ndarray = field(init=False)
 
     def usable(self, w: Window) -> bool:
         """Small items fit the window: count bound ks[a] >= 1, and t < t_max."""
@@ -92,8 +109,9 @@ class LpModel:
 
     def __post_init__(self):
         self.row_windows = tuple(w for w in self.windows if self.usable(w))
-        # zero-cost assignment columns for every usable (type, window) pair;
-        # windows too small for any small item carry none by construction
+        self.row_index = {w: i for i, w in enumerate(self.row_windows)}
+        # a candidate zero-cost assignment column for every usable (type,
+        # window) pair; windows too small for any small item carry none
         self.y_pairs = tuple(
             (si, w) for si in range(len(self.smalls)) for w in self.row_windows
         )
@@ -104,15 +122,46 @@ class LpModel:
         self._y_size = -np.array(
             [st.size / self.scale for st in self.smalls], dtype=np.float64
         )[self._y_type]
+        self._y_at = np.full(len(self.y_pairs), -1, dtype=np.intp)
+        self.entered = []
         self._position = {gc: j for j, gc in enumerate(self.columns)}
+        self._x_at = list(range(len(self.columns)))
+        self._x_row = [self.row_index.get(gc.window, -1) for gc in self.columns]
 
     # -- column handling -------------------------------------------------
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
         if gc in self._position:
             return False
-        self._position[gc] = len(self.columns)
+        self._position[gc] = len(self.columns) + len(self.entered)
+        self._x_at.append(self._position[gc])
+        self._x_row.append(self.row_index.get(gc.window, -1))
         self.columns.append(gc)
         return True
+
+    def enter(self, pairs: Iterable[int]) -> int:
+        """Make the candidate pairs ``pairs`` (indices into ``y_pairs``)
+        master columns, in y_pairs order after every column so far; pairs
+        already in the master are skipped.  Returns how many entered."""
+        picked = np.zeros(len(self.y_pairs), dtype=bool)
+        picked[np.fromiter(pairs, dtype=np.intp)] = True
+        new = np.flatnonzero(picked & (self._y_at < 0))
+        self._y_at[new] = len(self.columns) + len(self.entered) + np.arange(len(new))
+        self.entered.extend(new.tolist())
+        return len(new)
+
+    def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
+        """rc(s, w) = size_s gamma_w + delta_w - beta_s of every candidate
+        pair, under the master's row duals clamped at 0 as ``LpSolution``
+        reads them.  An assignment column touches three rows only, so its
+        reduced cost needs no column of A."""
+        nv, ns = len(self.sizes), len(self.smalls)
+        d = np.maximum(duals, 0.0)
+        beta, gamma, delta = d[nv : nv + ns], d[nv + ns :: 2], d[nv + ns + 1 :: 2]
+        return (
+            delta[self._y_window]
+            - self._y_size * gamma[self._y_window]
+            - beta[self._y_type]
+        )
 
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
@@ -126,10 +175,10 @@ class LpModel:
         return GeneralizedConfiguration(Configuration((0,) * len(self.sizes), 0, 0), w.a, w)
 
     def seed_columns(self) -> list[Label]:
-        """Add the seed columns and return a primal feasible first basis over
-        them, in the labels of ``arrays()`` (a crash basis in place of phase
-        1, after Bixby 1992).  Seeding again adds nothing and returns the
-        same labels.
+        """Add the seed columns, enter the seed basis's assignment pairs, and
+        return a primal feasible first basis over them, in the labels of
+        ``arrays()`` (a crash basis in place of phase 1, after Bixby 1992).
+        Seeding again adds nothing and returns the same labels.
 
         Size row j is covered by its singleton seed column at level
         demands[j].  When small items are kept, every usable window with
@@ -163,19 +212,23 @@ class LpModel:
         seed configuration prices below its cost, and the first master solve
         usually takes no pivot.
 
-        Every other row is on its surplus.  ``solve_lp`` still checks the
-        basis (its inverse and B^-1 b >= 0) and falls back to the slack
-        start, as it does when no window can host.
+        Only the basis's assignment columns enter the master: one per type
+        on the host, one per idle window.  Column generation enters any
+        other pair when its closed-form reduced cost turns negative.  When
+        no window can host, every pair enters, and the first solve starts
+        from the slack basis: the singletons' windows are then the only
+        room for small items.  Every other row is on its surplus.
+        ``solve_lp`` still checks the basis (its inverse and B^-1 b >= 0)
+        and falls back to the slack start.
         """
         nv, ns, nw = len(self.sizes), len(self.smalls), len(self.row_windows)
-        off = len(self.y_pairs)  # assignment columns come first
         labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * nw)]
         size_on = dict.fromkeys(self.row_windows, 0.0)  # what the singletons put on a row
         count_on = dict.fromkeys(self.row_windows, 0.0)
         for j, d in enumerate(self.demands):
             gc = self.singleton_column(j)
             self.add_column(gc)
-            labels[j] = ("x", off + self._position[gc])
+            labels[j] = ("x", self._position[gc])
             if gc.window in size_on:
                 size_on[gc.window] += gc.window.w * d
                 count_on[gc.window] += gc.window.kappa * d
@@ -193,12 +246,12 @@ class LpModel:
             by_count = (total_count - count_on[w]) / w.kappa
             cost = self.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
             if best is None or cost < best[0]:
-                best = (cost, by_size, by_count, h, off + self._position[gc])
+                best = (cost, by_size, by_count, h, self._position[gc])
         if best is None:
+            self.enter(range(len(self.y_pairs)))
             return labels
         _, by_size, by_count, h, col = best
-        for si in range(ns):
-            labels[nv + si] = ("x", si * nw + h)  # y_pairs order
+        on_pair = {nv + si: si * nw + h for si in range(ns)}  # row -> basic pair
         sizes = -self._y_size[::nw]  # size_s, once per type
         host = self.row_windows[h]
         f_host = self.staircase.f_at[host.a]
@@ -214,57 +267,66 @@ class LpModel:
             if i == h or count_on[w]:
                 continue  # the host, or a window with a singleton share
             if w.w * gamma <= w.kappa * delta:
-                labels[nv + ns + 2 * i] = ("x", s_size * nw + i)
+                on_pair[nv + ns + 2 * i] = s_size * nw + i
             else:
-                labels[nv + ns + 2 * i + 1] = ("x", s_count * nw + i)
+                on_pair[nv + ns + 2 * i + 1] = s_count * nw + i
+        self.enter(on_pair.values())
+        for row, pair in on_pair.items():
+            labels[row] = ("x", int(self._y_at[pair]))
         return labels
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
-        """Dense (c, A, b) plus the active column lists and the windows that
-        have rows.
+        """Dense (c, A, b) over the master's columns, plus each column's key
+        (a configuration, or a (small type, window) pair) and the windows
+        that have rows.
 
         Rows, in order: one per size, one per small type, then a (size,
-        count) pair per usable window.  A configuration column on a window
-        without rows touches the size rows only.  With a window filter, rows
-        of excluded windows and columns touching them are dropped (the
-        temporary program after projection).
+        count) pair per usable window.  Columns follow the master's order of
+        entry; only entered pairs are columns.  A configuration column on a
+        window without rows touches the size rows only.  With a window
+        filter, rows of excluded windows and columns touching them are
+        dropped (the temporary program after projection).
         """
         keep = window_filter
         nv, ns = len(self.sizes), len(self.smalls)
         kept = np.array([keep is None or w in keep for w in self.row_windows], dtype=bool)
         windows = list(compress(self.row_windows, kept))
-        x_cols = [gc for gc in self.columns if keep is None or gc.window in keep]
-        y_keep = kept[self._y_window]  # the per-window mask, read per pair
-        y_cols = list(compress(self.y_pairs, y_keep))
-        row_of = np.cumsum(kept) - 1  # a kept window's index among windows
-        w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
-        # assignment columns first: their indices never move when the column
-        # generation appends configuration columns, keeping bases warm-startable
-        ncols = len(x_cols) + len(y_cols)
-        A = np.zeros((nv + ns + 2 * len(windows), ncols), dtype=np.float64)
-        c = np.zeros(ncols, dtype=np.float64)
+        ys = np.array(self.entered, dtype=np.intp)
+        ys = ys[kept[self._y_window[ys]]]
+        x_kept = np.array([keep is None or gc.window in keep for gc in self.columns], dtype=bool)
+        x_cols = list(compress(self.columns, x_kept))
+        # each kept column's master position; the program keeps their order
+        at = np.concatenate([self._y_at[ys], np.array(self._x_at, dtype=np.intp)[x_kept]])
+        order = np.argsort(at)
+        col = np.empty_like(order)
+        col[order] = np.arange(len(at))
+        yj, xj = col[: len(ys)], col[len(ys) :]
+        keys = [self.y_pairs[p] for p in ys.tolist()] + x_cols
+        cols = [keys[i] for i in order.tolist()]
+        row_of = nv + ns + 2 * (np.cumsum(kept) - 1)  # a kept window's size row
+        A = np.zeros((nv + ns + 2 * len(windows), len(cols)), dtype=np.float64)
+        c = np.zeros(len(cols), dtype=np.float64)
         b = np.zeros(A.shape[0], dtype=np.float64)
         b[:nv] = self.demands
         b[nv : nv + ns] = [len(st.items) for st in self.smalls]
         # every column touches each of its rows once, so plain assignment
         # into the zero matrix gives the entries a per-column loop would add
-        ys = np.arange(len(y_cols))
-        y_rows = nv + ns + 2 * row_of[self._y_window[y_keep]]
-        A[nv + self._y_type[y_keep], ys] = 1.0
-        A[y_rows, ys] = self._y_size[y_keep]
-        A[y_rows + 1, ys] = -1.0
-        xs = np.arange(len(y_cols), ncols)
-        c[xs] = [self.staircase.f_at[gc.p] for gc in x_cols]
-        A[:nv, xs] = np.array(
+        y_rows = row_of[self._y_window[ys]]
+        A[nv + self._y_type[ys], yj] = 1.0
+        A[y_rows, yj] = self._y_size[ys]
+        A[y_rows + 1, yj] = -1.0
+        c[xj] = [self.staircase.f_at[gc.p] for gc in x_cols]
+        A[:nv, xj] = np.array(
             [gc.config.counts for gc in x_cols], dtype=np.float64
         ).reshape(len(x_cols), nv).T
-        on_rows = [(j, gc.window) for j, gc in zip(xs, x_cols) if gc.window in w_row]
-        x_on = np.array([j for j, _ in on_rows], dtype=np.intp)
-        x_rows = np.array([w_row[w] for _, w in on_rows], dtype=np.intp)
-        A[x_rows, x_on] = [w.w for _, w in on_rows]
-        A[x_rows + 1, x_on] = [w.kappa for _, w in on_rows]
-        return c, A, b, x_cols, y_cols, windows
+        # a kept configuration on a window with rows keeps that window
+        x_win = np.array(self._x_row, dtype=np.intp)[x_kept]
+        on = x_win >= 0
+        x_win, x_on = x_win[on], xj[on]
+        A[row_of[x_win], x_on] = np.array([w.w for w in self.row_windows])[x_win]
+        A[row_of[x_win] + 1, x_on] = np.array([w.kappa for w in self.row_windows])[x_win]
+        return c, A, b, cols, windows
 
 
 @dataclass
@@ -303,16 +365,11 @@ class LpSolution:
         return fx, fy
 
 
-def _solution_from_result(
-    model: LpModel, res: LpResult, x_cols, y_cols, windows
-) -> LpSolution:
-    off = len(y_cols)
+def _solution_from_result(model: LpModel, res: LpResult, cols, windows) -> LpSolution:
     y, x = {}, {}
     for j in np.flatnonzero(res.x > 0).tolist():
-        if j < off:
-            y[y_cols[j]] = float(res.x[j])
-        else:
-            x[x_cols[j - off]] = float(res.x[j])
+        key = cols[j]
+        (x if isinstance(key, GeneralizedConfiguration) else y)[key] = float(res.x[j])
     # duals of >= rows in a minimization are non-negative; clamp float dust
     duals = [max(0.0, float(d)) for d in res.duals]
     nv, ns = len(model.sizes), len(model.smalls)
@@ -328,7 +385,7 @@ def solve_master(
 ) -> tuple[LpSolution, LpResult]:
     """Solve the current restricted master exactly; returns duals as well,
     and the simplex result for its basis and pivot count."""
-    c, A, b, x_cols, y_cols, windows = model.arrays()
+    c, A, b, cols, windows = model.arrays()
     res = solve_lp(c, A, b, basis=warm_basis)
     if res.status == "infeasible":
         raise InfeasibleMasterError("restricted master infeasible; seeding is broken")
@@ -337,13 +394,14 @@ def solve_master(
     resid = np.min(A @ res.x - b) if len(b) else 0.0
     if resid < -FEAS_TOL:
         raise NumericalFailureError(f"master residual {resid:.2e}")
-    return _solution_from_result(model, res, x_cols, y_cols, windows), res
+    return _solution_from_result(model, res, cols, windows), res
 
 
 @dataclass
 class ColumnGenerationInfo:
-    iterations: int
-    columns_added: int
+    iterations: int  # master solves
+    columns_added: int  # configuration columns
+    pairs_entered: int  # assignment columns entered after seeding
     pivots: int  # simplex pivots over every master solve
     final_max_ratio: float
     final_certified_ratio: float
@@ -354,32 +412,44 @@ def column_generation(
     max_rounds: int | None = None,
     pricer=price_all,
 ) -> tuple[LpSolution, ColumnGenerationInfo]:
-    """Alternate master solves and pricing until no column's dual violation
-    ratio certifiably exceeds 1 + eps.
+    """Alternate master solves and pricing until no assignment pair enters
+    and no column's dual violation ratio certifiably exceeds 1 + eps.
 
-    The knapsack oracle runs at accuracy eps/2 and its slack is absorbed into
-    the certified ratio, so termination implies the scaled duals are feasible
+    Assignment columns are sifted (Bixby et al. 1992): the master holds the
+    pairs ``seed_columns`` entered, and after each solve every candidate
+    pair whose closed-form reduced cost is negative enters, and the master
+    is solved again.  Configurations are priced only once no pair enters, so
+    the oracle sees the duals of the master over every pair.  The knapsack
+    oracle runs at accuracy eps/2 and its slack is absorbed into the
+    certified ratio, so termination implies the scaled duals are feasible
     and the master value is within (1 + eps) of the full program's optimum.
+    A round is one master solve; the default limit leaves one round per
+    candidate pair on top of the configuration rounds.
     """
     basis = model.seed_columns()
     if max_rounds is None:
-        max_rounds = 10 * (
+        max_rounds = len(model.y_pairs) + 10 * (
             len(model.sizes) + 2 * len(model.windows) + len(model.smalls)
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2
     one_plus = 1.0 + 1.0 / model.eps.denominator
-    added_total = pivots = 0
+    added_total = entered_total = pivots = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
         sol, res = solve_master(model, basis)
         basis, pivots = res.basis, pivots + res.iterations
         if not dual_objective(model, sol) <= sol.objective + 1e-6:
             raise InvariantError("weak duality violated")
+        entered = model.enter(np.flatnonzero(model.reduced_costs(res.duals) < -PIVOT_TOL))
+        if entered:
+            entered_total += entered
+            continue
         outcome = pricer(sol.alpha, sol.gamma, sol.delta, model, kcc_eps)
         if outcome.max_certified_ratio <= one_plus:
             info = ColumnGenerationInfo(
                 round_no + 1,
                 added_total,
+                entered_total,
                 pivots,
                 outcome.max_ratio,
                 outcome.max_certified_ratio,
@@ -387,22 +457,23 @@ def column_generation(
             return sol, info
         added = sum(model.add_column(pc.column) for pc in outcome.violations)
         if added == 0:
-            # nothing new to add, yet not certified: should be unreachable
+            # no pair entered, nothing new to add, yet not certified: should
+            # be unreachable
             raise NumericalFailureError(
                 "pricing found violations only among existing columns"
             )
         added_total += added
-    raise SolverLimitError(
-        f"column generation exceeded {max_rounds} rounds "
-        f"(last max ratio {outcome.max_ratio:.6f})"
-    )
+    last = f"last max ratio {outcome.max_ratio:.6f}" if outcome else "pairs still entering"
+    raise SolverLimitError(f"column generation exceeded {max_rounds} rounds ({last})")
 
 
 def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     """Move every positive column off non-canonical windows onto the main
     window of its extended configuration, transferring assignment mass
     proportionally against a frozen per-window total.  The objective value is
-    unchanged; the canonical windows are ``model.main_windows``."""
+    unchanged; the canonical windows are ``model.main_windows``.  The target
+    columns join the model, and the pairs that receive assignment mass enter
+    it, so ``extract_basic``'s program contains the projected solution."""
     w_prime = model.main_windows
     x = dict(sol.x)
     y = dict(sol.y)
@@ -434,6 +505,8 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     for w in b_w:
         for si, _ in y_by_window.get(w, []):
             y.pop((si, w), None)
+    nw = len(model.row_windows)
+    model.enter(si * nw + model.row_index[w] for si, w in y if w in model.row_index)
     return LpSolution(sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta)
 
 
@@ -441,8 +514,8 @@ def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
     """Basic solution of the program restricted to the canonical windows
     ``model.main_windows``, no worse than ``sol``, with its small types split
     into items (``split_types``)."""
-    c, A, b, x_cols, y_cols, windows = model.arrays(window_filter=model.main_windows)
-    if A.shape[1] and _is_basic(sol, x_cols, y_cols, A):
+    c, A, b, cols, windows = model.arrays(window_filter=model.main_windows)
+    if A.shape[1] and _is_basic(sol, cols, A):
         basic = sol
     else:
         res = solve_lp(c, A, b)
@@ -452,7 +525,7 @@ def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
             raise NumericalFailureError(
                 "basic solution worse than projected solution"
             )
-        basic = _solution_from_result(model, res, x_cols, y_cols, windows)
+        basic = _solution_from_result(model, res, cols, windows)
     basic.assignment = split_types(basic.y, model)
     return basic
 
@@ -488,16 +561,14 @@ def split_types(
     return out
 
 
-def _is_basic(sol: LpSolution, x_cols, y_cols, A: np.ndarray) -> bool:
+def _is_basic(sol: LpSolution, cols, A: np.ndarray) -> bool:
     """A solution is basic iff its support columns are linearly independent."""
-    support = []
-    for j, pair in enumerate(y_cols):
-        if sol.y.get(pair, 0.0) > FRACTIONAL_TOL:
-            support.append(j)
-    off = len(y_cols)
-    for j, gc in enumerate(x_cols):
-        if sol.x.get(gc, 0.0) > FRACTIONAL_TOL:
-            support.append(off + j)
+    support = [
+        j
+        for j, key in enumerate(cols)
+        if (sol.x if isinstance(key, GeneralizedConfiguration) else sol.y).get(key, 0.0)
+        > FRACTIONAL_TOL
+    ]
     if not support:
         return True
     if len(support) > A.shape[0]:

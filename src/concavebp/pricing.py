@@ -86,7 +86,8 @@ def kcc_fptas(
 
 
 def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int, KccAnswer]:
-    """The oracle's table for ``inst.cardinality``, read once per cap."""
+    """The oracle's table for ``inst.cardinality``, read once per distinct
+    effective cap min(cap, c_max)."""
     ntypes = len(inst.items)
     empty = ((0,) * ntypes, 0.0)
     nothing = dict.fromkeys(caps, empty)
@@ -142,13 +143,16 @@ def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int
             target[better] = cand[better]
             took[j, 1:, q:] = better
     feas = g <= limit
-    answers = {}
-    for cap in caps:
-        # the best cell among rows 0..cap; the last improver of a cell is
+    # a cap reads rows 0..min(cap, c_max), so caps at or above c_max share
+    # one answer
+    rows_of = {cap: max(min(cap, c_max) + 1, 0) for cap in caps}
+    by_rows: dict[int, KccAnswer] = {}
+    for n_rows in set(rows_of.values()):
+        # the best cell among those rows; the last improver of a cell is
         # the latest copy that took it, whatever its row
-        rows = feas[: max(min(cap, c_max) + 1, 0)]
+        rows = feas[:n_rows]
         if not rows.any():
-            answers[cap] = empty
+            by_rows[n_rows] = empty
             continue
         qs = np.nonzero(rows.any(axis=0))[0]
         best_q = int(qs[-1])
@@ -161,8 +165,8 @@ def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int
                 c -= 1
                 q -= q_of[j]
         volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
-        answers[cap] = (tuple(counts), volume)
-    return answers
+        by_rows[n_rows] = (tuple(counts), volume)
+    return {cap: by_rows[n_rows] for cap, n_rows in rows_of.items()}
 
 
 @dataclass(frozen=True)

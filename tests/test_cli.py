@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,30 @@ class TestGen:
         assert main(["gen", "uniform_random", "--param", "n=0", "--out", str(out)]) == 0
         with open(out) as fh:
             assert read_instance(fh).n == 0
+
+    def test_mixed_family_draws_as_the_benchmark(self):
+        # perfbench keeps its own copy of the family; both draw the same sizes
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for n, seed in ((0, 1), (4, 3), (100, 1011), (1500, 7)):
+            want = workloads.mixed(Instance, n, seed).sizes
+            assert generators.mixed(n, seed).sizes == want
+            assert generators.generate("mixed", {"n": n}, seed).sizes == want
+
+    def test_fine_mixed_family(self, tmp_path):
+        out = tmp_path / "fine.inst"
+        assert main(["gen", "mixed", "--param", "n=500", "--param", "denominator=1000000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        with open(out) as fh:
+            inst = read_instance(fh)
+        assert inst.sizes == generators.mixed(500, 7, 10**6).sizes
+        assert all(Fraction(2, 5) <= v <= 1 for v in inst.sizes[:100])
+        assert all(0 < v <= Fraction(1, 5) for v in inst.sizes[100:])
+        assert len(set(inst.sizes[100:])) > 390  # almost every small size distinct
+        assert main(["gen", "mixed", "--param", "n=5", "--param", "denominator=4",
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_matching_family_contents(self, tmp_path):
         out = tmp_path / "mh.inst"

@@ -4,32 +4,25 @@ A change meant to leave every packing bit-identical (a speed-up, a
 refactor) must keep these digests, of the bins and of the provenance record.
 A change that alters the packing on purpose updates them and says why.
 
-The instances follow the benchmark's mixed family: exactly n // 5 sizes from
-U{400..1000}/1000 and the rest from U{1..200}/1000.  The n = 100 runs force
-``h_eps = 3``, so the windowed program is solved and rounded with small
-items; the n = 400 runs take the default threshold.  At eps 1/3 every window
+The instances come from ``generators.mixed``, the benchmark's mixed
+family: exactly n // 5 sizes from U{400..1000}/1000 and the rest from
+U{1..200}/1000.  The n = 100 runs force ``h_eps = 3``, so the windowed
+program is solved and rounded with small items; the n = 400 runs take the
+default threshold.  At eps 1/3 every window
 size (3/4)**t is dyadic, so ``GOLDEN_QUARTER`` adds windowed runs at eps
 1/4, whose sizes (4/5)**t are not: a change in how a size rounds to a float
 shows there.
 """
 import hashlib
 import json
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from concavebp import Instance, afptas, make_fq, run_afptas
+from concavebp import afptas, make_fq, run_afptas
+from concavebp.generators import mixed
 from concavebp.serialize import parse_cost_spec
-
-
-def mixed(n: int, seed: int) -> Instance:
-    rng = random.Random(seed)
-    n_large = n // 5
-    sizes = [Fraction(rng.randint(400, 1000), 1000) for _ in range(n_large)]
-    sizes += [Fraction(rng.randint(1, 200), 1000) for _ in range(n - n_large)]
-    return Instance.from_values(sizes)
 
 
 # n = 100 costs 59, 59, 55, 51: column generation starts from the seed basis
@@ -54,12 +47,12 @@ IDS = [f"n{n}-seed{seed}" for n, seed, *_ in GOLDEN]
 TABLE = "table:0,1,1.6,2.0,2.3,2.5"
 
 # eps 1/4, h_eps 4, n = 100: (seed, cost spec, bins digest, provenance digest);
-# costs 54, 48.5, 58, 50.7
+# costs 54, 48, 58, 50.7
 GOLDEN_QUARTER = [
     (1, "fq:3", "ec28a6463dad17f332232891d0c0be84b3edac5cacf5d7c18db77e85d4cae92d",
      "69c2fe5fc1c8755aeba1713a4c80b277db40e30759d542e17e45df9c06fd6ada"),
-    (1, TABLE, "a61bb2435158df0b4e42ebd36b16260beaf4248bf17fc669bd33a3aa94c59268",
-     "4fe320196a2d34bc2e64ed248104b78ba6bb8656eda8ad2285e24a647b54ab23"),
+    (1, TABLE, "5853ebac9db69d425b5ece6c0abaf134acaf315e752992118a081f6ece086eb0",
+     "36690ce9fd4a986c47b66cbd8798d8515cbfb1396cbd18f8b0c954c6385bf25f"),
     (2, "fq:3", "7bb60ffdb8874cca82840e0852ddff33c8a68fc948d46923ba0080eb7e76a5b7",
      "a9ca36a03eb503bdf92219113e3878e422b27a9f8917834b7c4a32a7c4e60fed"),
     (2, TABLE, "40df4bb1060314df81238f8377d8f0cf00ca4d440967f97264d149a411d05716",

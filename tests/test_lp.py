@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from concavebp.lp import (
     split_types,
     verify_solution_rows,
 )
+from concavebp.serialize import parse_cost_spec
 from concavebp.simplex import _labels_to_indices, _State, solve_lp
 from concavebp.structures import (
     Configuration,
@@ -39,13 +41,14 @@ def build_model(
     eps=Fraction(1, 3),
     q=2,
     delta_cap=None,
+    cost=None,
 ):
     sizes = tuple(Fraction(s) for s in sizes)
     small = tuple(Fraction(s) for s in small_sizes)
     scale = math.lcm(*(s.denominator for s in sizes + small))
     int_sizes = tuple(int(s * scale) for s in sizes)
     small_ints = {100 + i: int(s * scale) for i, s in enumerate(small)}
-    f = make_fq(q, n)
+    f = make_fq(q, n) if cost is None else parse_cost_spec(cost, n)
     stair = build_staircase(f, eps, n)
     if small:
         s_min = min(small)
@@ -236,6 +239,35 @@ class TestColumnGeneration:
             checked += len(model.columns) + len(model.y_pairs)
         assert checked >= 1000
 
+    def test_sifted_master_matches_every_pair_master(self):
+        # concave tables make the column generation pivot, and pairs enter
+        # after seeding; the final master then prices every pair out, so it
+        # reaches the optimum of the master holding every pair over the same
+        # configurations, solved cold
+        rng = random.Random(5)
+        entered = 0
+        for _ in range(20):
+            sizes = sorted(
+                {Fraction(rng.randint(5, 12), 12) for _ in range(rng.randint(1, 3))},
+                reverse=True,
+            )
+            demands = [rng.randint(1, 4) for _ in sizes]
+            smalls = [Fraction(rng.randint(1, 5), 24) for _ in range(rng.randint(1, 6))]
+            vals, step = [0.0, 1.0], 1.0
+            for _ in range(rng.randint(2, 5)):
+                step = round(step * rng.uniform(0.3, 1.0), 2)
+                vals.append(round(vals[-1] + step, 2))
+            cost = "table:" + ",".join(map(str, vals))
+            model = build_model(sizes, demands, small_sizes=smalls, cost=cost)
+            sol, info = column_generation(model)
+            entered += info.pairs_entered > 0
+            c, A, b, *_ = _loop_arrays(model, every_pair=True)
+            full = solve_lp(c, A, b)
+            assert full.status == "optimal"
+            assert sol.objective == pytest.approx(full.objective, rel=1e-9, abs=1e-9)
+            verify_solution_rows(model, sol)
+        assert entered >= 3
+
 
 def _solve_full_program(model: LpModel) -> float:
     """Optimum over every valid generalized configuration, built explicitly."""
@@ -252,6 +284,7 @@ def _solve_full_program(model: LpModel) -> float:
         f=model.f,
         main_windows=set(model.main_windows),
     )
+    probe.enter(range(len(probe.y_pairs)))
     configs = enumerate_configurations(
         list(model.sizes), list(model.demands), model.eps.denominator, model.scale
     )
@@ -287,6 +320,22 @@ class TestProjection:
                 assert w in w_prime
         assert projected.objective == pytest.approx(sol.objective)
         verify_solution_rows(model, projected)
+
+    def test_projection_enters_the_pairs_it_fills(self):
+        # mass moved onto a main window's pair is a master column afterwards,
+        # so extract_basic's program holds the projected solution
+        rng = random.Random(1)
+        entered = 0
+        for _ in range(40):
+            model = _random_master(rng, with_smalls=True)
+            sol, _ = column_generation(model)
+            before = len(model.entered)
+            projected = project_to_main_windows(sol, model)
+            entered += len(model.entered) > before
+            cols = set(model.arrays(model.main_windows)[3])
+            assert all(key in cols for key, val in projected.y.items() if val > 0)
+            assert extract_basic(projected, model).objective <= projected.objective + 1e-6
+        assert entered > 0
 
     def test_identity_when_already_on_main_windows(self):
         model, sol = self._converged()
@@ -407,10 +456,13 @@ class TestSplitTypes:
         assert got == {(100, w1): 1.0, (101, w1): 1.0, (102, w2): 1.0}
 
 
-def _loop_arrays(model: LpModel, window_filter=None):
+def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     """The master assembled column by column, as before the array build;
     kept as the reference for LpModel.arrays.  Only windows some small item
-    fits get rows."""
+    fits get rows.  Columns are the configurations and the entered pairs,
+    each at its master position.  With ``every_pair``, every candidate pair
+    is a column, ahead of the configurations: the master as it was before
+    assignment columns were sifted."""
     windows = [
         w
         for w in model.windows
@@ -418,26 +470,36 @@ def _loop_arrays(model: LpModel, window_filter=None):
     ]
     nv, ns = len(model.sizes), len(model.smalls)
     w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
-    x_cols = [gc for gc in model.columns if window_filter is None or gc.window in window_filter]
-    y_cols = [(si, w) for si, w in model.y_pairs if window_filter is None or w in window_filter]
-    ncols = len(x_cols) + len(y_cols)
-    A = np.zeros((nv + ns + 2 * len(windows), ncols), dtype=np.float64)
-    c = np.zeros(ncols, dtype=np.float64)
+    if every_pair:
+        master = list(model.y_pairs) + model.columns
+    else:
+        at = {model.y_pairs[p]: model._y_at[p] for p in model.entered}
+        at.update(model._position)
+        master = sorted(at, key=at.get)
+        assert [at[key] for key in master] == list(range(len(master)))
+    cols = [
+        key
+        for key in master
+        if window_filter is None or (key[1] if isinstance(key, tuple) else key.window) in window_filter
+    ]
+    A = np.zeros((nv + ns + 2 * len(windows), len(cols)), dtype=np.float64)
+    c = np.zeros(len(cols), dtype=np.float64)
     b = np.zeros(A.shape[0], dtype=np.float64)
     b[:nv] = model.demands
     b[nv : nv + ns] = [len(st.items) for st in model.smalls]
-    for j, (si, w) in enumerate(y_cols):
-        A[nv + si, j] += 1.0
-        A[w_row[w], j] -= float(Fraction(model.smalls[si].size, model.scale))
-        A[w_row[w] + 1, j] -= 1.0
-    off = len(y_cols)
-    for j, gc in enumerate(x_cols):
-        c[off + j] = model.staircase.f_at[gc.p]
-        A[:nv, off + j] = gc.config.counts
-        if gc.window in w_row:
-            A[w_row[gc.window], off + j] += gc.window.w
-            A[w_row[gc.window] + 1, off + j] += gc.window.kappa
-    return c, A, b, x_cols, y_cols, windows
+    for j, key in enumerate(cols):
+        if isinstance(key, tuple):
+            si, w = key
+            A[nv + si, j] += 1.0
+            A[w_row[w], j] -= float(Fraction(model.smalls[si].size, model.scale))
+            A[w_row[w] + 1, j] -= 1.0
+            continue
+        c[j] = model.staircase.f_at[key.p]
+        A[:nv, j] = key.config.counts
+        if key.window in w_row:
+            A[w_row[key.window], j] += key.window.w
+            A[w_row[key.window] + 1, j] += key.window.kappa
+    return c, A, b, cols, windows
 
 
 class TestArraysMatchColumnLoop:
@@ -558,14 +620,14 @@ def _random_master(rng, with_smalls):
 
 def _host(model, labels):
     """(window, True when its count row binds) for the window whose empty
-    configuration is basic, or None.  Configuration columns follow the
-    assignment columns, so the empty configuration's label index is at least
-    len(model.y_pairs); assignment columns basic on idle windows are not it."""
+    configuration is basic, or None.  Assignment columns basic on idle
+    windows are not it."""
     nv, ns = len(model.sizes), len(model.smalls)
+    cols = model.arrays()[3]
     for i, w in enumerate(model.row_windows):
         row = nv + ns + 2 * i
         for binds_count, (kind, j) in enumerate(labels[row : row + 2]):
-            if kind == "x" and j >= len(model.y_pairs):
+            if kind == "x" and not isinstance(cols[j], tuple):
                 return w, bool(binds_count)
     return None
 
@@ -577,33 +639,41 @@ class TestSeedBasis:
 
     def _check(self, model):
         labels = model.seed_columns()
-        c, A, b, *_ = model.arrays()
+        c, A, b, cols, _ = model.arrays()
         state = _State(A, b)
         assert state.load_basis(_labels_to_indices(labels, A.shape[1], A.shape[0]))
         assert state.xb().min() >= -1e-12
         warm, cold = solve_lp(c, A, b, basis=labels), solve_lp(c, A, b)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
-        self._check_idle_windows(model, labels)
-        # no assignment column prices below zero under the seed basis
+        self._check_idle_windows(model, labels, cols)
+        # the master holds exactly the seed basis's assignment columns
+        basic = {cols[j] for kind, j in labels if kind == "x" and isinstance(cols[j], tuple)}
+        entered = {model.y_pairs[p] for p in model.entered}
+        assert entered == basic == {key for key in cols if isinstance(key, tuple)}
+        # no candidate assignment column, entered or not, prices below zero
+        # under the seed basis: rc(s, w) = size_s gamma_w + delta_w - beta_s
         duals = np.concatenate([c, np.zeros(A.shape[0])])[state.basis] @ state.binv
-        off = len(model.y_pairs)
-        assert (c[:off] - duals @ A[:, :off]).min(initial=0.0) >= -1e-9
+        nv, ns = len(model.sizes), len(model.smalls)
+        for si, w in model.y_pairs:
+            row = nv + ns + 2 * model.row_windows.index(w)
+            size = model.smalls[si].size / model.scale
+            assert size * duals[row] + duals[row + 1] - duals[nv + si] >= -1e-9
         return labels, state
 
-    def _check_idle_windows(self, model, labels):
+    def _check_idle_windows(self, model, labels, cols):
         """Each idle window (not the host, no singleton share) has exactly
         one assignment column of its own basic on one of its rows."""
-        nv, ns, off = len(model.sizes), len(model.smalls), len(model.y_pairs)
+        nv, ns = len(model.sizes), len(model.smalls)
         if not ns or labels[nv][0] != "x":
             return  # no host: nothing to complete
-        host = model.y_pairs[labels[nv][1]][1]
-        shared = {model.columns[j - off].window for _, j in labels[:nv]}
+        host = cols[labels[nv][1]][1]
+        shared = {cols[j].window for _, j in labels[:nv]}
         for i, w in enumerate(model.row_windows):
             if w == host or w in shared:
                 continue
             on = [j for kind, j in labels[nv + ns + 2 * i : nv + ns + 2 * i + 2] if kind == "x"]
-            assert len(on) == 1 and on[0] < off and model.y_pairs[on[0]][1] == w
+            assert len(on) == 1 and isinstance(cols[on[0]], tuple) and cols[on[0]][1] == w
 
     def test_without_kept_smalls(self):
         rng = random.Random(81)
@@ -625,8 +695,8 @@ class TestSeedBasis:
             assert host is not None
             hosts.add(host[1])
             # each type is on its assignment column to the host window
-            ns = len(model.smalls)
-            picked = [model.y_pairs[j] for _, j in labels[len(model.sizes) :][:ns]]
+            ns, cols = len(model.smalls), model.arrays()[3]
+            picked = [cols[j] for _, j in labels[len(model.sizes) :][:ns]]
             assert picked == [(si, host[0]) for si in range(ns)]
         assert hosts == {False, True}  # both a size row and a count row bind
 
@@ -662,7 +732,7 @@ class TestSeedBasis:
         self._with_singleton_on(model, w)
         labels, _ = self._check(model)
         assert _host(model, labels) is None
-        assert labels[len(model.sizes)] == ("x", model.y_pairs.index((0, w)))
+        assert labels[len(model.sizes)] == ("x", model.arrays()[3].index((0, w)))
 
     def test_window_a_singleton_partly_covers(self):
         # the singleton's share counts against the host's need: the host
@@ -677,9 +747,24 @@ class TestSeedBasis:
             assert _host(model, labels)[0] == w
             total = k / 6 + (k // 3) / 8
             need = max((total - w.w) / w.w, (len(smalls) - w.kappa) / w.kappa)
-            col = len(model.y_pairs) + model.columns.index(model.empty_column(w))
+            col = model.arrays()[3].index(model.empty_column(w))
             level = state.xb()[labels.index(("x", col))]
             assert need > 0 and level == pytest.approx(need, rel=1e-12)
+
+    def test_no_host_enters_every_pair(self):
+        # every usable window has a > p_max, so no window has an empty seed
+        # configuration to host the smalls; the singleton's window is their
+        # only room, and the model starts from every pair
+        base = build_model(["1/2"], [2], small_sizes=["1/12", "1/8"], q=3, delta_cap=1)
+        windows = tuple(w for w in base.windows if not base.usable(w) or w.a > base.p_max)
+        model = dataclasses.replace(base, windows=windows, columns=[])
+        assert model.row_windows and model.p_max == 1
+        self._with_singleton_on(model, model.row_windows[0])
+        sol, info = column_generation(model)
+        assert len(model.entered) == len(model.y_pairs) and info.pairs_entered == 0
+        c, A, b, *_ = _loop_arrays(model, every_pair=True)
+        assert sol.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-9)
+        verify_solution_rows(model, sol)
 
     def test_seeding_twice_adds_nothing(self):
         rng = random.Random(83)

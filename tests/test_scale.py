@@ -1,10 +1,17 @@
 """Scale regression: the master grows with the number of distinct sizes, not
-with n.
+with n, and its assignment columns with the pairs the optimum uses, not
+with every (small type, window) pair.
 
-Both runs use the mixed family (see tests/test_golden.py), ``fq:3`` and
+The runs use the mixed family of ``generators.mixed``, ``fq:3`` and
 eps = 1/3.  A master with one row per kept small item needs a dense
 774 x 29,753 matrix (184 MB) for the windowed run at n = 1000, and a
 10,395 x 410,426 one (31.8 GiB) at the default threshold at n = 24000.
+
+The fine family draws the same shape of sizes over 10**6, so almost every
+kept small size is distinct.  Its windowed run at n = 1000 has 661 small
+types and 29,472 candidate assignment pairs on a master of 736 rows.  With
+every pair a column, the dense 736 x 29,546 A alone took 174 MB; with the
+pairs sifted, 661 of them enter, 0.90 times the rows.
 """
 import tracemalloc
 from fractions import Fraction
@@ -12,39 +19,64 @@ from fractions import Fraction
 import pytest
 
 from concavebp import make_fq, run_afptas, verify_packing
+from concavebp.generators import mixed
 from concavebp.lp import LpModel
-from test_golden import mixed
 
 PEAK_BOUND = 100 * 2**20  # bytes traced by tracemalloc
 
 
-@pytest.mark.parametrize("n, h_eps", [(1000, 3), (24000, None)], ids=["windowed-n1000", "default-n24000"])
-def test_master_scales_with_distinct_sizes(monkeypatch, n, h_eps):
+def _record_masters(monkeypatch):
+    """(model, A's shape, assignment columns) of every master solve."""
     masters = []
     arrays = LpModel.arrays
 
     def recorded(model, window_filter=None):
         out = arrays(model, window_filter)
         if window_filter is None:
-            masters.append((model, out[1].shape))
+            masters.append((model, out[1].shape, sum(isinstance(key, tuple) for key in out[3])))
         return out
 
     monkeypatch.setattr(LpModel, "arrays", recorded)
-    inst = mixed(n, 7)
-    kwargs = {} if h_eps is None else {"h_eps": h_eps}
+    return masters
+
+
+def _traced_run(inst, **kwargs):
+    """run_afptas under fq:3, eps 1/3; the result and tracemalloc's peak."""
     tracemalloc.start()
     try:
-        res = run_afptas(inst, make_fq(3, n), Fraction(1, 3), **kwargs)
+        res = run_afptas(inst, make_fq(3, inst.n), Fraction(1, 3), **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return res, peak
+
+
+@pytest.mark.parametrize("n, h_eps", [(1000, 3), (24000, None)], ids=["windowed-n1000", "default-n24000"])
+def test_master_scales_with_distinct_sizes(monkeypatch, n, h_eps):
+    masters = _record_masters(monkeypatch)
+    inst = mixed(n, 7)
+    kwargs = {} if h_eps is None else {"h_eps": h_eps}
+    res, peak = _traced_run(inst, **kwargs)
     assert verify_packing(inst, res.packing).ok
     assert peak < PEAK_BOUND
     assert masters
-    for model, (rows, _cols) in masters:
+    for model, (rows, _cols), _pairs in masters:
         kept = [i for st in model.smalls for i in st.items]
         assert len(kept) > len(model.smalls) > 0
         assert len(model.smalls) == len({inst.sizes[i] for i in kept})
         usable = sum(model.usable(w) for w in model.windows)
         assert usable < len(model.windows)
         assert rows == len(model.sizes) + len(model.smalls) + 2 * usable
+
+
+def test_fine_master_sifts_assignment_columns(monkeypatch):
+    masters = _record_masters(monkeypatch)
+    inst = mixed(1000, 7, 10**6)
+    res, peak = _traced_run(inst, h_eps=3)
+    assert verify_packing(inst, res.packing).ok
+    assert peak < PEAK_BOUND
+    assert masters
+    for model, (rows, _cols), pairs in masters:
+        # the candidates outnumber the rows many times over
+        assert len(model.y_pairs) > 20 * rows
+        assert pairs <= 2 * rows
