@@ -14,8 +14,16 @@ form in the three duals of its rows, is negative (sifting, after Bixby,
 Gregory, Lustig, Marsten and Shanno 1992; partial pricing, Chvatal 1983).
 The master's size thus follows the number of distinct sizes, not n, and
 its assignment columns follow the pairs the optimum uses, not the product
-of types and windows.  The first master solve starts from the feasible
-basis of ``LpModel.seed_columns``.
+of types and windows.
+
+The first master solve needs no simplex when it can be avoided:
+``LpModel.seed_columns`` works out its crash basis's whole vertex in
+closed form, levels and row duals, and ``simplex.certify`` accepts the pair
+when it is primal and dual feasible with equal objectives.  Only when the
+certificate fails does ``solve_lp`` run, warm from the same basis.  A
+master solution carries the keys of its basic columns, so
+``extract_basic`` reads basicness off them when the projected support lies
+inside the basis, and runs a rank test only otherwise.
 """
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .errors import (
     SolverLimitError,
 )
 from .pricing import PricingOutcome, price_all
-from .simplex import FEAS_TOL, PIVOT_TOL, Label, LpResult, solve_lp
+from .simplex import FEAS_TOL, PIVOT_TOL, Label, LpResult, certify, solve_lp
 from .structures import (
     Configuration,
     GeneralizedConfiguration,
@@ -51,6 +59,17 @@ FRACTIONAL_TOL = 1e-6
 class SmallType:
     size: int  # over LpModel.scale
     items: tuple[int, ...]  # indices in the original instance
+
+
+@dataclass(frozen=True)
+class SeedVertex:
+    """A basis of the master in the labels of ``arrays()``, with the vertex
+    it determines: ``x`` one level per master column in ``arrays()`` order,
+    ``duals`` one per row."""
+
+    labels: list[Label]
+    x: np.ndarray
+    duals: np.ndarray
 
 
 def small_types(
@@ -174,33 +193,37 @@ class LpModel:
         """The seed column of window w: no large item, level w.a."""
         return GeneralizedConfiguration(Configuration((0,) * len(self.sizes), 0, 0), w.a, w)
 
-    def seed_columns(self) -> list[Label]:
+    def seed_columns(self) -> SeedVertex:
         """Add the seed columns, enter the seed basis's assignment pairs, and
         return a primal feasible first basis over them, in the labels of
-        ``arrays()`` (a crash basis in place of phase 1, after Bixby 1992).
-        Seeding again adds nothing and returns the same labels.
+        ``arrays()`` (a crash basis in place of phase 1, after Bixby 1992),
+        together with its vertex: the level of every master column and the
+        dual of every row.  Seeding again adds nothing and returns the same
+        vertex.
 
         Size row j is covered by its singleton seed column at level
         demands[j].  When small items are kept, every usable window with
         a <= p_max gets an empty seed configuration, and every small type
-        sits on its assignment column to one host window: the one whose
-        empty configuration's cost f_at[a] times the level max(S/w, N/kappa)
-        it needs is least, where S and N are the total kept small size and
-        count less what the singletons already put on the window's rows.
-        The host's empty configuration is basic on whichever of its two rows
+        sits on its assignment column to one host window, at the type's
+        item count: the host is the window whose empty configuration's cost
+        f_at[a] times the level max(S/w, N/kappa) it needs is least, where S
+        and N are the total kept small size and count less what the
+        singletons already put on the window's rows.  The host's empty
+        configuration is basic at that level on whichever of its two rows
         needs the larger level, the other row's surplus is basic; a host the
         singletons already cover keeps both surpluses.
 
         The rows of every other window then complete the duals.  The host's
         binding row prices small type s at beta_s = size_s f_at[a] / w (size
-        row) or f_at[a] / kappa (count row); a host the singletons already
-        cover prices it at 0.  A window that is neither the host nor carries
-        a singleton share is idle: both its rows are tight at 0, and on their
-        surpluses they would price its assignment columns at -beta_s, so the
-        simplex would spend one degenerate pivot per idle window lifting its
-        duals.  Instead one of its assignment columns is basic at level 0 in
-        place of one row's surplus, so the primal vertex does not move.  On
-        the size row that is the type of largest beta_s / size_s, which sets
+        row, gamma = f_at[a] / w) or f_at[a] / kappa (count row, delta =
+        f_at[a] / kappa); a host the singletons already cover prices it at
+        0.  A window that is neither the host nor carries a singleton share
+        is idle: both its rows are tight at 0, and on their surpluses they
+        would price its assignment columns at -beta_s, so the simplex would
+        spend one degenerate pivot per idle window lifting its duals.
+        Instead one of its assignment columns is basic at level 0 in place
+        of one row's surplus, so the primal vertex does not move.  On the
+        size row that is the type of largest beta_s / size_s, which sets
         gamma = max_s beta_s / size_s; on the count row the type of largest
         beta_s, which sets delta = max_s beta_s.  Either way every
         assignment column on the window has reduced cost
@@ -208,32 +231,52 @@ class LpModel:
         degenerate vertex).  The row taken is the one whose dual charges the
         window's capacity less, w gamma against kappa delta, so the
         configurations on the window are priced as cheaply as the two dual
-        vertices allow.  The seed basis is then optimal unless some empty
-        seed configuration prices below its cost, and the first master solve
-        usually takes no pivot.
+        vertices allow.  Last, each singleton prices its size row at its
+        cost less what its window's rows charge: alpha_j = f_at[1] -
+        w gamma - kappa delta.  The seed basis is then optimal unless some
+        empty seed configuration prices below its cost, and
+        ``solve_master`` certifies it without a simplex call.
+
+        The basis is triangular, hence nonsingular: each size row belongs to
+        its singleton, each type row to its host pair, the host's binding
+        row to its configuration, an idle window's row to its pair, and every
+        other row to its surplus.
 
         Only the basis's assignment columns enter the master: one per type
         on the host, one per idle window.  Column generation enters any
         other pair when its closed-form reduced cost turns negative.  When
-        no window can host, every pair enters, and the first solve starts
-        from the slack basis: the singletons' windows are then the only
-        room for small items.  Every other row is on its surplus.
-        ``solve_lp`` still checks the basis (its inverse and B^-1 b >= 0)
-        and falls back to the slack start.
+        no window can host, every pair enters, and the labels leave the type
+        rows on their surpluses: the vertex is infeasible, the certificate
+        fails, and ``solve_lp`` falls back to the slack start.  The
+        singletons' windows are then the only room for small items.
         """
         nv, ns, nw = len(self.sizes), len(self.smalls), len(self.row_windows)
         labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * nw)]
+        levels: dict[int, float] = {}  # a basic column's master position -> level
+        duals = np.zeros(len(labels))
         size_on = dict.fromkeys(self.row_windows, 0.0)  # what the singletons put on a row
         count_on = dict.fromkeys(self.row_windows, 0.0)
-        for j, d in enumerate(self.demands):
-            gc = self.singleton_column(j)
+        singletons = [self.singleton_column(j) for j in range(nv)]
+        for j, (gc, d) in enumerate(zip(singletons, self.demands)):
             self.add_column(gc)
             labels[j] = ("x", self._position[gc])
+            levels[self._position[gc]] = d
             if gc.window in size_on:
                 size_on[gc.window] += gc.window.w * d
                 count_on[gc.window] += gc.window.kappa * d
+
+        def vertex() -> SeedVertex:
+            for j, gc in enumerate(singletons):
+                duals[j] = self.staircase.f_at[gc.p]
+                if gc.window in self.row_index:
+                    row = nv + ns + 2 * self.row_index[gc.window]
+                    duals[j] -= gc.window.w * duals[row] + gc.window.kappa * duals[row + 1]
+            x = np.zeros(len(self.columns) + len(self.entered))
+            x[list(levels)] = list(levels.values())
+            return SeedVertex(labels, x, duals)
+
         if not self.smalls:
-            return labels
+            return vertex()
         total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
         total_count = sum(len(st.items) for st in self.smalls)
         best = None  # (cost, size level, count level, host position, column)
@@ -249,7 +292,7 @@ class LpModel:
                 best = (cost, by_size, by_count, h, self._position[gc])
         if best is None:
             self.enter(range(len(self.y_pairs)))
-            return labels
+            return vertex()
         _, by_size, by_count, h, col = best
         on_pair = {nv + si: si * nw + h for si in range(ns)}  # row -> basic pair
         sizes = -self._y_size[::nw]  # size_s, once per type
@@ -258,22 +301,29 @@ class LpModel:
         beta = np.zeros(ns)  # a host the singletons cover prices nothing
         if max(by_size, by_count) > 0.0:
             on_count = by_count > by_size
-            labels[nv + ns + 2 * h + on_count] = ("x", col)  # size row, count row
+            row = nv + ns + 2 * h + on_count  # size row, count row
+            labels[row] = ("x", col)
+            levels[col] = max(by_size, by_count)
+            duals[row] = f_host / (host.kappa if on_count else host.w)
             beta = np.full(ns, f_host / host.kappa) if on_count else sizes * f_host / host.w
+        duals[nv : nv + ns] = beta
         s_size = int(np.argmax(beta / sizes))
         s_count = int(np.argmax(beta))
         gamma, delta = beta[s_size] / sizes[s_size], beta[s_count]
         for i, w in enumerate(self.row_windows):
             if i == h or count_on[w]:
                 continue  # the host, or a window with a singleton share
+            row = nv + ns + 2 * i
             if w.w * gamma <= w.kappa * delta:
-                on_pair[nv + ns + 2 * i] = s_size * nw + i
+                on_pair[row], duals[row] = s_size * nw + i, gamma
             else:
-                on_pair[nv + ns + 2 * i + 1] = s_count * nw + i
+                on_pair[row + 1], duals[row + 1] = s_count * nw + i, delta
         self.enter(on_pair.values())
         for row, pair in on_pair.items():
             labels[row] = ("x", int(self._y_at[pair]))
-        return labels
+        for si, st in enumerate(self.smalls):
+            levels[int(self._y_at[si * nw + h])] = len(st.items)
+        return vertex()
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
@@ -333,7 +383,8 @@ class LpModel:
 class LpSolution:
     """A master solution.  ``y`` is keyed by (small type, window); ``assignment``
     is keyed by (item, window), split from ``y`` by ``extract_basic``.  Windows
-    without rows have no gamma or delta, which reads as 0."""
+    without rows have no gamma or delta, which reads as 0.  ``basis`` holds
+    the keys of the master's basic columns."""
 
     objective: float
     x: dict[GeneralizedConfiguration, float]
@@ -343,6 +394,7 @@ class LpSolution:
     gamma: dict[Window, float]
     delta: dict[Window, float]
     assignment: dict[tuple[int, Window], float] = field(default_factory=dict)
+    basis: frozenset = frozenset()
 
     def fractional_counts(self) -> tuple[int, int]:
         """(F_X, F_Y): fractional configuration columns, and small items whose
@@ -377,16 +429,26 @@ def _solution_from_result(model: LpModel, res: LpResult, cols, windows) -> LpSol
     beta = dict(enumerate(duals[nv : nv + ns]))
     gamma = dict(zip(windows, duals[nv + ns :: 2]))
     delta = dict(zip(windows, duals[nv + ns + 1 :: 2]))
-    return LpSolution(res.objective, x, y, alpha, beta, gamma, delta)
+    basis = frozenset(cols[j] for kind, j in res.basis if kind == "x")
+    return LpSolution(res.objective, x, y, alpha, beta, gamma, delta, basis=basis)
 
 
 def solve_master(
-    model: LpModel, warm_basis: list[Label] | None = None
+    model: LpModel,
+    warm_basis: list[Label] | None = None,
+    seed: SeedVertex | None = None,
 ) -> tuple[LpSolution, LpResult]:
     """Solve the current restricted master exactly; returns duals as well,
-    and the simplex result for its basis and pivot count."""
+    and the simplex result for its basis and pivot count.  A ``seed``
+    vertex that ``certify`` accepts is the optimum as it is, and no simplex
+    runs; otherwise the simplex starts from ``warm_basis``."""
     c, A, b, cols, windows = model.arrays()
-    res = solve_lp(c, A, b, basis=warm_basis)
+    if seed is not None and certify(c, A, b, seed.x, seed.duals):
+        res = LpResult(
+            "optimal", seed.x, float(c @ seed.x), seed.duals, seed.labels, 0, certified=True
+        )
+    else:
+        res = solve_lp(c, A, b, basis=warm_basis)
     if res.status == "infeasible":
         raise InfeasibleMasterError("restricted master infeasible; seeding is broken")
     if res.status != "optimal":
@@ -405,6 +467,7 @@ class ColumnGenerationInfo:
     pivots: int  # simplex pivots over every master solve
     final_max_ratio: float
     final_certified_ratio: float
+    seed_certified: bool  # the first master solve was the certified seed vertex
 
 
 def column_generation(
@@ -424,9 +487,12 @@ def column_generation(
     certified ratio, so termination implies the scaled duals are feasible
     and the master value is within (1 + eps) of the full program's optimum.
     A round is one master solve; the default limit leaves one round per
-    candidate pair on top of the configuration rounds.
+    candidate pair on top of the configuration rounds.  The first round
+    returns the seed vertex when its certificate holds, with no simplex
+    call.
     """
-    basis = model.seed_columns()
+    seed = model.seed_columns()
+    basis = seed.labels
     if max_rounds is None:
         max_rounds = len(model.y_pairs) + 10 * (
             len(model.sizes) + 2 * len(model.windows) + len(model.smalls)
@@ -436,7 +502,9 @@ def column_generation(
     added_total = entered_total = pivots = 0
     outcome: PricingOutcome | None = None
     for round_no in range(max_rounds + 1):
-        sol, res = solve_master(model, basis)
+        sol, res = solve_master(model, basis, seed if round_no == 0 else None)
+        if round_no == 0:
+            seed_certified = res.certified
         basis, pivots = res.basis, pivots + res.iterations
         if not dual_objective(model, sol) <= sol.objective + 1e-6:
             raise InvariantError("weak duality violated")
@@ -453,6 +521,7 @@ def column_generation(
                 pivots,
                 outcome.max_ratio,
                 outcome.max_certified_ratio,
+                seed_certified,
             )
             return sol, info
         added = sum(model.add_column(pc.column) for pc in outcome.violations)
@@ -473,7 +542,8 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
     proportionally against a frozen per-window total.  The objective value is
     unchanged; the canonical windows are ``model.main_windows``.  The target
     columns join the model, and the pairs that receive assignment mass enter
-    it, so ``extract_basic``'s program contains the projected solution."""
+    it, so ``extract_basic``'s program contains the projected solution.  The
+    master's basis keys pass through unchanged."""
     w_prime = model.main_windows
     x = dict(sol.x)
     y = dict(sol.y)
@@ -507,25 +577,34 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
             y.pop((si, w), None)
     nw = len(model.row_windows)
     model.enter(si * nw + model.row_index[w] for si, w in y if w in model.row_index)
-    return LpSolution(sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta)
+    return LpSolution(
+        sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta, basis=sol.basis
+    )
 
 
 def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
     """Basic solution of the program restricted to the canonical windows
     ``model.main_windows``, no worse than ``sol``, with its small types split
-    into items (``split_types``)."""
-    c, A, b, cols, windows = model.arrays(window_filter=model.main_windows)
-    if A.shape[1] and _is_basic(sol, cols, A):
-        basic = sol
-    else:
-        res = solve_lp(c, A, b)
-        if res.status != "optimal":
-            raise NumericalFailureError(f"basic extraction status {res.status}")
-        if res.objective > sol.objective + 1e-6:
-            raise NumericalFailureError(
-                "basic solution worse than projected solution"
-            )
-        basic = _solution_from_result(model, res, cols, windows)
+    into items (``split_types``).
+
+    A support inside ``sol.basis`` is a subset of a nonsingular basis's
+    columns, so it is independent, in the master and in the restricted
+    program, whose dropped rows it does not touch: ``sol`` is basic as it
+    is.  Any other support gets the rank test, and a re-solve when it
+    fails."""
+    basic = sol
+    support = {key for key, val in chain(sol.x.items(), sol.y.items()) if val > FRACTIONAL_TOL}
+    if not support <= sol.basis:
+        c, A, b, cols, windows = model.arrays(window_filter=model.main_windows)
+        if not (A.shape[1] and _is_basic(support, cols, A)):
+            res = solve_lp(c, A, b)
+            if res.status != "optimal":
+                raise NumericalFailureError(f"basic extraction status {res.status}")
+            if res.objective > sol.objective + 1e-6:
+                raise NumericalFailureError(
+                    "basic solution worse than projected solution"
+                )
+            basic = _solution_from_result(model, res, cols, windows)
     basic.assignment = split_types(basic.y, model)
     return basic
 
@@ -561,20 +640,15 @@ def split_types(
     return out
 
 
-def _is_basic(sol: LpSolution, cols, A: np.ndarray) -> bool:
-    """A solution is basic iff its support columns are linearly independent."""
-    support = [
-        j
-        for j, key in enumerate(cols)
-        if (sol.x if isinstance(key, GeneralizedConfiguration) else sol.y).get(key, 0.0)
-        > FRACTIONAL_TOL
-    ]
-    if not support:
+def _is_basic(support: set, cols, A: np.ndarray) -> bool:
+    """A solution is basic iff the columns of its support (the keys of its
+    values above FRACTIONAL_TOL) are linearly independent."""
+    columns = [j for j, key in enumerate(cols) if key in support]
+    if not columns:
         return True
-    if len(support) > A.shape[0]:
+    if len(columns) > A.shape[0]:
         return False
-    sub = A[:, support]
-    return np.linalg.matrix_rank(sub) == len(support)
+    return np.linalg.matrix_rank(A[:, columns]) == len(columns)
 
 
 def dual_objective(model: LpModel, sol: LpSolution) -> float:

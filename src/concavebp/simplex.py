@@ -1,6 +1,13 @@
-"""Revised simplex with sparse pricing for small linear programs.
+"""Revised simplex with sparse pricing for small linear programs, and an
+optimality certificate that needs no simplex at all.
 
 Solves   min c.x  subject to  A x >= b,  x >= 0   with b >= 0.
+
+``certify`` checks a primal-dual pair (x, y) worked out in closed form by
+the caller: x primal feasible, y dual feasible and c.x = b.y.  Such a pair
+is optimal by weak duality (Chvatal 1983, ch. 5), so a caller whose crash
+basis is already optimal returns its vertex without forming a basis
+inverse.  ``solve_lp`` is the fallback when the certificate fails.
 
 Surplus variables turn the rows into equalities.  A cold start is a slack
 basis: a row with b_i = 0 starts on its surplus column, feasible at level 0,
@@ -14,9 +21,10 @@ Dantzig's rule switches to Bland's rule after a run of degenerate pivots to
 rule out cycling.  The ratio test is Harris's, with threshold pivoting
 among the rows it admits, so a basic value rounded just below zero never
 pivots on a tiny element.  A warm-start basis (the previous round's, or the
-master's seed basis in the first round) skips phase 1.  It is used only
-when its computed inverse reproduces the identity and B^-1 b >= -FEAS_TOL;
-a singular or infeasible one falls back to the slack start.
+master's seed basis when its certificate fails) skips phase 1.  It is used
+only when its computed inverse reproduces the identity and
+B^-1 b >= -FEAS_TOL; a singular or infeasible one falls back to the slack
+start.
 """
 from __future__ import annotations
 
@@ -33,6 +41,7 @@ _DEGENERATE_RUN = 40
 _INVERSE_TOL = 1e-9
 _TIE_PIVOT = 0.1
 _HARRIS_TOL = 1e-9
+_GAP_TOL = 1e-9  # relative duality gap a certificate may leave
 
 # stable basis labels across column additions:
 #   ("x", j) structural column j, ("s", i) surplus variable of row i
@@ -47,6 +56,7 @@ class LpResult:
     duals: np.ndarray
     basis: list[Label]
     iterations: int
+    certified: bool = False  # optimal by ``certify``, without a simplex run
 
 
 def solve_lp(
@@ -93,14 +103,29 @@ def solve_lp(
     if status != "optimal":
         return LpResult(status, np.zeros(n), float("nan"), np.zeros(m), [], iterations)
 
-    xb = state.xb()
+    structural = state.basis < n
+    xb = state.xb()[structural]
     x = np.zeros(n)
-    for value, j in zip(xb, state.basis):
-        if j < n:
-            x[j] = max(float(value), 0.0)
+    x[state.basis[structural]] = np.where(xb < 0.0, 0.0, xb)
     duals = cost2[state.basis] @ state.binv
     labels = _indices_to_labels(state.basis, n)
     return LpResult("optimal", x, float(c @ x), duals, labels, iterations)
+
+
+def certify(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> bool:
+    """True when x and y are optimal for min c.x, A x >= b, x >= 0 and its
+    dual, within the simplex's own tolerances: x >= 0, A x >= b - FEAS_TOL,
+    y >= -PIVOT_TOL (a surplus column's reduced cost), c - A^T y >=
+    -PIVOT_TOL over every column, and c.x = b.y within a relative 1e-9.
+    A NaN anywhere fails every test."""
+    if not (np.all(x >= 0.0) and np.all(A @ x >= b - FEAS_TOL)):
+        return False
+    if not (np.all(y >= -PIVOT_TOL) and np.all(c - y @ A >= -PIVOT_TOL)):
+        return False
+    primal, dual = float(c @ x), float(b @ y)
+    return abs(primal - dual) <= _GAP_TOL * max(abs(primal), abs(dual))
 
 
 def _labels_to_indices(labels: list[Label], n: int, m: int) -> list[int] | None:
@@ -133,11 +158,8 @@ class _State:
         self.A = A
         self.b = b
         self.m, self.n = A.shape
-        rows, cols = np.nonzero(A)
-        order = np.argsort(cols, kind="stable")
         # column-major runs: column j's nonzeros sit in [starts[j], starts[j+1])
-        self.rows = rows[order]
-        self.cols = cols[order]
+        self.cols, self.rows = np.nonzero(A.T)
         self.vals = A[self.rows, self.cols]
         self.starts = np.searchsorted(self.cols, np.arange(self.n + 1))
         # slack start: surplus -e_i on rows with b_i = 0, artificial +e_i on

@@ -48,10 +48,12 @@ def _break_invariant(monkeypatch):
 
 
 def _break_lp(monkeypatch, error):
-    def failing_solve_lp(*args, **kwargs):
+    # every master solve fails, whether the simplex runs or the seed vertex
+    # would be certified without it
+    def failing_solve_master(*args, **kwargs):
         raise error("simulated LP failure")
 
-    monkeypatch.setattr("concavebp.lp.solve_lp", failing_solve_lp)
+    monkeypatch.setattr("concavebp.lp.solve_master", failing_solve_master)
 
 
 class TestSerialization:

@@ -28,13 +28,13 @@ from concavebp.serialize import parse_cost_spec
 # n = 100 costs 59, 59, 55, 51: column generation starts from the seed basis
 GOLDEN = [
     (100, 1, 3, "c1b04e4642405288525223d9bd844ad9f547276f4ff04f88d0a8291a369b29e4",
-     "b695ba5508b08ed4c9d5fafc280c4734a03cf51b3d4f3321acc11d117282f802"),
+     "06e80f0da3fdd7213dde877b2a7ade02b4770ef7463bfa277454e94669bfbdf7"),
     (100, 2, 3, "d6eb84b0ac3ebc9050c89b6faeae981852a5b33c5cf67e02190f50ec5d29f6ce",
-     "dcfd8bc37d4b09cbc4edb3737a6f7d515e7c7f699b999ad121345123ec9af50e"),
+     "d0532f65a5a4206e016f4a8f110ee22646ab47c8c2b5ce577bae37d648676a0f"),
     (100, 3, 3, "37009ceb41a39b667b34d9b6c945fc0a18755eb1df170118eda1e97556bc3849",
-     "c7535fb9ef28c7267999bda60bb27b83de9a76f8fb9523dd9d24ead39171a920"),
+     "c08c7eb74a103a0f18f5d53b0ae9f62f63f4eadf50d372f9cf6d3d0c7aa402ee"),
     (100, 4, 3, "b157b5deefca99b79405c2372761d9c315b012a6e021e2559b844a19aa2cf85b",
-     "7341095263293e43621abb7624a604c7096a7d6e9f5bc7fa8cb2b7dc543e9e48"),
+     "61115feea73c783eeb9e5baf47a324feaee9d17faf4898739b4bcb36c31d0d67"),
     (400, 1, None, "58a13e1e5f58c4eb6478e9264a7e6b6a4a47af3d01f92aa1cbab5d9c29566ffb",
      "2da76826ea4481251af9d63959c3b653e18b54e8f928f68c7e7b6e57d678945e"),
     (400, 2, None, "afcc9e42e1459e3e74cc220eb21bb5cbee3b5678c9ba31a8fe06381cb81f8fb0",
@@ -54,7 +54,7 @@ GOLDEN_QUARTER = [
     (1, TABLE, "5853ebac9db69d425b5ece6c0abaf134acaf315e752992118a081f6ece086eb0",
      "36690ce9fd4a986c47b66cbd8798d8515cbfb1396cbd18f8b0c954c6385bf25f"),
     (2, "fq:3", "7bb60ffdb8874cca82840e0852ddff33c8a68fc948d46923ba0080eb7e76a5b7",
-     "a9ca36a03eb503bdf92219113e3878e422b27a9f8917834b7c4a32a7c4e60fed"),
+     "b59476c7038e6db31c7fd25115fa44a4a480b7aecaa8b86bc295049685c5321a"),
     (2, TABLE, "40df4bb1060314df81238f8377d8f0cf00ca4d440967f97264d149a411d05716",
      "80b026087f625a6286f6652792ccc107556f6284a3ebabf50fa269d4e0fc037f"),
 ]
@@ -93,7 +93,8 @@ WINDOWED = [(n, seed, h_eps) for n, seed, h_eps, *_ in GOLDEN if h_eps is not No
 @pytest.mark.parametrize("n,seed,h_eps", WINDOWED, ids=[f"n{n}-seed{s}" for n, s, _ in WINDOWED])
 def test_seed_basis_takes_no_pivot(n, seed, h_eps, monkeypatch):
     # the seed basis prices out every assignment column, so on these masters
-    # it is already optimal and column generation never pivots
+    # it is already optimal: its closed-form vertex is certified and column
+    # generation never pivots
     infos = []
     plain = afptas.column_generation
 
@@ -104,7 +105,7 @@ def test_seed_basis_takes_no_pivot(n, seed, h_eps, monkeypatch):
 
     monkeypatch.setattr(afptas, "column_generation", recording)
     run_afptas(mixed(n, seed), make_fq(3, n), Fraction(1, 3), h_eps=h_eps)
-    assert [info.pivots for info in infos] == [0]
+    assert [(info.pivots, info.seed_certified) for info in infos] == [(0, True)]
 
 
 @lru_cache(maxsize=None)

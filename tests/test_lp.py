@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concavebp import make_fq
+from concavebp import lp, make_fq
 from concavebp.errors import InfeasibleMasterError
 from concavebp.lp import (
+    FRACTIONAL_TOL,
     LpModel,
     LpSolution,
     column_generation,
@@ -21,7 +22,7 @@ from concavebp.lp import (
     verify_solution_rows,
 )
 from concavebp.serialize import parse_cost_spec
-from concavebp.simplex import _labels_to_indices, _State, solve_lp
+from concavebp.simplex import _labels_to_indices, _State, certify, solve_lp
 from concavebp.structures import (
     Configuration,
     GeneralizedConfiguration,
@@ -385,23 +386,27 @@ class TestExtractBasic:
         basic = extract_basic(projected, model)
         assert basic.objective <= projected.objective + 1e-9
 
-    def test_midpoint_of_two_bases_resolves_to_vertex(self):
+    def test_midpoint_of_two_bases_resolves_to_vertex(self, monkeypatch):
+        # a support outside the master's basis still gets the rank test
+        ranks = []
+        plain = np.linalg.matrix_rank
+        monkeypatch.setattr(
+            np.linalg, "matrix_rank", lambda *a, **k: ranks.append(1) or plain(*a, **k)
+        )
         model = build_model(["1/2"], [4], q=4)
         sol, _ = column_generation(model)
         projected = project_to_main_windows(sol, model)
         w_prime = model.main_windows
-        # blur the solution: split mass across two equivalent columns
-        items = sorted(projected.x.items())
-        gc0, v0 = items[0]
-        other = next(
-            (gc for gc in model.columns if gc != gc0 and gc.window in w_prime),
-            None,
-        )
-        if other is not None:
-            projected.x = dict(projected.x)
-            projected.x[gc0] = v0 / 2
-            projected.x[other] = projected.x.get(other, 0.0) + v0 / 2
+        # blur the solution: split its one column's mass with an equal
+        # column a level up on the same window, which is not basic
+        ((gc0, v0),) = projected.x.items()
+        other = GeneralizedConfiguration(gc0.config, gc0.p + 1, gc0.window)
+        model.add_column(other)
+        projected.x = {gc0: v0 / 2, other: v0 / 2}
         basic = extract_basic(projected, model)
+        assert ranks
+        assert basic.objective <= projected.objective + 1e-9
+        assert sum(val > FRACTIONAL_TOL for val in basic.x.values()) == 1
         fx, fy = basic.fractional_counts()
         assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
 
@@ -633,19 +638,29 @@ def _host(model, labels):
 
 
 class TestSeedBasis:
-    """The crash basis of the seeded master loads as it is (no fallback to
-    the slack start), is primal feasible, and leads to the cold start's
-    optimum."""
+    """The crash basis of the seeded master has full rank, loads as it is
+    (no fallback to the slack start), is primal feasible, and leads to the
+    cold start's optimum.  Where it is optimal as it is, its closed-form
+    vertex is the simplex's and passes the certificate."""
 
     def _check(self, model):
-        labels = model.seed_columns()
+        """(labels, loaded state, whether the seed vertex was certified)."""
+        seed = model.seed_columns()
+        labels = seed.labels
         c, A, b, cols, _ = model.arrays()
         state = _State(A, b)
-        assert state.load_basis(_labels_to_indices(labels, A.shape[1], A.shape[0]))
+        indices = _labels_to_indices(labels, A.shape[1], A.shape[0])
+        assert np.linalg.matrix_rank(state._basis_matrix(indices)) == A.shape[0]
+        assert state.load_basis(indices)
         assert state.xb().min() >= -1e-12
         warm, cold = solve_lp(c, A, b, basis=labels), solve_lp(c, A, b)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        certified = warm.iterations == 0
+        if certified:
+            np.testing.assert_allclose(seed.x, warm.x, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(seed.duals, warm.duals, rtol=1e-9, atol=1e-9)
+            assert certify(c, A, b, seed.x, seed.duals)
         self._check_idle_windows(model, labels, cols)
         # the master holds exactly the seed basis's assignment columns
         basic = {cols[j] for kind, j in labels if kind == "x" and isinstance(cols[j], tuple)}
@@ -659,7 +674,7 @@ class TestSeedBasis:
             row = nv + ns + 2 * model.row_windows.index(w)
             size = model.smalls[si].size / model.scale
             assert size * duals[row] + duals[row + 1] - duals[nv + si] >= -1e-9
-        return labels, state
+        return labels, state, certified
 
     def _check_idle_windows(self, model, labels, cols):
         """Each idle window (not the host, no singleton share) has exactly
@@ -679,7 +694,8 @@ class TestSeedBasis:
         rng = random.Random(81)
         for _ in range(10):
             model = _random_master(rng, with_smalls=False)
-            labels, _ = self._check(model)
+            labels, _, certified = self._check(model)
+            assert certified
             # singletons on the size rows, every other row on its surplus
             nv = len(model.sizes)
             assert all(kind == "x" for kind, _ in labels[:nv])
@@ -687,10 +703,11 @@ class TestSeedBasis:
 
     def test_with_kept_smalls(self):
         rng = random.Random(82)
-        hosts = set()
+        hosts, certified = set(), 0
         for _ in range(25):
             model = _random_master(rng, with_smalls=True)
-            labels, _ = self._check(model)
+            labels, _, zero_pivots = self._check(model)
+            certified += zero_pivots
             host = _host(model, labels)
             assert host is not None
             hosts.add(host[1])
@@ -699,6 +716,7 @@ class TestSeedBasis:
             picked = [cols[j] for _, j in labels[len(model.sizes) :][:ns]]
             assert picked == [(si, host[0]) for si in range(ns)]
         assert hosts == {False, True}  # both a size row and a count row bind
+        assert certified > 0
 
     def test_count_row_binds(self):
         # forty items of 1/1000: the count bound, not the size, sets the level
@@ -730,7 +748,7 @@ class TestSeedBasis:
             key=lambda w: model.staircase.f_at[w.a],
         )
         self._with_singleton_on(model, w)
-        labels, _ = self._check(model)
+        labels, *_ = self._check(model)
         assert _host(model, labels) is None
         assert labels[len(model.sizes)] == ("x", model.arrays()[3].index((0, w)))
 
@@ -740,10 +758,10 @@ class TestSeedBasis:
         for k in range(8, 15):
             smalls = ["1/6"] * k + ["1/8"] * (k // 3)
             plain = build_model(["1/2"], [1], small_sizes=smalls, n=40)
-            w, _ = _host(plain, plain.seed_columns())
+            w, _ = _host(plain, plain.seed_columns().labels)
             model = build_model(["1/2"], [1], small_sizes=smalls, n=40)
             self._with_singleton_on(model, w)
-            labels, state = self._check(model)
+            labels, state, _ = self._check(model)
             assert _host(model, labels)[0] == w
             total = k / 6 + (k // 3) / 8
             need = max((total - w.w) / w.w, (len(smalls) - w.kappa) / w.kappa)
@@ -766,13 +784,54 @@ class TestSeedBasis:
         assert sol.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-9)
         verify_solution_rows(model, sol)
 
+    def test_failed_certificate_falls_back_to_the_simplex(self, monkeypatch):
+        # a tampered dual fails the certificate: the first master solve runs
+        # the simplex warm from the seed labels and reaches the cold optimum
+        honest = LpModel.seed_columns
+
+        def tampered(model):
+            seed = honest(model)
+            duals = seed.duals.copy()
+            duals[0] = -1.0
+            return dataclasses.replace(seed, duals=duals)
+
+        simplex_calls = []
+        plain = lp.solve_lp
+
+        def counted(*args, **kwargs):
+            simplex_calls.append(kwargs.get("basis"))
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        rng = random.Random(84)
+        for with_smalls in (False, True, True, True):
+            model = _random_master(rng, with_smalls)
+            seed = tampered(model)
+            c, A, b, *_ = model.arrays()
+            assert not certify(c, A, b, seed.x, seed.duals)
+            simplex_calls.clear()
+            sol, res = solve_master(model, seed.labels, seed)
+            assert not res.certified and simplex_calls == [seed.labels]
+            assert sol.objective == pytest.approx(plain(c, A, b).objective, rel=1e-9, abs=1e-12)
+            # through column generation: the same optimum as the honest seed's
+            with monkeypatch.context() as patch:
+                patch.setattr(LpModel, "seed_columns", tampered)
+                fell_back, info = column_generation(dataclasses.replace(model, columns=[]))
+            assert not info.seed_certified
+            certified, info = column_generation(dataclasses.replace(model, columns=[]))
+            assert info.seed_certified
+            assert fell_back.objective == pytest.approx(certified.objective, rel=1e-9)
+
     def test_seeding_twice_adds_nothing(self):
         rng = random.Random(83)
         for with_smalls in (False, True):
             for _ in range(5):
                 model = _random_master(rng, with_smalls)
-                labels = model.seed_columns()
-                assert len(labels) == len(model.arrays()[2])  # one label per row
+                seed = model.seed_columns()
+                assert len(seed.labels) == len(model.arrays()[2])  # one label per row
                 columns = list(model.columns)
-                assert model.seed_columns() == labels
+                again = model.seed_columns()
+                assert again.labels == seed.labels
+                assert np.array_equal(again.x, seed.x)
+                assert np.array_equal(again.duals, seed.duals)
                 assert model.columns == columns

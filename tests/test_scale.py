@@ -11,11 +11,15 @@ The fine family draws the same shape of sizes over 10**6, so almost every
 kept small size is distinct.  Its windowed run at n = 1000 has 661 small
 types and 29,472 candidate assignment pairs on a master of 736 rows.  With
 every pair a column, the dense 736 x 29,546 A alone took 174 MB; with the
-pairs sifted, 661 of them enter, 0.90 times the rows.
+pairs sifted, 661 of them enter, 0.90 times the rows.  Its seed basis is
+optimal, so the first master solve is certified in closed form and the
+basic extraction reads basicness off the master's basis: the run forms no
+basis inverse and runs no rank test.
 """
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from concavebp import make_fq, run_afptas, verify_packing
@@ -69,12 +73,28 @@ def test_master_scales_with_distinct_sizes(monkeypatch, n, h_eps):
         assert rows == len(model.sizes) + len(model.smalls) + 2 * usable
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Calls made to ``owner.name`` while the test runs."""
+    calls = []
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_fine_master_sifts_assignment_columns(monkeypatch):
     masters = _record_masters(monkeypatch)
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
+    ranks = _count_calls(monkeypatch, np.linalg, "matrix_rank")
     inst = mixed(1000, 7, 10**6)
     res, peak = _traced_run(inst, h_eps=3)
     assert verify_packing(inst, res.packing).ok
     assert peak < PEAK_BOUND
+    assert inverses == ranks == []
     assert masters
     for model, (rows, _cols), pairs in masters:
         # the candidates outnumber the rows many times over

@@ -15,6 +15,7 @@ from concavebp.simplex import (
     _indices_to_labels,
     _labels_to_indices,
     _State,
+    certify,
     solve_lp,
 )
 
@@ -437,3 +438,63 @@ class TestRatioTest:
     def test_lone_blocking_row_still_leaves(self):
         # row 1 blocks only at 2000: the tiny element is the only choice
         assert self._first_pivot([0.0, 1e6]) == [(0, 2, 1e-7)]
+
+
+class TestCertify:
+    """``certify`` accepts an optimal primal-dual pair and rejects each way a
+    pair can fail: every fault below breaks exactly one of its tests."""
+
+    # min x1 + x2 + 2 x3, x1 + x3 >= 1, x2 + x3 >= 1: x = (1, 1, 0) and
+    # y = (1, 1) are optimal, with every reduced cost 0
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 1.0, 2.0])
+    x = np.array([1.0, 1.0, 0.0])
+    y = np.array([1.0, 1.0])
+
+    def test_optimal_pair_accepted(self):
+        assert certify(self.c, self.A, self.b, self.x, self.y)
+
+    def test_accepted_within_the_simplex_tolerances(self):
+        # row 1 short by half FEAS_TOL, column 3 priced half PIVOT_TOL below cost
+        x = self.x + np.array([-0.5, 0.5, 0.0]) * FEAS_TOL
+        c = self.c - np.array([0.0, 0.0, 0.5]) * PIVOT_TOL
+        assert certify(c, self.A, self.b, x, self.y)
+        # a dual half PIVOT_TOL below zero, complementary slack with x
+        tiny = 0.5 * PIVOT_TOL
+        c = np.array([-tiny, 1.0, 1.0])
+        assert certify(c, self.A, self.b, self.x, np.array([-tiny, 1.0]))
+
+    @pytest.mark.parametrize(
+        "c, x, y",
+        [
+            # a negative level: rows, duals and objectives still agree
+            ([1.0, 1.0, 2.0], [2.0, 2.0, -1.0], [1.0, 1.0]),
+            # a violated row at the same objective
+            ([1.0, 1.0, 2.0], [0.5, 1.5, 0.0], [1.0, 1.0]),
+            # a negative dual, complementary slack with x
+            ([-1.0, 3.0, 2.0], [1.0, 1.0, 0.0], [-1.0, 3.0]),
+            # a negative reduced cost: column 3 prices below its cost
+            ([1.0, 1.0, 1.5], [1.0, 1.0, 0.0], [1.0, 1.0]),
+            # a duality gap: both feasible, objectives 2 and 1
+            ([1.0, 1.0, 2.0], [1.0, 1.0, 0.0], [0.5, 0.5]),
+            # NaN fails every test
+            ([1.0, 1.0, 2.0], [1.0, 1.0, np.nan], [1.0, 1.0]),
+        ],
+        ids=["negative-level", "violated-row", "negative-dual", "negative-reduced-cost",
+             "duality-gap", "nan"],
+    )
+    def test_fault_rejected(self, c, x, y):
+        assert not certify(np.array(c), self.A, self.b, np.array(x), np.array(y))
+
+    def test_agrees_with_the_simplex_on_random_lps(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m, n = rng.integers(2, 8), rng.integers(2, 10)
+            A = rng.integers(0, 3, size=(m, n)).astype(float)
+            A[:, 0] = 1.0  # a column covering every row keeps it feasible
+            b = rng.integers(0, 4, size=m).astype(float)
+            c = rng.integers(1, 6, size=n).astype(float)
+            res = solve_lp(c, A, b)
+            assert certify(c, A, b, res.x, res.duals)
+            assert not certify(c, A, b, res.x, res.duals * 0.5 - 1.0)
