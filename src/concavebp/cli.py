@@ -7,10 +7,11 @@ or failed verification (including a claimed cost that does not match, an
 infeasible master program, a numerical failure of the LP solver or a broken
 invariant of the scheme), 4 solver limit exceeded (including running out of
 memory, reported as one ``solver limit: out of memory`` line).  Every
-failure is reported on stderr; stdout carries results only.  ``compare`` exits 2 on a negative ``--exact-limit`` before writing
-any row; it reports every other failure in the row's ``error`` field and
-carries on, a packing that fails verification against every item of the
-instance included.
+failure is reported on stderr; stdout carries results only.  ``compare``
+exits 2 on a negative ``--exact-limit`` or a malformed ``--eps`` before
+writing any row, as ``solve`` does; it reports every other failure in the
+row's ``error`` field and carries on, a packing that fails verification
+against every item of the instance included.
 
 ``compare`` computes each exact optimum once per (instance, cost spec): the
 ``exact`` row and the ratio of every row of that instance and spec share the
@@ -227,7 +228,7 @@ def _split_cost_specs(text: str) -> list[str]:
     return specs
 
 
-def _compare_rows(args):
+def _compare_rows(args, eps):
     algs = args.algs.split(",")
     costs = _split_cost_specs(args.costs)
     for path in args.instances:
@@ -245,7 +246,7 @@ def _compare_rows(args):
             for spec in costs:
                 row = {"instance": path, "algorithm": alg, "cost_spec": spec}
                 try:
-                    _fill_row(row, args, inst, alg, spec, optima)
+                    _fill_row(row, args, inst, alg, spec, optima, eps)
                 except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
                     row["error"] = str(exc)
                 except MemoryError as exc:
@@ -267,10 +268,9 @@ def _exact_optimum(optima, inst, spec, f, limit):
     return optima[spec]
 
 
-def _fill_row(row, args, inst, alg, spec, optima) -> None:
+def _fill_row(row, args, inst, alg, spec, optima, eps) -> None:
     """Fill one compare row in place; what it raises becomes the row's error."""
     f = parse_cost_spec(spec, inst.n)
-    eps = parse_eps(args.eps) if args.eps else None
     if alg == "exact":
         packing, cost, seconds = _exact_optimum(optima, inst, spec, f, args.exact_limit)
     else:
@@ -327,7 +327,8 @@ def _aggregate_rows(rows):
 
 def cmd_compare(args) -> int:
     _check_exact_limit(args.exact_limit)
-    rows = list(_compare_rows(args))
+    eps = parse_eps(args.eps) if args.eps else None
+    rows = list(_compare_rows(args, eps))
     rows.extend(_aggregate_rows(rows))
     fields = ["instance", "algorithm", "cost_spec", "cost", "bins", "runtime_s",
               "baseline", "ratio", "error"]

@@ -19,11 +19,14 @@ of types and windows.
 The first master solve needs no simplex when it can be avoided:
 ``LpModel.seed_columns`` works out its crash basis's whole vertex in
 closed form, levels and row duals, and ``simplex.certify`` accepts the pair
-when it is primal and dual feasible with equal objectives.  Only when the
-certificate fails does ``solve_lp`` run, warm from the same basis.  A
-master solution carries the keys of its basic columns, so
-``extract_basic`` reads basicness off them when the projected support lies
-inside the basis, and runs a rank test only otherwise.
+when it is primal and dual feasible with equal objectives.  It rests on
+two invariants of the scheme: a singleton's main window has count bound
+ks[0] = 0 and no rows, so alpha_j = f(1); and window (0, 1), usable with
+a <= p_max, can always host the small items.  Only when the certificate
+fails does ``solve_lp`` run, warm from the same basis.  A master solution
+carries the keys of its basic columns, so ``extract_basic`` reads
+basicness off them when the projected support lies inside the basis, and
+runs a rank test only otherwise.
 """
 from __future__ import annotations
 
@@ -85,11 +88,11 @@ def small_types(
 
 @dataclass
 class LpModel:
-    """Master model state: fixed rows, growable column set.  The fixed part
-    is worked out once: ``row_windows`` (the usable windows, which get
-    rows) and the candidate assignment pairs ``y_pairs``.  The master's
-    columns are the configurations of ``columns`` and the ``entered`` pairs,
-    in one append-only order of entry: a column's position, and with it a
+    """Master model state: fixed rows, growable column set.  Worked out
+    once: ``row_windows`` (the usable windows, which get rows) and the
+    candidate assignment pairs, one per (small type, row window), type-major.
+    The master's columns are ``columns`` and the ``entered`` pairs, in one
+    append-only order of entry: a column's position, and with it a
     warm-start label, never moves."""
 
     sizes: tuple[int, ...]  # distinct rounded large sizes, descending
@@ -107,14 +110,12 @@ class LpModel:
     columns: list[GeneralizedConfiguration] = field(default_factory=list)
     row_windows: tuple[Window, ...] = field(init=False)
     row_index: dict[Window, int] = field(init=False)  # a window's index in row_windows
-    y_pairs: tuple[tuple[int, Window], ...] = field(init=False)  # (type, window)
-    entered: list[int] = field(init=False)  # indices into y_pairs, in order of entry
-    # per configuration: its master position, and its window's index in
-    # row_windows (-1 for a window without rows)
+    entered: list[int] = field(init=False)  # candidate pairs, in order of entry
+    # per configuration, in column order: its master position, and its
+    # window's index in row_windows (-1 for a window without rows)
     _position: dict[GeneralizedConfiguration, int] = field(init=False)
-    _x_at: list[int] = field(init=False)
     _x_row: list[int] = field(init=False)
-    # the fixed assignment block, one entry per y_pairs pair: its type, its
+    # the fixed assignment block, one entry per candidate pair: its type, its
     # window's index in row_windows, its size-row coefficient, and its master
     # position (-1 until it enters)
     _y_type: np.ndarray = field(init=False)
@@ -131,20 +132,16 @@ class LpModel:
         self.row_index = {w: i for i, w in enumerate(self.row_windows)}
         # a candidate zero-cost assignment column for every usable (type,
         # window) pair; windows too small for any small item carry none
-        self.y_pairs = tuple(
-            (si, w) for si in range(len(self.smalls)) for w in self.row_windows
-        )
-        self._y_type, self._y_window = np.divmod(
-            np.arange(len(self.y_pairs), dtype=np.intp), len(self.row_windows)
-        )
+        ns, nw = len(self.smalls), len(self.row_windows)
+        self._y_type = np.repeat(np.arange(ns, dtype=np.intp), nw)
+        self._y_window = np.tile(np.arange(nw, dtype=np.intp), ns)
         # int / int rounds once, exactly as float(Fraction) does
         self._y_size = -np.array(
             [st.size / self.scale for st in self.smalls], dtype=np.float64
         )[self._y_type]
-        self._y_at = np.full(len(self.y_pairs), -1, dtype=np.intp)
+        self._y_at = np.full(len(self._y_type), -1, dtype=np.intp)
         self.entered = []
         self._position = {gc: j for j, gc in enumerate(self.columns)}
-        self._x_at = list(range(len(self.columns)))
         self._x_row = [self.row_index.get(gc.window, -1) for gc in self.columns]
 
     # -- column handling -------------------------------------------------
@@ -152,16 +149,15 @@ class LpModel:
         if gc in self._position:
             return False
         self._position[gc] = len(self.columns) + len(self.entered)
-        self._x_at.append(self._position[gc])
         self._x_row.append(self.row_index.get(gc.window, -1))
         self.columns.append(gc)
         return True
 
     def enter(self, pairs: Iterable[int]) -> int:
-        """Make the candidate pairs ``pairs`` (indices into ``y_pairs``)
-        master columns, in y_pairs order after every column so far; pairs
-        already in the master are skipped.  Returns how many entered."""
-        picked = np.zeros(len(self.y_pairs), dtype=bool)
+        """Make the candidate pairs ``pairs`` master columns, in pair order
+        after every column so far; pairs already in the master are skipped.
+        Returns how many entered."""
+        picked = np.zeros(len(self._y_at), dtype=bool)
         picked[np.fromiter(pairs, dtype=np.intp)] = True
         new = np.flatnonzero(picked & (self._y_at < 0))
         self._y_at[new] = len(self.columns) + len(self.entered) + np.arange(len(new))
@@ -202,128 +198,99 @@ class LpModel:
         vertex.
 
         Size row j is covered by its singleton seed column at level
-        demands[j].  When small items are kept, every usable window with
-        a <= p_max gets an empty seed configuration, and every small type
-        sits on its assignment column to one host window, at the type's
-        item count: the host is the window whose empty configuration's cost
-        f_at[a] times the level max(S/w, N/kappa) it needs is least, where S
-        and N are the total kept small size and count less what the
-        singletons already put on the window's rows.  The host's empty
-        configuration is basic at that level on whichever of its two rows
-        needs the larger level, the other row's surplus is basic; a host the
-        singletons already cover keeps both surpluses.
+        demands[j], on a window without rows, so alpha_j = f(1).  When small
+        items are kept, every usable window with a <= p_max gets an empty
+        seed configuration, and every small type sits on its assignment
+        column to one host window, at the type's item count: the host is the
+        window whose empty configuration's cost f_at[a] times the level
+        max(S/w, N/kappa) it needs is least, where S and N are the total
+        kept small size and count.  A host always exists: window (0, 1) is
+        usable and p_max >= 1.  The host's empty configuration is basic at
+        that level on whichever of its two rows needs the larger level, the
+        other row's surplus is basic.
 
         The rows of every other window then complete the duals.  The host's
         binding row prices small type s at beta_s = size_s f_at[a] / w (size
         row, gamma = f_at[a] / w) or f_at[a] / kappa (count row, delta =
-        f_at[a] / kappa); a host the singletons already cover prices it at
-        0.  A window that is neither the host nor carries a singleton share
-        is idle: both its rows are tight at 0, and on their surpluses they
-        would price its assignment columns at -beta_s, so the simplex would
-        spend one degenerate pivot per idle window lifting its duals.
-        Instead one of its assignment columns is basic at level 0 in place
-        of one row's surplus, so the primal vertex does not move.  On the
-        size row that is the type of largest beta_s / size_s, which sets
-        gamma = max_s beta_s / size_s; on the count row the type of largest
-        beta_s, which sets delta = max_s beta_s.  Either way every
-        assignment column on the window has reduced cost
-        size_s gamma + delta - beta_s >= 0 (complementary slackness at a
-        degenerate vertex).  The row taken is the one whose dual charges the
-        window's capacity less, w gamma against kappa delta, so the
-        configurations on the window are priced as cheaply as the two dual
-        vertices allow.  Last, each singleton prices its size row at its
-        cost less what its window's rows charge: alpha_j = f_at[1] -
-        w gamma - kappa delta.  The seed basis is then optimal unless some
-        empty seed configuration prices below its cost, and
+        f_at[a] / kappa).  Every other window is idle: both its rows are
+        tight at 0, and on their surpluses they would price its assignment
+        columns at -beta_s, so the simplex would spend one degenerate pivot
+        per idle window lifting its duals.  Instead one of its assignment
+        columns is basic at level 0 in place of one row's surplus, so the
+        primal vertex does not move.  On the size row that is the type of
+        largest beta_s / size_s, which sets gamma = max_s beta_s / size_s;
+        on the count row the type of largest beta_s, which sets delta =
+        max_s beta_s.  Either way every assignment column on the window has
+        reduced cost size_s gamma + delta - beta_s >= 0 (complementary
+        slackness at a degenerate vertex).  The row taken is the one whose
+        dual charges the window's capacity less, w gamma against kappa
+        delta, so the configurations on the window are priced as cheaply as
+        the two dual vertices allow.  The seed basis is then optimal unless
+        some empty seed configuration prices below its cost, and
         ``solve_master`` certifies it without a simplex call.
 
         The basis is triangular, hence nonsingular: each size row belongs to
         its singleton, each type row to its host pair, the host's binding
         row to its configuration, an idle window's row to its pair, and every
-        other row to its surplus.
-
-        Only the basis's assignment columns enter the master: one per type
-        on the host, one per idle window.  Column generation enters any
-        other pair when its closed-form reduced cost turns negative.  When
-        no window can host, every pair enters, and the labels leave the type
-        rows on their surpluses: the vertex is infeasible, the certificate
-        fails, and ``solve_lp`` falls back to the slack start.  The
-        singletons' windows are then the only room for small items.
+        other row to its surplus.  Only the basis's assignment columns enter
+        the master; column generation enters any other pair when its
+        closed-form reduced cost turns negative.
         """
         nv, ns, nw = len(self.sizes), len(self.smalls), len(self.row_windows)
         labels: list[Label] = [("s", i) for i in range(nv + ns + 2 * nw)]
         levels: dict[int, float] = {}  # a basic column's master position -> level
         duals = np.zeros(len(labels))
-        size_on = dict.fromkeys(self.row_windows, 0.0)  # what the singletons put on a row
-        count_on = dict.fromkeys(self.row_windows, 0.0)
-        singletons = [self.singleton_column(j) for j in range(nv)]
-        for j, (gc, d) in enumerate(zip(singletons, self.demands)):
+        duals[:nv] = self.staircase.f_at[1]
+        for j, d in enumerate(self.demands):
+            gc = self.singleton_column(j)
             self.add_column(gc)
             labels[j] = ("x", self._position[gc])
             levels[self._position[gc]] = d
-            if gc.window in size_on:
-                size_on[gc.window] += gc.window.w * d
-                count_on[gc.window] += gc.window.kappa * d
-
-        def vertex() -> SeedVertex:
-            for j, gc in enumerate(singletons):
-                duals[j] = self.staircase.f_at[gc.p]
-                if gc.window in self.row_index:
-                    row = nv + ns + 2 * self.row_index[gc.window]
-                    duals[j] -= gc.window.w * duals[row] + gc.window.kappa * duals[row + 1]
-            x = np.zeros(len(self.columns) + len(self.entered))
-            x[list(levels)] = list(levels.values())
-            return SeedVertex(labels, x, duals)
-
-        if not self.smalls:
-            return vertex()
-        total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
-        total_count = sum(len(st.items) for st in self.smalls)
-        best = None  # (cost, size level, count level, host position, column)
-        for h, w in enumerate(self.row_windows):
-            if w.a > self.p_max:
-                continue
-            gc = self.empty_column(w)
-            self.add_column(gc)
-            by_size = (total_size - size_on[w]) / w.w
-            by_count = (total_count - count_on[w]) / w.kappa
-            cost = self.staircase.f_at[w.a] * max(by_size, by_count, 0.0)
-            if best is None or cost < best[0]:
-                best = (cost, by_size, by_count, h, self._position[gc])
-        if best is None:
-            self.enter(range(len(self.y_pairs)))
-            return vertex()
-        _, by_size, by_count, h, col = best
-        on_pair = {nv + si: si * nw + h for si in range(ns)}  # row -> basic pair
-        sizes = -self._y_size[::nw]  # size_s, once per type
-        host = self.row_windows[h]
-        f_host = self.staircase.f_at[host.a]
-        beta = np.zeros(ns)  # a host the singletons cover prices nothing
-        if max(by_size, by_count) > 0.0:
+        if self.smalls:
+            total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
+            total_count = sum(len(st.items) for st in self.smalls)
+            best = None  # (cost, size level, count level, host index, column)
+            for h, w in enumerate(self.row_windows):
+                if w.a > self.p_max:
+                    continue
+                gc = self.empty_column(w)
+                self.add_column(gc)
+                by_size, by_count = total_size / w.w, total_count / w.kappa
+                cost = self.staircase.f_at[w.a] * max(by_size, by_count)
+                if best is None or cost < best[0]:
+                    best = (cost, by_size, by_count, h, self._position[gc])
+            if best is None:
+                raise InvariantError("no usable window with a <= p_max hosts the small items")
+            _, by_size, by_count, h, col = best
+            on_pair = {nv + si: si * nw + h for si in range(ns)}  # row -> basic pair
+            sizes = -self._y_size[::nw]  # size_s, once per type
+            host = self.row_windows[h]
+            f_host = self.staircase.f_at[host.a]
             on_count = by_count > by_size
             row = nv + ns + 2 * h + on_count  # size row, count row
             labels[row] = ("x", col)
             levels[col] = max(by_size, by_count)
             duals[row] = f_host / (host.kappa if on_count else host.w)
             beta = np.full(ns, f_host / host.kappa) if on_count else sizes * f_host / host.w
-        duals[nv : nv + ns] = beta
-        s_size = int(np.argmax(beta / sizes))
-        s_count = int(np.argmax(beta))
-        gamma, delta = beta[s_size] / sizes[s_size], beta[s_count]
-        for i, w in enumerate(self.row_windows):
-            if i == h or count_on[w]:
-                continue  # the host, or a window with a singleton share
-            row = nv + ns + 2 * i
-            if w.w * gamma <= w.kappa * delta:
-                on_pair[row], duals[row] = s_size * nw + i, gamma
-            else:
-                on_pair[row + 1], duals[row + 1] = s_count * nw + i, delta
-        self.enter(on_pair.values())
-        for row, pair in on_pair.items():
-            labels[row] = ("x", int(self._y_at[pair]))
-        for si, st in enumerate(self.smalls):
-            levels[int(self._y_at[si * nw + h])] = len(st.items)
-        return vertex()
+            duals[nv : nv + ns] = beta
+            s_size, s_count = int(np.argmax(beta / sizes)), int(np.argmax(beta))
+            gamma, delta = beta[s_size] / sizes[s_size], beta[s_count]
+            for i, w in enumerate(self.row_windows):
+                if i == h:
+                    continue
+                row = nv + ns + 2 * i
+                if w.w * gamma <= w.kappa * delta:
+                    on_pair[row], duals[row] = s_size * nw + i, gamma
+                else:
+                    on_pair[row + 1], duals[row + 1] = s_count * nw + i, delta
+            self.enter(on_pair.values())
+            for row, pair in on_pair.items():
+                labels[row] = ("x", int(self._y_at[pair]))
+            for si, st in enumerate(self.smalls):
+                levels[int(self._y_at[si * nw + h])] = len(st.items)
+        x = np.zeros(len(self.columns) + len(self.entered))
+        x[list(levels)] = list(levels.values())
+        return SeedVertex(labels, x, duals)
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
@@ -347,12 +314,14 @@ class LpModel:
         x_kept = np.array([keep is None or gc.window in keep for gc in self.columns], dtype=bool)
         x_cols = list(compress(self.columns, x_kept))
         # each kept column's master position; the program keeps their order
-        at = np.concatenate([self._y_at[ys], np.array(self._x_at, dtype=np.intp)[x_kept]])
+        x_at = np.fromiter(self._position.values(), dtype=np.intp)  # in column order
+        at = np.concatenate([self._y_at[ys], x_at[x_kept]])
         order = np.argsort(at)
         col = np.empty_like(order)
         col[order] = np.arange(len(at))
         yj, xj = col[: len(ys)], col[len(ys) :]
-        keys = [self.y_pairs[p] for p in ys.tolist()] + x_cols
+        pairs = zip(self._y_type[ys].tolist(), self._y_window[ys].tolist())
+        keys = [(si, self.row_windows[i]) for si, i in pairs] + x_cols
         cols = [keys[i] for i in order.tolist()]
         row_of = nv + ns + 2 * (np.cumsum(kept) - 1)  # a kept window's size row
         A = np.zeros((nv + ns + 2 * len(windows), len(cols)), dtype=np.float64)
@@ -440,8 +409,9 @@ def solve_master(
 ) -> tuple[LpSolution, LpResult]:
     """Solve the current restricted master exactly; returns duals as well,
     and the simplex result for its basis and pivot count.  A ``seed``
-    vertex that ``certify`` accepts is the optimum as it is, and no simplex
-    runs; otherwise the simplex starts from ``warm_basis``."""
+    vertex that ``certify`` accepts (A x >= b - FEAS_TOL among its tests)
+    is the optimum as it is, and no simplex runs; otherwise the simplex
+    starts from ``warm_basis`` and its answer's residual is checked."""
     c, A, b, cols, windows = model.arrays()
     if seed is not None and certify(c, A, b, seed.x, seed.duals):
         res = LpResult(
@@ -449,13 +419,13 @@ def solve_master(
         )
     else:
         res = solve_lp(c, A, b, basis=warm_basis)
-    if res.status == "infeasible":
-        raise InfeasibleMasterError("restricted master infeasible; seeding is broken")
-    if res.status != "optimal":
-        raise NumericalFailureError(f"master solve ended with status {res.status}")
-    resid = np.min(A @ res.x - b) if len(b) else 0.0
-    if resid < -FEAS_TOL:
-        raise NumericalFailureError(f"master residual {resid:.2e}")
+        if res.status == "infeasible":
+            raise InfeasibleMasterError("restricted master infeasible; seeding is broken")
+        if res.status != "optimal":
+            raise NumericalFailureError(f"master solve ended with status {res.status}")
+        resid = np.min(A @ res.x - b) if len(b) else 0.0
+        if resid < -FEAS_TOL:
+            raise NumericalFailureError(f"master residual {resid:.2e}")
     return _solution_from_result(model, res, cols, windows), res
 
 
@@ -494,7 +464,7 @@ def column_generation(
     seed = model.seed_columns()
     basis = seed.labels
     if max_rounds is None:
-        max_rounds = len(model.y_pairs) + 10 * (
+        max_rounds = len(model._y_at) + 10 * (
             len(model.sizes) + 2 * len(model.windows) + len(model.smalls)
         )
     kcc_eps = 0.5 / model.eps.denominator  # eps / 2

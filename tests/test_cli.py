@@ -521,6 +521,17 @@ class TestCompare:
         _assert_input_error(capsys, code)
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("eps", ["1/2", "2/3", "1/x"])
+    def test_malformed_eps_is_input_error(self, tmp_path, capsys, eps):
+        # eps is checked once, before any row, even when no row reads it
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--instances", str(p1), "--algs", "mh,fnfi,afptas",
+                     "--costs", "fq:1", "--eps", eps, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: eps must") and len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("alg", ["nf-inc", "fnfi"])
     def test_dropped_item_becomes_row_error(self, tmp_path, monkeypatch, alg):
         # each packer drops its last bin and declares only what it packed

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from concavebp import lp, make_fq
-from concavebp.errors import InfeasibleMasterError
+from concavebp import lp, make_fq, run_afptas
+from concavebp.errors import InfeasibleMasterError, InvariantError
+from concavebp.generators import mixed
 from concavebp.lp import (
     FRACTIONAL_TOL,
     LpModel,
@@ -22,7 +25,7 @@ from concavebp.lp import (
     verify_solution_rows,
 )
 from concavebp.serialize import parse_cost_spec
-from concavebp.simplex import _labels_to_indices, _State, certify, solve_lp
+from concavebp.simplex import FEAS_TOL, _labels_to_indices, _State, certify, solve_lp
 from concavebp.structures import (
     Configuration,
     GeneralizedConfiguration,
@@ -233,11 +236,12 @@ class TestColumnGeneration:
                     + w.kappa * sol.delta.get(w, 0.0)
                 )
                 assert model.staircase.f_at[gc.p] - value >= -1e-7
-            for si, w in model.y_pairs:
+            pairs = _pairs(model)
+            for si, w in pairs:
                 size = model.smalls[si].size / model.scale
                 value = sol.beta[si] - size * sol.gamma[w] - sol.delta[w]
                 assert -value >= -1e-7
-            checked += len(model.columns) + len(model.y_pairs)
+            checked += len(model.columns) + len(pairs)
         assert checked >= 1000
 
     def test_sifted_master_matches_every_pair_master(self):
@@ -270,6 +274,14 @@ class TestColumnGeneration:
         assert entered >= 3
 
 
+def _pairs(model: LpModel) -> list:
+    """Every candidate (small type, window) pair, in pair order."""
+    return [
+        (si, model.row_windows[i])
+        for si, i in zip(model._y_type.tolist(), model._y_window.tolist())
+    ]
+
+
 def _solve_full_program(model: LpModel) -> float:
     """Optimum over every valid generalized configuration, built explicitly."""
     probe = LpModel(
@@ -285,7 +297,7 @@ def _solve_full_program(model: LpModel) -> float:
         f=model.f,
         main_windows=set(model.main_windows),
     )
-    probe.enter(range(len(probe.y_pairs)))
+    probe.enter(range(len(_pairs(probe))))
     configs = enumerate_configurations(
         list(model.sizes), list(model.demands), model.eps.denominator, model.scale
     )
@@ -475,10 +487,11 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     ]
     nv, ns = len(model.sizes), len(model.smalls)
     w_row = {w: nv + ns + 2 * i for i, w in enumerate(windows)}
+    pairs = _pairs(model)
     if every_pair:
-        master = list(model.y_pairs) + model.columns
+        master = pairs + model.columns
     else:
-        at = {model.y_pairs[p]: model._y_at[p] for p in model.entered}
+        at = {pairs[p]: model._y_at[p] for p in model.entered}
         at.update(model._position)
         master = sorted(at, key=at.get)
         assert [at[key] for key in master] == list(range(len(master)))
@@ -537,7 +550,7 @@ class TestArraysMatchColumnLoop:
             some = {w for w in model.windows if rng.random() < 0.5}
             self._assert_same(model, some)
             self._assert_same(model, set())
-            checked += len(model.y_pairs) > 0 and len(model.columns) > len(sizes)
+            checked += len(_pairs(model)) > 0 and len(model.columns) > len(sizes)
         assert checked > 0
 
     def test_without_smalls_or_columns(self):
@@ -664,28 +677,28 @@ class TestSeedBasis:
         self._check_idle_windows(model, labels, cols)
         # the master holds exactly the seed basis's assignment columns
         basic = {cols[j] for kind, j in labels if kind == "x" and isinstance(cols[j], tuple)}
-        entered = {model.y_pairs[p] for p in model.entered}
+        pairs = _pairs(model)
+        entered = {pairs[p] for p in model.entered}
         assert entered == basic == {key for key in cols if isinstance(key, tuple)}
         # no candidate assignment column, entered or not, prices below zero
         # under the seed basis: rc(s, w) = size_s gamma_w + delta_w - beta_s
         duals = np.concatenate([c, np.zeros(A.shape[0])])[state.basis] @ state.binv
         nv, ns = len(model.sizes), len(model.smalls)
-        for si, w in model.y_pairs:
+        for si, w in pairs:
             row = nv + ns + 2 * model.row_windows.index(w)
             size = model.smalls[si].size / model.scale
             assert size * duals[row] + duals[row + 1] - duals[nv + si] >= -1e-9
         return labels, state, certified
 
     def _check_idle_windows(self, model, labels, cols):
-        """Each idle window (not the host, no singleton share) has exactly
+        """Each idle window (every window with rows but the host) has exactly
         one assignment column of its own basic on one of its rows."""
         nv, ns = len(model.sizes), len(model.smalls)
-        if not ns or labels[nv][0] != "x":
-            return  # no host: nothing to complete
+        if not ns:
+            return  # no small items, so no host and no idle window
         host = cols[labels[nv][1]][1]
-        shared = {cols[j].window for _, j in labels[:nv]}
         for i, w in enumerate(model.row_windows):
-            if w == host or w in shared:
+            if w == host:
                 continue
             on = [j for kind, j in labels[nv + ns + 2 * i : nv + ns + 2 * i + 2] if kind == "x"]
             assert len(on) == 1 and isinstance(cols[on[0]], tuple) and cols[on[0]][1] == w
@@ -730,59 +743,16 @@ class TestSeedBasis:
         host = _host(model, self._check(model)[0])
         assert host is not None and not host[1]
 
-    def _with_singleton_on(self, model, w):
-        """Put size 0's seed singleton on window w, as if its main window
-        reserved room there."""
-        plain = model.singleton_column
-        def singleton(j):
-            gc = plain(j)
-            return GeneralizedConfiguration(gc.config, gc.p, w) if j == 0 else gc
-        model.singleton_column = singleton
-
-    def test_window_a_singleton_already_covers(self):
-        # one item of 1/6 fits under the singleton's window share: the host
-        # needs no level, so both its rows stay on their surpluses
-        model = build_model(["1/2"], [4], small_sizes=["1/6"])
-        w = min(
-            (w for w in model.windows if model.usable(w) and w.a <= model.p_max),
-            key=lambda w: model.staircase.f_at[w.a],
-        )
-        self._with_singleton_on(model, w)
-        labels, *_ = self._check(model)
-        assert _host(model, labels) is None
-        assert labels[len(model.sizes)] == ("x", model.arrays()[3].index((0, w)))
-
-    def test_window_a_singleton_partly_covers(self):
-        # the singleton's share counts against the host's need: the host
-        # keeps its window, at the lower level the rest of the smalls need
-        for k in range(8, 15):
-            smalls = ["1/6"] * k + ["1/8"] * (k // 3)
-            plain = build_model(["1/2"], [1], small_sizes=smalls, n=40)
-            w, _ = _host(plain, plain.seed_columns().labels)
-            model = build_model(["1/2"], [1], small_sizes=smalls, n=40)
-            self._with_singleton_on(model, w)
-            labels, state, _ = self._check(model)
-            assert _host(model, labels)[0] == w
-            total = k / 6 + (k // 3) / 8
-            need = max((total - w.w) / w.w, (len(smalls) - w.kappa) / w.kappa)
-            col = model.arrays()[3].index(model.empty_column(w))
-            level = state.xb()[labels.index(("x", col))]
-            assert need > 0 and level == pytest.approx(need, rel=1e-12)
-
-    def test_no_host_enters_every_pair(self):
+    def test_no_host_raises(self):
         # every usable window has a > p_max, so no window has an empty seed
-        # configuration to host the smalls; the singleton's window is their
-        # only room, and the model starts from every pair
+        # configuration to host the smalls; the scheme never builds such a
+        # model, and seeding it is an invariant failure
         base = build_model(["1/2"], [2], small_sizes=["1/12", "1/8"], q=3, delta_cap=1)
         windows = tuple(w for w in base.windows if not base.usable(w) or w.a > base.p_max)
         model = dataclasses.replace(base, windows=windows, columns=[])
         assert model.row_windows and model.p_max == 1
-        self._with_singleton_on(model, model.row_windows[0])
-        sol, info = column_generation(model)
-        assert len(model.entered) == len(model.y_pairs) and info.pairs_entered == 0
-        c, A, b, *_ = _loop_arrays(model, every_pair=True)
-        assert sol.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-9)
-        verify_solution_rows(model, sol)
+        with pytest.raises(InvariantError, match="hosts the small items"):
+            model.seed_columns()
 
     def test_failed_certificate_falls_back_to_the_simplex(self, monkeypatch):
         # a tampered dual fails the certificate: the first master solve runs
@@ -835,3 +805,49 @@ class TestSeedBasis:
                 assert np.array_equal(again.x, seed.x)
                 assert np.array_equal(again.duals, seed.duals)
                 assert model.columns == columns
+
+
+@st.composite
+def concave_table_specs(draw):
+    """``table:`` specs with f(1) = 1 and non-increasing increments (in
+    hundredths, so that the values print exactly)."""
+    steps = draw(st.lists(st.integers(0, 100), min_size=1, max_size=8))
+    vals = [0, 100]
+    for step in sorted(steps, reverse=True):
+        vals.append(vals[-1] + step)
+    return "table:" + ",".join(str(v / 100) for v in vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(20, 120),
+    seed=st.integers(0, 10**6),
+    denominator=st.sampled_from([10**3, 10**6]),
+    k=st.integers(3, 6),
+    spec=concave_table_specs(),
+    windowed=st.booleans(),
+)
+def test_seed_invariants_of_the_scheme(n, seed, denominator, k, spec, windowed):
+    # seed_columns relies on these for every master the scheme builds: no
+    # singleton's window has rows, a window with a <= p_max can host the
+    # smalls, and the closed-form seed vertex is primal feasible
+    inst = mixed(n, seed, denominator)
+    seeds = []
+    honest = LpModel.seed_columns
+
+    def recorded(model):
+        seed_vertex = honest(model)
+        seeds.append((model, seed_vertex, model.arrays()))
+        return seed_vertex
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LpModel, "seed_columns", recorded)
+        run_afptas(inst, parse_cost_spec(spec, n), Fraction(1, k), h_eps=k if windowed else None)
+    assert seeds
+    for model, seed_vertex, (c, A, b, *_) in seeds:
+        for j in range(len(model.sizes)):
+            assert model.singleton_column(j).window not in model.row_index
+        assert any(w.a <= model.p_max for w in model.row_windows)
+        assert seed_vertex.x.shape == c.shape
+        assert np.all(seed_vertex.x >= 0.0)
+        assert np.all(A @ seed_vertex.x >= b - FEAS_TOL)

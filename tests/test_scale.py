@@ -98,5 +98,5 @@ def test_fine_master_sifts_assignment_columns(monkeypatch):
     assert masters
     for model, (rows, _cols), pairs in masters:
         # the candidates outnumber the rows many times over
-        assert len(model.y_pairs) > 20 * rows
+        assert len(model._y_type) > 20 * rows
         assert pairs <= 2 * rows
