@@ -1,8 +1,9 @@
 """Command-line surface: solve, verify, gen, compare.
 
 Exit codes: 0 success, 2 malformed or unreadable input (including a
-``--config-budget`` below 1, a negative ``--exact-limit`` and a cost table
-that ``afptas`` cannot normalize, such as an all-zero one), 3 infeasible
+``--config-budget`` below 1, a negative ``--exact-limit``, a cost table
+that ``afptas`` cannot normalize, such as an all-zero one, and a number
+too long for ``sys.get_int_max_str_digits()``), 3 infeasible
 or failed verification (including a claimed cost that does not match, an
 infeasible master program, a numerical failure of the LP solver or a broken
 invariant of the scheme), 4 solver limit exceeded (including running out of
@@ -75,9 +76,12 @@ SOLVER_FAILURES = (InfeasibleMasterError, NumericalFailureError, InvariantError)
 
 def parse_eps(text: str) -> Fraction:
     parts = text.split("/")
-    if len(parts) != 2 or parts[0] != "1" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "1" or not parts[1].isdecimal():
         raise ParseError('eps must look like "1/k" with integer k >= 3')
-    k = int(parts[1])
+    try:
+        k = int(parts[1])
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"eps: {exc}") from exc
     if k < 3:
         raise ParseError("eps must be at most 1/3")
     return Fraction(1, k)

@@ -3,30 +3,31 @@ the projection onto canonical windows, and basic-solution extraction.
 
 Rows:  one covering row per rounded large size, one per small size type
 (the distinct kept small sizes, demand: the type's item count), and a (size,
-count) pair of rows per window some small item fits.  A window no small item
-fits has no assignment columns, so its two rows would read w.x >= 0 and
-kappa.x >= 0 and bind nothing; it gets no rows.  Columns: one per
-generalized configuration (cost: the configuration's level cost) and
-zero-cost assignment columns, one per (small type, usable window) pair that
-has entered the master.  Every such pair is a candidate, but it enters only
-when its reduced cost size_s gamma_w + delta_w - beta_s, which has a closed
-form in the three duals of its rows, is negative (sifting, after Bixby,
+count) pair of rows per window some small item fits; a window no small item
+fits would only get rows that bind nothing.  Columns: one per generalized
+configuration (cost: its level cost) and zero-cost assignment columns, one
+per (small type, usable window) pair that has entered the master.  Every
+such pair is a candidate, but it enters only when its closed-form reduced
+cost size_s gamma_w + delta_w - beta_s is negative (sifting, after Bixby,
 Gregory, Lustig, Marsten and Shanno 1992; partial pricing, Chvatal 1983).
-The master's size thus follows the number of distinct sizes, not n, and
-its assignment columns follow the pairs the optimum uses, not the product
-of types and windows.
+The master's size thus follows the number of distinct sizes, not n.
+
+``LpModel`` stores each master column once, in its order of entry: key,
+cost and the run of its (row, value) nonzeros; ``arrays()`` scatters the
+store into dense (c, A, b).  A solution's row duals are one vector in
+that row order, ``LpSolution.duals``, which the closed-form pair pricing
+and ``pricing.price_all`` read by row.
 
 The first master solve needs no simplex when it can be avoided:
 ``LpModel.seed_columns`` works out its crash basis's whole vertex in
-closed form, levels and row duals, and ``simplex.certify`` accepts the pair
-when it is primal and dual feasible with equal objectives.  It rests on
-two invariants of the scheme: a singleton's main window has count bound
-ks[0] = 0 and no rows, so alpha_j = f(1); and window (0, 1), usable with
-a <= p_max, can always host the small items.  Only when the certificate
-fails does ``solve_lp`` run, warm from the same basis.  A master solution
-carries the keys of its basic columns, so ``extract_basic`` reads
-basicness off them when the projected support lies inside the basis, and
-runs a rank test only otherwise.
+closed form, and ``simplex.certify`` accepts it when it is primal and dual
+feasible with equal objectives.  It rests on two invariants of the scheme:
+a singleton's main window has count bound ks[0] = 0 and no rows, so
+alpha_j = f(1); and window (0, 1), usable with a <= p_max, can always host
+the small items.  Only when the certificate fails does ``solve_lp`` run,
+warm from the same basis.  A master solution carries the keys of its basic
+columns, so ``extract_basic`` reads basicness off them when the projected
+support lies inside the basis, and runs a rank test only otherwise.
 """
 from __future__ import annotations
 
@@ -91,9 +92,11 @@ class LpModel:
     """Master model state: fixed rows, growable column set.  Worked out
     once: ``row_windows`` (the usable windows, which get rows) and the
     candidate assignment pairs, one per (small type, row window), type-major.
-    The master's columns are ``columns`` and the ``entered`` pairs, in one
-    append-only order of entry: a column's position, and with it a
-    warm-start label, never moves."""
+    Every master column is stored once, in its order of entry, as its key (a
+    configuration, or a (small type, window) pair), its cost and its run of
+    (row, value) nonzeros in the rows of ``arrays()``: a column's position,
+    and with it a warm-start label, never moves.  ``columns`` lists the
+    configurations among them."""
 
     sizes: tuple[int, ...]  # distinct rounded large sizes, descending
     demands: tuple[int, ...]  # multiplicity per size
@@ -107,14 +110,16 @@ class LpModel:
     f: CostFunction
     main_windows: set[Window] = field(default_factory=set)  # canonical windows
 
-    columns: list[GeneralizedConfiguration] = field(default_factory=list)
+    columns: list[GeneralizedConfiguration] = field(init=False)
     row_windows: tuple[Window, ...] = field(init=False)
     row_index: dict[Window, int] = field(init=False)  # a window's index in row_windows
-    entered: list[int] = field(init=False)  # candidate pairs, in order of entry
-    # per configuration, in column order: its master position, and its
-    # window's index in row_windows (-1 for a window without rows)
-    _position: dict[GeneralizedConfiguration, int] = field(init=False)
-    _x_row: list[int] = field(init=False)
+    _position: dict[GeneralizedConfiguration, int] = field(init=False)  # master position
+    # the column store: per column its key and cost; column j's (row, value)
+    # nonzeros are _nz[_starts[j] : _starts[j + 1]]
+    _keys: list = field(init=False)
+    _costs: list[float] = field(init=False)
+    _starts: list[int] = field(init=False)
+    _nz: list[tuple[int, float]] = field(init=False)
     # the fixed assignment block, one entry per candidate pair: its type, its
     # window's index in row_windows, its size-row coefficient, and its master
     # position (-1 until it enters)
@@ -140,17 +145,28 @@ class LpModel:
             [st.size / self.scale for st in self.smalls], dtype=np.float64
         )[self._y_type]
         self._y_at = np.full(len(self._y_type), -1, dtype=np.intp)
-        self.entered = []
-        self._position = {gc: j for j, gc in enumerate(self.columns)}
-        self._x_row = [self.row_index.get(gc.window, -1) for gc in self.columns]
+        self.columns, self._position = [], {}
+        self._keys, self._costs, self._starts, self._nz = [], [], [0], []
 
     # -- column handling -------------------------------------------------
+    def _store(self, key, cost: float, run: list[tuple[int, float]]) -> None:
+        """Append one master column: its key, its cost, its (row, value) run."""
+        self._keys.append(key)
+        self._costs.append(cost)
+        self._nz.extend(run)
+        self._starts.append(len(self._nz))
+
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
         if gc in self._position:
             return False
-        self._position[gc] = len(self.columns) + len(self.entered)
-        self._x_row.append(self.row_index.get(gc.window, -1))
+        self._position[gc] = len(self._keys)
         self.columns.append(gc)
+        run = [(j, n) for j, n in enumerate(gc.config.counts) if n]
+        i = self.row_index.get(gc.window)
+        if i is not None:  # a window without rows adds none
+            row = len(self.sizes) + len(self.smalls) + 2 * i
+            run += [(row, gc.window.w), (row + 1, gc.window.kappa)]
+        self._store(gc, self.staircase.f_at[gc.p], run)
         return True
 
     def enter(self, pairs: Iterable[int]) -> int:
@@ -160,23 +176,24 @@ class LpModel:
         picked = np.zeros(len(self._y_at), dtype=bool)
         picked[np.fromiter(pairs, dtype=np.intp)] = True
         new = np.flatnonzero(picked & (self._y_at < 0))
-        self._y_at[new] = len(self.columns) + len(self.entered) + np.arange(len(new))
-        self.entered.extend(new.tolist())
+        self._y_at[new] = len(self._keys) + np.arange(len(new))
+        nv, ns = len(self.sizes), len(self.smalls)
+        fields = (y[new].tolist() for y in (self._y_type, self._y_window, self._y_size))
+        for si, i, size in zip(*fields):
+            row = nv + ns + 2 * i  # the window's size row; its count row follows
+            run = [(nv + si, 1.0), (row, size), (row + 1, -1.0)]
+            self._store((si, self.row_windows[i]), 0.0, run)
         return len(new)
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
         """rc(s, w) = size_s gamma_w + delta_w - beta_s of every candidate
-        pair, under the master's row duals clamped at 0 as ``LpSolution``
-        reads them.  An assignment column touches three rows only, so its
-        reduced cost needs no column of A."""
+        pair, under the master's row duals ``LpSolution.duals``.  An
+        assignment column touches three rows only, so its reduced cost needs
+        no column of A."""
         nv, ns = len(self.sizes), len(self.smalls)
-        d = np.maximum(duals, 0.0)
-        beta, gamma, delta = d[nv : nv + ns], d[nv + ns :: 2], d[nv + ns + 1 :: 2]
-        return (
-            delta[self._y_window]
-            - self._y_size * gamma[self._y_window]
-            - beta[self._y_type]
-        )
+        beta, gamma, delta = duals[nv : nv + ns], duals[nv + ns :: 2], duals[nv + ns + 1 :: 2]
+        w = self._y_window
+        return delta[w] - self._y_size * gamma[w] - beta[self._y_type]
 
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
@@ -288,80 +305,55 @@ class LpModel:
                 labels[row] = ("x", int(self._y_at[pair]))
             for si, st in enumerate(self.smalls):
                 levels[int(self._y_at[si * nw + h])] = len(st.items)
-        x = np.zeros(len(self.columns) + len(self.entered))
+        x = np.zeros(len(self._keys))
         x[list(levels)] = list(levels.values())
         return SeedVertex(labels, x, duals)
 
     # -- matrix assembly --------------------------------------------------
     def arrays(self, window_filter: set[Window] | None = None):
         """Dense (c, A, b) over the master's columns, plus each column's key
-        (a configuration, or a (small type, window) pair) and the windows
-        that have rows.
+        (a configuration, or a (small type, window) pair): one scatter of
+        the column store.
 
         Rows, in order: one per size, one per small type, then a (size,
         count) pair per usable window.  Columns follow the master's order of
-        entry; only entered pairs are columns.  A configuration column on a
-        window without rows touches the size rows only.  With a window
-        filter, rows of excluded windows and columns touching them are
-        dropped (the temporary program after projection).
+        entry.  With a window filter, rows of excluded windows and columns
+        on excluded windows are dropped (the temporary program after
+        projection).
         """
         keep = window_filter
         nv, ns = len(self.sizes), len(self.smalls)
         kept = np.array([keep is None or w in keep for w in self.row_windows], dtype=bool)
-        windows = list(compress(self.row_windows, kept))
-        ys = np.array(self.entered, dtype=np.intp)
-        ys = ys[kept[self._y_window[ys]]]
-        x_kept = np.array([keep is None or gc.window in keep for gc in self.columns], dtype=bool)
-        x_cols = list(compress(self.columns, x_kept))
-        # each kept column's master position; the program keeps their order
-        x_at = np.fromiter(self._position.values(), dtype=np.intp)  # in column order
-        at = np.concatenate([self._y_at[ys], x_at[x_kept]])
-        order = np.argsort(at)
-        col = np.empty_like(order)
-        col[order] = np.arange(len(at))
-        yj, xj = col[: len(ys)], col[len(ys) :]
-        pairs = zip(self._y_type[ys].tolist(), self._y_window[ys].tolist())
-        keys = [(si, self.row_windows[i]) for si, i in pairs] + x_cols
-        cols = [keys[i] for i in order.tolist()]
-        row_of = nv + ns + 2 * (np.cumsum(kept) - 1)  # a kept window's size row
-        A = np.zeros((nv + ns + 2 * len(windows), len(cols)), dtype=np.float64)
-        c = np.zeros(len(cols), dtype=np.float64)
+        rows = np.concatenate([np.ones(nv + ns, dtype=bool), np.repeat(kept, 2)])
+        windows = (k[1] if isinstance(k, tuple) else k.window for k in self._keys)
+        on = np.array([keep is None or w in keep for w in windows], dtype=bool)
+        # a kept column's rows are all kept: its window's, and the fixed ones
+        run_len = np.diff(self._starts)
+        nz = np.array(self._nz, dtype=np.float64).reshape(-1, 2)[np.repeat(on, run_len)]
+        row_at, col_at = np.cumsum(rows) - 1, np.cumsum(on) - 1
+        cols = list(compress(self._keys, on))
+        A = np.zeros((int(rows.sum()), len(cols)), dtype=np.float64)
+        A[row_at[nz[:, 0].astype(np.intp)], np.repeat(col_at[on], run_len[on])] = nz[:, 1]
+        c = np.array(self._costs, dtype=np.float64)[on]
         b = np.zeros(A.shape[0], dtype=np.float64)
         b[:nv] = self.demands
         b[nv : nv + ns] = [len(st.items) for st in self.smalls]
-        # every column touches each of its rows once, so plain assignment
-        # into the zero matrix gives the entries a per-column loop would add
-        y_rows = row_of[self._y_window[ys]]
-        A[nv + self._y_type[ys], yj] = 1.0
-        A[y_rows, yj] = self._y_size[ys]
-        A[y_rows + 1, yj] = -1.0
-        c[xj] = [self.staircase.f_at[gc.p] for gc in x_cols]
-        A[:nv, xj] = np.array(
-            [gc.config.counts for gc in x_cols], dtype=np.float64
-        ).reshape(len(x_cols), nv).T
-        # a kept configuration on a window with rows keeps that window
-        x_win = np.array(self._x_row, dtype=np.intp)[x_kept]
-        on = x_win >= 0
-        x_win, x_on = x_win[on], xj[on]
-        A[row_of[x_win], x_on] = np.array([w.w for w in self.row_windows])[x_win]
-        A[row_of[x_win] + 1, x_on] = np.array([w.kappa for w in self.row_windows])[x_win]
-        return c, A, b, cols, windows
+        return c, A, b, cols
 
 
 @dataclass
 class LpSolution:
     """A master solution.  ``y`` is keyed by (small type, window); ``assignment``
-    is keyed by (item, window), split from ``y`` by ``extract_basic``.  Windows
-    without rows have no gamma or delta, which reads as 0.  ``basis`` holds
-    the keys of the master's basic columns."""
+    is keyed by (item, window), split from ``y`` by ``extract_basic``.
+    ``duals`` holds the row duals of the program solved, clamped at 0, in
+    the row order of its ``arrays()``: alpha per size, beta per small type,
+    then gamma and delta per window with rows.  ``basis`` holds the keys of
+    the master's basic columns."""
 
     objective: float
     x: dict[GeneralizedConfiguration, float]
     y: dict[tuple[int, Window], float]
-    alpha: dict[int, float]
-    beta: dict[int, float]  # per small type
-    gamma: dict[Window, float]
-    delta: dict[Window, float]
+    duals: np.ndarray
     assignment: dict[tuple[int, Window], float] = field(default_factory=dict)
     basis: frozenset = frozenset()
 
@@ -386,20 +378,15 @@ class LpSolution:
         return fx, fy
 
 
-def _solution_from_result(model: LpModel, res: LpResult, cols, windows) -> LpSolution:
+def _solution_from_result(res: LpResult, cols) -> LpSolution:
     y, x = {}, {}
     for j in np.flatnonzero(res.x > 0).tolist():
         key = cols[j]
         (x if isinstance(key, GeneralizedConfiguration) else y)[key] = float(res.x[j])
     # duals of >= rows in a minimization are non-negative; clamp float dust
-    duals = [max(0.0, float(d)) for d in res.duals]
-    nv, ns = len(model.sizes), len(model.smalls)
-    alpha = dict(zip(model.sizes, duals[:nv]))
-    beta = dict(enumerate(duals[nv : nv + ns]))
-    gamma = dict(zip(windows, duals[nv + ns :: 2]))
-    delta = dict(zip(windows, duals[nv + ns + 1 :: 2]))
+    duals = np.where(res.duals > 0.0, res.duals, 0.0)
     basis = frozenset(cols[j] for kind, j in res.basis if kind == "x")
-    return LpSolution(res.objective, x, y, alpha, beta, gamma, delta, basis=basis)
+    return LpSolution(res.objective, x, y, duals, basis=basis)
 
 
 def solve_master(
@@ -412,7 +399,7 @@ def solve_master(
     vertex that ``certify`` accepts (A x >= b - FEAS_TOL among its tests)
     is the optimum as it is, and no simplex runs; otherwise the simplex
     starts from ``warm_basis`` and its answer's residual is checked."""
-    c, A, b, cols, windows = model.arrays()
+    c, A, b, cols = model.arrays()
     if seed is not None and certify(c, A, b, seed.x, seed.duals):
         res = LpResult(
             "optimal", seed.x, float(c @ seed.x), seed.duals, seed.labels, 0, certified=True
@@ -426,7 +413,7 @@ def solve_master(
         resid = np.min(A @ res.x - b) if len(b) else 0.0
         if resid < -FEAS_TOL:
             raise NumericalFailureError(f"master residual {resid:.2e}")
-    return _solution_from_result(model, res, cols, windows), res
+    return _solution_from_result(res, cols), res
 
 
 @dataclass
@@ -478,11 +465,11 @@ def column_generation(
         basis, pivots = res.basis, pivots + res.iterations
         if not dual_objective(model, sol) <= sol.objective + 1e-6:
             raise InvariantError("weak duality violated")
-        entered = model.enter(np.flatnonzero(model.reduced_costs(res.duals) < -PIVOT_TOL))
+        entered = model.enter(np.flatnonzero(model.reduced_costs(sol.duals) < -PIVOT_TOL))
         if entered:
             entered_total += entered
             continue
-        outcome = pricer(sol.alpha, sol.gamma, sol.delta, model, kcc_eps)
+        outcome = pricer(sol.duals, model, kcc_eps)
         if outcome.max_certified_ratio <= one_plus:
             info = ColumnGenerationInfo(
                 round_no + 1,
@@ -547,9 +534,7 @@ def project_to_main_windows(sol: LpSolution, model: LpModel) -> LpSolution:
             y.pop((si, w), None)
     nw = len(model.row_windows)
     model.enter(si * nw + model.row_index[w] for si, w in y if w in model.row_index)
-    return LpSolution(
-        sol.objective, x, y, sol.alpha, sol.beta, sol.gamma, sol.delta, basis=sol.basis
-    )
+    return LpSolution(sol.objective, x, y, sol.duals, basis=sol.basis)
 
 
 def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
@@ -565,7 +550,7 @@ def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
     basic = sol
     support = {key for key, val in chain(sol.x.items(), sol.y.items()) if val > FRACTIONAL_TOL}
     if not support <= sol.basis:
-        c, A, b, cols, windows = model.arrays(window_filter=model.main_windows)
+        c, A, b, cols = model.arrays(window_filter=model.main_windows)
         if not (A.shape[1] and _is_basic(support, cols, A)):
             res = solve_lp(c, A, b)
             if res.status != "optimal":
@@ -574,7 +559,7 @@ def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
                 raise NumericalFailureError(
                     "basic solution worse than projected solution"
                 )
-            basic = _solution_from_result(model, res, cols, windows)
+            basic = _solution_from_result(res, cols)
     basic.assignment = split_types(basic.y, model)
     return basic
 
@@ -622,11 +607,10 @@ def _is_basic(support: set, cols, A: np.ndarray) -> bool:
 
 
 def dual_objective(model: LpModel, sol: LpSolution) -> float:
-    """Value of the dual solution carried by ``sol``."""
-    return float(
-        sum(d * sol.alpha[v] for v, d in zip(model.sizes, model.demands))
-        + sum(sol.beta[s] * len(st.items) for s, st in enumerate(model.smalls))
-    )
+    """Value of the dual solution carried by ``sol``: b.duals, over the size
+    and small type rows, the only rows with b != 0."""
+    demands = [*model.demands, *(len(st.items) for st in model.smalls)]
+    return float(sol.duals[: len(demands)] @ demands)
 
 
 def verify_solution_rows(model: LpModel, sol: LpSolution, tol: float = 1e-6) -> None:

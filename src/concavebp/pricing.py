@@ -182,14 +182,10 @@ class PricingOutcome:
     max_certified_ratio: float
 
 
-def price_all(
-    duals_alpha: dict[int, float],
-    duals_gamma: dict[Window, float],
-    duals_delta: dict[Window, float],
-    model: LpModel,
-    kcc_eps: float,
-) -> PricingOutcome:
-    """Scan every (window, cost level) pair for violated master columns.
+def price_all(duals: np.ndarray, model: LpModel, kcc_eps: float) -> PricingOutcome:
+    """Scan every (window, cost level) pair for violated master columns
+    under the master's row duals ``duals``, in the row order of
+    ``model.arrays()`` (``LpSolution.duals``).
 
     For each pair, the knapsack FPTAS maximizes the dual volume of a
     configuration under the pair's cardinality cap and size limit; a
@@ -199,10 +195,11 @@ def price_all(
     duals even against configurations the FPTAS missed.
     """
     stair = model.staircase
-    items = tuple(
-        KccItemType(v, duals_alpha.get(v, 0.0), mult)
-        for v, mult in zip(model.sizes, model.demands)
-    )
+    # the rows: alpha per size, beta per small type, then (gamma, delta) per
+    # window with rows; a window without rows has no duals, which reads as 0
+    items = tuple(map(KccItemType, model.sizes, duals.tolist(), model.demands))
+    rows = duals[len(model.sizes) + len(model.smalls) :].reshape(-1, 2).tolist()
+    window_duals = dict(zip(model.row_windows, rows))
     slack = 1.0 / (1.0 - kcc_eps)
     # the window's size index t fixes the oracle's limit, so each t gets one
     # oracle table answering every cardinality its (window, level) pairs
@@ -239,8 +236,8 @@ def price_all(
     max_ratio = 0.0
     max_certified = 0.0
     for window, levels in sweep:
-        gamma_w = window.w * duals_gamma.get(window, 0.0)
-        delta_k = window.kappa * duals_delta.get(window, 0.0)
+        gamma, delta = window_duals.get(window, (0.0, 0.0))
+        gamma_w, delta_k = window.w * gamma, window.kappa * delta
         for p, card in levels:
             counts, volume = solved[window.t][card]
             f_kp = stair.f_at[p]

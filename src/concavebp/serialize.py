@@ -7,6 +7,7 @@ catch mismatched verification.
 from __future__ import annotations
 
 import hashlib
+import sys
 from fractions import Fraction
 from typing import TextIO, Union
 
@@ -31,6 +32,19 @@ def write_instance(inst: Instance, fh: TextIO) -> None:
     fh.write("sizes: " + " ".join(str(s) for s in inst.sizes) + "\n")
 
 
+def _fraction(tok: str) -> Fraction:
+    """``Fraction(tok)``, refused with ValueError when str() could not print
+    it back under ``sys.get_int_max_str_digits()``, as digests and messages
+    do; an exponent past that limit is refused before Fraction expands it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    _, e, exp = tok.lower().partition("e")
+    if limit and e and abs(int(exp)) > limit:
+        raise ValueError(f"an exponent exceeds the {limit}-digit limit")
+    value = Fraction(tok)
+    str(value)  # ValueError past the limit
+    return value
+
+
 def _read_keyvals(fh: TextIO) -> list[tuple[str, str]]:
     out = []
     for line in fh:
@@ -50,7 +64,7 @@ def read_instance(fh: TextIO) -> Instance:
     try:
         n = int(fields["n"])
         raw = fields["sizes"].split() if fields["sizes"] else []
-        sizes = [Fraction(tok) for tok in raw]
+        sizes = [_fraction(tok) for tok in raw]
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad instance file: {exc}") from exc
     if len(sizes) != n:
@@ -139,7 +153,7 @@ def read_solution(fh: TextIO) -> dict:
                 for tok in raw.split():
                     idx_s, _, fr_s = tok.partition("=")
                     idx = int(idx_s)
-                    entries.append((idx, Fraction(fr_s if fr_s else "1")))
+                    entries.append((idx, _fraction(fr_s or "1")))
                     items.add(idx)
                 bins.append(entries)
             packing: Union[Packing, FractionalPacking] = FractionalPacking.from_bins(

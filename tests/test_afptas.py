@@ -5,6 +5,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -283,10 +284,7 @@ def _solution(model, columns_with_values, assignments):
         ),
         x=dict(columns_with_values),
         y={},
-        alpha={},
-        beta={},
-        gamma={},
-        delta={},
+        duals=np.zeros(0),
         assignment={(items[si], w): 1.0 for si, w in assignments},
     )
 

@@ -1,17 +1,23 @@
 import importlib.util
 import io
 import json
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concavebp import FractionalPacking, Instance, Packing, generators
-from concavebp.cli import main
+from concavebp.cli import ALGORITHMS, main
 from concavebp.exact import exact_opt
 from concavebp.fractional import fnfi
 from concavebp.heuristics import next_fit
-from concavebp.core import Verdict, Violation
+from concavebp.core import Verdict, Violation, eval_cost, eval_fractional_cost
 from concavebp.errors import InfeasibleMasterError, NumericalFailureError
 from concavebp.serialize import (
     ParseError,
@@ -85,6 +91,26 @@ class TestSerialization:
             read_instance(
                 io.StringIO("format: concavebp-instance-v1\nn: 2\nsizes: 1/2\n")
             )
+
+    def test_long_exponent_is_refused_before_fraction_expands_it(self, monkeypatch):
+        # Fraction("1e-1000000") alone builds a 3.3-million-bit denominator
+        expanded = []
+        monkeypatch.setattr("concavebp.serialize.Fraction", expanded.append)
+        text = "format: concavebp-instance-v1\nn: 1\nsizes: 1e-1000000\n"
+        with pytest.raises(ParseError, match="exponent exceeds"):
+            read_instance(io.StringIO(text))
+        assert expanded == []
+
+    def test_digit_limit_boundary(self):
+        # 10**(limit - 1) still prints; 10**limit has one digit too many,
+        # though its exponent alone is within the limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int-to-string digit limit in this interpreter")
+        text = "format: concavebp-instance-v1\nn: 1\nsizes: 1e-{}\n"
+        assert read_instance(io.StringIO(text.format(limit - 1))).n == 1
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            read_instance(io.StringIO(text.format(limit)))
 
     def test_cost_spec_parsing(self):
         f = parse_cost_spec("fq:3", 5)
@@ -299,6 +325,16 @@ class TestSolve:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "x.sol").exists()
 
+    def test_oversized_number_is_input_error(self, tmp_path, capsys):
+        # 1e-5000 has a 5001-digit denominator, past Python's int-to-string
+        # limit, so the size could never be printed into the instance digest
+        path = tmp_path / "x.inst"
+        path.write_text("format: concavebp-instance-v1\nn: 3\nsizes: 1e-5000 1/2 1/3\n")
+        code = main(["solve", str(path), "--alg", "ff-inc", "--cost", "fq:3",
+                     "--out", str(tmp_path / "x.sol")])
+        _assert_input_error(capsys, code)
+        assert not (tmp_path / "x.sol").exists()
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_nonpositive_config_budget_is_input_error(self, tmp_path, capsys, budget):
         path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
@@ -415,6 +451,14 @@ class TestVerify:
     def test_missing_file_is_input_error(self, tmp_path):
         path, out = self._solved(tmp_path)
         assert main(["verify", str(path), str(tmp_path / "nope.sol")]) == 2
+
+    def test_oversized_number_is_input_error(self, tmp_path, capsys):
+        # a fractional part of 1e-5000 could not be printed in any message
+        path, out = self._solved(tmp_path)
+        text = out.read_text().replace("kind: integral", "kind: fractional")
+        out.write_text(re.sub(r"^bin: (\d+)", r"bin: \1=1e-5000", text, count=1, flags=re.M))
+        capsys.readouterr()
+        _assert_input_error(capsys, main(["verify", str(path), str(out)]))
 
 
 class TestCompare:
@@ -657,3 +701,205 @@ class TestCompareExactOnce:
                 assert "error" not in row, row
                 assert "baseline" not in row and "ratio" not in row
         assert calls == [30, 30]  # one failed solve per spec, from the exact rows
+
+
+# -- fuzzing: malformed and extreme input never escapes as a traceback --------
+# instances keep n <= 12, so that no run starts a large solve
+
+def _digits(k: int, d: str) -> str:
+    return d * k
+
+
+NUMBER_TOKENS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 40), st.integers(-2, 40)),
+    st.sampled_from(["1", "0", "-1/2", "0.25", "1.0", "2", "nan", "inf", "1/0", "1_0/3_1"]),
+    # exponents from small to about 10**4 digits, on either side of the
+    # int-to-string digit limit
+    st.builds(
+        "{}e{}{}".format,
+        st.sampled_from(["1", "5", "0.5", "-1", "1/2"]),
+        st.sampled_from(["", "-", "+"]),
+        st.one_of(
+            st.integers(0, 6000).map(str),
+            st.builds(_digits, st.integers(1, 10**4), st.sampled_from("0149")),
+        ),
+    ),
+    st.text(max_size=6),
+)
+
+
+SIZES = st.fractions(Fraction(1, 1000), 1, max_denominator=1000).map(str)
+
+
+@st.composite
+def instance_texts(draw):
+    """An instance file, well formed or broken in one place."""
+    tokens = draw(st.lists(SIZES, max_size=12))
+    n, header = str(len(tokens)), "format: concavebp-instance-v1"
+    broken = draw(st.sampled_from(["nothing"] * 4 + ["token", "token", "n", "header"]))
+    if broken == "token" and tokens:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(NUMBER_TOKENS)
+    elif broken == "n":
+        n = draw(st.one_of(st.integers(-1, 13).map(str), st.text(max_size=3)))
+    elif broken == "header":
+        header = draw(st.sampled_from(["format: other", "", "n", "format:"]))
+    return f"{header}\nn: {n}\nsizes: {' '.join(tokens)}\n"
+
+
+VALID_COSTS = st.sampled_from(["fq:1", "fq:3", "table:0,1,1.6,2.0,2.3,2.5"])
+COST_SPECS = st.one_of(
+    st.integers(-2, 10**12).map("fq:{}".format),
+    st.builds(
+        lambda vals: "table:" + ",".join(vals),
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.sampled_from(["0", "1", "1.6", "2", "2.5", "1e308", "x", ""]),
+            ),
+            max_size=14,
+        ),
+    ),
+    st.sampled_from(["fq:3", "table:0,1,1.6,2.0,2.3,2.5", "table:0,0,0", "fq:", "fq:x"]),
+    st.text(max_size=8),
+)
+
+# each option is mostly valid, so that runs get past it and reach the solvers
+EPS = (
+    st.sampled_from([None, "1/3", "1/4", "1/6"]),
+    st.one_of(
+        st.sampled_from(["1/2", "2/3", "1/x", "", "1/0", "1/\u00b2", "1/03", "-1/3"]),
+        st.integers(0, 10**12).map("1/{}".format),
+        st.builds(lambda k, d: "1/" + _digits(k, d), st.integers(1, 10**4), st.sampled_from("19")),
+        st.text(max_size=8),
+    ),
+)
+
+EXTREME_INTS = st.one_of(
+    st.integers(-3, 10**30).map(str),
+    st.builds(_digits, st.integers(1, 10**4), st.just("9")),
+    st.text(max_size=5),
+)
+
+
+def _options(draw, options):
+    """``--name=value`` per (name, (valid, extreme)) option; one in four
+    draws is extreme, a valid None leaves the option out."""
+    argv = []
+    for name, (valid, extreme) in options:
+        value = draw(extreme if draw(st.integers(0, 3)) == 0 else valid)
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+def _run(argv):
+    """(exit code, stdout + stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue() + err.getvalue()
+
+
+def _assert_handled(argv):
+    code, text = _run(argv)
+    assert code in (0, 2, 3, 4), (code, text[-2000:])
+    assert "Traceback" not in text
+
+
+def _solution_text(draw, instance_text):
+    """A solution file for the instance (for one item of size 1/2 when the
+    instance does not parse), well formed or broken in one line."""
+    try:
+        inst = read_instance(io.StringIO(instance_text))
+    except ParseError:
+        inst = Instance.from_values([Fraction(1, 2)])
+    f = parse_cost_spec("fq:3", inst.n)
+    if draw(st.booleans()):
+        packing = fnfi(inst)
+        cost = eval_fractional_cost(f, packing)
+    else:
+        packing = next_fit(inst, "increasing")
+        cost = eval_cost(f, packing)
+    buf = io.StringIO()
+    write_solution(packing, inst, "fuzz", "fq:3", cost, buf)
+    lines = buf.getvalue().splitlines()
+    broken = draw(st.integers(-len(lines), len(lines) - 1))  # half of them unbroken
+    if broken >= 0:
+        key = lines[broken].partition(":")[0]
+        if key == "bin":
+            part = st.one_of(
+                st.integers(-1, 13).map(str),
+                st.builds("{}={}".format, st.integers(-1, 13), NUMBER_TOKENS),
+            )
+            value = " ".join(draw(st.lists(part, max_size=6)))
+        else:
+            value = draw(st.one_of(NUMBER_TOKENS, COST_SPECS))
+        lines[broken] = f"{key}: {value}"
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_dir():
+    # hypothesis runs many examples per test, so no function-scoped tmp_path
+    return tempfile.TemporaryDirectory(prefix="concavebp-fuzz-")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), instance=instance_texts(), alg=st.sampled_from(ALGORITHMS))
+def test_fuzz_solve(data, instance, alg):
+    with _fuzz_dir() as tmp:
+        path = Path(tmp) / "f.inst"
+        path.write_text(instance)
+        argv = ["solve", str(path), "--alg", alg, "--out", str(Path(tmp) / "f.sol")]
+        argv += _options(
+            data.draw,
+            [
+                ("cost", (VALID_COSTS, COST_SPECS)),
+                ("eps", EPS),
+                ("exact-limit", (st.sampled_from([None, "0", "12"]), EXTREME_INTS)),
+                ("config-budget", (st.sampled_from([None, "1", "500"]), EXTREME_INTS)),
+            ],
+        )
+        _assert_handled(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), instance=instance_texts())
+def test_fuzz_verify(data, instance):
+    with _fuzz_dir() as tmp:
+        path, sol = Path(tmp) / "f.inst", Path(tmp) / "f.sol"
+        path.write_text(instance)
+        sol.write_text(_solution_text(data.draw, instance))
+        argv = ["verify", str(path), str(sol)]
+        argv += _options(data.draw, [("cost", (st.none(), COST_SPECS))])
+        _assert_handled(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), instances=st.lists(instance_texts(), min_size=1, max_size=2))
+def test_fuzz_compare(data, instances):
+    with _fuzz_dir() as tmp:
+        paths = []
+        for i, text in enumerate(instances):
+            paths.append(Path(tmp) / f"f{i}.inst")
+            paths[-1].write_text(text)
+        algs = data.draw(
+            st.one_of(
+                st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4).map(",".join),
+                st.text(max_size=8),
+            )
+        )
+        specs = st.one_of(VALID_COSTS, VALID_COSTS, VALID_COSTS, COST_SPECS)
+        costs = ",".join(data.draw(st.lists(specs, min_size=1, max_size=2)))
+        argv = ["compare", "--instances", *map(str, paths), f"--algs={algs}", f"--costs={costs}"]
+        argv += _options(
+            data.draw,
+            [
+                ("eps", EPS),
+                ("exact-limit", (st.sampled_from([None, "0", "12"]), EXTREME_INTS)),
+                ("format", (st.none(), st.just("json"))),
+            ],
+        )
+        _assert_handled(argv)

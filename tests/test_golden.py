@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import pytest
 
-from concavebp import afptas, make_fq, run_afptas
+from concavebp import afptas, lp, make_fq, run_afptas
 from concavebp.generators import mixed
 from concavebp.serialize import parse_cost_spec
 
@@ -124,3 +124,55 @@ def test_quarter_bins_match_golden_digest(seed, spec, digest, _prov):
 def test_quarter_provenance_matches_golden_digest(seed, spec, _bins, digest):
     prov = quarter_run(seed, spec).provenance.to_dict()
     assert sha256(json.dumps(prov, sort_keys=True, default=str)) == digest
+
+
+# one digest per windowed run over every LpModel.arrays() result, in call
+# order: the bytes of c, A and b, then repr(cols).  They pin the master
+# programs themselves, row and column order included, not only what the
+# scheme makes of them
+MASTER_DIGESTS = {
+    "n100-seed1":
+        "ae97a6d9b245914148cb3d5878ec62f1f45340ad71736d25457b4203fada0d5c",
+    "n100-seed2":
+        "9bfff3eb3bb281753af1caa62b6428e4df96f7778a9f6e8072b1cb4a1f24e41b",
+    "n100-seed3":
+        "e69f12c0161cb8647e7aa7a4b9be425f89ee4517b0be5e314c6b5dc7106d9967",
+    "n100-seed4":
+        "70a6377a819a3c4e64b03ea615f56ce9343eb4a2c8395c90a44c90de77d9733b",
+    "seed1-fq":
+        "c854601a4a314794d66076690a5ad8a8af5628ba46d8f91a39cfa7bc5b49326c",
+    "seed1-table":
+        "e9bee81717fbf4e6dbe67e9d15a838e0d922724c24265fa23c8d7c0a4fd7805f",
+    "seed2-fq":
+        "df4d837b6b7de56b1181963d3fb4dbee957d42e161207dcf0c9aed34c94dc5bd",
+    "seed2-table":
+        "0f32b3d26471a602d28412a839078be663195e6afa7f9a66d9be48d335de8742",
+}
+
+MASTER_RUNS = [
+    (f"n{n}-seed{seed}", mixed(n, seed), "fq:3", Fraction(1, 3), h_eps)
+    for n, seed, h_eps in WINDOWED
+] + [
+    (run_id, mixed(100, seed), spec, Fraction(1, 4), 4)
+    for run_id, (seed, spec, *_) in zip(QUARTER_IDS, GOLDEN_QUARTER)
+]
+
+
+@pytest.mark.parametrize(
+    "run_id,inst,spec,eps,h_eps", MASTER_RUNS, ids=[run[0] for run in MASTER_RUNS]
+)
+def test_master_programs_match_golden_digest(run_id, inst, spec, eps, h_eps, monkeypatch):
+    digest = hashlib.sha256()
+    plain = lp.LpModel.arrays
+
+    def recording(self, window_filter=None):
+        out = plain(self, window_filter)
+        c, A, b, cols = out[:4]
+        for arr in (c, A, b):
+            digest.update(arr.tobytes())
+        digest.update(repr(cols).encode())
+        return out
+
+    monkeypatch.setattr(lp.LpModel, "arrays", recording)
+    run_afptas(inst, parse_cost_spec(spec, inst.n), eps, h_eps=h_eps)
+    assert digest.hexdigest() == MASTER_DIGESTS[run_id]

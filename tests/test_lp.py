@@ -165,9 +165,8 @@ class TestSolveMaster:
         model.seed_columns()
         sol, _ = solve_master(model)
         assert dual_objective(model, sol) <= sol.objective + 1e-6
-        for group in (sol.alpha, sol.beta, sol.gamma, sol.delta):
-            for val in group.values():
-                assert val >= 0.0
+        assert len(sol.duals) == len(model.arrays()[2])  # one per row
+        assert np.all(sol.duals >= 0.0)
 
 
 class TestColumnGeneration:
@@ -227,19 +226,22 @@ class TestColumnGeneration:
             model = build_model(sizes, demands, small_sizes=smalls, q=rng.choice([1, 2, 3]))
             sol, _ = column_generation(model)
             assert dual_objective(model, sol) == pytest.approx(sol.objective, abs=1e-7)
+            nv = len(model.sizes)
+            alpha, beta = sol.duals[:nv], sol.duals[nv : nv + len(model.smalls)]
             for gc in model.columns:
                 w = gc.window
-                # a window no small item fits has no rows, so no duals
+                gamma, delta = _window_duals(model, sol, w)
                 value = (
-                    sum(n * sol.alpha[v] for n, v in zip(gc.config.counts, model.sizes))
-                    + w.w * sol.gamma.get(w, 0.0)
-                    + w.kappa * sol.delta.get(w, 0.0)
+                    sum(n * a for n, a in zip(gc.config.counts, alpha))
+                    + w.w * gamma
+                    + w.kappa * delta
                 )
                 assert model.staircase.f_at[gc.p] - value >= -1e-7
             pairs = _pairs(model)
             for si, w in pairs:
                 size = model.smalls[si].size / model.scale
-                value = sol.beta[si] - size * sol.gamma[w] - sol.delta[w]
+                gamma, delta = _window_duals(model, sol, w)
+                value = beta[si] - size * gamma - delta
                 assert -value >= -1e-7
             checked += len(model.columns) + len(pairs)
         assert checked >= 1000
@@ -280,6 +282,21 @@ def _pairs(model: LpModel) -> list:
         (si, model.row_windows[i])
         for si, i in zip(model._y_type.tolist(), model._y_window.tolist())
     ]
+
+
+def _entered(model: LpModel) -> list[int]:
+    """The candidate pairs that are master columns, in pair order."""
+    return np.flatnonzero(model._y_at >= 0).tolist()
+
+
+def _window_duals(model: LpModel, sol, w) -> tuple[float, float]:
+    """(gamma_w, delta_w) of a master solution, read off the rows of window
+    w; a window no small item fits has no rows, so no duals, which reads
+    as 0."""
+    if w not in model.row_index:
+        return 0.0, 0.0
+    row = len(model.sizes) + len(model.smalls) + 2 * model.row_index[w]
+    return sol.duals[row], sol.duals[row + 1]
 
 
 def _solve_full_program(model: LpModel) -> float:
@@ -342,9 +359,9 @@ class TestProjection:
         for _ in range(40):
             model = _random_master(rng, with_smalls=True)
             sol, _ = column_generation(model)
-            before = len(model.entered)
+            before = len(_entered(model))
             projected = project_to_main_windows(sol, model)
-            entered += len(model.entered) > before
+            entered += len(_entered(model)) > before
             cols = set(model.arrays(model.main_windows)[3])
             assert all(key in cols for key, val in projected.y.items() if val > 0)
             assert extract_basic(projected, model).objective <= projected.objective + 1e-6
@@ -462,7 +479,7 @@ class TestSplitTypes:
             (102, w2): 1.0,
             (103, w2): 1.0,
         }
-        sol = LpSolution(0.0, {}, {}, {}, {}, {}, {}, assignment=got)
+        sol = LpSolution(0.0, {}, {}, np.zeros(0), assignment=got)
         assert sol.fractional_counts() == (0, 1)
 
     def test_snapping_and_surplus_mass(self):
@@ -477,7 +494,8 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     """The master assembled column by column, as before the array build;
     kept as the reference for LpModel.arrays.  Only windows some small item
     fits get rows.  Columns are the configurations and the entered pairs,
-    each at its master position.  With ``every_pair``, every candidate pair
+    at their positions in the model's column store, which the per-key
+    registries must agree with.  With ``every_pair``, every candidate pair
     is a column, ahead of the configurations: the master as it was before
     assignment columns were sifted."""
     windows = [
@@ -491,10 +509,10 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     if every_pair:
         master = pairs + model.columns
     else:
-        at = {pairs[p]: model._y_at[p] for p in model.entered}
-        at.update(model._position)
-        master = sorted(at, key=at.get)
-        assert [at[key] for key in master] == list(range(len(master)))
+        master = list(model._keys)
+        assert all(master[j] == gc for gc, j in model._position.items())
+        assert all(master[model._y_at[p]] == pairs[p] for p in _entered(model))
+        assert len(master) == len(model._position) + len(_entered(model))
     cols = [
         key
         for key in master
@@ -517,7 +535,7 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
         if key.window in w_row:
             A[w_row[key.window], j] += key.window.w
             A[w_row[key.window] + 1, j] += key.window.kappa
-    return c, A, b, cols, windows
+    return c, A, b, cols
 
 
 class TestArraysMatchColumnLoop:
@@ -660,7 +678,7 @@ class TestSeedBasis:
         """(labels, loaded state, whether the seed vertex was certified)."""
         seed = model.seed_columns()
         labels = seed.labels
-        c, A, b, cols, _ = model.arrays()
+        c, A, b, cols = model.arrays()
         state = _State(A, b)
         indices = _labels_to_indices(labels, A.shape[1], A.shape[0])
         assert np.linalg.matrix_rank(state._basis_matrix(indices)) == A.shape[0]
@@ -678,7 +696,7 @@ class TestSeedBasis:
         # the master holds exactly the seed basis's assignment columns
         basic = {cols[j] for kind, j in labels if kind == "x" and isinstance(cols[j], tuple)}
         pairs = _pairs(model)
-        entered = {pairs[p] for p in model.entered}
+        entered = {pairs[p] for p in _entered(model)}
         assert entered == basic == {key for key in cols if isinstance(key, tuple)}
         # no candidate assignment column, entered or not, prices below zero
         # under the seed basis: rc(s, w) = size_s gamma_w + delta_w - beta_s
@@ -749,7 +767,7 @@ class TestSeedBasis:
         # model, and seeding it is an invariant failure
         base = build_model(["1/2"], [2], small_sizes=["1/12", "1/8"], q=3, delta_cap=1)
         windows = tuple(w for w in base.windows if not base.usable(w) or w.a > base.p_max)
-        model = dataclasses.replace(base, windows=windows, columns=[])
+        model = dataclasses.replace(base, windows=windows)
         assert model.row_windows and model.p_max == 1
         with pytest.raises(InvariantError, match="hosts the small items"):
             model.seed_columns()
@@ -786,9 +804,9 @@ class TestSeedBasis:
             # through column generation: the same optimum as the honest seed's
             with monkeypatch.context() as patch:
                 patch.setattr(LpModel, "seed_columns", tampered)
-                fell_back, info = column_generation(dataclasses.replace(model, columns=[]))
+                fell_back, info = column_generation(dataclasses.replace(model))
             assert not info.seed_certified
-            certified, info = column_generation(dataclasses.replace(model, columns=[]))
+            certified, info = column_generation(dataclasses.replace(model))
             assert info.seed_certified
             assert fell_back.objective == pytest.approx(certified.objective, rel=1e-9)
 

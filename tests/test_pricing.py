@@ -26,6 +26,16 @@ def _items(*triples):
     return tuple(KccItemType(Fraction(s), v, m) for s, v, m in triples)
 
 
+def _duals(model, alpha, gamma, delta):
+    """The master's row duals as ``LpSolution.duals`` holds them: alpha per
+    size (keyed by size), beta per small type (0 here), then gamma and
+    delta per row window; a key missing from a dict reads as 0."""
+    duals = [alpha.get(v, 0.0) for v in model.sizes] + [0.0] * len(model.smalls)
+    for w in model.row_windows:
+        duals += [gamma.get(w, 0.0), delta.get(w, 0.0)]
+    return np.array(duals)
+
+
 class RationalKcc(NamedTuple):
     """The oracle's earlier input: Fraction sizes, a Fraction capacity and
     a strict flag."""
@@ -285,14 +295,14 @@ class TestPriceAll:
 
     def test_zero_duals_no_violation(self):
         ctx = self._context(["1/2", "2/5"], [3, 2])
-        out = price_all({}, {}, {}, ctx, 1 / 6)
+        out = price_all(_duals(ctx, {}, {}, {}), ctx, 1 / 6)
         assert out.violations == ()
         assert out.max_ratio <= 1e-12
 
     def test_large_dual_triggers_violation(self):
         ctx = self._context(["1/2"], [3])
         alpha = {ctx.scale // 2: 5.0}  # exceeds every f(k_p)
-        out = price_all(alpha, {}, {}, ctx, 1 / 6)
+        out = price_all(_duals(ctx, alpha, {}, {}), ctx, 1 / 6)
         assert out.violations
         top = out.violations[0]
         assert top.column.config.counts[0] >= 1
@@ -303,9 +313,10 @@ class TestPriceAll:
         ctx = self._context(["5/8", "1/2", "2/5"], [2, 3, 4], s_min=Fraction(1, 10))
         for _ in range(15):
             alpha = {v: rng.random() * 3 for v in ctx.sizes}
-            gamma = {w: rng.random() for w in ctx.windows}
-            delta = {w: rng.random() * 0.4 for w in ctx.windows}
-            out = price_all(alpha, gamma, delta, ctx, 1 / 6)
+            # a master has duals only for the windows with rows
+            gamma = {w: rng.random() for w in ctx.row_windows}
+            delta = {w: rng.random() * 0.4 for w in ctx.row_windows}
+            out = price_all(_duals(ctx, alpha, gamma, delta), ctx, 1 / 6)
             for pc in out.violations:
                 gen = pc.column
                 mw = main_window(gen.config, gen.p, ctx.eps, ctx.t_max, ctx.staircase, ctx.scale)
@@ -592,7 +603,7 @@ class TestPriceAllMatchesUncachedSweep:
 
         monkeypatch.setattr(pricing, "kcc_fptas", traced)
         alpha = {v: 1.0 + v / ctx.scale for v in ctx.sizes}
-        price_all(alpha, {}, {}, ctx, 1 / 6)
+        price_all(_duals(ctx, alpha, {}, {}), ctx, 1 / 6)
         stair, total = ctx.staircase, sum(ctx.demands)
         want: dict[int, set[int]] = {}
         for w in ctx.windows:
@@ -621,9 +632,10 @@ class TestPriceAllMatchesUncachedSweep:
         priced = 0
         for _ in range(12):
             alpha = {v: rng.random() * 3 for v in ctx.sizes}
-            gamma = {w: rng.random() for w in ctx.windows if rng.random() < 0.7}
-            delta = {w: rng.random() * 0.4 for w in ctx.windows if rng.random() < 0.7}
-            out = price_all(alpha, gamma, delta, ctx, 1 / 6)
+            # a master has duals only for the windows with rows
+            gamma = {w: rng.random() for w in ctx.row_windows if rng.random() < 0.7}
+            delta = {w: rng.random() * 0.4 for w in ctx.row_windows if rng.random() < 0.7}
+            out = price_all(_duals(ctx, alpha, gamma, delta), ctx, 1 / 6)
             found, max_ratio, max_certified = _price_all_uncached(alpha, gamma, delta, ctx, 1 / 6)
             assert out.violations == found
             assert out.max_ratio.hex() == max_ratio.hex()
