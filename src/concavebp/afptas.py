@@ -4,13 +4,23 @@ rounding that turns the basic solution into a feasible packing.
 
 The scheme's accuracy parameter is a reciprocal 1/k with integer k >= 3.
 Very small inputs (n <= k) are packed one item per bin.
+
+Past the master the work goes by runs, as the paper rounds per
+configuration and per (small type, window): a configuration rounded up to
+c copies places its large items as consecutive slices of each size type,
+and a small type's stretch in a window (``LpSolution.assignment``) is a
+slice of its items.  Only the items that straddle two windows, and the
+bins dealt a small item, are handled one by one.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
+from operator import sub
 from typing import Any
 
 from .core import (
@@ -141,42 +151,54 @@ def _compute_h(
     return k * (len(sizes) + 2 * len(mains) + 1)
 
 
-def _place_large(bin_counts: list[tuple[int, ...]], grouping: GroupingResult) -> list[list[int]]:
-    """Original large items per bin.
+def _place_large(
+    runs: list[tuple[tuple[int, ...], int]], grouping: GroupingResult, sizes: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Original large items per bin, for runs of (configuration counts,
+    copies) in bin order, and each bin's load: the sum of its items' sizes
+    in ``sizes``.
 
-    A bin whose configuration counts ``c`` copies of size type j takes the
-    next ``c`` items of that type, so the originals replace their rounded
-    stand-ins.  Every item must be placed.
+    A run of ``copies`` bins whose configuration counts ``c`` copies of size
+    type j takes the type's next ``copies * c`` items as consecutive slices
+    of ``c``, so the originals replace their rounded stand-ins; the last
+    slices of a type run short, or empty, when the copies outnumber its
+    items.  A slice's load is a difference of prefix sums.  Every item must
+    be placed.
     """
     bounds = list(accumulate(grouping.demands, initial=len(grouping.l1)))
     heads, ends = bounds[:-1], bounds[1:]
-    nonzero: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    out: list[list[int]] = []
-    for counts in bin_counts:
-        if counts not in nonzero:
-            nonzero[counts] = [(j, c) for j, c in enumerate(counts) if c]
-        larges: list[int] = []
-        for j, c in nonzero[counts]:
-            head = heads[j]
-            larges.extend(range(head, min(head + c, ends[j])))
-            heads[j] = head + c
-        out.append(larges)
+    prefix = list(accumulate(sizes[: bounds[-1]], initial=0))
+    bins: list[list[int]] = []
+    loads: list[int] = []
+    for counts, copies in runs:
+        slices, slice_loads = [], []
+        for j, c in compress(enumerate(counts), counts):
+            head, end = heads[j], ends[j]
+            heads[j] = stop = head + c * copies
+            cuts: Sequence[int]  # the copies + 1 slice ends
+            if stop <= end:
+                cuts = range(head, stop + 1, c)
+                marks = prefix[head : stop + 1 : c]
+            else:  # the copies outnumber the type's items: clip the ends
+                inside = max(0, (end - head) // c + 1)
+                short = copies + 1 - inside
+                cuts = [*range(head, head + inside * c, c), *repeat(end, short)]
+                marks = prefix[head : head + inside * c : c] + [prefix[end]] * short
+            slices.append(map(range, cuts, cuts[1:]))
+            slice_loads.append(map(sub, marks[1:], marks))
+        if len(slices) == 1:
+            bins.extend(map(list, slices[0]))
+            loads.extend(slice_loads[0])
+        elif slices:
+            bins.extend([*chain.from_iterable(parts)] for parts in zip(*slices))
+            loads.extend(map(sum, zip(*slice_loads)))
+        else:
+            bins.extend([] for _ in range(copies))
+            loads.extend(repeat(0, copies))
     leftover = {v: list(range(h, e)) for v, h, e in zip(grouping.sizes, heads, ends) if h < e}
     if leftover:
         raise InvariantError(f"unplaced large items: {leftover}")
-    return out
-
-
-class _Bin:
-    """A configuration bin during rounding: its large items and the small
-    items dealt to its window."""
-
-    __slots__ = ("gc", "larges", "smalls")
-
-    def __init__(self, gc: GeneralizedConfiguration, larges: list[int]):
-        self.gc = gc
-        self.larges = larges
-        self.smalls: list[int] = []
+    return bins, loads
 
 
 @dataclass
@@ -201,12 +223,24 @@ def round_solution(
     item per bin (regrouped 1/eps per new bin); refill each bin greedily
     smallest-first, splitting off one special item and the excess; regroup
     specials 1/eps per bin and excess subsets 1/eps subsets per bin.
+
+    The work goes by runs, not items.  A configuration with ``copies``
+    rounded-up bins is one run: its large items are consecutive slices of
+    each type, and its level cost and its (1 + eps) f(k_p) bound are worked
+    out once.  A (small type, window) stretch of
+    ``basic.assignment`` is one run of the type's items: the whole items
+    are a slice of ``SmallType.items``, and the straddling ones get the
+    dedicated bins.  A window's pool is its runs, types largest first, each
+    type's items in index order (``split_small`` keeps them so), which is
+    the largest-first order; bin ``pos`` of the window is dealt
+    ``pool[pos::x_w]``.  Only bins dealt a small item are refilled.
     """
     k = model.eps.denominator
     one_plus = 1.0 + 1.0 / k
     f_vals = model.f.values
     top = len(f_vals) - 1
     sizes, scale = inst.int_sizes, inst.scale
+    smalls = model.smalls
 
     x_hat: list[tuple[GeneralizedConfiguration, int]] = []
     for gc in sorted(basic.x):
@@ -214,72 +248,75 @@ def round_solution(
         if val > 1e-7:
             x_hat.append((gc, math.ceil(val - 1e-7)))
 
-    bin_gcs = [gc for gc, copies in x_hat for _ in range(copies)]
-    placed = _place_large([gc.config.counts for gc in bin_gcs], grouping)
-    bins = [_Bin(gc, larges) for gc, larges in zip(bin_gcs, placed)]
+    runs = [(gc.config.counts, copies) for gc, copies in x_hat]
+    contents, loads = _place_large(runs, grouping, sizes)
+    by_window: dict[Window, list[range]] = {}  # a window's bins, as runs of bin positions
+    start = 0
+    for gc, copies in x_hat:
+        by_window.setdefault(gc.window, []).append(range(start, start + copies))
+        start += copies
 
-    # small items: integral window assignment or a dedicated bin
-    unit = {i: w for (i, w), val in basic.assignment.items() if abs(val - 1.0) <= 1e-6}
+    # small items: the whole items of each stretch go to its window, every
+    # other item to a dedicated bin, by type and then by index
+    stretches: dict[int, list[tuple[int, int, Window]]] = {}
+    for (s, w), (lo, hi) in basic.assignment.items():
+        q0, q1 = math.ceil(lo), math.floor(hi)
+        if q0 < q1:
+            stretches.setdefault(s, []).append((q0, q1, w))
     extra_bins: list[list[int]] = []
-    assigned: dict[Window, list[int]] = {}
-    for st in model.smalls:
-        for item in st.items:
-            if item in unit:
-                assigned.setdefault(unit[item], []).append(item)
-            else:
-                extra_bins.append([item])
+    assigned: dict[Window, list[tuple[int, int, int]]] = {}  # (type, q0, q1) runs
+    for s, st in enumerate(smalls):
+        q = 0
+        for q0, q1, w in sorted(stretches.get(s, ())):
+            if q0 < q:
+                raise InvariantError(f"small type {s} has an item whole in two windows")
+            if q < q0:
+                extra_bins += [[i] for i in st.items[q:q0]]
+            assigned.setdefault(w, []).append((s, q0, q1))
+            q = q1
+        if q < len(st.items):
+            extra_bins += [[i] for i in st.items[q:]]
     dedicated_small = len(extra_bins)
-
-    by_window: dict[Window, list[_Bin]] = {}
-    for b in bins:
-        by_window.setdefault(b.gc.window, []).append(b)
 
     removed: list[int] = []
     specials: list[int] = []
     excess_subsets: list[tuple[int, list[int]]] = []  # (window kappa, items)
 
     for w in sorted(assigned):
-        items = assigned[w]
         if w.t >= model.t_max:
             raise InvariantError("small items assigned to a degenerate window")
-        target_bins = by_window.get(w, [])
-        x_w = len(target_bins)
+        target = [b for bins in by_window.get(w, ()) for b in bins]
+        x_w = len(target)
         if x_w < 1:
             raise InvariantError(f"window {w} has assigned items but no bins")
-        if len(items) > w.kappa * x_w:
+        pool: list[int] = []
+        for s, q0, q1 in sorted(assigned[w], key=lambda run: -smalls[run[0]].size):
+            pool += smalls[s].items[q0:q1]
+        if len(pool) > w.kappa * x_w:
             raise InvariantError("window count row violated after rounding")
-        # largest-first round-robin deal
-        order = sorted(items, key=lambda i: (-sizes[i], i))
-        for pos, item in enumerate(order):
-            target_bins[pos % x_w].smalls.append(item)
-        # per bin: remove the largest, then refill greedily, splitting off
-        # the special and excess items
-        for b in target_bins:
-            if len(b.smalls) > w.kappa:
-                raise InvariantError(f"window {w} dealt more than kappa items to a bin")
-            if not b.smalls:
+        if -(-len(pool) // x_w) > w.kappa:
+            raise InvariantError(f"window {w} dealt more than kappa items to a bin")
+        # per bin dealt an item: remove the largest (dealt first), then
+        # refill smallest-first, splitting off the special and excess items
+        for pos in range(min(x_w, len(pool))):
+            dealt = pool[pos::x_w]
+            removed.append(dealt[0])
+            rest = sorted(dealt[1:], key=sizes.__getitem__)  # stable: (size, index)
+            if not rest:
                 continue
-            removed.append(b.smalls.pop(0))  # largest: first dealt
-            room = scale - sum(sizes[i] for i in b.larges)
-            keep: list[int] = []
-            special: int | None = None
-            excess: list[int] = []
-            load = 0
-            for i in sorted(b.smalls, key=lambda i: (sizes[i], i)):
-                if special is None and load + sizes[i] <= room:
-                    keep.append(i)
-                    load += sizes[i]
-                elif special is None:
-                    special = i
-                else:
-                    excess.append(i)
-            b.smalls = keep
-            if special is not None:
-                specials.append(special)
-            if excess:
-                if not len(excess) * k <= w.kappa:
-                    raise InvariantError("excess items exceed eps * kappa")
-                excess_subsets.append((w.kappa, excess))
+            b = target[pos]
+            fill = list(accumulate(map(sizes.__getitem__, rest)))
+            cut = bisect_right(fill, scale - loads[b])
+            if cut:
+                contents[b] += rest[:cut]
+                loads[b] += fill[cut - 1]
+            if cut < len(rest):
+                specials.append(rest[cut])
+                excess = rest[cut + 1 :]
+                if excess:
+                    if not len(excess) * k <= w.kappa:
+                        raise InvariantError("excess items exceed eps * kappa")
+                    excess_subsets.append((w.kappa, excess))
 
     for chunk_src in (removed, specials):
         for i in range(0, len(chunk_src), k):
@@ -292,21 +329,25 @@ def round_solution(
             merged.extend(items)
         extra_bins.append(merged)
 
-    config_records = []
+    if max(loads, default=0) > scale:
+        raise InvariantError("configuration bin exceeds capacity")
+    config_records: list[dict[str, Any]] = []
     out_bins: list[list[int]] = []
-    for b in bins:
-        content = b.larges + b.smalls
-        if not content:
-            continue
-        if sum(sizes[i] for i in content) > scale:
-            raise InvariantError("configuration bin exceeds capacity")
-        k_p = model.staircase.ks[b.gc.p]
+    start = 0
+    for gc, copies in x_hat:
+        k_p = model.staircase.ks[gc.p]
         f_kp = f_vals[min(k_p, top)]
-        cost = f_vals[min(len(content), top)]
-        if not cost <= one_plus * f_kp + 1e-9:
-            raise InvariantError("bin real cost exceeds (1+eps) * level cost")
-        config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": len(content), "cost": cost})
-        out_bins.append(content)
+        bound = one_plus * f_kp + 1e-9
+        for content in contents[start : start + copies]:
+            m = len(content)
+            if not m:
+                continue
+            cost = f_vals[min(m, top)]
+            if not cost <= bound:
+                raise InvariantError("bin real cost exceeds (1+eps) * level cost")
+            config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": m, "cost": cost})
+            out_bins.append(content)
+        start += copies
     n_removed_bins = (len(removed) + k - 1) // k
     n_special_bins = (len(specials) + k - 1) // k
     n_excess_bins = (len(excess_subsets) + k - 1) // k
@@ -382,16 +423,25 @@ def run_afptas(
     prov.stages.append(StageReport("largest-class singletons", len(l1_bins), stage_cost(l1_bins)))
 
     if split.tail:
-        tail_packed = fnfi_with_split_repair(inst.subset(split.tail))
-        tail_bins = [[split.tail[j] for j in b] for b in tail_packed.bins]
+        # the tail is a contiguous suffix of the items: cut it out by a slice
+        # and map its bins back by an offset
+        first = split.tail[0]
+        if split.tail[-1] != n - 1 or len(split.tail) != n - first:
+            raise InvariantError("the pre-packed tail is not a suffix of the items")
+        tail_packed = fnfi_with_split_repair(inst.subset(range(first, n)))
+        tail_bins = [list(map(first.__add__, b)) for b in tail_packed.bins]
         bins_out.extend(tail_bins)
         prov.stages.append(StageReport("smallest-tail prepack", len(tail_bins), stage_cost(tail_bins)))
 
     kept = split.kept
+    smalls = small_types(inst.int_sizes, kept)
     prov.h_set_size = len(sizes)
     for v, d in zip(sizes, mult):
         prov.i2_sizes += [str(Fraction(v, inst.scale))] * d
-    prov.i2_sizes += [str(inst.sizes[i]) for i in kept]
+    # kept is in non-increasing size order, so each type's items are
+    # contiguous in it and one string per type and item repeats kept's order
+    for st in smalls:
+        prov.i2_sizes += [str(Fraction(st.size, inst.scale))] * len(st.items)
 
     if sizes or kept:
         # delta = 1 / (smallest kept size), or 1/eps when none is kept, as
@@ -421,7 +471,7 @@ def run_afptas(
             sizes=sizes,
             demands=mult,
             scale=inst.scale,
-            smalls=small_types(inst.int_sizes, kept),
+            smalls=smalls,
             windows=tuple(windows),
             staircase=staircase,
             p_max=p_delta,

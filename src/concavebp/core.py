@@ -77,11 +77,18 @@ class Instance:
 
     def subset(self, indices: Sequence[int]) -> "Instance":
         """The items at ``indices``, in that order, over this instance's
-        ``scale`` and integers, so nothing is recomputed from the sizes."""
-        sub = Instance(tuple(self.sizes[i] for i in indices))
+        ``scale`` and integers, so nothing is recomputed from the sizes.  A
+        ``range`` of step 1 is cut out by slicing."""
         ints = self.int_sizes
+        if isinstance(indices, range) and indices.step == 1:
+            window = slice(indices.start, indices.stop)
+            sub = Instance(self.sizes[window])
+            sub_ints = ints[window]
+        else:
+            sub = Instance(tuple(self.sizes[i] for i in indices))
+            sub_ints = tuple(ints[i] for i in indices)
         object.__setattr__(sub, "scale", self.scale)
-        object.__setattr__(sub, "int_sizes", tuple(ints[i] for i in indices))
+        object.__setattr__(sub, "int_sizes", sub_ints)
         return sub
 
     @property

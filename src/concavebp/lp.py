@@ -28,6 +28,14 @@ the small items.  Only when the certificate fails does ``solve_lp`` run,
 warm from the same basis.  A master solution carries the keys of its basic
 columns, so ``extract_basic`` reads basicness off them when the projected
 support lies inside the basis, and runs a rank test only otherwise.
+
+The basic solution's small types are split into items by runs, not item by
+item: ``split_types`` gives each positive (small type, window) pair its
+snapped stretch [lo, hi) of the type's cumulative mass, so
+``LpSolution.assignment`` has one entry per such pair whatever the item
+count.  Item q of the type lies wholly in the window when lo <= q and
+q + 1 <= hi; only an item that straddles an end is fractional, and
+``fractional_counts`` looks at those alone.
 """
 from __future__ import annotations
 
@@ -343,33 +351,44 @@ class LpModel:
 
 @dataclass
 class LpSolution:
-    """A master solution.  ``y`` is keyed by (small type, window); ``assignment``
-    is keyed by (item, window), split from ``y`` by ``extract_basic``.
-    ``duals`` holds the row duals of the program solved, clamped at 0, in
-    the row order of its ``arrays()``: alpha per size, beta per small type,
-    then gamma and delta per window with rows.  ``basis`` holds the keys of
-    the master's basic columns."""
+    """A master solution.  ``y`` is keyed by (small type, window), and so is
+    ``assignment``, which ``extract_basic`` splits from ``y``: the pair's
+    snapped stretch (lo, hi) of the type's cumulative item mass, clipped to
+    the type's item count (``split_types``).  ``duals`` holds the row duals
+    of the program solved, clamped at 0, in the row order of its
+    ``arrays()``: alpha per size, beta per small type, then gamma and delta
+    per window with rows.  ``basis`` holds the keys of the master's basic
+    columns."""
 
     objective: float
     x: dict[GeneralizedConfiguration, float]
     y: dict[tuple[int, Window], float]
     duals: np.ndarray
-    assignment: dict[tuple[int, Window], float] = field(default_factory=dict)
+    assignment: dict[tuple[int, Window], tuple[float, float]] = field(default_factory=dict)
     basis: frozenset = frozenset()
 
     def fractional_counts(self) -> tuple[int, int]:
         """(F_X, F_Y): fractional configuration columns, and small items whose
-        assignment vector is fractional."""
+        assignment vector is fractional.
+
+        An item wholly inside one stretch has the one component 1 there and
+        no other, so only the items straddling a stretch's end are looked
+        at: item q of a stretch [lo, hi) holds min(q + 1, hi) - max(q, lo)
+        of it, and an item counts unless its one component above
+        FRACTIONAL_TOL is within FRACTIONAL_TOL of 1."""
         fx = sum(
             1
             for val in self.x.values()
             if val > FRACTIONAL_TOL and abs(val - round(val)) > FRACTIONAL_TOL
         )
-        by_item: dict[int, list[float]] = {}
-        for (si, _w), val in self.assignment.items():
-            if val > FRACTIONAL_TOL:
-                by_item.setdefault(si, []).append(val)
-        # an integral item has exactly one component, equal to 1
+        by_item: dict[tuple[int, int], list[float]] = {}
+        for (s, _w), (lo, hi) in self.assignment.items():
+            first, stop = math.floor(lo), math.ceil(hi)
+            for q in {first, stop - 1}:
+                if first <= q < stop and (q < lo or q + 1 > hi):
+                    val = min(q + 1, hi) - max(q, lo)
+                    if val > FRACTIONAL_TOL:
+                        by_item.setdefault((s, q), []).append(val)
         fy = sum(
             1
             for vals in by_item.values()
@@ -566,18 +585,20 @@ def extract_basic(sol: LpSolution, model: LpModel) -> LpSolution:
 
 def split_types(
     y: dict[tuple[int, Window], float], model: LpModel
-) -> dict[tuple[int, Window], float]:
-    """Per-item assignment from per-type values.
+) -> dict[tuple[int, Window], tuple[float, float]]:
+    """Per-type assignment as stretches of cumulative mass.
 
-    A type's items fill its windows greedily in sorted window order: item q
-    takes the part of [q, q + 1) that falls in a window's stretch of the
-    cumulative mass.  Cumulative positions within FRACTIONAL_TOL of an
-    integer are snapped to it, so an item inside one window gets exactly 1
-    there and only an item straddling two windows is fractional; a type with
-    n_s positive windows thus has at most n_s - 1 fractional items.  Mass
-    beyond the type's count is dropped, which only relaxes the window rows.
+    A type's items fill its windows greedily in sorted window order: the
+    pair (s, w) takes the stretch [lo, hi) of the type's cumulative mass,
+    and item q lies wholly in w when lo <= q and q + 1 <= hi.  Every end
+    within FRACTIONAL_TOL of an integer is snapped to it, so an item inside
+    one window is wholly there and only an item straddling two windows is
+    fractional; a type with n_s positive windows thus has at most n_s - 1
+    fractional items.  Ends are clipped to the type's item count: mass
+    beyond it covers no item, which only relaxes the window rows.  One entry
+    per positive pair, whatever the item count.
     """
-    out: dict[tuple[int, Window], float] = {}
+    out: dict[tuple[int, Window], tuple[float, float]] = {}
     lo = 0.0
     last = None
     for (s, w), val in sorted(y.items()):
@@ -585,12 +606,11 @@ def split_types(
             continue
         if s != last:
             last, lo = s, 0.0
-        items = model.smalls[s].items
         hi = lo + val
         if abs(hi - round(hi)) <= FRACTIONAL_TOL:
             hi = float(round(hi))
-        for q in range(math.floor(lo), min(math.ceil(hi), len(items))):
-            out[(items[q], w)] = min(q + 1, hi) - max(q, lo)
+        count = float(len(model.smalls[s].items))
+        out[(s, w)] = (min(lo, count), min(hi, count))
         lo = hi
     return out
 

@@ -32,13 +32,22 @@ def write_instance(inst: Instance, fh: TextIO) -> None:
     fh.write("sizes: " + " ".join(str(s) for s in inst.sizes) + "\n")
 
 
+# CPython's default int-to-string digit limit; it caps exponents where the
+# interpreter sets no limit (0, or no sys.get_int_max_str_digits at all)
+DEFAULT_DIGIT_LIMIT = 4300
+
+
 def _fraction(tok: str) -> Fraction:
     """``Fraction(tok)``, refused with ValueError when str() could not print
     it back under ``sys.get_int_max_str_digits()``, as digests and messages
-    do; an exponent past that limit is refused before Fraction expands it."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    do; an exponent past that limit, or past DEFAULT_DIGIT_LIMIT where the
+    interpreter has none, is refused before Fraction expands it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_DIGIT_LIMIT
     _, e, exp = tok.lower().partition("e")
-    if limit and e and abs(int(exp)) > limit:
+    # an exponent with more digits than the limit itself is over it, and is
+    # refused without int(), which takes quadratic time in the digits
+    digits = exp.lstrip("+-").lstrip("0")
+    if e and (len(digits) > len(str(limit)) or abs(int(exp)) > limit):
         raise ValueError(f"an exponent exceeds the {limit}-digit limit")
     value = Fraction(tok)
     str(value)  # ValueError past the limit

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from concavebp import CostFunction, FractionalPacking, Instance, make_cost_function
+from concavebp.errors import InvariantError
+from concavebp.lp import FRACTIONAL_TOL
 
 
 def random_instance(
@@ -163,6 +167,163 @@ def brute_force_matching(large_sizes, small_sizes, weights) -> Fraction:
 
     rec(0, frozenset(), Fraction(0))
     return best
+
+
+def reference_split_types(y, model) -> dict:
+    """The item-by-item split that ``lp.split_types`` replaced: one value per
+    (item, window), the part of [q, q + 1) that falls in the window's
+    stretch of the type's cumulative mass, ends snapped as there."""
+    out = {}
+    lo = 0.0
+    last = None
+    for (s, w), val in sorted(y.items()):
+        if val <= 0:
+            continue
+        if s != last:
+            last, lo = s, 0.0
+        items = model.smalls[s].items
+        hi = lo + val
+        if abs(hi - round(hi)) <= FRACTIONAL_TOL:
+            hi = float(round(hi))
+        for q in range(math.floor(lo), min(math.ceil(hi), len(items))):
+            out[(items[q], w)] = min(q + 1, hi) - max(q, lo)
+        lo = hi
+    return out
+
+
+def reference_fractional_counts(x, item_assignment) -> tuple[int, int]:
+    """``LpSolution.fractional_counts`` over a per-item assignment, as it was
+    before the assignment went by stretches."""
+    fx = sum(
+        1 for val in x.values() if val > FRACTIONAL_TOL and abs(val - round(val)) > FRACTIONAL_TOL
+    )
+    by_item: dict[int, list[float]] = {}
+    for (i, _w), val in item_assignment.items():
+        if val > FRACTIONAL_TOL:
+            by_item.setdefault(i, []).append(val)
+    fy = sum(
+        1
+        for vals in by_item.values()
+        if not (len(vals) == 1 and abs(vals[0] - 1.0) <= FRACTIONAL_TOL)
+    )
+    return fx, fy
+
+
+def reference_round_solution(x, item_assignment, model, grouping, inst):
+    """The item-by-item rounding that ``afptas.round_solution`` replaced:
+    one bin record per rounded-up copy, one window lookup per bin, one
+    (item, window) value per kept item.  Returns (bins, config_records,
+    dedicated, removed bins, special bins, excess bins)."""
+    k = model.eps.denominator
+    one_plus = 1.0 + 1.0 / k
+    f_vals = model.f.values
+    top = len(f_vals) - 1
+    sizes, scale = inst.int_sizes, inst.scale
+
+    bin_gcs = []
+    for gc in sorted(x):
+        if x[gc] > 1e-7:
+            bin_gcs += [gc] * math.ceil(x[gc] - 1e-7)
+    # large items: a bin counting c of type j takes the type's next c items
+    bounds = list(accumulate(grouping.demands, initial=len(grouping.l1)))
+    heads, ends = bounds[:-1], bounds[1:]
+    larges = []
+    for gc in bin_gcs:
+        placed = []
+        for j, c in enumerate(gc.config.counts):
+            if c:
+                placed.extend(range(heads[j], min(heads[j] + c, ends[j])))
+                heads[j] += c
+        larges.append(placed)
+    leftover = {v: list(range(h, e)) for v, h, e in zip(grouping.sizes, heads, ends) if h < e}
+    if leftover:
+        raise InvariantError(f"unplaced large items: {leftover}")
+    smalls = [[] for _ in bin_gcs]
+
+    unit = {i: w for (i, w), val in item_assignment.items() if abs(val - 1.0) <= 1e-6}
+    extra_bins = []
+    assigned = {}
+    for st in model.smalls:
+        for item in st.items:
+            if item in unit:
+                assigned.setdefault(unit[item], []).append(item)
+            else:
+                extra_bins.append([item])
+    dedicated = len(extra_bins)
+
+    by_window = {}
+    for b, gc in enumerate(bin_gcs):
+        by_window.setdefault(gc.window, []).append(b)
+
+    removed, specials, excess_subsets = [], [], []
+    for w in sorted(assigned):
+        items = assigned[w]
+        if w.t >= model.t_max:
+            raise InvariantError("small items assigned to a degenerate window")
+        target = by_window.get(w, [])
+        if not target:
+            raise InvariantError(f"window {w} has assigned items but no bins")
+        if len(items) > w.kappa * len(target):
+            raise InvariantError("window count row violated after rounding")
+        for pos, item in enumerate(sorted(items, key=lambda i: (-sizes[i], i))):
+            smalls[target[pos % len(target)]].append(item)
+        for b in target:
+            if len(smalls[b]) > w.kappa:
+                raise InvariantError(f"window {w} dealt more than kappa items to a bin")
+            if not smalls[b]:
+                continue
+            removed.append(smalls[b].pop(0))
+            room = scale - sum(sizes[i] for i in larges[b])
+            keep, special, excess, load = [], None, [], 0
+            for i in sorted(smalls[b], key=lambda i: (sizes[i], i)):
+                if special is None and load + sizes[i] <= room:
+                    keep.append(i)
+                    load += sizes[i]
+                elif special is None:
+                    special = i
+                else:
+                    excess.append(i)
+            smalls[b] = keep
+            if special is not None:
+                specials.append(special)
+            if excess:
+                if not len(excess) * k <= w.kappa:
+                    raise InvariantError("excess items exceed eps * kappa")
+                excess_subsets.append((w.kappa, excess))
+
+    for chunk_src in (removed, specials):
+        for i in range(0, len(chunk_src), k):
+            extra_bins.append(chunk_src[i : i + k])
+    excess_subsets.sort(key=lambda t: -t[0])
+    for i in range(0, len(excess_subsets), k):
+        extra_bins.append([item for _, items in excess_subsets[i : i + k] for item in items])
+
+    records, out_bins = [], []
+    for gc, placed, kept in zip(bin_gcs, larges, smalls):
+        content = placed + kept
+        if not content:
+            continue
+        if sum(sizes[i] for i in content) > scale:
+            raise InvariantError("configuration bin exceeds capacity")
+        k_p = model.staircase.ks[gc.p]
+        f_kp = f_vals[min(k_p, top)]
+        cost = f_vals[min(len(content), top)]
+        if not cost <= one_plus * f_kp + 1e-9:
+            raise InvariantError("bin real cost exceeds (1+eps) * level cost")
+        records.append({"k_p": k_p, "f_k_p": f_kp, "items": len(content), "cost": cost})
+        out_bins.append(content)
+    for eb in extra_bins:
+        if sum(sizes[i] for i in eb) > scale:
+            raise InvariantError("repair bin exceeds capacity")
+    out_bins.extend(eb for eb in extra_bins if eb)
+    return (
+        out_bins,
+        records,
+        dedicated,
+        (len(removed) + k - 1) // k,
+        (len(specials) + k - 1) // k,
+        (len(excess_subsets) + k - 1) // k,
+    )
 
 
 @pytest.fixture

@@ -7,20 +7,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import concavebp
 
 from concavebp import (
     Instance,
+    afptas,
     exact_opt,
     make_fq,
     run_afptas,
     verify_packing,
 )
 from concavebp.afptas import round_solution
-from concavebp.lp import LpModel, LpSolution, small_types
+from concavebp.errors import InvariantError
+from concavebp.generators import generate
+from concavebp.lp import LpModel, LpSolution, small_types, split_types
+from concavebp.serialize import parse_cost_spec
 from concavebp.structures import (
     Configuration,
     GeneralizedConfiguration,
@@ -30,7 +34,14 @@ from concavebp.structures import (
     main_window,
     split_small,
 )
-from conftest import random_concave_cost, random_instance, round_size_to_power
+from conftest import (
+    random_concave_cost,
+    random_instance,
+    reference_fractional_counts,
+    reference_round_solution,
+    reference_split_types,
+    round_size_to_power,
+)
 
 
 class TestRunBasics:
@@ -275,17 +286,17 @@ def _rounding_fixture(large_size, n_large, small_size, n_small, n, q=1):
     return inst, f, grouping, model, stair
 
 
-def _solution(model, columns_with_values, assignments):
-    """``assignments`` holds (position among the small items, window) pairs."""
-    items = [i for st in model.smalls for i in st.items]
+def _solution(model, columns_with_values, y):
+    """``y`` maps (small type, window) pairs to their mass; the assignment
+    is its split into stretches, as ``extract_basic`` makes it."""
     return LpSolution(
         objective=sum(
             model.staircase.f_at[gc.p] * v for gc, v in columns_with_values
         ),
         x=dict(columns_with_values),
-        y={},
+        y=y,
         duals=np.zeros(0),
-        assignment={(items[si], w): 1.0 for si, w in assignments},
+        assignment=split_types(y, model),
     )
 
 
@@ -299,8 +310,8 @@ class TestRoundSolution:
         mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
-        sol = _solution(model, [(gc, 3.0)], [(si, mw) for si in range(7)])
-        outcome = round_solution(sol, model, grouping, inst)
+        sol = _solution(model, [(gc, 3.0)], {(0, mw): 7.0})
+        outcome = _matches_reference(sol, model, grouping, inst)
         # pre-removal loads are 3/2/2 small items; one is removed per bin
         assert sorted(rec["items"] for rec in outcome.config_records) == [2, 2, 3]
         assert outcome.removed_bins == 1
@@ -315,8 +326,8 @@ class TestRoundSolution:
         mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
-        sol = _solution(model, [(gc, 1.0)], [])
-        outcome = round_solution(sol, model, grouping, inst)
+        sol = _solution(model, [(gc, 1.0)], {})
+        outcome = _matches_reference(sol, model, grouping, inst)
         assert outcome.dedicated_small == 0
         assert len(outcome.bins) == 1 and sorted(outcome.bins[0]) == [0, 1]
 
@@ -327,9 +338,10 @@ class TestRoundSolution:
         mw = main_window(cfg, p, model.eps, model.t_max, stair, model.scale)
         gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
-        sol = _solution(model, [(gc, 1.0)], [(0, mw)])
-        sol.assignment[(model.smalls[0].items[1], mw)] = 0.5  # second item fractionally assigned
-        outcome = round_solution(sol, model, grouping, inst)
+        # the first item whole in mw, the second fractionally assigned
+        sol = _solution(model, [(gc, 1.0)], {(0, mw): 1.5})
+        assert sol.assignment == {(0, mw): (0.0, 1.5)}
+        outcome = _matches_reference(sol, model, grouping, inst)
         assert outcome.dedicated_small == 1
         placed = sorted(i for b in outcome.bins for i in b)
         assert placed == [0, 1, 2]
@@ -346,8 +358,8 @@ class TestRoundSolution:
         assert mw.w == 9 / 16
         gc = GeneralizedConfiguration(cfg, p, mw)
         model.add_column(gc)
-        sol = _solution(model, [(gc, 1.0)], [(si, mw) for si in range(50)])
-        outcome = round_solution(sol, model, grouping, inst)
+        sol = _solution(model, [(gc, 1.0)], {(0, mw): 50.0})
+        outcome = _matches_reference(sol, model, grouping, inst)
         assert outcome.special_bins == 1
         assert outcome.excess_bins == 1
         assert outcome.removed_bins == 1
@@ -355,3 +367,130 @@ class TestRoundSolution:
         assert placed == list(range(51))
         for b in outcome.bins:
             assert sum((inst.sizes[i] for i in b), Fraction(0)) <= 1
+
+
+TABLE = "table:0,1,1.6,2.0,2.3,2.5"
+SPECS = ("fq:3", TABLE)
+
+
+def _matches_reference(basic, model, grouping, inst):
+    """Round ``basic`` by runs and by the item-by-item reference: the same
+    bins, configuration records and repair-bin counts, and the same
+    fractional counts, or an InvariantError from both.  Returns the
+    outcome, or None when both raised."""
+    items = reference_split_types(basic.y, model)
+    try:
+        want = reference_round_solution(basic.x, items, model, grouping, inst)
+    except InvariantError:
+        with pytest.raises(InvariantError):
+            round_solution(basic, model, grouping, inst)
+        return None
+    got = round_solution(basic, model, grouping, inst)
+    counts = (got.dedicated_small, got.removed_bins, got.special_bins, got.excess_bins)
+    assert (got.bins, got.config_records, *counts) == want
+    assert basic.fractional_counts() == reference_fractional_counts(basic.x, items)
+    return got
+
+
+def _rounding_inputs(inst, spec, k):
+    """The arguments of every round_solution call of a windowed run."""
+    seen = []
+    plain = afptas.round_solution
+
+    def recording(*args):
+        seen.append(args)
+        return plain(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(afptas, "round_solution", recording)
+        run_afptas(inst, parse_cost_spec(spec, inst.n), Fraction(1, k), h_eps=k)
+    return seen
+
+
+class TestRoundingMatchesReference:
+    """Rounding by runs against today's per-item reference in conftest."""
+
+    # examples with fractional small items (dedicated bins) and special items
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(["mixed", "fine", "uniform_random", "clustered_random"]),
+        n=st.integers(20, 140),
+        seed=st.integers(0, 10**6),
+        k=st.sampled_from([3, 4]),
+        spec=st.sampled_from(SPECS),
+    )
+    @example(family="mixed", n=100, seed=2, k=3, spec=TABLE)
+    @example(family="mixed", n=60, seed=6, k=4, spec=TABLE)
+    @example(family="fine", n=100, seed=2, k=3, spec=TABLE)
+    @example(family="uniform_random", n=200, seed=0, k=4, spec="fq:3")
+    def test_windowed_runs(self, family, n, seed, k, spec):
+        if family == "mixed":
+            inst = generate("mixed", {"n": n}, seed)
+        elif family == "fine":
+            inst = generate("mixed", {"n": n, "denominator": 10**6}, seed)
+        else:
+            inst = generate(family, {"n": n}, seed)
+        for args in _rounding_inputs(inst, spec, k):
+            assert _matches_reference(*args) is not None
+
+    def test_examples_cover_fractional_and_special_items(self):
+        (args,) = _rounding_inputs(generate("mixed", {"n": 100}, 2), TABLE, 3)
+        got = _matches_reference(*args)
+        assert got.dedicated_small > 0 and got.special_bins > 0
+
+    # hand-built solutions whose windows overflow the bins' real free space,
+    # so that excess subsets form, with straddling items between two windows
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_crafted_solutions(self, data):
+        k = data.draw(st.sampled_from([3, 4]), label="k")
+        spec = data.draw(st.sampled_from(SPECS), label="spec")
+        large = Fraction(data.draw(st.sampled_from(["9/16", "1/2", "3/5"]), label="large"))
+        n_large = data.draw(st.integers(1, 3), label="n_large")
+        small_sizes = data.draw(
+            st.lists(st.sampled_from(["7/625", "1/50", "1/20", "3/40"]), min_size=1, max_size=3, unique=True),
+            label="small sizes",
+        )
+        counts = [data.draw(st.integers(1, 30), label="count") for _ in small_sizes]
+        sizes = [large] * n_large
+        sizes += [Fraction(v) for v, c in zip(small_sizes, counts) for _ in range(c)]
+        inst = Instance.from_values(sizes)
+        eps = Fraction(1, k)
+        f = parse_cost_spec(spec, inst.n)
+        stair = build_staircase(f, eps, inst.n)
+        grouping = linear_grouping(inst, eps)
+        _, t_star = round_size_to_power(eps, min(Fraction(v) for v in small_sizes))
+        model = LpModel(
+            sizes=(inst.int_sizes[0],),
+            demands=(n_large,),
+            scale=inst.scale,
+            smalls=small_types(inst.int_sizes, range(n_large, inst.n)),
+            windows=tuple(build_windows(eps, t_star + 1, stair)),
+            staircase=stair,
+            p_max=stair.ell,
+            eps=eps,
+            t_max=t_star + 1,
+            f=f,
+        )
+        c = data.draw(st.integers(1, int(1 / large)), label="per bin")
+        cfg = Configuration((c,), c * inst.int_sizes[0], c)
+        # the top level's count bound takes every small item in one bin
+        mw = main_window(cfg, stair.ell, eps, model.t_max, stair, model.scale)
+        gc = GeneralizedConfiguration(cfg, stair.ell, mw)
+        x = {gc: -(-n_large // c) - data.draw(st.sampled_from([0.0, 0.3, 0.7]), label="short")}
+        windows = [mw]
+        if data.draw(st.booleans(), label="second window"):
+            w2 = data.draw(st.sampled_from(model.row_windows), label="w2")
+            if w2 != mw:
+                x[model.empty_column(w2)] = data.draw(st.sampled_from([0.4, 1.0, 2.5]), label="x2")
+                windows.append(w2)
+        y = {}
+        for s, count in enumerate(counts):
+            mass = count + data.draw(st.sampled_from([0.0, -0.5, 1.25]), label="surplus")
+            cut = data.draw(st.integers(0, int(4 * mass)), label="cut") / 4
+            parts = [cut, mass - cut] if len(windows) == 2 else [mass]
+            for w, part in zip(windows, parts):
+                if part > 0:
+                    y[(s, w)] = part
+        basic = LpSolution(0.0, x, y, np.zeros(0), assignment=split_types(y, model))
+        _matches_reference(basic, model, grouping, inst)

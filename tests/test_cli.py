@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,24 @@ class TestSerialization:
         with pytest.raises(ParseError, match="exponent exceeds"):
             read_instance(io.StringIO(text))
         assert expanded == []
+
+    @pytest.mark.parametrize("interpreter", ["no-limit", "no-function"])
+    def test_long_exponent_is_refused_without_a_digit_limit(
+        self, tmp_path, capsys, monkeypatch, interpreter
+    ):
+        # with no limit set (PYTHONINTMAXSTRDIGITS=0), or on an interpreter
+        # without the function, the exponent is capped at CPython's default
+        # 4300; uncapped, Fraction would build 10**(10**300) and never return
+        if interpreter == "no-limit":
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        else:
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        path = tmp_path / "x.inst"
+        path.write_text(f"format: concavebp-instance-v1\nn: 2\nsizes: 1e{'9' * 300} 1/2\n")
+        start = time.perf_counter()
+        code = main(["solve", str(path), "--alg", "ff-inc", "--cost", "fq:3"])
+        assert time.perf_counter() - start < 1.0
+        _assert_input_error(capsys, code)
 
     def test_digit_limit_boundary(self):
         # 10**(limit - 1) still prints; 10**limit has one digit too many,

@@ -381,6 +381,18 @@ class TestSplitRepairMatchesReference:
             assert sub.int_sizes == tuple(s * inst.scale for s in plain.sizes)
             assert fnfi_with_split_repair(sub) == fnfi_with_split_repair(plain)
 
+    def test_range_subset_slices(self):
+        # a step-1 range is cut out by slicing, with the same result as the
+        # same indices listed one by one
+        rng = random.Random(10)
+        for inst in instances():
+            lo = rng.randint(0, inst.n)
+            hi = rng.randint(lo, inst.n)
+            for idx in (range(lo, hi), range(inst.n - 1, lo - 1, -1)):
+                sub, listed = inst.subset(idx), inst.subset(list(idx))
+                assert sub == listed and type(sub.sizes) is tuple
+                assert (sub.scale, sub.int_sizes) == (listed.scale, listed.int_sizes)
+
 
 @settings(max_examples=150, deadline=None)
 @given(

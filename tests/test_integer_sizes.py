@@ -15,6 +15,7 @@ and the pricing oracle's limit share one denominator, ``Instance.scale``.
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -520,16 +521,21 @@ class TestPlaceLargeMatchesReference:
                 c[rng.choice([j for j, x in enumerate(c) if x])] -= 1
             if seed % 4 == 3:  # a bin's items of the smallest size left over
                 bin_counts[rng.randrange(len(bin_counts))][-1] = 0
+            if seed % 2:  # runs of equal bins, as rounded-up copies give them
+                bin_counts = [c for c in bin_counts for _ in range(rng.randint(1, 3))]
             counts = [tuple(c) for c in bin_counts]
+            runs = [(c, len(list(group))) for c, group in groupby(counts)]
             expected, leftover = reference_place_large(counts, rounded, rounded_size, grouping)
             if leftover:
                 with pytest.raises(InvariantError) as err:
-                    _place_large(counts, grouping)
+                    _place_large(runs, grouping, inst.int_sizes)
                 # the message names each size type by its integer over the scale
                 leftover = {int(v * inst.scale): q for v, q in leftover.items()}
                 assert str(err.value) == f"unplaced large items: {leftover}"
             else:
-                assert _place_large(counts, grouping) == expected
+                bins, loads = _place_large(runs, grouping, inst.int_sizes)
+                assert bins == expected
+                assert loads == [sum(inst.int_sizes[i] for i in b) for b in expected]
 
 
 class TestWindowTestsMatchReference:

@@ -472,22 +472,20 @@ class TestSplitTypes:
         assert st.items == (100, 101, 102, 103)
         w1, w2 = sorted(w for w in model.windows if model.usable(w))[:2]
         got = split_types({(0, w2): 2.5, (0, w1): 1.5}, model)
-        assert got == {
-            (100, w1): 1.0,
-            (101, w1): 0.5,
-            (101, w2): 0.5,
-            (102, w2): 1.0,
-            (103, w2): 1.0,
-        }
+        # item 100 is whole in w1, 102 and 103 in w2; 101 straddles the two
+        assert got == {(0, w1): (0.0, 1.5), (0, w2): (1.5, 4.0)}
         sol = LpSolution(0.0, {}, {}, np.zeros(0), assignment=got)
         assert sol.fractional_counts() == (0, 1)
 
     def test_snapping_and_surplus_mass(self):
         model = build_model(["1/2"], [2], small_sizes=["1/6"] * 3)
         w1, w2, w3 = sorted(w for w in model.windows if model.usable(w))[:3]
-        # 2 - 1e-9 snaps to 2; the 1.5 beyond the count of 3 is dropped
+        # 2 - 1e-9 snaps to 2; the 1.5 beyond the count of 3 is clipped to
+        # an empty stretch
         got = split_types({(0, w1): 2 - 1e-9, (0, w2): 1.0 + 1e-9, (0, w3): 1.5}, model)
-        assert got == {(100, w1): 1.0, (101, w1): 1.0, (102, w2): 1.0}
+        assert got == {(0, w1): (0.0, 2.0), (0, w2): (2.0, 3.0), (0, w3): (3.0, 3.0)}
+        sol = LpSolution(0.0, {}, {}, np.zeros(0), assignment=got)
+        assert sol.fractional_counts() == (0, 0)
 
 
 def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):

@@ -15,6 +15,11 @@ pairs sifted, 661 of them enter, 0.90 times the rows.  Its seed basis is
 optimal, so the first master solve is certified in closed form and the
 basic extraction reads basicness off the master's basis: the run forms no
 basis inverse and runs no rank test.
+
+Past the master, the scheme rounds by runs: at the default threshold on
+the mixed family at n = 200,000, the basic solution's assignment holds one
+stretch per positive (small type, window) pair, not one value per kept
+small item.
 """
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concavebp import make_fq, run_afptas, verify_packing
+from concavebp import afptas, make_fq, run_afptas, verify_packing
 from concavebp.generators import mixed
 from concavebp.lp import LpModel
 
@@ -100,3 +105,22 @@ def test_fine_master_sifts_assignment_columns(monkeypatch):
         # the candidates outnumber the rows many times over
         assert len(model._y_type) > 20 * rows
         assert pairs <= 2 * rows
+
+
+def test_default_assignment_goes_by_runs(monkeypatch):
+    rounded = []
+    plain = afptas.round_solution
+
+    def recording(basic, model, *args):
+        rounded.append((basic, model))
+        return plain(basic, model, *args)
+
+    monkeypatch.setattr(afptas, "round_solution", recording)
+    inst = mixed(200_000, 7)
+    res = run_afptas(inst, make_fq(3, inst.n), Fraction(1, 3))
+    ((basic, model),) = rounded
+    pairs = sum(val > 0 for val in basic.y.values())
+    kept = sum(len(st.items) for st in model.smalls)
+    assert kept > 100 * pairs > 0
+    # one entry per positive pair, with room for the straddling items
+    assert len(basic.assignment) <= pairs + res.provenance.fractional_y
