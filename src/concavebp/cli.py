@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, gen, compare.
 
 Exit codes: 0 success, 2 malformed or unreadable input (including a
-``--config-budget`` below 1, a negative ``--exact-limit``, a cost table
-that ``afptas`` cannot normalize, such as an all-zero one, and a number
-too long for ``sys.get_int_max_str_digits()``), 3 infeasible
+``--config-budget`` below 1, a negative ``--exact-limit``, a ``gen
+--param`` name the family does not take, reported with the names it does
+take, a cost table that ``afptas`` cannot normalize, such as an all-zero
+one, and a number too long for ``sys.get_int_max_str_digits()``), 3 infeasible
 or failed verification (including a claimed cost that does not match, an
 infeasible master program, a numerical failure of the LP solver or a broken
 invariant of the scheme), 4 solver limit exceeded (including running out of

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 from .core import Instance
 
-FAMILIES = (
-    "sec2_single_large",
-    "sec2_many_large",
-    "mh_tight",
-    "uniform_random",
-    "clustered_random",
-    "mixed",
-)
+# the parameter names each family takes, required ones first
+PARAMS = {
+    "sec2_single_large": ("K",),
+    "sec2_many_large": ("K",),
+    "mh_tight": ("N", "K"),
+    "uniform_random": ("n", "denominator"),
+    "clustered_random": ("n", "clusters", "denominator"),
+    "mixed": ("n", "denominator"),
+}
+FAMILIES = tuple(PARAMS)
 
 
 def sec2_single_large(K: int) -> Instance:
@@ -87,7 +89,16 @@ def mixed(n: int, seed: int, denominator: int = 1000) -> Instance:
 
 
 def generate(family: str, params: dict[str, int], seed: int = 0) -> Instance:
-    """Dispatch by family name; ``seed`` only matters for random families."""
+    """Dispatch by family name; ``seed`` only matters for random families.
+    A parameter name the family does not take is a ValueError."""
+    if family not in PARAMS:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    unknown = [key for key in params if key not in PARAMS[family]]
+    if unknown:
+        raise ValueError(
+            f"family {family!r} takes no parameter {unknown[0]!r}; "
+            f"it takes {', '.join(PARAMS[family])}"
+        )
     if family == "sec2_single_large":
         return sec2_single_large(params["K"])
     if family == "sec2_many_large":
@@ -100,6 +111,4 @@ def generate(family: str, params: dict[str, int], seed: int = 0) -> Instance:
         return clustered_random(
             params["n"], seed, params.get("clusters", 3), params.get("denominator", 1000)
         )
-    if family == "mixed":
-        return mixed(params["n"], seed, params.get("denominator", 1000))
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return mixed(params["n"], seed, params.get("denominator", 1000))

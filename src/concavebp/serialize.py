@@ -2,11 +2,12 @@
 
 Sizes and fractions are serialized as exact rational strings ("3/4"), so a
 round-trip is bit-exact.  Solution files embed a digest of the instance to
-catch mismatched verification.
+catch mismatched verification.  Only ``instance_digest`` imports hashlib, so
+OpenSSL's libcrypto loads only when a digest is computed (``solve --out``,
+``verify``), not when the package is imported.
 """
 from __future__ import annotations
 
-import hashlib
 import sys
 from fractions import Fraction
 from typing import TextIO, Union
@@ -22,6 +23,8 @@ class ParseError(ValueError):
 
 
 def instance_digest(inst: Instance) -> str:
+    import hashlib  # here, so that only a digest loads OpenSSL's libcrypto
+
     text = " ".join(str(s) for s in inst.sizes)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -8,9 +8,13 @@ rename or deletion in the package breaks it.  Both lists are read with
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+import concavebp
 from concavebp import lp
 from concavebp.afptas import Provenance
 from concavebp.simplex import LpResult
@@ -33,6 +37,28 @@ def test_run_modules_import():
     assert modules
     for name in modules:
         importlib.import_module(f"concavebp.{name}")
+
+
+def test_run_modules_leave_openssl_unloaded():
+    # hashlib loads OpenSSL's libcrypto, about 3.6 MB resident, and only
+    # instance_digest needs it: importing what the benchmark imports must
+    # not load it, and computing a digest must
+    modules = _module_constant("run.py", "MODULES")
+    script = f"""
+import importlib, json, sys
+sys.path.insert(0, {str(Path(concavebp.__file__).resolve().parents[1])!r})
+import concavebp
+for name in {list(modules)!r}:
+    importlib.import_module("concavebp." + name)
+loaded = lambda: [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+before = loaded()
+concavebp.serialize.instance_digest(concavebp.Instance.from_values(["1/2"]))
+print(json.dumps([before, loaded()]))
+"""
+    # -I: no PYTHONPATH, user site or startup file loads anything first
+    run = subprocess.run([sys.executable, "-I", "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[], ["hashlib", "_hashlib"]]
 
 
 def test_tracer_targets_resolve():

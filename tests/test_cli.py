@@ -83,7 +83,9 @@ class TestSerialization:
         sol = read_solution(buf)
         assert sol["packing"].bins == p.bins
         assert sol["cost"] == 2.0
-        assert sol["digest"] == instance_digest(inst)
+        # the README's example digest: a change of digest text or format
+        # would strand every solution file written before it
+        assert sol["digest"] == instance_digest(inst) == "51b91b15c34855e8"
 
     def test_malformed_instance_rejected(self):
         with pytest.raises(ParseError):
@@ -162,6 +164,30 @@ class TestGen:
 
     def test_missing_param_is_input_error(self, tmp_path):
         assert main(["gen", "sec2_single_large", "--out", str(tmp_path / "x")]) == 2
+
+    # per family: valid parameters, and the accepted names as listed
+    GEN_PARAMS = {
+        "sec2_single_large": (["K=4"], "K"),
+        "sec2_many_large": (["K=4"], "K"),
+        "mh_tight": (["N=8", "K=2"], "N, K"),
+        "uniform_random": (["n=10"], "n, denominator"),
+        "clustered_random": (["n=10"], "n, clusters, denominator"),
+        "mixed": (["n=10"], "n, denominator"),
+    }
+
+    @pytest.mark.parametrize("family", GEN_PARAMS)
+    @pytest.mark.parametrize("extra", ["denom=1000000", "=5"])
+    def test_unknown_param_is_input_error(self, tmp_path, capsys, family, extra):
+        params, accepted = self.GEN_PARAMS[family]
+        out = tmp_path / "x"
+        argv = ["gen", family, "--out", str(out)]
+        for kv in params + [extra]:
+            argv += ["--param", kv]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(f"takes {accepted}")
 
     def test_empty_random_instance(self, tmp_path):
         out = tmp_path / "e.inst"
