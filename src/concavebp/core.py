@@ -2,10 +2,12 @@
 
 Sizes are exact rationals throughout so that capacity feasibility is
 bit-exact; an instance also carries them as integers over their common
-denominator, so capacity tests need no rational arithmetic.  The fractional
-verifier and the fractional cost read each part's numerator and denominator
-and count in integers too.  Cost values are plain floats and are only ever
-compared with a small tolerance, never accumulated adversarially.
+denominator, so capacity tests need no rational arithmetic.  Items of one
+size share one Fraction and one int: an instance holds one object per
+distinct size, not per item.  The fractional verifier and the fractional
+cost read each part's numerator and denominator and count in integers too.
+Cost values are plain floats and are only ever compared with a small
+tolerance, never accumulated adversarially.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 SizeLike = Union[Fraction, int, float, str]
@@ -44,6 +47,8 @@ class Instance:
     ``scale`` for an instance cut out with ``subset``) and ``int_sizes`` (each
     size times ``scale``) are computed on first use and kept; they are not
     fields, so equality, hashing and repr see the sizes only.
+    ``from_values`` gives all the items of one size the same Fraction and
+    the same int, so the instance holds one object per distinct size.
     """
 
     sizes: tuple[Fraction, ...]
@@ -53,17 +58,27 @@ class Instance:
         sizes = [to_size(v) for v in values]
         scale = math.lcm(*{s.denominator for s in sizes})
         ints = [s.numerator * (scale // s.denominator) for s in sizes]
-        if ints:
+        # one Fraction per distinct integer, read from a dict keyed on the
+        # integers (their hash is C-level, a Fraction's is not); each
+        # per-item list is dropped once read, so that on all-distinct sizes
+        # the dict costs no more than an index sort would
+        fraction_of = dict(zip(ints, sizes))
+        del sizes
+        ints.sort(reverse=True)
+        if ints and (ints[0] > scale or ints[-1] < 0):
             # the first size out of range in non-increasing order
-            top = max(ints)
-            bad = top if top > scale else max((v for v in ints if v < 0), default=None)
-            if bad is not None:
-                raise ValueError(f"item size {Fraction(bad, scale)} outside [0, 1]")
-        order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
-        inst = cls(tuple(sizes[i] for i in order))
+            bad = ints[0] if ints[0] > scale else next(v for v in ints if v < 0)
+            raise ValueError(f"item size {Fraction(bad, scale)} outside [0, 1]")
+        if len(fraction_of) < len(ints):
+            # equal integers are adjacent once sorted; min keeps the first of
+            # two equals, so each run shares its first int object
+            ints = accumulate(ints, min)
+        int_sizes = tuple(ints)
+        del ints
+        inst = cls(tuple(map(fraction_of.__getitem__, int_sizes)))
         # seed the cached properties with the integers computed above
         object.__setattr__(inst, "scale", scale)
-        object.__setattr__(inst, "int_sizes", tuple(ints[i] for i in order))
+        object.__setattr__(inst, "int_sizes", int_sizes)
         return inst
 
     @cached_property

@@ -48,28 +48,32 @@ def mh_tight(N: int, K: int) -> Instance:
     return Instance.from_values(large + small)
 
 
+def _from_numerators(numerators: list[int], denominator: int) -> Instance:
+    """The instance of sizes k / ``denominator``, one Fraction per distinct k."""
+    fraction_of = {k: Fraction(k, denominator) for k in set(numerators)}
+    return Instance.from_values(map(fraction_of.__getitem__, numerators))
+
+
 def uniform_random(n: int, seed: int, denominator: int = 1000) -> Instance:
     """n sizes drawn uniformly from {1/D, ..., D/D}."""
     if n < 0 or denominator < 1:
         raise ValueError("need n >= 0 and denominator >= 1")
     rng = random.Random(seed)
-    sizes = [Fraction(rng.randint(1, denominator), denominator) for _ in range(n)]
-    return Instance.from_values(sizes)
+    return _from_numerators([rng.randint(1, denominator) for _ in range(n)], denominator)
 
 
 def clustered_random(n: int, seed: int, clusters: int = 3, denominator: int = 1000) -> Instance:
     """Sizes jittered around a few random cluster centers."""
-    if n < 0 or clusters < 1:
-        raise ValueError("need n >= 0 and clusters >= 1")
+    if n < 0 or clusters < 1 or denominator < 1:
+        raise ValueError("need n >= 0, clusters >= 1 and denominator >= 1")
     rng = random.Random(seed)
     centers = [rng.randint(1, denominator) for _ in range(clusters)]
-    sizes = []
+    draws = []
     for _ in range(n):
         c = rng.choice(centers)
         jitter = rng.randint(-denominator // 20, denominator // 20)
-        val = min(max(c + jitter, 1), denominator)
-        sizes.append(Fraction(val, denominator))
-    return Instance.from_values(sizes)
+        draws.append(min(max(c + jitter, 1), denominator))
+    return _from_numerators(draws, denominator)
 
 
 def mixed(n: int, seed: int, denominator: int = 1000) -> Instance:
@@ -83,9 +87,9 @@ def mixed(n: int, seed: int, denominator: int = 1000) -> Instance:
     rng = random.Random(seed)
     n_large = n // 5
     lo, hi = 2 * denominator // 5, denominator // 5
-    sizes = [Fraction(rng.randint(lo, denominator), denominator) for _ in range(n_large)]
-    sizes += [Fraction(rng.randint(1, hi), denominator) for _ in range(n - n_large)]
-    return Instance.from_values(sizes)
+    draws = [rng.randint(lo, denominator) for _ in range(n_large)]
+    draws += [rng.randint(1, hi) for _ in range(n - n_large)]
+    return _from_numerators(draws, denominator)
 
 
 def generate(family: str, params: dict[str, int], seed: int = 0) -> Instance:

@@ -75,14 +75,16 @@ def read_instance(fh: TextIO) -> Instance:
         raise ParseError(f"not an instance file (format: {fields.get('format')!r})")
     try:
         n = int(fields["n"])
-        raw = fields["sizes"].split() if fields["sizes"] else []
-        sizes = [_fraction(tok) for tok in raw]
+        raw = fields["sizes"].split()
+        # one parse per distinct token, in file order, so the first bad
+        # token is the one reported
+        fraction_of = {tok: _fraction(tok) for tok in dict.fromkeys(raw)}
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad instance file: {exc}") from exc
-    if len(sizes) != n:
-        raise ParseError(f"instance declares {n} sizes but lists {len(sizes)}")
+    if len(raw) != n:
+        raise ParseError(f"instance declares {n} sizes but lists {len(raw)}")
     try:
-        return Instance.from_values(sizes)
+        return Instance.from_values(map(fraction_of.__getitem__, raw))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -160,12 +162,16 @@ def read_solution(fh: TextIO) -> dict:
     try:
         if kind == "fractional":
             bins = []
+            fraction_of: dict[str, Fraction] = {}  # one parse per distinct part
             for raw in bins_raw:
                 entries = []
                 for tok in raw.split():
                     idx_s, _, fr_s = tok.partition("=")
                     idx = int(idx_s)
-                    entries.append((idx, _fraction(fr_s or "1")))
+                    fr = fraction_of.get(fr_s)
+                    if fr is None:
+                        fr = fraction_of[fr_s] = _fraction(fr_s or "1")
+                    entries.append((idx, fr))
                     items.add(idx)
                 bins.append(entries)
             packing: Union[Packing, FractionalPacking] = FractionalPacking.from_bins(

@@ -118,8 +118,9 @@ class TestRunBasics:
             """
         )
         src = str(Path(concavebp.__file__).resolve().parents[1])
+        # -B: the environment below drops PYTHONDONTWRITEBYTECODE
         done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
+            [sys.executable, "-B", "-O", "-c", script],
             capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
         )
         assert done.returncode == 0, done.stderr

@@ -55,8 +55,9 @@ before = loaded()
 concavebp.serialize.instance_digest(concavebp.Instance.from_values(["1/2"]))
 print(json.dumps([before, loaded()]))
 """
-    # -I: no PYTHONPATH, user site or startup file loads anything first
-    run = subprocess.run([sys.executable, "-I", "-c", script],
+    # -I: no PYTHONPATH, user site or startup file loads anything first;
+    # -B: it ignores PYTHONDONTWRITEBYTECODE, so say it on the command line
+    run = subprocess.run([sys.executable, "-B", "-I", "-c", script],
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == [[], ["hashlib", "_hashlib"]]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concavebp import FractionalPacking, Instance, Packing, generators
+from concavebp import FractionalPacking, Instance, Packing, generators, serialize
 from concavebp.cli import ALGORITHMS, main
 from concavebp.exact import exact_opt
 from concavebp.fractional import fnfi
@@ -133,6 +133,41 @@ class TestSerialization:
         with pytest.raises(ParseError, match="Exceeds the limit"):
             read_instance(io.StringIO(text.format(limit)))
 
+    def test_one_parse_per_distinct_token(self, monkeypatch):
+        parsed = []
+        plain = serialize._fraction
+        monkeypatch.setattr(serialize, "_fraction", lambda tok: parsed.append(tok) or plain(tok))
+        text = "format: concavebp-instance-v1\nn: 6\nsizes: 1/2 1/3 1/2 0.5 1/3 1/2\n"
+        inst = read_instance(io.StringIO(text))
+        assert parsed == ["1/2", "1/3", "0.5"]
+        assert inst.sizes == (Fraction(1, 2),) * 4 + (Fraction(1, 3),) * 2
+        assert len({id(s) for s in inst.sizes}) == 2
+        parsed.clear()
+        text = (
+            f"format: concavebp-solution-v1\ninstance_digest: {instance_digest(inst)}\n"
+            "algorithm: fnfi\ncost_spec: fq:1\nkind: fractional\ncost: 3.0\nbins: 2\n"
+            "bin: 0=1/2 1=1/2 2\nbin: 0=1/2 1=1/2 3=1\n"
+        )
+        sol = read_solution(io.StringIO(text))
+        assert parsed == ["1/2", "1", "1"]  # a bare index is a part of 1
+        assert sol["packing"].bins[1] == ((0, Fraction(1, 2)), (1, Fraction(1, 2)), (3, 1))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ("1/2 1/2 1/3 1/2 x/y", "Invalid literal for Fraction: 'x/y'"),
+            ("1/3 1/3 1/0 1/3 y", "Fraction(1, 0)"),
+            ("1/4 1/4 1/4 0.5e99999 x", "an exponent exceeds the {limit}-digit limit"),
+        ],
+    )
+    def test_bad_token_after_repeated_good_ones(self, sizes, message):
+        # the first bad token in file order is reported, as with one parse per token
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or serialize.DEFAULT_DIGIT_LIMIT
+        text = f"format: concavebp-instance-v1\nn: 5\nsizes: {sizes}\n"
+        with pytest.raises(ParseError) as exc:
+            read_instance(io.StringIO(text))
+        assert str(exc.value) == "bad instance file: " + message.format(limit=limit)
+
     def test_cost_spec_parsing(self):
         f = parse_cost_spec("fq:3", 5)
         assert f.values == (0.0, 1.0, 2.0, 3.0, 3.0, 3.0)
@@ -188,6 +223,14 @@ class TestGen:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert err[0].endswith(f"takes {accepted}")
+
+    def test_clustered_denominator_is_checked(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "clustered_random", "--param", "n=5", "--param", "denominator=0",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need n >= 0, clusters >= 1 and denominator >= 1"]
 
     def test_empty_random_instance(self, tmp_path):
         out = tmp_path / "e.inst"

@@ -64,6 +64,21 @@ def reference_from_values(values) -> tuple[Fraction, ...]:
     return tuple(sizes)
 
 
+def per_item_from_values(values) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
+    """(sizes, int_sizes, scale) as ``from_values`` built them with one
+    Fraction and one int per item, sorted through an index list."""
+    sizes = [to_size(v) for v in values]
+    scale = math.lcm(*{s.denominator for s in sizes})
+    ints = [s.numerator * (scale // s.denominator) for s in sizes]
+    if ints:
+        top = max(ints)
+        bad = top if top > scale else max((v for v in ints if v < 0), default=None)
+        if bad is not None:
+            raise ValueError(f"item size {Fraction(bad, scale)} outside [0, 1]")
+    order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
+    return tuple(sizes[i] for i in order), tuple(ints[i] for i in order), scale
+
+
 def reference_fnfi(inst: Instance) -> FractionalPacking:
     n = inst.n
     bins: list[list[tuple[int, Fraction]]] = []
@@ -342,6 +357,39 @@ class TestInstanceScale:
         assert inst.scale == 12 and inst.int_sizes == (6, 4, 3)
         assert inst == plain and hash(inst) == hash(plain) and repr(inst) == repr(plain)
         assert repr(inst) == f"Instance(sizes={inst.sizes!r})"
+
+
+# a few distinct values of every kind from_values takes, mostly in [0, 1]
+_SIZE_VALUES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    st.fractions(min_value=0, max_value=1, max_denominator=60).map(str),
+    st.integers(min_value=0, max_value=1),
+    st.floats(min_value=0, max_value=1, width=32),
+    st.sampled_from(["0.25", "1/4", 0.25, "0.5", 0.5, Fraction(1, 2), "1", 1.0]),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+)
+# lists drawn from such a pool, so that values repeat
+_REPEATED_VALUES = st.lists(_SIZE_VALUES, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPEATED_VALUES)
+def test_from_values_matches_per_item_construction(values):
+    try:
+        want = per_item_from_values(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Instance.from_values(values)
+        assert str(got.value) == str(exc)
+        return
+    inst = Instance.from_values(values)
+    assert (inst.sizes, inst.int_sizes, inst.scale) == want
+    assert all(type(s) is Fraction for s in inst.sizes)
+    # one object per distinct size, shared by all the items of that size
+    assert len({id(s) for s in inst.sizes}) == len(set(inst.sizes))
+    assert len({id(v) for v in inst.int_sizes}) == len(set(inst.int_sizes))
 
 
 class TestFnfiMatchesReference:

@@ -20,14 +20,19 @@ Past the master, the scheme rounds by runs: at the default threshold on
 the mixed family at n = 200,000, the basic solution's assignment holds one
 stretch per positive (small type, window) pair, not one value per kept
 small item.
+
+Before any of that, an instance holds one Fraction and one int per
+distinct size: ``mixed(200_000, 7)`` has 801 distinct sizes, and one
+object per item retained 17.8 MiB.
 """
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from concavebp import afptas, make_fq, run_afptas, verify_packing
+from concavebp import Instance, afptas, make_fq, run_afptas, verify_packing
 from concavebp.generators import mixed
 from concavebp.lp import LpModel
 
@@ -124,3 +129,30 @@ def test_default_assignment_goes_by_runs(monkeypatch):
     assert kept > 100 * pairs > 0
     # one entry per positive pair, with room for the straddling items
     assert len(basic.assignment) <= pairs + res.provenance.fractional_y
+
+
+def test_instance_holds_one_object_per_distinct_size():
+    tracemalloc.start()
+    try:
+        inst = mixed(200_000, 7)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({id(s) for s in inst.sizes}) == len(set(inst.sizes)) == 801
+    assert len({id(v) for v in inst.int_sizes}) == 801
+    assert retained <= 4 * 2**20
+
+
+def test_all_distinct_sizes_add_no_transient():
+    # one object per distinct size must not cost an n-entry structure more
+    # than the index sort did: its traced peak here was 30.5 MiB
+    rng = random.Random(3)
+    values = [Fraction(k, 10**9) for k in rng.sample(range(1, 10**9), 300_000)]
+    tracemalloc.start()
+    try:
+        inst = Instance.from_values(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.n == len(set(inst.int_sizes)) == 300_000
+    assert peak <= 30.5 * 2**20
