@@ -78,13 +78,19 @@ def read_instance(fh: TextIO) -> Instance:
         raw = fields["sizes"].split()
         # one parse per distinct token, in file order, so the first bad
         # token is the one reported
-        fraction_of = {tok: _fraction(tok) for tok in dict.fromkeys(raw)}
+        fraction_of: dict[str, Fraction] = {}
+        for tok in raw:
+            if tok not in fraction_of:
+                fraction_of[tok] = _fraction(tok)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad instance file: {exc}") from exc
     if len(raw) != n:
         raise ParseError(f"instance declares {n} sizes but lists {len(raw)}")
+    sizes = list(map(fraction_of.__getitem__, raw))
+    # drop the tokens and the dict before from_values, whose peak they would raise
+    del raw, fraction_of
     try:
-        return Instance.from_values(map(fraction_of.__getitem__, raw))
+        return Instance.from_values(sizes)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -168,10 +174,9 @@ def read_solution(fh: TextIO) -> dict:
                 for tok in raw.split():
                     idx_s, _, fr_s = tok.partition("=")
                     idx = int(idx_s)
-                    fr = fraction_of.get(fr_s)
-                    if fr is None:
-                        fr = fraction_of[fr_s] = _fraction(fr_s or "1")
-                    entries.append((idx, fr))
+                    if fr_s not in fraction_of:
+                        fraction_of[fr_s] = _fraction(fr_s or "1")
+                    entries.append((idx, fraction_of[fr_s]))
                     items.add(idx)
                 bins.append(entries)
             packing: Union[Packing, FractionalPacking] = FractionalPacking.from_bins(
