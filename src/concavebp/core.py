@@ -7,7 +7,9 @@ size share one Fraction and one int: an instance holds one object per
 distinct size, not per item.  The fractional verifier and the fractional
 cost read each part's numerator and denominator and count in integers too.
 Cost values are plain floats and are only ever compared with a small
-tolerance, never accumulated adversarially.
+tolerance, never accumulated adversarially.  A cost table of n + 1 entries
+holds one float per distinct value of ``fq:`` and per listed value of a
+``table:`` spec: its flat tail repeats one float object.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence, Union
 
 SizeLike = Union[Fraction, int, float, str]
@@ -137,12 +139,32 @@ class CostFunction:
             raise ValueError("cost argument must be non-negative")
         return self.values[min(q, self.n)]
 
+    def resized(self, n: int) -> "CostFunction":
+        """The same cost tabulated on n + 1 entries: the table cut, or
+        extended flat by repeating its last float object."""
+        if len(self.values) == n + 1:
+            return self
+        return CostFunction(_flat_to(self.values, n + 1), self.normalized, self.scale)
+
+
+def _flat_to(vals: Sequence[float], size: int) -> tuple[float, ...]:
+    """``vals`` cut to ``size`` entries, or extended by repeating its last
+    float object, as one tuple built in one pass."""
+    if len(vals) >= size:
+        return tuple(vals[:size])
+    return tuple(chain(vals, repeat(vals[-1], size - len(vals))))
+
 
 def make_cost_function(values: Sequence[float]) -> CostFunction:
     """Validate and build a CostFunction, rescaling so that f(1) = 1.
 
-    Rejects tables with a non-finite value, f(0) != 0, any decrease, a
-    convexity violation, or f(1) = 0 while some later value is positive.
+    The table is divided by f(1) first and checked after, so ``COST_TOL``
+    is relative to f(1); a table with f(1) = 0 is checked as given.
+    Rejects tables with a non-finite value, f(0) != 0, any decrease (a
+    negative f(1) is one), a convexity violation, or f(1) = 0 while some
+    later value is positive.  Each given value is checked and divided
+    once, into one float; ``CostFunction.resized`` extends the result
+    without new floats.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
@@ -151,29 +173,39 @@ def make_cost_function(values: Sequence[float]) -> CostFunction:
         raise ValueError("cost table values must be finite")
     if vals[0] != 0.0:
         raise ValueError("f(0) must be 0")
+    f1 = vals[1]
+    if f1 < 0.0:
+        raise ValueError("cost table decreases at 1")
+    normalized = f1 not in (0.0, 1.0)
+    if normalized:
+        vals = [v / f1 for v in vals]
     for i in range(len(vals) - 1):
         if vals[i + 1] < vals[i] - COST_TOL:
             raise ValueError(f"cost table decreases at {i + 1}")
     for i in range(1, len(vals) - 1):
         if (vals[i + 1] - vals[i]) - (vals[i] - vals[i - 1]) > COST_TOL:
             raise ValueError(f"cost table not concave at {i}")
-    f1 = vals[1]
-    if f1 == 0.0:
-        if any(v > 0 for v in vals):
-            raise ValueError("f(1) = 0 with a positive value later on")
-        return CostFunction(tuple(vals))
-    if f1 != 1.0:
-        return CostFunction(tuple(v / f1 for v in vals), normalized=True, scale=f1)
+    if f1 == 0.0 and any(v > 0 for v in vals):
+        raise ValueError("f(1) = 0 with a positive value later on")
+    if normalized:
+        return CostFunction(tuple(vals), normalized=True, scale=f1)
     return CostFunction(tuple(vals))
 
 
 def make_fq(q: int, n: int) -> CostFunction:
-    """Cost that grows linearly (slope 1) up to q items and stays flat after."""
+    """Cost that grows linearly (slope 1) up to q items and stays flat after.
+
+    The table has n + 1 entries but one float per distinct value: every
+    entry past q is the float of f(q).
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CostFunction(tuple(float(min(t, q)) for t in range(n + 1)))
+    # the ramp is a list: CPython keeps a freed small tuple for reuse without
+    # taking it off the collector's count, so a tuple here would add one to
+    # that count per call and make the collector run more often
+    return CostFunction(_flat_to([float(t) for t in range(min(q, n) + 1)], n + 1))
 
 
 @dataclass(frozen=True)

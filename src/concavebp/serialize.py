@@ -96,8 +96,12 @@ def read_instance(fh: TextIO) -> Instance:
 
 
 def parse_cost_spec(spec: str, n: int) -> CostFunction:
-    """Either "fq:<q>" or "table:v0,v1,..."; tables shorter than n+1 extend
-    concavely flat at their last value."""
+    """Either "fq:<q>" or "table:v0,v1,..." as a table of n + 1 entries.
+
+    A table spec is checked and normalized whole, one float per listed
+    value, and then cut to n + 1 entries or extended concavely flat by
+    repeating its last float; for n < 1 it keeps the values it lists.
+    """
     if spec.startswith("fq:"):
         try:
             return make_fq(int(spec[3:]), max(n, 1))
@@ -110,12 +114,11 @@ def parse_cost_spec(spec: str, n: int) -> CostFunction:
             raise ParseError(f"bad cost spec {spec!r}") from exc
         if len(vals) < 2:
             raise ParseError("cost table needs at least two values")
-        while len(vals) < n + 1:
-            vals.append(vals[-1])
         try:
-            return make_cost_function(vals[: n + 1] if n >= 1 else vals)
+            f = make_cost_function(vals)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        return f.resized(n) if n >= 1 else f
     raise ParseError(f"cost spec must be fq:<q> or table:<v0,v1,...>, got {spec!r}")
 
 

@@ -140,6 +140,11 @@ def build_staircase(f: CostFunction, eps: Fraction, n: int) -> Staircase:
         raise ValueError("n must be >= 1")
     vals = f.values
     last = len(vals) - 1  # f(q) = vals[min(q, last)]: flat beyond the table
+    # a final run of entries equal to the last one is flat too: find it with
+    # tuple methods, in C, and walk the table only up to its start
+    first = vals.index(vals[last])
+    if vals.count(vals[last]) == len(vals) - first:
+        last = first
     stop = min(n, last)
     ks = list(range(min(n, k) + 1))
     grow = 1.0 + 1.0 / k

@@ -352,6 +352,37 @@ class TestSolve:
         rows = json.loads(out.read_text())
         assert len(rows) == 1 and rows[0]["error"]
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("table:0,1,nan", "cost table values must be finite"),
+         ("table:0,1,2,3,1", "cost table decreases at 4")],
+    )
+    def test_table_spec_is_checked_whole(self, tmp_path, capsys, spec, message):
+        # the listed values past n + 1 are checked too, whatever n is
+        paths = []
+        for n in (1, 3):
+            path, _ = _write_instance(tmp_path, f"n{n}.inst", [Fraction(1, 4)] * n)
+            code = main(["solve", str(path), "--alg", "nf-dec", "--cost", spec,
+                         "--out", str(tmp_path / f"n{n}.sol")])
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert code == 2 and not (tmp_path / f"n{n}.sol").exists()
+            paths.append(str(path))
+        out = tmp_path / "r.json"
+        assert main(["compare", "--instances", *paths, "--algs", "nf-dec,fnfi,exact",
+                     "--costs", f"fq:2,{spec}", "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = [r for r in json.loads(out.read_text()) if r["cost_spec"] == spec]
+        assert len(rows) == 6
+        assert all(r["error"] == message and "cost" not in r for r in rows)
+
+    def test_cost_is_in_units_of_f1(self, tmp_path, capsys):
+        path, _ = _write_instance(
+            tmp_path, "x.inst", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+        )
+        assert main(["solve", str(path), "--alg", "nf-dec", "--cost", "table:0,2,3,4",
+                     "--out", str(tmp_path / "x.sol")]) == 0
+        assert "cost: 2.5\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("spec", ["table:0,0,0", "table:0,0"])
     def test_all_zero_table_is_input_error_for_afptas(self, tmp_path, capsys, spec):
         path, _ = _write_instance(tmp_path, "x.inst", [Fraction(1, 2)] * 6)
@@ -600,6 +631,21 @@ class TestCompare:
         rows = [r for r in json.loads(out.read_text()) if r["instance"] != "(aggregate)"]
         assert [r["cost_spec"] for r in rows] == ["fq:3", "table:0,1,1.6,2.0"] * 2
         assert not any("error" in r for r in rows)
+
+    def test_tolerance_is_relative_to_f1(self, tmp_path):
+        # a convex table of tiny values passed the absolute tolerance and was
+        # then normalized to (0, 1, 3, 6, 10): nf-dec and fnfi read ratio 2.5
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 4)] * 4)
+        out = tmp_path / "r.json"
+        spec = "table:0,1e-12,3e-12,6e-12,10e-12"
+        assert main(["compare", "--instances", str(p1), "--algs", "nf-dec,fnfi,exact,afptas",
+                     "--costs", spec, "--eps", "1/3", "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [r["algorithm"] for r in rows] == ["nf-dec", "fnfi", "exact", "afptas"]
+        for row in rows:
+            assert row["error"] == "cost table not concave at 1"
+            assert "cost" not in row and "ratio" not in row
 
     def test_lp_failure_becomes_row_error(self, tmp_path, monkeypatch):
         _break_lp(monkeypatch, NumericalFailureError)

@@ -52,6 +52,23 @@ class TestMakeCostFunction:
         assert f.normalized and f.scale == 2.0
         assert f.values == (0.0, 1.0, 2.0, 2.0)
 
+    def test_tolerance_applies_after_normalization(self):
+        # within 1e-9 of concave and non-decreasing as given, but convex and
+        # decreasing once divided by f(1) = 1e-12
+        with pytest.raises(ValueError, match="not concave at 1"):
+            make_cost_function([0, 1e-12, 3e-12, 6e-12])
+        with pytest.raises(ValueError, match="decreases at 2"):
+            make_cost_function([0, 1e-12, 5e-13])
+        # off by 1e-3 as given, by 1e-15 once normalized
+        f = make_cost_function([0, 1e12, 2e12, 3e12 + 1e-3])
+        assert f.normalized and f.scale == 1e12
+        assert f.values == (0.0, 1.0, 2.0, (3e12 + 1e-3) / 1e12)
+
+    def test_negative_f1_is_a_decrease(self):
+        for f1 in (-1.0, -1e-12):
+            with pytest.raises(ValueError, match="decreases at 1"):
+                make_cost_function([0, f1, 2 * f1])
+
     def test_all_zero_table_allowed(self):
         f = make_cost_function([0, 0, 0])
         assert f.values == (0.0, 0.0, 0.0)

@@ -23,7 +23,9 @@ small item.
 
 Before any of that, an instance holds one Fraction and one int per
 distinct size: ``mixed(200_000, 7)`` has 801 distinct sizes, and one
-object per item retained 17.8 MiB.
+object per item retained 17.8 MiB.  Its cost table holds one float per
+distinct value: ``make_fq(3, 10**6)`` with a float per entry retained
+30.5 MiB, and the staircase read its flat tail entry by entry.
 """
 import random
 import tracemalloc
@@ -32,9 +34,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from concavebp import Instance, afptas, make_fq, run_afptas, verify_packing
+from concavebp import Instance, afptas, build_staircase, make_fq, run_afptas, verify_packing
 from concavebp.generators import mixed
+from concavebp.core import CostFunction
 from concavebp.lp import LpModel
+from concavebp.serialize import parse_cost_spec
 
 PEAK_BOUND = 100 * 2**20  # bytes traced by tracemalloc
 
@@ -156,3 +160,46 @@ def test_all_distinct_sizes_add_no_transient():
         tracemalloc.stop()
     assert inst.n == len(set(inst.int_sizes)) == 300_000
     assert peak <= 30.5 * 2**20
+
+
+MILLION_SPECS = ["fq:3", "table:0,1,1.6,2.0,2.3,2.5"]
+
+
+def test_flat_tail_is_one_float():
+    vals = make_fq(3, 10**6).values
+    assert len(vals) == 10**6 + 1
+    assert len({id(v) for v in vals}) <= 4
+
+
+@pytest.mark.parametrize("spec", MILLION_SPECS)
+def test_cost_table_of_a_million_entries_is_one_tuple(spec):
+    # a float per entry, or a list extended one entry at a time, peaked
+    # at 31.1 and 31.4 MiB
+    tracemalloc.start()
+    try:
+        f = parse_cost_spec(spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.values) == 10**6 + 1
+    assert peak <= 9 * 2**20
+
+
+class _CountedTuple(tuple):
+    """A tuple that counts the entries read through indexing."""
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("spec", MILLION_SPECS)
+def test_staircase_skips_the_flat_tail(spec):
+    n = 10**6
+    f = parse_cost_spec(spec, n)
+    counted = _CountedTuple(f.values)
+    counted.reads = 0
+    stair = build_staircase(CostFunction(counted, f.normalized, f.scale), Fraction(1, 3), n)
+    assert stair == build_staircase(f, Fraction(1, 3), n)
+    assert stair.ks[-1] == n
+    assert counted.reads <= 100
