@@ -11,6 +11,10 @@ c copies places its large items as consecutive slices of each size type,
 and a small type's stretch in a window (``LpSolution.assignment``) is a
 slice of its items.  Only the items that straddle two windows, and the
 bins dealt a small item, are handled one by one.
+
+Each bin of the result is built once, in ``Packing``'s normal form (a
+sorted tuple), priced once, by one map of f over the bins' sizes that
+gives both the stage costs and the total, and verified once.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import sub
 from typing import Any
 
@@ -27,6 +31,7 @@ from .core import (
     CostFunction,
     Instance,
     Packing,
+    bin_costs,
     eval_cost,
     verify_packing,
     violation_lines,
@@ -142,7 +147,8 @@ def _compute_h(
     """
     k = check_eps(eps)
     sizes_int = inst.int_sizes
-    smallest = min((sizes_int[i] for i in small if sizes_int[i] > 0), default=0)
+    # the sizes are non-increasing: the smallest positive one is the last
+    smallest = next((sizes_int[i] for i in reversed(small) if sizes_int[i] > 0), 0)
     if not smallest:
         return k
     t_star = power_index(k, smallest, inst.scale)
@@ -338,15 +344,16 @@ def round_solution(
         k_p = model.staircase.ks[gc.p]
         f_kp = f_vals[min(k_p, top)]
         bound = one_plus * f_kp + 1e-9
-        for content in contents[start : start + copies]:
-            m = len(content)
-            if not m:
-                continue
-            cost = f_vals[min(m, top)]
-            if not cost <= bound:
+        run = contents[start : start + copies]
+        n_items = list(map(len, run))
+        for m in set(n_items):  # the bound once per distinct item count
+            if m and not f_vals[min(m, top)] <= bound:
                 raise InvariantError("bin real cost exceeds (1+eps) * level cost")
-            config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": m, "cost": cost})
-            out_bins.append(content)
+        for content, m in zip(run, n_items):
+            if m:
+                cost = f_vals[min(m, top)]
+                config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": m, "cost": cost})
+                out_bins.append(content)
         start += copies
     n_removed_bins = (len(removed) + k - 1) // k
     n_special_bins = (len(specials) + k - 1) // k
@@ -413,14 +420,9 @@ def run_afptas(
     else:
         split = SmallSplit((), (), k)
 
-    bins_out: list[list[int]] = []
-    f_vals = f.values
-    top = len(f_vals) - 1
-    stage_cost = lambda bs: math.fsum(f_vals[min(len(b), top)] for b in bs)
-
-    l1_bins = [[i] for i in grouping.l1]
-    bins_out.extend(l1_bins)
-    prov.stages.append(StageReport("largest-class singletons", len(l1_bins), stage_cost(l1_bins)))
+    # every bin once, as a sorted tuple, and each stage's (name, bin count)
+    bins_out: list[tuple[int, ...]] = [(i,) for i in grouping.l1]
+    stages = [("largest-class singletons", len(bins_out))]
 
     if split.tail:
         # the tail is a contiguous suffix of the items: cut it out by a slice
@@ -429,9 +431,8 @@ def run_afptas(
         if split.tail[-1] != n - 1 or len(split.tail) != n - first:
             raise InvariantError("the pre-packed tail is not a suffix of the items")
         tail_packed = fnfi_with_split_repair(inst.subset(range(first, n)))
-        tail_bins = [list(map(first.__add__, b)) for b in tail_packed.bins]
-        bins_out.extend(tail_bins)
-        prov.stages.append(StageReport("smallest-tail prepack", len(tail_bins), stage_cost(tail_bins)))
+        bins_out.extend(tuple(map(first.__add__, b)) for b in tail_packed.bins)
+        stages.append(("smallest-tail prepack", tail_packed.num_bins))
 
     kept = split.kept
     smalls = small_types(inst.int_sizes, kept)
@@ -503,25 +504,25 @@ def run_afptas(
         prov.fractional_bound = bound
 
         outcome = round_solution(basic, model, grouping, inst)
-        bins_out.extend(outcome.bins)
+        bins_out.extend(tuple(sorted(b)) for b in outcome.bins)
         prov.config_bins = outcome.config_records
         prov.dedicated_small_bins = outcome.dedicated_small
         prov.removed_bins = outcome.removed_bins
         prov.special_bins = outcome.special_bins
         prov.excess_bins = outcome.excess_bins
-        prov.stages.append(
-            StageReport(
-                "program bins",
-                len(outcome.bins),
-                stage_cost(outcome.bins),
-            )
-        )
+        stages.append(("program bins", len(outcome.bins)))
 
-    packing = Packing.from_bins(bins_out, range(n))
+    packing = Packing(tuple(bins_out), frozenset(range(n)))
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
         lines = "; ".join(violation_lines(verdict)[:3])
         raise InvariantError(f"scheme produced an invalid packing: {lines}")
+    # fsum rounds once, so a stage's cost and the total are the sums
+    # eval_cost would give over the stage's bins and over all of them
+    costs = bin_costs(f, packing.bins)
+    in_order = iter(costs)  # each stage takes its bins' costs off the front
+    for name, count in stages:
+        prov.stages.append(StageReport(name, count, math.fsum(islice(in_order, count))))
     prov.total_bins = packing.num_bins
-    prov.total_cost = eval_cost(f, packing)
+    prov.total_cost = math.fsum(costs)
     return AfptasResult(packing, prov)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -37,6 +38,7 @@ from . import generators
 from .afptas import run_afptas
 from .core import (
     COST_TOL,
+    CostFunction,
     FractionalPacking,
     eval_cost,
     eval_fractional_cost,
@@ -247,11 +249,13 @@ def _compare_rows(args, eps):
                            "error": str(exc)}
             continue
         optima: dict[str, tuple] = {}
+        tables: dict[str, CostFunction | Exception] = {}
         for alg in algs:
             for spec in costs:
                 row = {"instance": path, "algorithm": alg, "cost_spec": spec}
                 try:
-                    _fill_row(row, args, inst, alg, spec, optima, eps)
+                    f = _cost_table(tables, spec, inst.n)
+                    _fill_row(row, args, inst, alg, spec, f, optima, eps)
                 except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
                     row["error"] = str(exc)
                 except MemoryError as exc:
@@ -261,6 +265,21 @@ def _compare_rows(args, eps):
 
 def _out_of_memory(exc: MemoryError) -> str:
     return f"out of memory: {exc}" if str(exc) else "out of memory"
+
+
+def _cost_table(tables, spec, n):
+    """The cost table of ``spec``, parsed on the first request and shared by
+    every later row of the same instance; a spec that does not parse fails
+    each of its rows with the same error."""
+    if spec not in tables:
+        try:
+            tables[spec] = parse_cost_spec(spec, n)
+        except ValueError as exc:  # a ParseError among them
+            tables[spec] = exc
+    found = tables[spec]
+    if isinstance(found, Exception):
+        raise found.with_traceback(None)
+    return found
 
 
 def _exact_optimum(optima, inst, spec, f, limit):
@@ -273,9 +292,8 @@ def _exact_optimum(optima, inst, spec, f, limit):
     return optima[spec]
 
 
-def _fill_row(row, args, inst, alg, spec, optima, eps) -> None:
+def _fill_row(row, args, inst, alg, spec, f, optima, eps) -> None:
     """Fill one compare row in place; what it raises becomes the row's error."""
-    f = parse_cost_spec(spec, inst.n)
     if alg == "exact":
         packing, cost, seconds = _exact_optimum(optima, inst, spec, f, args.exact_limit)
     else:
@@ -353,7 +371,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its groups, actions
+    and formatters refer to each other, so each new one would be garbage
+    only the cycle collector frees."""
     ap = argparse.ArgumentParser(
         prog="concavebp",
         description="Bin packing with concave, cardinality-dependent bin costs",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Sized, Union
 
 SizeLike = Union[Fraction, int, float, str]
 
@@ -210,7 +210,13 @@ def make_fq(q: int, n: int) -> CostFunction:
 
 @dataclass(frozen=True)
 class Packing:
-    """Integral packing: disjoint bins of item indices covering ``items``."""
+    """Integral packing: disjoint bins of item indices covering ``items``.
+
+    Normal form: ``bins`` is a tuple of tuples, each bin's indices
+    ascending.  ``from_bins`` brings any iterable of bins to it; a caller
+    that builds a ``Packing`` directly must hand it bins already in that
+    form, as the scheme and ``fnfi_with_split_repair`` do.
+    """
 
     bins: tuple[tuple[int, ...], ...]
     items: frozenset[int]
@@ -268,11 +274,22 @@ def embed_fractional(p: Packing) -> FractionalPacking:
     )
 
 
-def eval_cost(f: CostFunction, p: Packing) -> float:
-    """Total cost: sum of f(bin cardinality) over the bins."""
+def bin_costs(f: CostFunction, bins: Sequence[Sized]) -> list[float]:
+    """f(|b|) of each bin, in order, by one C-level map of the table over
+    the bins' sizes; f is flat past its table."""
     vals = f.values
-    top = len(vals) - 1
-    return math.fsum(vals[min(len(b), top)] for b in p.bins)
+    try:
+        return list(map(vals.__getitem__, map(len, bins)))
+    except IndexError:  # a bin holds more items than the table has entries
+        top = len(vals) - 1
+        return [vals[min(len(b), top)] for b in bins]
+
+
+def eval_cost(f: CostFunction, p: Packing) -> float:
+    """Total cost: sum of f(bin cardinality) over the bins, rounded once
+    (``math.fsum``), so it depends on the bins' costs only, not on their
+    order."""
+    return math.fsum(bin_costs(f, p.bins))
 
 
 def eval_fractional_f(f: CostFunction, q: Union[Fraction, float, int]) -> float:
@@ -367,9 +384,8 @@ def _verify_integral(inst: Instance, p: Packing) -> list[Violation]:
             out.append(
                 Violation("overfull", b_idx, f"bin total {Fraction(total, scale)} > 1")
             )
-    for i in sorted(items):
-        if i not in seen:
-            out.append(Violation("missing", None, f"item {i} in no bin"))
+    for i in sorted(items.difference(seen)):
+        out.append(Violation("missing", None, f"item {i} in no bin"))
     return out
 
 

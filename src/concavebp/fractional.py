@@ -64,10 +64,12 @@ def fnfi_with_split_repair(inst: Instance) -> Packing:
     Walks the integer sizes as ``fnfi`` does without building its fractions:
     an item that overflows the open bin is split, so it goes to a bin of its
     own while its parts still take their room, and a bin left empty by the
-    move is dropped.
+    move is dropped.  Items are taken in descending index order, so each
+    bin is closed as its reversed list: ``Packing``'s normal form without
+    a re-sort.
     """
     sizes, scale = inst.int_sizes, inst.scale
-    bins: list[list[int]] = []
+    bins: list[tuple[int, ...]] = []
     split: list[int] = []
     cur: list[int] = []
     room = scale
@@ -79,7 +81,7 @@ def fnfi_with_split_repair(inst: Instance) -> Packing:
             while left > scale:  # a bin holding a part of item i alone
                 left -= scale
             if cur:
-                bins.append(cur)
+                bins.append(tuple(reversed(cur)))
                 cur = []
             room = scale
         else:
@@ -87,10 +89,10 @@ def fnfi_with_split_repair(inst: Instance) -> Packing:
         room -= left
         if room == 0:
             if cur:
-                bins.append(cur)
+                bins.append(tuple(reversed(cur)))
                 cur = []
             room = scale
     if cur:
-        bins.append(cur)
-    bins.extend([i] for i in reversed(split))  # ascending
-    return Packing.from_bins(bins, range(inst.n))
+        bins.append(tuple(reversed(cur)))
+    bins.extend((i,) for i in reversed(split))  # ascending
+    return Packing(tuple(bins), frozenset(range(inst.n)))

@@ -205,7 +205,8 @@ class LpModel:
 
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
-        counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
+        zeros = (0,) * len(self.sizes)
+        counts = zeros[:j] + (1,) + zeros[j + 1 :]
         cfg = Configuration(counts, self.sizes[j], 1)
         mw = main_window(cfg, 1, self.eps, self.t_max, self.staircase, self.scale)
         return GeneralizedConfiguration(cfg, 1, mw)
@@ -269,8 +270,9 @@ class LpModel:
         for j, d in enumerate(self.demands):
             gc = self.singleton_column(j)
             self.add_column(gc)
-            labels[j] = ("x", self._position[gc])
-            levels[self._position[gc]] = d
+            pos = self._position[gc]
+            labels[j] = ("x", pos)
+            levels[pos] = d
         if self.smalls:
             total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
             total_count = sum(len(st.items) for st in self.smalls)

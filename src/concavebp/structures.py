@@ -7,8 +7,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import neg
+from itertools import accumulate, islice
+from operator import ge, neg
 
 from .core import CostFunction, Instance
 from .errors import SolverLimitError
@@ -59,9 +59,11 @@ def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
     """
     k = check_eps(eps)
     ints = inst.int_sizes
-    if any(a < b for a, b in zip(ints, ints[1:])):
+    if not all(map(ge, ints, islice(ints, 1, None))):
         raise ValueError("instance sizes must be non-increasing; use Instance.from_values")
-    large = tuple(i for i, s in enumerate(ints) if s * k >= inst.scale)  # s >= 1/k
+    # s >= 1/k exactly when -s <= scale // -k, that is -ceil(scale / k): a
+    # prefix of the sorted sizes, whose negations ascend
+    large = tuple(range(bisect_right(ints, inst.scale // -k, key=neg)))
     m = k**3
     if len(large) < m:
         l1, classes = (), tuple((i,) for i in large)

@@ -10,6 +10,7 @@ from itertools import accumulate
 import pytest
 
 from concavebp import CostFunction, FractionalPacking, Instance, make_cost_function
+from concavebp.core import Violation
 from concavebp.errors import InvariantError
 from concavebp.lp import FRACTIONAL_TOL
 
@@ -130,6 +131,40 @@ def random_consecutive_packing(rng: random.Random, inst: Instance) -> list[list[
     if cur:
         bins.append(cur)
     return bins
+
+
+def reference_verify_integral(inst: Instance, p) -> list[Violation]:
+    """The integral verifier's loop as it was before it read the missing
+    items off a set difference: one membership test per declared item."""
+    out: list[Violation] = []
+    seen: dict[int, int] = {}
+    n, items = inst.n, p.items
+    sizes, scale = inst.int_sizes, inst.scale
+    for b_idx, b in enumerate(p.bins):
+        total = 0
+        for i in b:
+            if not 0 <= i < n:
+                out.append(Violation("unknown-item", b_idx, f"item {i} not in instance"))
+                continue
+            if i in seen:
+                out.append(
+                    Violation("duplicate", b_idx, f"item {i} also in bin {seen[i]}")
+                )
+            else:
+                seen[i] = b_idx
+            total += sizes[i]
+            if i not in items:
+                out.append(
+                    Violation("unexpected-item", b_idx, f"item {i} not in declared set")
+                )
+        if total > scale:
+            out.append(
+                Violation("overfull", b_idx, f"bin total {Fraction(total, scale)} > 1")
+            )
+    for i in sorted(items):
+        if i not in seen:
+            out.append(Violation("missing", None, f"item {i} in no bin"))
+    return out
 
 
 def brute_force_kcc(items, cardinality, capacity, strict) -> float:

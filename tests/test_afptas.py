@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -14,7 +15,9 @@ import concavebp
 
 from concavebp import (
     Instance,
+    Packing,
     afptas,
+    eval_cost,
     exact_opt,
     make_fq,
     run_afptas,
@@ -22,6 +25,7 @@ from concavebp import (
 )
 from concavebp.afptas import round_solution
 from concavebp.errors import InvariantError
+from concavebp.fractional import fnfi_with_split_repair
 from concavebp.generators import generate
 from concavebp.lp import LpModel, LpSolution, small_types, split_types
 from concavebp.serialize import parse_cost_spec
@@ -495,3 +499,34 @@ class TestRoundingMatchesReference:
                     y[(s, w)] = part
         basic = LpSolution(0.0, x, y, np.zeros(0), assignment=split_types(y, model))
         _matches_reference(basic, model, grouping, inst)
+
+
+class TestNormalFormAndPricing:
+    """The scheme builds its bins in ``Packing``'s normal form and prices
+    them once: each stage's cost and the total must be the sums that
+    ``eval_cost`` gives over the same bins, to the last bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        inst=mixed_instances(),
+        k=st.sampled_from([3, 4]),
+        spec=st.sampled_from(["fq:1", "fq:3", TABLE]),
+        windowed=st.booleans(),
+    )
+    def test_bins_and_costs(self, inst, k, spec, windowed):
+        f = parse_cost_spec(spec, inst.n)
+        # h_eps = 1/eps keeps small items for the windowed program; the
+        # default threshold sends them all to the tail
+        res = run_afptas(inst, f, Fraction(1, k), h_eps=k if windowed else None)
+        p, prov = res.packing, res.provenance
+        assert p == Packing.from_bins(p.bins, p.items)
+        assert p.items == frozenset(range(inst.n))
+        start = 0
+        for stage in prov.stages:
+            bins = p.bins[start : start + stage.bins]
+            assert stage.cost == math.fsum(f.value(len(b)) for b in bins)
+            start += stage.bins
+        assert start == p.num_bins == prov.total_bins
+        assert prov.total_cost == eval_cost(f, p)
+        tail = fnfi_with_split_repair(inst)
+        assert tail == Packing.from_bins(tail.bins, tail.items)

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -682,6 +683,48 @@ class TestCompare:
         rows = json.loads(out.read_text())
         assert rows[0]["error"].startswith("scheme produced an invalid packing")
         assert "error" not in rows[1] and rows[1]["ratio"] >= 1.0
+
+    def test_one_cost_table_per_instance_and_spec(self, tmp_path, monkeypatch):
+        # 2 instances x 3 specs, whatever the number of algorithms; a spec
+        # that does not parse fails every row of it with one message
+        calls = []
+
+        def counting(spec, n):
+            calls.append((spec, n))
+            return parse_cost_spec(spec, n)
+
+        monkeypatch.setattr("concavebp.cli.parse_cost_spec", counting)
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)
+        p2, _ = _write_instance(tmp_path, "b.inst", [Fraction(1, 3)] * 5)
+        out = tmp_path / "r.json"
+        assert main(["compare", "--instances", str(p1), str(p2),
+                     "--algs", "nf-inc,ff-dec,mh,fnfi,exact", "--costs", "fq:1,fq:0,fq:3",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert sorted(calls) == sorted((s, n) for n in (4, 5) for s in ("fq:1", "fq:0", "fq:3"))
+        rows = [r for r in json.loads(out.read_text()) if r["instance"] != "(aggregate)"]
+        assert len(rows) == 2 * 5 * 3
+        bad = [r for r in rows if r["cost_spec"] == "fq:0"]
+        assert len(bad) == 10
+        assert {r["error"] for r in bad} == {"bad cost spec 'fq:0': q must be >= 1"}
+        assert not any("error" in r for r in rows if r["cost_spec"] != "fq:0")
+
+    def test_parser_leaves_no_cyclic_garbage(self, tmp_path):
+        # the parser's groups, actions and formatters form cycles: it is
+        # built once per process, not once per call
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)
+        argv = ["compare", "--instances", str(p1), "--algs", "nf-inc,exact",
+                "--costs", "fq:1", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            from_argparse = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert from_argparse == []
 
     def test_rows_follow_input_order(self, tmp_path):
         p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2)] * 4)

@@ -18,7 +18,13 @@ from concavebp import (
     make_fq,
     verify_packing,
 )
-from conftest import random_concave_cost, random_instance
+from concavebp.core import _verify_integral
+from conftest import (
+    random_concave_cost,
+    random_consecutive_packing,
+    random_instance,
+    reference_verify_integral,
+)
 
 
 class TestMakeCostFunction:
@@ -106,6 +112,13 @@ class TestEvalCost:
         f = make_fq(4, 9)
         p = Packing.from_bins([[0, 1, 2, 3, 4], [5, 6, 7, 8]], range(9))
         assert eval_cost(f, p) == 8.0
+
+    def test_bins_past_the_table_cost_its_last_entry(self):
+        # f is flat past its table: a bin of more items than the table has
+        # entries costs the last one
+        f = make_fq(2, 3)
+        p = Packing.from_bins([[0, 1, 2, 3, 4], [5], [6, 7, 8, 9]], range(10))
+        assert eval_cost(f, p) == 5.0
 
 
 class TestEvalFractionalF:
@@ -260,6 +273,40 @@ class TestVerifyPacking:
                 inst, Packing(tuple(tuple(b) for b in mutated if b), frozenset(range(inst.n)))
             )
             assert not verdict.ok
+
+
+def _corrupt(rng: random.Random, inst: Instance) -> Packing:
+    """A packing of ``inst`` with a few random faults: duplicated, missing,
+    undeclared and unknown items, and merged (likely overfull) bins."""
+    bins = random_consecutive_packing(rng, inst)
+    declared = set(range(inst.n))
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["duplicate", "missing", "undeclared", "unknown", "merge"])
+        if kind == "duplicate":
+            rng.choice(bins).append(rng.randrange(inst.n))
+        elif kind == "missing":
+            b = rng.choice(bins)
+            if b:
+                b.remove(rng.choice(b))
+        elif kind == "undeclared":
+            declared.discard(rng.randrange(inst.n))
+        elif kind == "unknown":
+            rng.choice(bins).append(rng.choice([-1, inst.n, inst.n + 7]))
+        elif len(bins) > 1:
+            a = bins.pop(rng.randrange(len(bins)))
+            rng.choice(bins).extend(a)
+    rng.shuffle(bins)
+    return Packing(tuple(tuple(b) for b in bins), frozenset(declared))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(1, 40))
+def test_integral_verifier_matches_reference(seed, n):
+    # the same violations, in the same order, as the loop it replaced
+    rng = random.Random(seed)
+    inst = random_instance(rng, n)
+    p = _corrupt(rng, inst)
+    assert _verify_integral(inst, p) == reference_verify_integral(inst, p)
 
 
 @settings(max_examples=60, deadline=None)
