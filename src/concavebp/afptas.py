@@ -344,16 +344,15 @@ def round_solution(
         k_p = model.staircase.ks[gc.p]
         f_kp = f_vals[min(k_p, top)]
         bound = one_plus * f_kp + 1e-9
-        run = contents[start : start + copies]
-        n_items = list(map(len, run))
-        for m in set(n_items):  # the bound once per distinct item count
-            if m and not f_vals[min(m, top)] <= bound:
+        for content in contents[start : start + copies]:
+            m = len(content)
+            if not m:
+                continue
+            cost = f_vals[min(m, top)]
+            if not cost <= bound:
                 raise InvariantError("bin real cost exceeds (1+eps) * level cost")
-        for content, m in zip(run, n_items):
-            if m:
-                cost = f_vals[min(m, top)]
-                config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": m, "cost": cost})
-                out_bins.append(content)
+            config_records.append({"k_p": k_p, "f_k_p": f_kp, "items": m, "cost": cost})
+            out_bins.append(content)
         start += copies
     n_removed_bins = (len(removed) + k - 1) // k
     n_special_bins = (len(specials) + k - 1) // k

@@ -205,8 +205,7 @@ class LpModel:
 
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
-        zeros = (0,) * len(self.sizes)
-        counts = zeros[:j] + (1,) + zeros[j + 1 :]
+        counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
         cfg = Configuration(counts, self.sizes[j], 1)
         mw = main_window(cfg, 1, self.eps, self.t_max, self.staircase, self.scale)
         return GeneralizedConfiguration(cfg, 1, mw)
@@ -270,9 +269,8 @@ class LpModel:
         for j, d in enumerate(self.demands):
             gc = self.singleton_column(j)
             self.add_column(gc)
-            pos = self._position[gc]
-            labels[j] = ("x", pos)
-            levels[pos] = d
+            labels[j] = ("x", self._position[gc])
+            levels[self._position[gc]] = d
         if self.smalls:
             total_size = sum(st.size / self.scale * len(st.items) for st in self.smalls)
             total_count = sum(len(st.items) for st in self.smalls)

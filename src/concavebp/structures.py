@@ -61,9 +61,9 @@ def linear_grouping(inst: Instance, eps: Fraction) -> GroupingResult:
     ints = inst.int_sizes
     if not all(map(ge, ints, islice(ints, 1, None))):
         raise ValueError("instance sizes must be non-increasing; use Instance.from_values")
-    # s >= 1/k exactly when -s <= scale // -k, that is -ceil(scale / k): a
-    # prefix of the sorted sizes, whose negations ascend
-    large = tuple(range(bisect_right(ints, inst.scale // -k, key=neg)))
+    # s >= 1/k means s >= ceil(scale / k): a prefix of the sorted sizes
+    threshold = -(-inst.scale // k)
+    large = tuple(range(bisect_right(ints, -threshold, key=neg)))
     m = k**3
     if len(large) < m:
         l1, classes = (), tuple((i,) for i in large)

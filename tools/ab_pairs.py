@@ -11,7 +11,7 @@ would: the parent is a revision of this repository (``--parent``, default
 ``HEAD``, the parent while the change is uncommitted) extracted with ``git
 archive``, which needs no network and leaves no worktree behind in
 ``.git``; the change is every file of this working tree that git does not
-ignore.  ``--parent-dir`` uses an existing checkout as the parent instead.
+ignore.
 
 Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, so neither writes a
 bytecode cache that a later run of its own would read.  For each metric
@@ -92,7 +92,6 @@ def main() -> int:
     ap.add_argument("--seeds", default="11-20", help="a range lo-hi or a comma list")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    ap.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
     ap.add_argument("--metric", action="append", help="metric to report (repeatable)")
     args = ap.parse_args()
     seeds = parse_seeds(args.seeds)
@@ -101,8 +100,8 @@ def main() -> int:
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
-        parent = args.parent_dir or extract(args.parent, Path(tmp) / "parent")
-        sides = {"parent": parent.resolve(), "change": copy_worktree(Path(tmp) / "change")}
+        sides = {"parent": extract(args.parent, Path(tmp) / "parent"),
+                 "change": copy_worktree(Path(tmp) / "change")}
         runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
