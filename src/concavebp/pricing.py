@@ -11,6 +11,13 @@ type gets more copies, and no multiset more items, than fit.  The limit
 depends on the window's power t only, so the sweep builds one table per t
 for the largest cardinality its pairs ask and reads every smaller
 cardinality from the same table.
+
+When every type that fits carries one positive volume, as under the seed
+vertex's duals (alpha = f(1) on every size row), the oracle answers in
+closed form, with no table: the most copies that fit, the smallest first.
+That is the table's own answer.  Every copy scales to the same q >= 1, so
+the table's best cell is the largest count that fits, and its traceback
+takes the earliest of equally sized copies.
 """
 from __future__ import annotations
 
@@ -87,7 +94,8 @@ def kcc_fptas(
 
 def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int, KccAnswer]:
     """The oracle's table for ``inst.cardinality``, read once per distinct
-    effective cap min(cap, c_max)."""
+    effective cap min(cap, c_max); its answers in closed form when every
+    type that fits carries one positive volume."""
     ntypes = len(inst.items)
     empty = ((0,) * ntypes, 0.0)
     nothing = dict.fromkeys(caps, empty)
@@ -102,15 +110,18 @@ def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int
             raise ValueError("item multiplicities must be >= 1")
 
     limit = inst.limit
+    fits = [ti for ti, it in enumerate(inst.items) if it.size <= limit]
+    volumes = {inst.items[ti].volume for ti in fits}
+    if len(volumes) == 1 and max(volumes) > 0.0:
+        return _smallest_first(inst, fits, caps)
     # expand copies, dropping anything that cannot appear in any solution: a
     # type gets at most as many copies as fit in the limit.  The scaling
     # step mu stays the one of the uncapped expansion (min(multiplicity,
     # cardinality) copies per type), which keeps every scaled volume as is
     copies: list[int] = []  # type index per copy
     uncapped = 0
-    for ti, it in enumerate(inst.items):
-        if it.size > limit:
-            continue
+    for ti in fits:
+        it = inst.items[ti]
         uncapped += min(it.multiplicity, inst.cardinality)
         copies.extend([ti] * min(it.multiplicity, inst.cardinality, limit // it.size))
     if not copies:
@@ -138,10 +149,8 @@ def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int
         s = inst.items[ti].size
         cand = g[:-1, : g.shape[1] - q] + s
         target = g[1:, q:]
-        better = cand < target
-        if better.any():
-            target[better] = cand[better]
-            took[j, 1:, q:] = better
+        np.less(cand, target, out=took[j, 1:, q:])
+        np.minimum(target, cand, out=target)
     feas = g <= limit
     # a cap reads rows 0..min(cap, c_max), so caps at or above c_max share
     # one answer
@@ -167,6 +176,41 @@ def _kcc_table(inst: KccInstance, eps: float, caps: tuple[int, ...]) -> dict[int
         volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
         by_rows[n_rows] = (tuple(counts), volume)
     return {cap: by_rows[n_rows] for cap, n_rows in rows_of.items()}
+
+
+def _smallest_first(
+    inst: KccInstance, fits: list[int], caps: tuple[int, ...]
+) -> dict[int, KccAnswer]:
+    """The table's answers when every type that fits carries one volume
+    v > 0, without the table.  mu = eps * v / k_eff <= v, so each copy
+    scales to the same q = int(v / mu) >= 1 and row c reaches the one cell
+    (c, c * q): the best cell is the most copies that fit, the smallest
+    first.  Among copies of one size the traceback takes the earliest, so
+    the copies are taken in stable order of size."""
+    room, left = inst.limit, max(caps, default=0)
+    taken: list[tuple[int, int]] = []  # (type index, copies) in that order
+    for ti in sorted(fits, key=lambda ti: inst.items[ti].size):
+        it = inst.items[ti]
+        k = min(it.multiplicity, room // it.size, left)
+        if k <= 0:
+            break
+        taken.append((ti, k))
+        room -= k * it.size
+        left -= k
+    # a cap c gets the first min(c, copies taken) of them
+    ntypes = len(inst.items)
+    most = sum(k for _, k in taken)
+    n_of = {cap: max(min(cap, most), 0) for cap in caps}
+    by_count: dict[int, KccAnswer] = {}
+    for n in set(n_of.values()):
+        counts = [0] * ntypes
+        left = n
+        for ti, k in taken:
+            counts[ti] = min(k, left)
+            left -= counts[ti]
+        volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
+        by_count[n] = (tuple(counts), volume)
+    return {cap: by_count[n] for cap, n in n_of.items()}
 
 
 @dataclass(frozen=True)

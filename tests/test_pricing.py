@@ -267,6 +267,7 @@ class TestSharedTable:
             KccInstance((KccItemType(3, 1.0, 2), KccItemType(4, 2.0, 1)), 0, 9),
             KccInstance((KccItemType(3, 0.0, 2), KccItemType(4, 0.0, 1)), 3, 9),
             KccInstance((KccItemType(30, 1.0, 2), KccItemType(40, 2.0, 1)), 3, 9),
+            KccInstance((KccItemType(30, 1.0, 2), KccItemType(40, 1.0, 1)), 3, 9),
         ):
             caps = range(inst.cardinality + 1)
             assert kcc_fptas(inst, 1 / 3, cardinalities=caps) == dict.fromkeys(caps, empty)
@@ -506,6 +507,54 @@ def test_bounded_oracle_matches_uncapped_property(types, card, capacity, strict,
     items = tuple(KccItemType(s, v, m) for s, v, m in types)
     inst = RationalKcc(items, card, capacity, strict)
     assert kcc_fptas(_scaled(*inst), eps) == _uncapped_kcc_fptas(inst, eps)
+
+
+# a few sizes shared by several types, so that equal sizes tie across types
+_shared_size = st.sampled_from([Fraction(1, 8), Fraction(1, 6), Fraction(1, 4), Fraction(1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    types=st.lists(
+        st.tuples(st.one_of(_shared_size, _size), st.integers(1, 8), st.sampled_from([0.0, 0.8, 4.0])),
+        min_size=1,
+        max_size=5,
+    ),
+    volume=st.sampled_from([1e-3, 0.5, 1.0, 2.25]),
+    card=st.integers(0, 30),
+    caps=st.sets(st.integers(0, 30), max_size=4),
+    capacity=st.builds(Fraction, st.integers(0, 50), st.sampled_from([16, 40, 45])),
+    strict=st.booleans(),
+    eps=st.sampled_from([1 / 3, 1 / 6, 1 / 10]),
+)
+def test_equal_volumes_match_uncapped_property(types, volume, card, caps, capacity, strict, eps):
+    """Every type that fits carries one volume, so the oracle answers in
+    closed form; a type that does not fit may carry any other volume.  Each
+    cap c of a ``cardinalities=`` call gets the answer of the uncapped table
+    of cardinality c."""
+    fits = (lambda s: s < capacity) if strict else (lambda s: s <= capacity)
+    items = tuple(KccItemType(s, volume if fits(s) else other, m) for s, m, other in types)
+    inst = RationalKcc(items, card, capacity, strict)
+    assert kcc_fptas(_scaled(*inst), eps) == _uncapped_kcc_fptas(inst, eps)
+    caps = {c for c in caps if c <= card} | {card}
+    answers = kcc_fptas(_scaled(*inst), eps, cardinalities=caps)
+    assert answers == {c: _uncapped_kcc_fptas(inst._replace(cardinality=c), eps) for c in caps}
+
+
+class TestEqualVolumes:
+    """The closed form on the cases it must get right without a table."""
+
+    def test_equal_sizes_take_the_earliest_type(self):
+        items = _items(("1/4", 1.0, 2), ("1/8", 1.0, 1), ("1/4", 1.0, 3))
+        for card, counts in ((1, (0, 1, 0)), (3, (2, 1, 0)), (4, (2, 1, 1)), (9, (2, 1, 1))):
+            inst = RationalKcc(items, card, Fraction(1))
+            answer = kcc_fptas(_scaled(*inst), 1 / 6)
+            assert answer == _uncapped_kcc_fptas(inst, 1 / 6) and answer[0] == counts
+
+    def test_a_million_copies_need_no_table(self):
+        # the table would have 10**6 + 1 rows and 6 * 10**12 volume columns
+        inst = KccInstance((KccItemType(1, 1.0, 10**6), KccItemType(2, 1.0, 10**6)), 10**6, 10**6)
+        assert kcc_fptas(inst, 1 / 6) == ((10**6, 0), 1e6)
 
 
 def _price_all_uncached(duals_alpha, duals_gamma, duals_delta, model, kcc_eps):

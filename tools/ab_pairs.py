@@ -17,8 +17,10 @@ Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, so neither writes a
 bytecode cache that a later run of its own would read.  For each metric
 asked for (``--metric``, default ``wall_s``) it prints every pair, each
 side's median and quartiles, and in how many pairs the change was better,
-by the metric's direction in ``BENCHMARK.json``.  It imports nothing from
-the package.
+by the metric's direction in ``BENCHMARK.json``.  It needs at least two
+seeds, for the quartiles.  SIGTERM stops it as an exception would: the
+running benchmark child is killed and the temporary copies are removed.
+It imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -86,7 +89,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def stop(signum, frame):
+    """SIGTERM as an exception, so that ``subprocess.run`` kills its child and
+    ``TemporaryDirectory`` removes the copies on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, stop)
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="11-20", help="a range lo-hi or a comma list")
@@ -95,6 +105,10 @@ def main() -> int:
     ap.add_argument("--metric", action="append", help="metric to report (repeatable)")
     args = ap.parse_args()
     seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        print(f"error: --seeds {args.seeds}: at least two seeds are needed for quartiles",
+              file=sys.stderr)
+        return 2
     metrics = args.metric or ["wall_s"]
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
