@@ -389,8 +389,10 @@ def run_afptas(
     k = check_eps(eps)
     if f.value(1) != 1.0:
         raise ValueError("cost table must be normalized (f(1) = 1)")
-    if h_eps is not None and (h_eps < k or h_eps != int(h_eps)):
-        raise ValueError("h_eps must be an integer >= 1/eps")
+    if h_eps is not None:
+        if h_eps < k or h_eps != int(h_eps):
+            raise ValueError("h_eps must be an integer >= 1/eps")
+        h_eps = int(h_eps)  # 3.0 would make the tail bound a float
     n = inst.n
     if n == 0:
         prov = Provenance(0, str(eps), base_case=True)

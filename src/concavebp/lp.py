@@ -14,9 +14,14 @@ The master's size thus follows the number of distinct sizes, not n.
 
 ``LpModel`` stores each master column once, in its order of entry: key,
 cost and the run of its (row, value) nonzeros; ``arrays()`` scatters the
-store into dense (c, A, b).  A solution's row duals are one vector in
-that row order, ``LpSolution.duals``, which the closed-form pair pricing
-and ``pricing.price_all`` read by row.
+store into dense (c, A, b).  Keys are tuples, hashed and compared in C: a
+configuration column's is a ``GeneralizedConfiguration`` (a named tuple,
+which within the model's window grid compares as (counts, p, t, a)), a
+pair's the plain tuple (small type, window); code that tells them apart
+asks for the class ``GeneralizedConfiguration``, since both are tuples.
+A solution's row duals are one vector in that row order,
+``LpSolution.duals``, which the closed-form pair pricing and
+``pricing.price_all`` read by row.
 
 The first master solve needs no simplex when it can be avoided:
 ``LpModel.seed_columns`` works out its crash basis's whole vertex in
@@ -165,11 +170,12 @@ class LpModel:
         self._starts.append(len(self._nz))
 
     def add_column(self, gc: GeneralizedConfiguration) -> bool:
-        if gc in self._position:
+        at = len(self._keys)
+        if self._position.setdefault(gc, at) != at:
             return False
-        self._position[gc] = len(self._keys)
         self.columns.append(gc)
-        run = [(j, n) for j, n in enumerate(gc.config.counts) if n]
+        counts = gc.config.counts
+        run = list(compress(enumerate(counts), counts))  # (size row, count) where count > 0
         i = self.row_index.get(gc.window)
         if i is not None:  # a window without rows adds none
             row = len(self.sizes) + len(self.smalls) + 2 * i
@@ -186,11 +192,15 @@ class LpModel:
         new = np.flatnonzero(picked & (self._y_at < 0))
         self._y_at[new] = len(self._keys) + np.arange(len(new))
         nv, ns = len(self.sizes), len(self.smalls)
-        fields = (y[new].tolist() for y in (self._y_type, self._y_window, self._y_size))
-        for si, i, size in zip(*fields):
-            row = nv + ns + 2 * i  # the window's size row; its count row follows
-            run = [(nv + si, 1.0), (row, size), (row + 1, -1.0)]
-            self._store((si, self.row_windows[i]), 0.0, run)
+        types, wins, sizes = (y[new].tolist() for y in (self._y_type, self._y_window, self._y_size))
+        # each pair's run: its type row, its window's size row and count row
+        self._keys += [(si, self.row_windows[i]) for si, i in zip(types, wins)]
+        self._costs += [0.0] * len(new)
+        end = self._starts[-1]
+        self._starts += range(end + 3, end + 3 * len(new) + 1, 3)
+        for si, i, size in zip(types, wins, sizes):
+            row = nv + ns + 2 * i
+            self._nz += ((nv + si, 1.0), (row, size), (row + 1, -1.0))
         return len(new)
 
     def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
@@ -205,7 +215,7 @@ class LpModel:
 
     def singleton_column(self, j: int) -> GeneralizedConfiguration:
         """The seed column of size j: one item, level 1, its main window."""
-        counts = tuple(1 if i == j else 0 for i in range(len(self.sizes)))
+        counts = (0,) * j + (1,) + (0,) * (len(self.sizes) - j - 1)
         cfg = Configuration(counts, self.sizes[j], 1)
         mw = main_window(cfg, 1, self.eps, self.t_max, self.staircase, self.scale)
         return GeneralizedConfiguration(cfg, 1, mw)
@@ -333,7 +343,9 @@ class LpModel:
         nv, ns = len(self.sizes), len(self.smalls)
         kept = np.array([keep is None or w in keep for w in self.row_windows], dtype=bool)
         rows = np.concatenate([np.ones(nv + ns, dtype=bool), np.repeat(kept, 2)])
-        windows = (k[1] if isinstance(k, tuple) else k.window for k in self._keys)
+        windows = (
+            k.window if isinstance(k, GeneralizedConfiguration) else k[1] for k in self._keys
+        )
         on = np.array([keep is None or w in keep for w in windows], dtype=bool)
         # a kept column's rows are all kept: its window's, and the fixed ones
         run_len = np.diff(self._starts)

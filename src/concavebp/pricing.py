@@ -10,7 +10,11 @@ scale - 1 - floor(scale * w/(1+eps)).  The table is bounded by the limit: no
 type gets more copies, and no multiset more items, than fit.  The limit
 depends on the window's power t only, so the sweep builds one table per t
 for the largest cardinality its pairs ask and reads every smaller
-cardinality from the same table.
+cardinality from the same table.  The sweep is one numpy grid of sorted
+windows against levels 1..p_max: each pair's volume is gathered from its
+power's answers, and its dual value, certified value and ratio are
+computed elementwise in the order of the scalar loop, so they are the same
+floats; only the pairs that violate become ``PricedColumn``s.
 
 When every type that fits carries one positive volume, as under the seed
 vertex's duals (alpha = f(1) on every size row), the oracle answers in
@@ -25,6 +29,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +38,6 @@ from .errors import InvariantError
 from .structures import (
     Configuration,
     GeneralizedConfiguration,
-    Window,
     main_window,
     scaled_powers,
 )
@@ -197,9 +201,12 @@ def _smallest_first(
         taken.append((ti, k))
         room -= k * it.size
         left -= k
-    # a cap c gets the first min(c, copies taken) of them
+    # a cap c gets the first min(c, copies taken) of them; the volume sums
+    # over the taken types in type order, as the table's does over every
+    # type, whose other terms are +0.0
     ntypes = len(inst.items)
     most = sum(k for _, k in taken)
+    in_order = sorted(ti for ti, _ in taken)
     n_of = {cap: max(min(cap, most), 0) for cap in caps}
     by_count: dict[int, KccAnswer] = {}
     for n in set(n_of.values()):
@@ -208,7 +215,7 @@ def _smallest_first(
         for ti, k in taken:
             counts[ti] = min(k, left)
             left -= counts[ti]
-        volume = sum(counts[ti] * inst.items[ti].volume for ti in range(ntypes))
+        volume = sum((counts[ti] * inst.items[ti].volume for ti in in_order), 0.0)
         by_count[n] = (tuple(counts), volume)
     return {cap: by_count[n] for cap, n in n_of.items()}
 
@@ -242,59 +249,57 @@ def price_all(duals: np.ndarray, model: LpModel, kcc_eps: float) -> PricingOutco
     # the rows: alpha per size, beta per small type, then (gamma, delta) per
     # window with rows; a window without rows has no duals, which reads as 0
     items = tuple(map(KccItemType, model.sizes, duals.tolist(), model.demands))
-    rows = duals[len(model.sizes) + len(model.smalls) :].reshape(-1, 2).tolist()
-    window_duals = dict(zip(model.row_windows, rows))
+    rows = np.append(duals[len(model.sizes) + len(model.smalls) :], (0.0, 0.0)).reshape(-1, 2)
     slack = 1.0 / (1.0 - kcc_eps)
-    # the window's size index t fixes the oracle's limit, so each t gets one
-    # oracle table answering every cardinality its (window, level) pairs
-    # ask; a cardinality at or above the total multiplicity caps nothing,
-    # so such pairs share one answer
+    windows = sorted(model.windows)
+    at_row = [model.row_index.get(w, -1) for w in windows]  # -1: the appended zeros
+    grid = np.fromiter(chain.from_iterable(windows), np.float64).reshape(-1, 4)  # (t, a, w, kappa)
+    t, a = grid[:, 0].astype(np.intp), grid[:, 1].astype(np.intp)
+    gamma_w, delta_k = (grid[:, 2:] * rows[at_row]).T
+    # the (window, level) grid, windows sorted and levels p = 1..p_max: the
+    # pair's cardinality is ks[p] on a = 0 and ks[p] - ks[a - 1] - 1
+    # otherwise, the room above the count bound below; a cardinality at or
+    # above the total multiplicity caps nothing, so such pairs share one
+    # answer, and a pair with p < a is no column
+    ks = np.array(stair.ks, dtype=np.int64)
+    levels = np.arange(1, model.p_max + 1)
     total_items = sum(model.demands)
+    card = np.minimum(ks[levels] - np.where(a > 0, ks[a - 1] + 1, 0)[:, None], total_items)
+    on_w, on_p = np.nonzero((levels >= a[:, None]) & (card >= 0))  # window-major
+    # the window's size index t fixes the oracle's limit, so each t gets one
+    # oracle table answering every cardinality its pairs ask: the distinct
+    # (t, card) of the cells, ascending, t-major
+    stride = total_items + 1
+    asked, answer_of = np.unique(t[on_w] * stride + card[on_w, on_p], return_inverse=True)
+    caps_of: dict[int, list[int]] = {}
+    for key in asked.tolist():
+        caps_of.setdefault(key // stride, []).append(key % stride)
     floors = scaled_powers(model.eps.denominator, model.t_max, model.scale)
-    sweep: list[tuple[Window, list[tuple[int, int]]]] = []  # (window, [(p, card)])
-    cards: dict[int, set[int]] = {}
-    for window in sorted(model.windows):
-        if window.a > model.p_max:
-            continue  # count bound exceeds every usable cost level
-        levels = []
-        for p in range(max(window.a, 1), model.p_max + 1):
-            if window.a == 0:
-                card = stair.ks[p]
-            else:
-                card = stair.ks[p] - stair.ks[window.a - 1] - 1
-            if card >= 0:
-                levels.append((p, min(card, total_items)))
-        if levels:
-            sweep.append((window, levels))
-            cards.setdefault(window.t, set()).update(card for _, card in levels)
     solved: dict[int, dict[int, KccAnswer]] = {}
-    for t, caps in cards.items():
-        if t >= model.t_max:  # degenerate: too small for any small item
+    answered: list[float] = []
+    for tv, caps in caps_of.items():
+        if tv >= model.t_max:  # degenerate: too small for any small item
             limit = model.scale
-        else:  # total < 1 - w/(1+eps), and w/(1+eps) is the power t + 1
-            limit = model.scale - 1 - floors[t + 1]
-        inst = KccInstance(items, max(caps), limit)
-        solved[t] = kcc_fptas(inst, kcc_eps, cardinalities=caps)
+        else:  # total < 1 - w/(1+eps), and w/(1+eps) is the power tv + 1
+            limit = model.scale - 1 - floors[tv + 1]
+        solved[tv] = kcc_fptas(KccInstance(items, caps[-1], limit), kcc_eps, cardinalities=caps)
+        answered += [solved[tv][c][1] for c in caps]
+    volume = np.array(answered, dtype=np.float64)[answer_of]
 
+    gamma_w, delta_k = gamma_w[on_w], delta_k[on_w]
+    f_kp = np.array(stair.f_at, dtype=np.float64)[levels[on_p]]
+    ratio = (volume + gamma_w + delta_k) / f_kp
+    certified = (volume * slack + gamma_w + delta_k) / f_kp
+    max_ratio = float(ratio.max(initial=0.0))
+    max_certified = float(certified.max(initial=0.0))
     found: list[PricedColumn] = []
-    max_ratio = 0.0
-    max_certified = 0.0
-    for window, levels in sweep:
-        gamma, delta = window_duals.get(window, (0.0, 0.0))
-        gamma_w, delta_k = window.w * gamma, window.kappa * delta
-        for p, card in levels:
-            counts, volume = solved[window.t][card]
-            f_kp = stair.f_at[p]
-            lhs = volume + gamma_w + delta_k
-            certified = volume * slack + gamma_w + delta_k
-            ratio = lhs / f_kp
-            max_ratio = max(max_ratio, ratio)
-            max_certified = max(max_certified, certified / f_kp)
-            if ratio > 1.0 + 1e-9:
-                total = sum(c * v for c, v in zip(counts, model.sizes))
-                config = Configuration(counts, total, sum(counts))
-                mw = main_window(config, p, model.eps, model.t_max, stair, model.scale)
-                if not mw.dominates(window):
-                    raise InvariantError("priced column must be valid")
-                found.append(PricedColumn(GeneralizedConfiguration(config, p, window), ratio))
+    for cell in np.flatnonzero(ratio > 1.0 + 1e-9).tolist():
+        window, p = windows[on_w[cell]], int(levels[on_p[cell]])
+        counts = solved[window.t][int(card[on_w[cell], on_p[cell]])][0]
+        total = sum(c * v for c, v in zip(counts, model.sizes))
+        config = Configuration(counts, total, sum(counts))
+        mw = main_window(config, p, model.eps, model.t_max, stair, model.scale)
+        if not mw.dominates(window):
+            raise InvariantError("priced column must be valid")
+        found.append(PricedColumn(GeneralizedConfiguration(config, p, window), float(ratio[cell])))
     return PricingOutcome(tuple(found), max_ratio, max_certified)

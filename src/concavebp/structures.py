@@ -1,14 +1,22 @@
 """Structures for the approximation scheme: size rounding, the breakpoint
 staircase of the cost table, windows, and bin configurations.  Sizes are
-integers over the scheme's one denominator, ``Instance.scale``."""
+integers over the scheme's one denominator, ``Instance.scale``.
+
+``Window``, ``Configuration`` and ``GeneralizedConfiguration`` key the
+master program, so they are named tuples: hash, equality and order are the
+tuple's, computed in C.  Within one window grid, a window's size and count
+bound are fixed by (t, a), and a configuration's total size and item count
+by its counts, so every comparison the scheme makes reads as one on (t, a)
+and on (counts, p, t, a)."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import ge, neg
+from typing import NamedTuple
 
 from .core import CostFunction, Instance
 from .errors import SolverLimitError
@@ -105,6 +113,7 @@ def split_small(inst: Instance, eps: Fraction, h_eps: int, small: tuple[int, ...
     k = check_eps(eps)
     if h_eps < k or h_eps != int(h_eps):
         raise ValueError("h_eps must be an integer >= 1/eps")
+    h_eps = int(h_eps)  # a float h_eps would make the integer bound inexact
     sizes = inst.int_sizes
     bound = (1 + h_eps) * inst.scale
     total = 0
@@ -163,16 +172,18 @@ def build_staircase(f: CostFunction, eps: Fraction, n: int) -> Staircase:
     return Staircase(tuple(ks), tuple(vals[min(q, last)] for q in ks))
 
 
-@dataclass(frozen=True, order=True)
-class Window:
+class Window(NamedTuple):
     """Reserved room for small items in a bin: a size bound that is a power
-    of 1/(1+eps), and a count bound that is a staircase breakpoint.  The pair
-    (t, a) fixes the window; equality, order and hash look at it only."""
+    of 1/(1+eps), and a count bound that is a staircase breakpoint.  A plain
+    tuple (t, a, w, kappa): equality, order and hash are the tuple's, in C.
+    On one grid the size w and the count bound kappa are fixed by (t, a), so
+    two windows of a grid are equal exactly when their (t, a) are, and sort
+    by (t, a)."""
 
     t: int  # size = (1+eps) ** -t
     a: int  # count bound = staircase ks[a]
-    w: float = field(compare=False)  # k**t / (k+1)**t, rounded once
-    kappa: int = field(compare=False)
+    w: float  # k**t / (k+1)**t, rounded once
+    kappa: int
 
     def dominates(self, other: "Window") -> bool:
         # on one grid, the size falls as t grows and the count grows with a
@@ -206,21 +217,21 @@ def build_windows(eps: Fraction, t_max: int, staircase: Staircase) -> list[Windo
     ]
 
 
-@dataclass(frozen=True, order=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Multiset of rounded large sizes fitting one bin; counts align with the
-    (descending) size list of the enumeration, and fix the other fields."""
+    (descending) size list of the enumeration, and fix the other fields, so
+    configurations over one size list are equal and ordered as their
+    counts."""
 
     counts: tuple[int, ...]
-    total_size: int = field(compare=False)  # over Instance.scale
-    n_items: int = field(compare=False)
+    total_size: int  # over Instance.scale
+    n_items: int
 
 
-@dataclass(frozen=True, order=True)
-class GeneralizedConfiguration:
+class GeneralizedConfiguration(NamedTuple):
     """A column of the master: a configuration, the staircase index p of the
-    cost level it pays, f(ks[p]), and its window.  Equal, ordered and hashed
-    by (counts, p, t, a)."""
+    cost level it pays, f(ks[p]), and its window.  A tuple; within one
+    model's grid, equal, ordered and hashed as (counts, p, t, a)."""
 
     config: Configuration
     p: int

@@ -1,4 +1,7 @@
-"""``tools/ab_pairs.py``: what it refuses, and what it leaves behind when stopped."""
+"""``tools/ab_pairs.py``: what it refuses, what it leaves behind when
+stopped, and how it summarizes paired runs."""
+import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -11,6 +14,60 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 TOOL = REPO / "tools" / "ab_pairs.py"
 PROC = Path("/proc")
+BENCH = json.loads((REPO / "BENCHMARK.json").read_text())
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(**series):
+    """Synthetic runs, one dict of metric values per pair."""
+    return [dict(zip(series, values)) for values in zip(*series.values())]
+
+
+class TestSummarize:
+    def test_every_end_to_end_metric_is_reported(self):
+        names = [m["name"] for m in BENCH["end_to_end"]]
+        same = _runs(**{name: [1.0, 2.0, 3.0] for name in names})
+        lines, worse = _tool().summarize(same, same, BENCH["end_to_end"], names)
+        assert worse == []
+        assert [line.split(":")[0] for line in lines] == [n for n in names for _ in range(3)]
+        assert all("better in 0 of 3 pairs" in line for line in lines[2::3])
+
+    def test_a_lower_metric_beyond_its_bound_is_marked(self):
+        summarize = _tool().summarize
+        old = _runs(wall_s=[1.0, 1.1, 0.9, 1.0], peak_rss_mb=[100.0, 100.0, 101.0, 99.0])
+        # wall_s 10% faster in every pair; peak_rss_mb 5% over, bound 0.04
+        new = _runs(wall_s=[0.9, 0.99, 0.81, 0.9], peak_rss_mb=[105.0, 105.0, 106.0, 104.0])
+        lines, worse = summarize(old, new, BENCH["end_to_end"], ["wall_s", "peak_rss_mb"])
+        assert worse == ["peak_rss_mb"]
+        assert "better in 4 of 4 pairs" in lines[2] and "WORSE" not in lines[2]
+        assert "better in 0 of 4 pairs" in lines[5] and "WORSE beyond bound 0.04" in lines[5]
+        # 3% over stays inside the bound
+        new = _runs(wall_s=[1.0] * 4, peak_rss_mb=[103.0, 103.0, 104.0, 102.0])
+        assert summarize(old, new, BENCH["end_to_end"], ["peak_rss_mb"])[1] == []
+
+    def test_a_higher_metric_is_worse_when_it_falls(self):
+        spec = [{"name": "hits", "better": "higher", "bound": 0.1}]
+        old = _runs(hits=[10.0, 10.0, 10.0])
+        lines, worse = _tool().summarize(old, _runs(hits=[8.0, 8.0, 9.0]), spec, ["hits"])
+        assert worse == ["hits"] and "better in 0 of 3" in lines[2]
+        lines, worse = _tool().summarize(old, _runs(hits=[12.0, 9.5, 12.0]), spec, ["hits"])
+        assert worse == [] and "better in 2 of 3" in lines[2]
+
+    def test_zero_parent_median_and_unbounded_metrics(self):
+        # a gap of 0 that grows at all is beyond any share of 0; a metric
+        # outside the list has no bound and is never marked
+        old = _runs(best_gap=[0.0, 0.0, 0.0], other=[1.0, 1.0, 1.0])
+        new = _runs(best_gap=[0.0, 0.01, 0.01], other=[9.0, 9.0, 9.0])
+        lines, worse = _tool().summarize(old, new, BENCH["end_to_end"], ["best_gap", "other"])
+        assert worse == ["best_gap"]
+        assert "WORSE" not in "".join(lines[3:])
+        assert _tool().summarize(old, old, BENCH["end_to_end"], ["best_gap"])[1] == []
 
 
 def _start(tmp_path, *args):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import subprocess
@@ -81,6 +82,22 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="h_eps must be an integer >= 1/eps"):
             run_afptas(inst, make_fq(1, n), Fraction(1, 3), h_eps=h_eps)
         assert run_afptas(inst, make_fq(1, n), Fraction(1, 3), h_eps=3).packing.num_bins == bins
+
+    def test_float_h_eps_splits_as_its_integer(self):
+        # 40 items of 1/10 reach 3.9 <= 1 + h_eps = 4; the 41st, of 10**-30,
+        # would pass 4 by 10**-30, which a float bound of 4.0 * scale misses
+        inst = Instance.from_values([Fraction(1, 10)] * 40 + [Fraction(1, 10**30)])
+        eps, small = Fraction(1, 3), tuple(range(inst.n))
+        want = split_small(inst, eps, 3, small)
+        assert len(want.tail) == 40
+        assert split_small(inst, eps, 3.0, small) == want
+        assert type(split_small(inst, eps, 3.0, small).h_eps) is int
+
+        def digest(h_eps):
+            res = run_afptas(inst, make_fq(3, inst.n), eps, h_eps=h_eps)
+            return res.packing.bins, json.dumps(res.provenance.to_dict(), sort_keys=True)
+
+        assert digest(3.0) == digest(3)
 
     def test_rejects_unnormalized_table(self):
         from concavebp import CostFunction

@@ -166,7 +166,10 @@ def reference_main_window(cfg, p, eps, t_max, staircase, scale) -> Window:
         val *= step
         t += 1
     a = next(j for j, kj in enumerate(staircase.ks) if kj >= need)
-    return Window(t, a, val, staircase.ks[a])
+    # windows compare as tuples, size included: the grid's float of the
+    # exact size val, k**t / (k+1)**t rounded once, as float(val) is
+    k = eps.denominator
+    return Window(t, a, k**t / (k + 1) ** t, staircase.ks[a])
 
 
 def reference_main_windows(configs, p_max, eps, t_max, staircase, scale) -> set[Window]:

@@ -284,6 +284,12 @@ def _pairs(model: LpModel) -> list:
     ]
 
 
+def _is_pair(key) -> bool:
+    """A master key is a (small type, window) pair or a configuration; both
+    are tuples, so the configuration is the one told by its class."""
+    return not isinstance(key, GeneralizedConfiguration)
+
+
 def _entered(model: LpModel) -> list[int]:
     """The candidate pairs that are master columns, in pair order."""
     return np.flatnonzero(model._y_at >= 0).tolist()
@@ -514,7 +520,7 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     cols = [
         key
         for key in master
-        if window_filter is None or (key[1] if isinstance(key, tuple) else key.window) in window_filter
+        if window_filter is None or (key[1] if _is_pair(key) else key.window) in window_filter
     ]
     A = np.zeros((nv + ns + 2 * len(windows), len(cols)), dtype=np.float64)
     c = np.zeros(len(cols), dtype=np.float64)
@@ -522,7 +528,7 @@ def _loop_arrays(model: LpModel, window_filter=None, every_pair=False):
     b[:nv] = model.demands
     b[nv : nv + ns] = [len(st.items) for st in model.smalls]
     for j, key in enumerate(cols):
-        if isinstance(key, tuple):
+        if _is_pair(key):
             si, w = key
             A[nv + si, j] += 1.0
             A[w_row[w], j] -= float(Fraction(model.smalls[si].size, model.scale))
@@ -661,7 +667,7 @@ def _host(model, labels):
     for i, w in enumerate(model.row_windows):
         row = nv + ns + 2 * i
         for binds_count, (kind, j) in enumerate(labels[row : row + 2]):
-            if kind == "x" and not isinstance(cols[j], tuple):
+            if kind == "x" and not _is_pair(cols[j]):
                 return w, bool(binds_count)
     return None
 
@@ -692,10 +698,10 @@ class TestSeedBasis:
             assert certify(c, A, b, seed.x, seed.duals)
         self._check_idle_windows(model, labels, cols)
         # the master holds exactly the seed basis's assignment columns
-        basic = {cols[j] for kind, j in labels if kind == "x" and isinstance(cols[j], tuple)}
+        basic = {cols[j] for kind, j in labels if kind == "x" and _is_pair(cols[j])}
         pairs = _pairs(model)
         entered = {pairs[p] for p in _entered(model)}
-        assert entered == basic == {key for key in cols if isinstance(key, tuple)}
+        assert entered == basic == {key for key in cols if _is_pair(key)}
         # no candidate assignment column, entered or not, prices below zero
         # under the seed basis: rc(s, w) = size_s gamma_w + delta_w - beta_s
         duals = np.concatenate([c, np.zeros(A.shape[0])])[state.basis] @ state.binv
@@ -717,7 +723,7 @@ class TestSeedBasis:
             if w == host:
                 continue
             on = [j for kind, j in labels[nv + ns + 2 * i : nv + ns + 2 * i + 2] if kind == "x"]
-            assert len(on) == 1 and isinstance(cols[on[0]], tuple) and cols[on[0]][1] == w
+            assert len(on) == 1 and _is_pair(cols[on[0]]) and cols[on[0]][1] == w
 
     def test_without_kept_smalls(self):
         rng = random.Random(81)

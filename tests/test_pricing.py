@@ -551,6 +551,17 @@ class TestEqualVolumes:
             answer = kcc_fptas(_scaled(*inst), 1 / 6)
             assert answer == _uncapped_kcc_fptas(inst, 1 / 6) and answer[0] == counts
 
+    def test_volume_sums_in_type_order(self):
+        # taken smallest first, type 2 before 0, but summed as the table
+        # does, in type order: 0.1 + 0.2 + 0.3 rounds otherwise than
+        # 0.3 + 0.2 + 0.1
+        items = _items(("1/4", 0.1, 1), ("1/8", 0.1, 2), ("1/16", 0.1, 3))
+        inst = RationalKcc(items, 9, Fraction(1))
+        counts, volume = kcc_fptas(_scaled(*inst), 1 / 6)
+        ref_counts, ref_volume = _uncapped_kcc_fptas(inst, 1 / 6)
+        assert counts == ref_counts == (1, 2, 3)
+        assert volume.hex() == ref_volume.hex() == (0.1 + 2 * 0.1 + 3 * 0.1).hex()
+
     def test_a_million_copies_need_no_table(self):
         # the table would have 10**6 + 1 rows and 6 * 10**12 volume columns
         inst = KccInstance((KccItemType(1, 1.0, 10**6), KccItemType(2, 1.0, 10**6)), 10**6, 10**6)
@@ -680,14 +691,60 @@ class TestPriceAllMatchesUncachedSweep:
         rng = random.Random(42 + n)
         priced = 0
         for _ in range(12):
-            alpha = {v: rng.random() * 3 for v in ctx.sizes}
-            # a master has duals only for the windows with rows
-            gamma = {w: rng.random() for w in ctx.row_windows if rng.random() < 0.7}
-            delta = {w: rng.random() * 0.4 for w in ctx.row_windows if rng.random() < 0.7}
-            out = price_all(_duals(ctx, alpha, gamma, delta), ctx, 1 / 6)
-            found, max_ratio, max_certified = _price_all_uncached(alpha, gamma, delta, ctx, 1 / 6)
-            assert out.violations == found
-            assert out.max_ratio.hex() == max_ratio.hex()
-            assert out.max_certified_ratio.hex() == max_certified.hex()
-            priced += len(found)
+            priced += _same_as_uncached(ctx, *_random_duals(rng, ctx))
         assert priced > 0
+
+    @pytest.mark.parametrize("k, seed", [(3, 1), (3, 2), (4, 1)])
+    def test_same_columns_and_ratios_on_windowed_runs(self, k, seed, monkeypatch):
+        # the masters of real runs with kept small items, h_eps = 1/eps on
+        # the mixed family: many row windows and levels, priced under each
+        # master solution's own duals and under random ones
+        import concavebp.afptas as afptas
+        from concavebp.generators import mixed
+
+        priced_at = []
+        plain = afptas.column_generation
+
+        def recording_pricer(duals, model, kcc_eps):
+            priced_at.append((duals.copy(), model))
+            return price_all(duals, model, kcc_eps)
+
+        monkeypatch.setattr(
+            afptas, "column_generation", lambda model: plain(model, pricer=recording_pricer)
+        )
+        n = 100
+        res = afptas.run_afptas(mixed(n, seed), make_fq(3, n), Fraction(1, k), h_eps=k)
+        assert res.provenance.n_windows > 20 and priced_at
+        ctx = priced_at[0][1]
+        assert len(ctx.row_windows) > 10 and ctx.smalls
+        rng = random.Random(k * 100 + seed)
+        priced = 0
+        for duals, model in priced_at:
+            nv, ns = len(model.sizes), len(model.smalls)
+            alpha = dict(zip(model.sizes, duals[:nv].tolist()))
+            rows = duals[nv + ns :].reshape(-1, 2).tolist()
+            gamma = {w: g for w, (g, _) in zip(model.row_windows, rows)}
+            delta = {w: d for w, (_, d) in zip(model.row_windows, rows)}
+            priced += _same_as_uncached(model, alpha, gamma, delta)
+        for _ in range(12):
+            priced += _same_as_uncached(ctx, *_random_duals(rng, ctx))
+        assert priced > 0
+
+
+def _random_duals(rng, ctx):
+    """Random alpha per size, and gamma and delta on some row windows (a
+    master has duals only for the windows with rows)."""
+    alpha = {v: rng.random() * 3 for v in ctx.sizes}
+    gamma = {w: rng.random() for w in ctx.row_windows if rng.random() < 0.7}
+    delta = {w: rng.random() * 0.4 for w in ctx.row_windows if rng.random() < 0.7}
+    return alpha, gamma, delta
+
+
+def _same_as_uncached(ctx, alpha, gamma, delta) -> int:
+    """price_all against the plain sweep, bit for bit; the columns found."""
+    out = price_all(_duals(ctx, alpha, gamma, delta), ctx, 1 / 6)
+    found, max_ratio, max_certified = _price_all_uncached(alpha, gamma, delta, ctx, 1 / 6)
+    assert out.violations == found
+    assert out.max_ratio.hex() == max_ratio.hex()
+    assert out.max_certified_ratio.hex() == max_certified.hex()
+    return len(found)

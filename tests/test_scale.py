@@ -39,6 +39,7 @@ from concavebp.generators import mixed
 from concavebp.core import CostFunction
 from concavebp.lp import LpModel
 from concavebp.serialize import parse_cost_spec
+from concavebp.structures import GeneralizedConfiguration
 
 PEAK_BOUND = 100 * 2**20  # bytes traced by tracemalloc
 
@@ -51,7 +52,8 @@ def _record_masters(monkeypatch):
     def recorded(model, window_filter=None):
         out = arrays(model, window_filter)
         if window_filter is None:
-            masters.append((model, out[1].shape, sum(isinstance(key, tuple) for key in out[3])))
+            pairs = sum(not isinstance(key, GeneralizedConfiguration) for key in out[3])
+            masters.append((model, out[1].shape, pairs))
         return out
 
     monkeypatch.setattr(LpModel, "arrays", recorded)

@@ -5,16 +5,20 @@ import pytest
 
 from concavebp import (
     Instance,
+    afptas,
     build_staircase,
     build_windows,
     linear_grouping,
     main_window,
     make_cost_function,
     make_fq,
+    run_afptas,
     split_small,
 )
+from concavebp.generators import mixed
 from concavebp.structures import (
     Configuration,
+    GeneralizedConfiguration,
     Window,
     enumerate_configurations,
     _powers,
@@ -200,19 +204,59 @@ class TestWindows:
         assert any(w.w == Fraction(9, 16) for w in windows)
 
     def test_identity_is_t_and_a(self):
-        # (t, a) fixes the size and the count bound, so equality, order and
-        # hash look at the two integers only
-        stair = build_staircase(make_fq(2, 20), Fraction(1, 3), 20)
-        _, t_star = round_size_to_power(Fraction(1, 3), Fraction(1, 10))
-        windows = build_windows(Fraction(1, 3), t_star + 1, stair)
-        for w in windows:
-            assert hash(w) == hash((w.t, w.a))
-            twin = Window(w.t, w.a, float(Fraction(3**w.t, 4**w.t)), w.kappa)
-            assert twin == w and hash(twin) == hash(w)
-            assert repr(twin) == repr(w)  # the float size is the Fraction's, rounded once
-        full = lambda w: (w.t, w.a, w.w, w.kappa)
-        assert sorted(windows) == sorted(windows, key=full)
-        assert sorted(windows, reverse=True) == sorted(windows, key=full, reverse=True)
+        # windows are tuples, compared and hashed on all four fields; on one
+        # grid (t, a) fixes the size and the count bound, so two windows are
+        # equal exactly when their (t, a) are, and sort as (t, a) does.  The
+        # main windows, built apart from the grid, are the grid's windows
+        for k in (3, 4):
+            eps = Fraction(1, k)
+            stair = build_staircase(make_fq(2, 20), eps, 20)
+            _, t_star = round_size_to_power(eps, Fraction(1, 10))
+            windows = build_windows(eps, t_star + 1, stair)
+            for w in windows:
+                for v in windows:
+                    assert (w == v) == ((w.t, w.a) == (v.t, v.a))
+                twin = Window(w.t, w.a, float(Fraction(k**w.t, (k + 1) ** w.t)), w.kappa)
+                assert twin == w and hash(twin) == hash(w)
+            by_ta = lambda w: (w.t, w.a)
+            assert sorted(windows) == sorted(windows, key=by_ta)
+            assert sorted(windows, reverse=True) == sorted(windows, key=by_ta, reverse=True)
+            grid = {(w.t, w.a): w for w in windows}
+            configs = enumerate_configurations([30, 21, 12], [2, 3, 4], k, 60)
+            for cfg in configs:
+                for p in range(1, stair.ell + 1):
+                    if cfg.n_items <= stair.ks[p]:
+                        mw = main_window(cfg, p, eps, t_star + 1, stair, 60)
+                        assert mw == grid[mw.t, mw.a] and hash(mw) == hash(grid[mw.t, mw.a])
+
+    def test_model_columns_are_keyed_by_counts_p_t_a(self, monkeypatch):
+        # a windowed run's master columns, the projection's targets among
+        # them: equal exactly when (counts, p, t, a) are, equal to a twin
+        # built anew with its hash, and sorted as (counts, p, t, a)
+        models = []
+        plain = afptas.column_generation
+
+        def recording(model, *args, **kwargs):
+            models.append(model)
+            return plain(model, *args, **kwargs)
+
+        monkeypatch.setattr(afptas, "column_generation", recording)
+        run_afptas(mixed(100, 1), make_fq(3, 100), Fraction(1, 3), h_eps=3)
+        (model,) = models
+        cols = model.columns
+        assert len(cols) > 20 and len({gc.window for gc in cols}) > 5
+        key = lambda gc: (gc.config.counts, gc.p, gc.window.t, gc.window.a)
+        for gc in cols:
+            for other in cols:
+                assert (gc == other) == (key(gc) == key(other))
+            cfg, w = gc.config, gc.window
+            twin = GeneralizedConfiguration(
+                Configuration(tuple(cfg.counts), cfg.total_size, cfg.n_items),
+                gc.p,
+                Window(w.t, w.a, w.w, w.kappa),
+            )
+            assert twin == gc and hash(twin) == hash(gc)
+        assert sorted(cols) == sorted(cols, key=key)
 
 
     def test_sizes_are_the_rounded_fractions(self):

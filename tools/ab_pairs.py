@@ -15,12 +15,15 @@ ignore.
 
 Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, so neither writes a
 bytecode cache that a later run of its own would read.  For each metric
-asked for (``--metric``, default ``wall_s``) it prints every pair, each
-side's median and quartiles, and in how many pairs the change was better,
-by the metric's direction in ``BENCHMARK.json``.  It needs at least two
-seeds, for the quartiles.  SIGTERM stops it as an exception would: the
-running benchmark child is killed and the temporary copies are removed.
-It imports nothing from the package.
+asked for (``--metric``, repeatable; by default every ``end_to_end``
+metric of ``BENCHMARK.json``) it prints every pair, each side's median and
+quartiles, and in how many pairs the change was better, by the metric's
+direction in ``BENCHMARK.json``.  A metric whose change median is worse
+than the parent's by more than its ``bound`` (a share of the parent's
+median) is marked ``WORSE``, and the tool then exits with status 1.  It
+needs at least two seeds, for the quartiles.  SIGTERM stops it as an
+exception would: the running benchmark child is killed and the temporary
+copies are removed.  It imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -89,6 +92,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def summarize(
+    old: list[dict[str, float]],
+    new: list[dict[str, float]],
+    end_to_end: list[dict],
+    metrics: list[str],
+) -> tuple[list[str], list[str]]:
+    """The report of paired runs, parent ``old[i]`` against change
+    ``new[i]``: three lines per metric, and the metrics whose change median
+    is worse than the parent's by more than the metric's bound, a share of
+    the parent's median.  Direction and bound come from ``end_to_end``
+    (BENCHMARK.json's list); a metric not in it counts lower as better and
+    has no bound."""
+    spec = {m["name"]: m for m in end_to_end}
+    lines: list[str] = []
+    worse: list[str] = []
+    for m in metrics:
+        before, after = [r[m] for r in old], [r[m] for r in new]
+        sign = 1 if spec.get(m, {}).get("better", "lower") == "lower" else -1
+        bound = spec.get(m, {}).get("bound")
+        wins = sum(sign * (b - a) < 0 for a, b in zip(before, after))
+        (o1, o2, o3), (n1, n2, n3) = quartiles(before), quartiles(after)
+        over = bound is not None and sign * (n2 - o2) > bound * abs(o2)
+        if over:
+            worse.append(m)
+        mark = f"  WORSE beyond bound {bound}" if over else ""
+        lines.append(f"{m}: parent median {o2:.6g} [q1 {o1:.6g}, q3 {o3:.6g}, iqr {o3 - o1:.3g}]")
+        lines.append(f"{m}: change median {n2:.6g} [q1 {n1:.6g}, q3 {n3:.6g}, iqr {n3 - n1:.3g}]")
+        lines.append(f"{m}: change better in {wins} of {len(before)} pairs; median moved "
+                     f"{n2 - o2:+.6g} ({(n2 / o2 - 1) * 100 if o2 else float('nan'):+.2f}%){mark}")
+    return lines, worse
+
+
 def stop(signum, frame):
     """SIGTERM as an exception, so that ``subprocess.run`` kills its child and
     ``TemporaryDirectory`` removes the copies on the way out."""
@@ -109,9 +144,8 @@ def main() -> int:
         print(f"error: --seeds {args.seeds}: at least two seeds are needed for quartiles",
               file=sys.stderr)
         return 2
-    metrics = args.metric or ["wall_s"]
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    metrics = args.metric or [m["name"] for m in bench["end_to_end"]]
 
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         sides = {"parent": extract(args.parent, Path(tmp) / "parent"),
@@ -126,17 +160,11 @@ def main() -> int:
             )
             print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
 
-    for m in metrics:
-        old = [r[m] for r in runs["parent"]]
-        new = [r[m] for r in runs["change"]]
-        sign = 1 if lower.get(m, True) else -1
-        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
-        (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
-        print(f"{m}: parent median {o2:.6g} [q1 {o1:.6g}, q3 {o3:.6g}, iqr {o3 - o1:.3g}]")
-        print(f"{m}: change median {n2:.6g} [q1 {n1:.6g}, q3 {n3:.6g}, iqr {n3 - n1:.3g}]")
-        print(f"{m}: change better in {wins} of {len(old)} pairs; median moved "
-              f"{n2 - o2:+.6g} ({(n2 / o2 - 1) * 100 if o2 else float('nan'):+.2f}%)")
-    return 0
+    lines, worse = summarize(runs["parent"], runs["change"], bench["end_to_end"], metrics)
+    print("\n".join(lines))
+    if worse:
+        print(f"worse beyond their bounds: {', '.join(worse)}")
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
