@@ -56,6 +56,7 @@ from .structures import (
     build_staircase,
     build_windows,
     check_eps,
+    check_h_eps,
     enumerate_configurations,
     linear_grouping,
     main_windows,
@@ -390,9 +391,7 @@ def run_afptas(
     if f.value(1) != 1.0:
         raise ValueError("cost table must be normalized (f(1) = 1)")
     if h_eps is not None:
-        if h_eps < k or h_eps != int(h_eps):
-            raise ValueError("h_eps must be an integer >= 1/eps")
-        h_eps = int(h_eps)  # 3.0 would make the tail bound a float
+        h_eps = check_h_eps(h_eps, k)
     n = inst.n
     if n == 0:
         prov = Provenance(0, str(eps), base_case=True)

@@ -15,11 +15,12 @@ writing any row, as ``solve`` does; it reports every other failure in the
 row's ``error`` field and carries on, a packing that fails verification
 against every item of the instance included.
 
-``compare`` computes each exact optimum once per (instance, cost spec): the
-``exact`` row and the ratio of every row of that instance and spec share the
-one solve, and the ``exact`` row's ``runtime_s`` is the time of that solve.
-An instance over ``--exact-limit`` or over the exact solver's hard cap gets
-no exact baseline.
+``compare`` packs, times and verifies each cost-oblivious algorithm (all but
+``exact`` and ``afptas``) once per instance and prices that one packing under
+every cost spec, so its ``runtime_s`` is the same on each spec's row.
+``exact`` and ``afptas`` run once per (instance, spec); the one exact solve
+also gives every row of that instance and spec its baseline.  An instance
+over ``--exact-limit`` or over the exact solver's hard cap gets no exact baseline.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from . import generators
 from .afptas import run_afptas
 from .core import (
     COST_TOL,
-    CostFunction,
     FractionalPacking,
     eval_cost,
     eval_fractional_cost,
@@ -75,6 +75,8 @@ ALGORITHMS = (
     "mh", "fnfi", "exact", "afptas",
 )
 SOLVER_FAILURES = (InfeasibleMasterError, NumericalFailureError, InvariantError)
+# what fails one compare row and lets the others run; ParseError is a ValueError
+_ROW_ERRORS = (ValueError, SolverLimitError, MemoryError, *SOLVER_FAILURES)
 
 
 def parse_eps(text: str) -> Fraction:
@@ -90,8 +92,9 @@ def parse_eps(text: str) -> Fraction:
     return Fraction(1, k)
 
 
-def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=DEFAULT_CONFIG_BUDGET):
-    """Returns (packing, cost, provenance-or-None)."""
+def _pack(name, inst, f, eps, exact_limit, config_budget=DEFAULT_CONFIG_BUDGET):
+    """Returns (packing, provenance-or-None); only ``exact`` and ``afptas`` read ``f``."""
+    # looked up on each call, so that a rebound module name takes effect
     simple = {
         "nf-inc": lambda: next_fit(inst, "increasing"),
         "nf-dec": lambda: next_fit(inst, "decreasing"),
@@ -100,16 +103,11 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=DEFAULT_CONFIG
         "bf-inc": lambda: best_fit(inst, "increasing"),
         "bf-dec": lambda: best_fit(inst, "decreasing"),
         "mh": lambda: match_half(inst),
+        "fnfi": lambda: fnfi(inst),
+        "exact": lambda: exact_opt(inst, f, exact_limit)[0],
     }
     if name in simple:
-        packing = simple[name]()
-        return packing, eval_cost(f, packing), None
-    if name == "fnfi":
-        packing = fnfi(inst)
-        return packing, eval_fractional_cost(f, packing), None
-    if name == "exact":
-        packing, cost = exact_opt(inst, f, exact_limit)
-        return packing, cost, None
+        return simple[name](), None
     if name == "afptas":
         if eps is None:
             raise ParseError("afptas needs --eps")
@@ -117,8 +115,14 @@ def _run_algorithm(name, inst, f, eps, exact_limit, config_budget=DEFAULT_CONFIG
             result = run_afptas(inst, f, eps, config_budget=config_budget)
         except ValueError as exc:  # input the scheme rejects, e.g. an all-zero table
             raise ParseError(str(exc)) from exc
-        return result.packing, eval_cost(f, result.packing), result.provenance
+        return result.packing, result.provenance
     raise ParseError(f"unknown algorithm {name!r}")
+
+
+def _price(f, packing) -> float:
+    if isinstance(packing, FractionalPacking):
+        return eval_fractional_cost(f, packing)
+    return eval_cost(f, packing)
 
 
 def _check_exact_limit(limit: int) -> None:
@@ -132,8 +136,12 @@ def _over_all_items(inst, packing):
     return replace(packing, items=frozenset(range(inst.n)))
 
 
-def _verification_failure(verdict) -> str:
-    return "solver output failed verification: " + "; ".join(violation_lines(verdict)[:3])
+def _verify(inst, packing) -> None:
+    """Raises ``InvariantError`` unless ``packing`` packs every item of ``inst``."""
+    verdict = verify_packing(inst, _over_all_items(inst, packing))
+    if not verdict.ok:
+        lines = "; ".join(violation_lines(verdict)[:3])
+        raise InvariantError(f"solver output failed verification: {lines}")
 
 
 def cmd_solve(args) -> int:
@@ -145,14 +153,14 @@ def cmd_solve(args) -> int:
     f = parse_cost_spec(args.cost, inst.n)
     eps = parse_eps(args.eps) if args.eps else None
     started = time.perf_counter()
-    packing, cost, provenance = _run_algorithm(
-        args.alg, inst, f, eps, args.exact_limit, args.config_budget
-    )
+    packing, provenance = _pack(args.alg, inst, f, eps, args.exact_limit, args.config_budget)
     elapsed = time.perf_counter() - started
-    verdict = verify_packing(inst, _over_all_items(inst, packing))
-    if not verdict.ok:
-        print(f"internal error: {_verification_failure(verdict)}", file=sys.stderr)
+    try:
+        _verify(inst, packing)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    cost = _price(f, packing)
     out_path = args.out or (args.instance + f".{args.alg}.solution")
     with open(out_path, "w") as fh:
         write_solution(packing, inst, args.alg, args.cost, cost, fh)
@@ -180,15 +188,12 @@ def cmd_verify(args) -> int:
     spec = args.cost or sol["cost_spec"]
     f = parse_cost_spec(spec, inst.n)
     packing = _over_all_items(inst, sol["packing"])
-    if isinstance(packing, FractionalPacking):
-        recomputed = eval_fractional_cost(f, packing)
-    else:
-        recomputed = eval_cost(f, packing)
     verdict = verify_packing(inst, packing)
     if not verdict.ok:
         for line in violation_lines(verdict):
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    recomputed = _price(f, packing)
     if not abs(recomputed - sol["cost"]) <= COST_TOL:  # also rejects a claimed NaN
         print(
             f"verification failed: claimed cost {sol['cost']} but recomputed {recomputed}",
@@ -248,68 +253,61 @@ def _compare_rows(args, eps):
                     yield {"instance": path, "algorithm": alg, "cost_spec": spec,
                            "error": str(exc)}
             continue
-        optima: dict[str, tuple] = {}
-        tables: dict[str, CostFunction | Exception] = {}
+        done: dict = {}
         for alg in algs:
             for spec in costs:
                 row = {"instance": path, "algorithm": alg, "cost_spec": spec}
                 try:
-                    f = _cost_table(tables, spec, inst.n)
-                    _fill_row(row, args, inst, alg, spec, f, optima, eps)
-                except (ParseError, ValueError, SolverLimitError, *SOLVER_FAILURES) as exc:
-                    row["error"] = str(exc)
-                except MemoryError as exc:
-                    row["error"] = _out_of_memory(exc)
+                    _fill_row(row, args, inst, alg, spec, done, eps)
+                except _ROW_ERRORS as exc:
+                    row["error"] = _message(exc)
                 yield row
 
 
-def _out_of_memory(exc: MemoryError) -> str:
-    return f"out of memory: {exc}" if str(exc) else "out of memory"
+def _message(exc: Exception) -> str:
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
 
 
-def _cost_table(tables, spec, n):
-    """The cost table of ``spec``, parsed on the first request and shared by
-    every later row of the same instance; a spec that does not parse fails
-    each of its rows with the same error."""
-    if spec not in tables:
+def _once(done, key, compute):
+    """``compute()`` on the first request for ``key``, shared by every later
+    request for it on the same instance; an error it raised is raised again
+    for each of them."""
+    if key not in done:
         try:
-            tables[spec] = parse_cost_spec(spec, n)
-        except ValueError as exc:  # a ParseError among them
-            tables[spec] = exc
-    found = tables[spec]
+            done[key] = compute()
+        except _ROW_ERRORS as exc:
+            done[key] = exc
+    found = done[key]
     if isinstance(found, Exception):
         raise found.with_traceback(None)
     return found
 
 
-def _exact_optimum(optima, inst, spec, f, limit):
-    """(packing, cost, seconds) of the exact optimum under ``spec``, solved on
-    the first request and shared by every later row of the same instance."""
-    if spec not in optima:
-        started = time.perf_counter()
-        packing, cost = exact_opt(inst, f, limit)
-        optima[spec] = (packing, cost, time.perf_counter() - started)
-    return optima[spec]
+def _fill_row(row, args, inst, alg, spec, done, eps) -> None:
+    """Fill one compare row in place; what it raises becomes the row's error.
+    ``done`` holds the instance's cost tables, keyed by spec, and its verified
+    packings with their seconds, keyed by (algorithm, spec or None)."""
 
+    def packed(alg):  # a cost-oblivious packing serves every spec
+        def compute():
+            started = time.perf_counter()
+            packing, _ = _pack(alg, inst, f, eps, args.exact_limit)
+            seconds = time.perf_counter() - started
+            _verify(inst, packing)
+            return packing, seconds
 
-def _fill_row(row, args, inst, alg, spec, f, optima, eps) -> None:
-    """Fill one compare row in place; what it raises becomes the row's error."""
-    if alg == "exact":
-        packing, cost, seconds = _exact_optimum(optima, inst, spec, f, args.exact_limit)
-    else:
-        started = time.perf_counter()
-        packing, cost, _ = _run_algorithm(alg, inst, f, eps, args.exact_limit)
-        seconds = time.perf_counter() - started
-    verdict = verify_packing(inst, _over_all_items(inst, packing))
-    if not verdict.ok:
-        row["error"] = _verification_failure(verdict)
-        return
-    row["cost"] = cost
+        return _once(done, (alg, spec if alg in ("exact", "afptas") else None), compute)
+
+    f = _once(done, spec, lambda: parse_cost_spec(spec, inst.n))
+    packing, seconds = packed(alg)
+    row["cost"] = cost = _price(f, packing)
     row["bins"] = packing.num_bins
     row["runtime_s"] = round(seconds, 6)
     baseline = None
     if inst.n <= min(args.exact_limit, HARD_LIMIT_N):
-        _, baseline, _ = _exact_optimum(optima, inst, spec, f, args.exact_limit)
+        baseline = _price(f, packed("exact")[0])
         row["baseline"] = "exact"
     elif spec.startswith("fq:"):
         baseline = lower_bound_fk(inst, int(spec[3:]))
@@ -435,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
     except MemoryError as exc:
-        print(f"solver limit: {_out_of_memory(exc)}", file=sys.stderr)
+        print(f"solver limit: {_message(exc)}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
     except SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

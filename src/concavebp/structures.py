@@ -34,6 +34,15 @@ def check_eps(eps: Fraction) -> int:
     return eps.denominator
 
 
+def check_h_eps(h_eps, k: int) -> int:
+    """A tail threshold must be an integer >= 1/eps = k; returns it as an int,
+    since a float would make the integer tail bound inexact.  It compares
+    before it converts, so infinities and NaN are refused, not converted."""
+    if not h_eps >= k or h_eps % 1 != 0:
+        raise ValueError("h_eps must be an integer >= 1/eps")
+    return int(h_eps)
+
+
 @dataclass(frozen=True)
 class GroupingResult:
     """Outcome of size rounding on the large items (indices into the instance).
@@ -110,10 +119,7 @@ class SmallSplit:
 def split_small(inst: Instance, eps: Fraction, h_eps: int, small: tuple[int, ...]) -> SmallSplit:
     """Split ``small`` (indices sorted by non-increasing size) at the maximal
     suffix of total size <= 1 + h_eps."""
-    k = check_eps(eps)
-    if h_eps < k or h_eps != int(h_eps):
-        raise ValueError("h_eps must be an integer >= 1/eps")
-    h_eps = int(h_eps)  # a float h_eps would make the integer bound inexact
+    h_eps = check_h_eps(h_eps, check_eps(eps))
     sizes = inst.int_sizes
     bound = (1 + h_eps) * inst.scale
     total = 0

@@ -72,6 +72,17 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             run_afptas(inst, make_fq(1, 8), Fraction(1, 3), h_eps=2)
 
+    @pytest.mark.parametrize("h_eps", [math.inf, -math.inf, math.nan, 3.5, 2])
+    def test_bad_h_eps_refused_by_both_entry_points(self, h_eps):
+        # the threshold is compared before it is converted: int(inf) would
+        # raise OverflowError, and int(nan) a message of its own
+        inst = Instance.from_values([Fraction(1, 2)] * 4 + [Fraction(1, 8)] * 4)
+        message = "h_eps must be an integer >= 1/eps"
+        with pytest.raises(ValueError, match=message):
+            run_afptas(inst, make_fq(1, 8), Fraction(1, 3), h_eps=h_eps)
+        with pytest.raises(ValueError, match=message):
+            split_small(inst, Fraction(1, 3), h_eps, tuple(range(4, 8)))
+
     @pytest.mark.parametrize("h_eps", [2, -5, 3.5])
     @pytest.mark.parametrize("n,bins", [(3, 3), (6, 3)])
     def test_h_eps_validated_without_small_items(self, n, bins, h_eps):

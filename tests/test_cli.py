@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concavebp import FractionalPacking, Instance, Packing, generators, serialize
+from concavebp import FractionalPacking, Instance, Packing, cli, generators, serialize
 from concavebp.cli import ALGORITHMS, main
 from concavebp.exact import exact_opt
 from concavebp.fractional import fnfi
@@ -580,6 +580,19 @@ class TestVerify:
         capsys.readouterr()
         _assert_input_error(capsys, main(["verify", str(path), str(out)]))
 
+    def test_negative_fraction_is_a_violation_not_a_cost(self, tmp_path, capsys):
+        # the packing is verified before it is priced: a negative part has
+        # no cost, so pricing it first would raise out of main
+        path, _ = _write_instance(tmp_path, "v.inst", [Fraction(1, 1000)])
+        out = tmp_path / "v.sol"
+        main(["solve", str(path), "--alg", "fnfi", "--cost", "fq:1", "--out", str(out)])
+        out.write_text(out.read_text().replace("bin: 0=1\n", "bin: 0=-1/2\n"))
+        capsys.readouterr()
+        assert main(["verify", str(path), str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("violation: bad-fraction")
+        assert captured.out == ""
+
 
 class TestCompare:
     def test_csv_report(self, tmp_path):
@@ -707,6 +720,42 @@ class TestCompare:
         assert len(bad) == 10
         assert {r["error"] for r in bad} == {"bad cost spec 'fq:0': q must be >= 1"}
         assert not any("error" in r for r in rows if r["cost_spec"] != "fq:0")
+
+    def test_each_packing_is_made_and_verified_once(self, tmp_path, monkeypatch):
+        # a cost-oblivious packer runs once per instance and serves every
+        # spec; exact and afptas read the cost table, so run once per spec
+        calls = []
+
+        def counting(name):
+            packer = getattr(cli, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return packer(*args, **kwargs)
+
+            return wrapped
+
+        names = ("next_fit", "first_fit", "best_fit", "match_half", "fnfi",
+                 "exact_opt", "run_afptas", "verify_packing")
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name))
+        p1, _ = _write_instance(tmp_path, "a.inst", [Fraction(1, 2), Fraction(1, 3)] * 4)
+        p2, _ = _write_instance(tmp_path, "b.inst", [Fraction(2, 5)] * 7)
+        out = tmp_path / "r.json"
+        assert main(["compare", "--instances", str(p1), str(p2),
+                     "--algs", TestCompareExactOnce.ALGS, "--costs", "fq:2,table:0,1,1.5",
+                     "--eps", "1/3", "--format", "json", "--out", str(out)]) == 0
+        per_instance = {"next_fit": 2, "first_fit": 2, "best_fit": 2, "match_half": 1,
+                        "fnfi": 1, "exact_opt": 2, "run_afptas": 2, "verify_packing": 12}
+        assert {name: calls.count(name) for name in names} == {
+            name: 2 * count for name, count in per_instance.items()
+        }
+        rows = [r for r in json.loads(out.read_text()) if r["instance"] != "(aggregate)"]
+        assert len(rows) == 2 * 10 * 2 and not any("error" in r for r in rows)
+        for path in (p1, p2):
+            for alg in ("nf-inc", "nf-dec", "ff-inc", "ff-dec", "bf-inc", "bf-dec", "mh", "fnfi"):
+                mine = [r for r in rows if r["instance"] == str(path) and r["algorithm"] == alg]
+                assert mine[0]["runtime_s"] == mine[1]["runtime_s"]
 
     def test_parser_leaves_no_cyclic_garbage(self, tmp_path):
         # the parser's groups, actions and formatters form cycles: it is
