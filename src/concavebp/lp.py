@@ -629,12 +629,10 @@ def split_types(
 
 def _is_basic(support: set, cols, A: np.ndarray) -> bool:
     """A solution is basic iff the columns of its support (the keys of its
-    values above FRACTIONAL_TOL) are linearly independent."""
+    values above FRACTIONAL_TOL) are linearly independent.  The rank test
+    alone decides: more columns than rows cannot reach full column rank, and
+    an empty support has rank 0."""
     columns = [j for j, key in enumerate(cols) if key in support]
-    if not columns:
-        return True
-    if len(columns) > A.shape[0]:
-        return False
     return np.linalg.matrix_rank(A[:, columns]) == len(columns)
 
 

@@ -12,10 +12,14 @@ inverse.  ``solve_lp`` is the fallback when the certificate fails.
 Surplus variables turn the rows into equalities.  A cold start is a slack
 basis: a row with b_i = 0 starts on its surplus column, feasible at level 0,
 and only a row with b_i > 0 starts on an artificial, so phase 1 begins from
-the inverse diag(+-1) and drives only the positive rows.  A's nonzeros are
-kept once per call as column-major (row, value) runs, and pricing and
-entering columns run over those nonzeros; a surplus column is -e_i and an artificial column +e_i, so
-neither is stored.  The basis inverse stays a dense m x m matrix, updated in
+the inverse diag(+-1) and drives only the positive rows.  Both phases price
+only the structural and surplus columns: an artificial that has left the
+basis never has to return (Chvatal 1983, ch. 8).  An artificial +e_r still
+basic after phase 1 is swapped for its own row's surplus -e_r, which takes
+its level (within FEAS_TOL of zero) negated.  A's nonzeros are kept once per
+call as column-major (row, value) runs, and pricing and entering columns run
+over those nonzeros; a surplus column is -e_i and an artificial column +e_i,
+so neither is stored.  The basis inverse stays a dense m x m matrix, updated in
 place by a rank-one product after each pivot and refreshed periodically.
 Dantzig's rule switches to Bland's rule after a run of degenerate pivots to
 rule out cycling.  The ratio test is Harris's, with threshold pivoting
@@ -71,13 +75,15 @@ def solve_lp(
     c = np.asarray(c, dtype=np.float64)
     m, n = A.shape
     if m == 0:
+        if np.any(c < -PIVOT_TOL):
+            return LpResult("unbounded", np.zeros(n), float("nan"), np.zeros(0), [], 0)
         return LpResult("optimal", np.zeros(n), 0.0, np.zeros(0), [], 0)
     if np.any(b < 0):
         raise ValueError("right-hand sides must be non-negative")
 
-    # column layout: [structural | surplus | artificial]
-    n_art_start = n + m
-    cost2 = np.concatenate([c, np.zeros(2 * m)])
+    # column layout: [structural | surplus | artificial]; no artificial is
+    # basic in phase 2, so its costs stop at the surplus columns
+    cost2 = np.concatenate([c, np.zeros(m)])
 
     state = _State(A, b)
     iterations = 0
@@ -87,8 +93,8 @@ def solve_lp(
         start = None
     if start is None:
         cost1 = np.zeros(n + 2 * m)
-        cost1[n_art_start:] = 1.0
-        status, it = state.iterate(cost1, allow_artificial=True)
+        cost1[n + m:] = 1.0
+        status, it = state.iterate(cost1)
         iterations += it
         if status != "optimal":
             raise NumericalFailureError(f"phase 1 ended with status {status}")
@@ -98,7 +104,7 @@ def solve_lp(
             )
         state.expel_artificials()
 
-    status, it = state.iterate(cost2, allow_artificial=False)
+    status, it = state.iterate(cost2)
     iterations += it
     if status != "optimal":
         return LpResult(status, np.zeros(n), float("nan"), np.zeros(m), [], iterations)
@@ -131,17 +137,13 @@ def certify(
 def _labels_to_indices(labels: list[Label], n: int, m: int) -> list[int] | None:
     out = []
     for kind, idx in labels:
-        if kind == "x":
-            if idx >= n:
-                return None
+        if kind == "x" and 0 <= idx < n:
             out.append(idx)
-        elif kind == "s":
-            if idx >= m:
-                return None
+        elif kind == "s" and 0 <= idx < m:
             out.append(n + idx)
         else:
             return None
-    return out if len(out) == m else None
+    return out
 
 
 def _indices_to_labels(indices: np.ndarray | list[int], n: int) -> list[Label]:
@@ -152,7 +154,8 @@ class _State:
     """Basis, its inverse, and the pivoting loop.
 
     Column j < n is A's column j, column n + i is -e_i (surplus) and column
-    n + m + i is +e_i (artificial)."""
+    n + m + i is +e_i (artificial).  Only the first n + m columns are priced:
+    an artificial leaves the slack start's basis and never returns."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = A
@@ -179,24 +182,17 @@ class _State:
         B[unit % self.m, pos] = np.where(unit < self.m, -1.0, 1.0)
         return B
 
-    def _row_times(self, y: np.ndarray, allow_artificial: bool) -> np.ndarray:
-        """y @ [A | -I] (and | I when artificial columns are allowed)."""
-        parts = [
-            np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n),
-            -y,
-        ]
-        if allow_artificial:
-            parts.append(y)
-        return np.concatenate(parts)
+    def _row_times(self, y: np.ndarray) -> np.ndarray:
+        """y @ [A | -I], over the priced columns."""
+        ya = np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n)
+        return np.concatenate([ya, -y])
 
     def _column(self, j: int) -> np.ndarray:
-        """binv @ (column j), a fresh array."""
+        """binv @ (column j) for a structural or surplus j, a fresh array."""
         if j < self.n:
             lo, hi = self.starts[j], self.starts[j + 1]
             return self.binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
-        if j < self.n + self.m:
-            return -self.binv[:, j - self.n]
-        return self.binv[:, j - self.n - self.m].copy()
+        return -self.binv[:, j - self.n]
 
     def _invert(self, indices) -> np.ndarray | None:
         """Inverse of the basis matrix of ``indices``, or None when B is
@@ -235,32 +231,24 @@ class _State:
         self._pivots_since_refresh = 0
 
     def expel_artificials(self) -> None:
-        """Pivot artificial variables (at level 0) out of the basis when possible."""
-        n_art_start = self.n + self.m
-        for pos in range(self.m):
-            if self.basis[pos] < n_art_start:
-                continue
-            row = self._row_times(self.binv[pos], allow_artificial=False)
-            in_basis = set(self.basis.tolist())
-            candidates = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            for j in candidates:
-                if int(j) in in_basis:
-                    continue
-                self._pivot(self._column(int(j)), pos, int(j))
-                break
-            # if no candidate exists the row is redundant; the artificial
-            # stays basic at level zero, which is harmless
+        """Swap each artificial +e_r still basic for its row's surplus -e_r.
+        The basis column changes sign, so its row of binv does, and the
+        surplus takes the artificial's level negated.  Surplus r cannot be
+        basic beside artificial r, so the basis stays nonsingular."""
+        art = self.basis >= self.n + self.m
+        self.basis[art] -= self.m
+        self.binv[art] *= -1.0
 
-    def iterate(self, cost: np.ndarray, allow_artificial: bool) -> tuple[str, int]:
+    def iterate(self, cost: np.ndarray) -> tuple[str, int]:
         limit = 200 * (self.m + self.n + 1)
-        n_cols = self.n + (2 if allow_artificial else 1) * self.m
+        n_cols = self.n + self.m
         it = 0
         degenerate_run = 0
         while True:
             if it >= limit:
                 return "iteration-limit", it
             y = cost[self.basis] @ self.binv
-            reduced = cost[:n_cols] - self._row_times(y, allow_artificial)
+            reduced = cost[:n_cols] - self._row_times(y)
             reduced[self.basis[self.basis < n_cols]] = 0.0
             if degenerate_run >= _DEGENERATE_RUN:
                 viol = np.nonzero(reduced < -PIVOT_TOL)[0]

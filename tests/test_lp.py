@@ -15,6 +15,7 @@ from concavebp.lp import (
     FRACTIONAL_TOL,
     LpModel,
     LpSolution,
+    _is_basic,
     column_generation,
     dual_objective,
     extract_basic,
@@ -444,6 +445,16 @@ class TestExtractBasic:
         assert sum(val > FRACTIONAL_TOL for val in basic.x.values()) == 1
         fx, fy = basic.fractional_counts()
         assert fx + fy <= len(model.sizes) + 2 * len(w_prime)
+
+    @pytest.mark.parametrize("support, basic", [
+        (set(), True),  # an empty support
+        ({"a", "c"}, True),
+        ({"a", "b"}, False),  # b = 2 a
+        ({"a", "c", "d"}, False),  # more support columns than rows
+    ])
+    def test_is_basic_is_a_rank_test(self, support, basic):
+        A = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        assert _is_basic(support, ["a", "b", "c", "d"], A) == basic
 
     def test_fractional_count_bound_random(self):
         rng = random.Random(23)

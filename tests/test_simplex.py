@@ -229,6 +229,33 @@ class TestAgainstScipy:
             assert mine.duals @ b == pytest.approx(mine.objective, abs=1e-6)
             assert np.all(mine.duals >= -1e-9)
 
+    def test_zero_row_with_tiny_rhs_swaps_its_artificial(self, monkeypatch):
+        # 0 x >= 1e-9 holds within FEAS_TOL, but no priced column can drive
+        # row 1's artificial out, so phase 1 ends with it basic
+        A = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 1.0]])
+        b = np.array([1.0, 1e-9, 1.5])
+        c = np.array([1.0, 2.0])
+        m, n = A.shape
+        after_phase_1 = []
+        swap = _State.expel_artificials
+
+        def spy(state):
+            after_phase_1.append(state.basis.tolist())
+            swap(state)
+
+        monkeypatch.setattr(_State, "expel_artificials", spy)
+        mine = solve_lp(c, A, b)
+        assert after_phase_1 and n + m + 1 in after_phase_1[0]
+        ref = scipy_opt.linprog(c, A_ub=-A, b_ub=-b, bounds=(0, None), method="highs")
+        assert ref.status == 0 and mine.status == "optimal"
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-9)
+        assert np.all(A @ mine.x >= b - FEAS_TOL)
+        assert all(0 <= idx < (n if kind == "x" else m) for kind, idx in mine.basis)
+        assert ("s", 1) in mine.basis
+        warm = solve_lp(c, A, b, basis=mine.basis)
+        assert warm.status == "optimal" and warm.iterations == 0
+        assert warm.objective == pytest.approx(mine.objective, abs=1e-12)
+
     def test_warm_start_agrees_after_column_append(self):
         rng = random.Random(99)
         for _ in range(20):
@@ -346,6 +373,16 @@ class TestSingularWarmBasis:
         # two equal rows make every all-structural basis singular
         ([2.6754862738805043, 0.2103906931156425], [4.581163710062117, 1.5723911461450504],
          2.0, [("x", 1), ("x", 0)]),
+        # labels that do not fit: a structural index n, a surplus index m,
+        # an unknown kind, and one label for two rows
+        ([1.0, 2.0], [1.0, 1.0], 1.0, [("x", 2), ("x", 0)]),
+        ([1.0, 2.0], [1.0, 1.0], 1.0, [("s", 2), ("x", 0)]),
+        ([1.0, 2.0], [1.0, 1.0], 1.0, [("a", 0), ("x", 0)]),
+        ([1.0, 2.0], [1.0, 1.0], 1.0, [("x", 0)]),
+        # an exactly singular basis, which np.linalg.inv refuses
+        ([1.0, 2.0], [1.0, 1.0], 1.0, [("x", 0), ("x", 0)]),
+        # a subnormal pivot: the inverse overflows to inf
+        ([1e-310, 2.0], [1.0, 1.0], 1.0, [("x", 0), ("s", 0)]),
     ])
     def test_falls_back_to_a_cold_start(self, row, c, rhs, basis):
         A = np.array([row, row])
@@ -354,6 +391,31 @@ class TestSingularWarmBasis:
         assert res.status == "optimal"
         assert np.all(A @ res.x >= b - 1e-7)
         assert res.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-12)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("basis", [[("x", -1), ("x", 1)], [("s", -1), ("x", 1)]])
+    def test_negative_label_falls_back_to_a_cold_start(self, basis):
+        # ("x", -1) would load A's last column and ("s", -1) would become
+        # ("x", n - 1); both are refused like any label out of range
+        A = np.array([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0]])
+        b = np.ones(2)
+        c = np.array([1.0, 1.0, 5.0])
+        res = solve_lp(c, A, b, basis=basis)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(solve_lp(c, A, b).objective, rel=1e-12)
+        assert all(0 <= idx < (3 if kind == "x" else 2) for kind, idx in res.basis)
+
+    def test_negative_rhs_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_lp(np.ones(2), np.ones((1, 2)), np.array([-1.0]))
+
+    @pytest.mark.parametrize("c, status", [([-1.0, 2.0], "unbounded"), ([1.0, 2.0], "optimal")])
+    def test_no_rows_agrees_with_a_redundant_row(self, c, status):
+        res = solve_lp(c, np.zeros((0, 2)), np.zeros(0))
+        assert res.status == solve_lp(c, np.zeros((1, 2)), np.zeros(1)).status == status
+        if status == "optimal":
+            assert res.objective == 0.0
 
 
 class TestSlackStart:
@@ -425,7 +487,7 @@ class TestRatioTest:
 
         state._pivot = spy
         with pytest.raises(self._Stop):
-            state.iterate(np.array([0.0, 0.0, -1.0, 0.0, 0.0]), allow_artificial=False)
+            state.iterate(np.array([0.0, 0.0, -1.0, 0.0, 0.0]))
         return taken
 
     def test_tie_at_zero_takes_the_large_pivot(self):
